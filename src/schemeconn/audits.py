@@ -5,12 +5,19 @@ association schemes, so on catalog input every non-skipped audit must pass;
 a failure is an implementation bug or a corrupted scheme, and the witness
 fields say where to look.  Audits whose hypotheses fail raise
 HypothesisViolation (the caller records a skip) rather than guessing.
+
+The corollary sweeps rest on one lemma.  Let T lie inside the closed
+neighbourhood N[a].  Then G - T is connected iff the quotient of G - T is,
+where each component of G - N[a] is contracted to one node: T misses every
+such component, each stays whole and connected in G - T, and contracting
+connected vertex sets neither joins nor splits components.  So one small
+quotient per basepoint decides every deletion set inside N[a], and batches
+of sets are decided together by a boolean BFS over it.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional
 
 import numpy as np
@@ -18,15 +25,15 @@ import numpy as np
 from .connectivity import (is_isomorphic, maximal_cliques, twins,
                            vertex_connectivity)
 from .diagram import Diagram, distribution_diagram, h_prime_connected
-from .errors import (CapExceeded, Disconnected, HypothesisViolation,
+from .errors import (Disconnected, HypothesisViolation,
                      PreconditionUnverifiable)
 from .graph import (Graph, bits, complete_bipartite, cycle_graph, mask_of,
                     petersen)
 from .scheme import SchemeDescriptor, is_complete_multipartite, relation_graph
+from .sweeps import deletion_sweeps
 
 DEFAULT_SEED = 0x5EED
 C1_EXHAUSTIVE_VALENCY = 12
-C1_SAMPLES = 200
 CLIQUE_CAP = 100_000
 
 
@@ -87,109 +94,47 @@ class CorollaryAudits:
     seed: int
 
 
-def _c1_exhaustive(graph: Graph, v: int) -> tuple[bool, int, Optional[tuple]]:
-    checked = 0
-    for a in range(v):
-        nb = graph.neighborhood(a)
-        members = list(bits(nb | (1 << a)))
-        mbits = [1 << m for m in members]
-        for code in range(1 << len(members)):
-            t_mask = 0
-            c = code
-            while c:
-                low = c & -c
-                t_mask |= mbits[low.bit_length() - 1]
-                c ^= low
-            if not nb & ~t_mask:        # T covers all of Gamma(a): exempt
-                continue
-            checked += 1
-            if not graph.is_connected(deleted=t_mask):
-                return False, checked, (a, tuple(bits(t_mask)))
-    return True, checked, None
-
-
-def _c1_sampled(graph: Graph, v: int, v1: int, kappa: int, rng: random.Random
-                ) -> tuple[bool, int, Optional[tuple]]:
-    checked = 0
-    if kappa <= 3:
-        # only reachable if the connectivity conjecture fails upstream
-        for a in range(v):
-            nb = graph.neighborhood(a)
-            members = list(bits(nb | (1 << a)))
-            for size in range(1, 4):
-                for sub in combinations(members, size):
-                    t_mask = mask_of(sub)
-                    if not nb & ~t_mask:
-                        continue
-                    checked += 1
-                    if checked > 5_000_000:
-                        raise CapExceeded("size<=3 deletion sweep over budget")
-                    if not graph.is_connected(deleted=t_mask):
-                        return False, checked, (a, sub)
-    # larger T: deterministic pseudorandom sample per basepoint
-    for a in range(v):
-        nb = graph.neighborhood(a)
-        members = list(bits(nb | (1 << a)))
-        for _ in range(C1_SAMPLES):
-            while True:
-                size = rng.randint(4, v1)
-                sub = rng.sample(members, size)
-                t_mask = mask_of(sub)
-                if nb & ~t_mask:
-                    break
-            checked += 1
-            if not graph.is_connected(deleted=t_mask):
-                return False, checked, (a, tuple(sorted(sub)))
-    return True, checked, None
-
-
 def corollary_audits(scheme: SchemeDescriptor, g: int,
                      kappa: Optional[int] = None,
-                     seed: int = DEFAULT_SEED) -> CorollaryAudits:
+                     seed: int = DEFAULT_SEED,
+                     clique_cap: int = CLIQUE_CAP) -> CorollaryAudits:
     """C2: deleting an open neighborhood leaves at most one non-singleton
     component.  C1: deleting any T inside a closed neighborhood that misses
     part of the open one leaves the graph connected (exhaustive for valency
     <= 12, else sizes <= 3 plus a seeded sample; sizes below the known
     vertex connectivity cannot disconnect and are skipped by definition).
-    C3: deleting any maximal clique leaves the graph connected."""
+    C3: deleting any maximal clique (at most clique_cap are listed) leaves
+    the graph connected.
+
+    Every set deleted here lies inside one closed neighbourhood N[a]; a
+    clique lies inside N[its least vertex].  Lemma: for T inside N[a], G - T
+    is connected iff the quotient of G by the components of G - N[a] is
+    connected once T's members are removed.  Proof: T misses every such
+    component, so each stays whole and connected in G - T, and contracting
+    connected vertex sets neither joins nor splits components.  The sweeps
+    therefore run on at most valency + 1 + (component count) nodes, one
+    quotient per basepoint shared by C2, C1 and C3.  C2 is read off the
+    component sizes: after deleting the open neighbourhood, a is alone
+    and the rest are exactly these components."""
     graph = relation_graph(scheme, g)
     if not graph.is_connected():
         raise Disconnected("corollary audits need a connected relation")
-    v = scheme.v
     v1 = scheme.valencies[g]
-
-    c2_ok, c2_wit = True, None
-    for a in range(v):
-        big = 0
-        for m in graph.component_masks(deleted=graph.neighborhood(a)):
-            if m.bit_count() >= 2:
-                big += 1
-        if big > 1:
-            c2_ok, c2_wit = False, (a, big)
-            break
-
-    if v1 <= C1_EXHAUSTIVE_VALENCY:
-        mode = "exhaustive"
-        c1_ok, checked, c1_wit = _c1_exhaustive(graph, v)
-    else:
-        mode = "sampled"
+    rng = None
+    if v1 > C1_EXHAUSTIVE_VALENCY:
         if kappa is None:
             kappa = vertex_connectivity(graph)
         rng = random.Random(f"{seed:#x}:{scheme.name}:{g}")
-        c1_ok, checked, c1_wit = _c1_sampled(graph, v, v1, kappa, rng)
-
-    cliques, capped = maximal_cliques(graph, cap=CLIQUE_CAP)
-    c3_ok, c3_wit = True, None
-    for cm in cliques:
-        if not graph.is_connected(deleted=cm):
-            c3_ok, c3_wit = False, tuple(bits(cm))
-            break
-
-    return CorollaryAudits(c1_ok=c1_ok, c2_ok=c2_ok, c3_ok=c3_ok,
-                           c1_mode=mode, c1_checked=checked,
-                           c1_witness=c1_wit, c2_witness=c2_wit,
-                           c3_witness=c3_wit, c3_clique_count=len(cliques),
-                           c3_capped=capped, seed=seed)
+    cliques, capped = maximal_cliques(graph, cap=clique_cap)
+    checked, c1_wit, c2_wit, c3_wit = deletion_sweeps(graph, v1, kappa, rng,
+                                                     cliques)
+    return CorollaryAudits(c1_ok=c1_wit is None, c2_ok=c2_wit is None,
+                           c3_ok=c3_wit is None,
+                           c1_mode="exhaustive" if rng is None else "sampled",
+                           c1_checked=checked, c1_witness=c1_wit,
+                           c2_witness=c2_wit, c3_witness=c3_wit,
+                           c3_clique_count=len(cliques), c3_capped=capped,
+                           seed=seed)
 
 
 # -- the I/U/W decomposition --------------------------------------------

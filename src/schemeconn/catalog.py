@@ -301,8 +301,36 @@ _DRGS = {
 }
 
 
+# parameter types of each family kind
+_FAMILY_PARAMS = {
+    "hamming": (int, int),
+    "johnson": (int, int),
+    "cyclic": (int,),
+    "conjugacy": (str,),
+    "drg": (str,),
+}
+
+
+def check_family(kind, params: tuple) -> None:
+    """Raise ParseError unless kind is a known family and params has its
+    arity and types (ints for sizes, a str for a group or graph name)."""
+    if not isinstance(kind, str) or kind not in _FAMILY_PARAMS:
+        raise ParseError(f"unknown family kind {kind!r}")
+    types = _FAMILY_PARAMS[kind]
+    if len(params) != len(types) or not all(
+            isinstance(x, t) and not isinstance(x, bool)
+            for x, t in zip(params, types)):
+        want = ", ".join(t.__name__ for t in types)
+        raise ParseError(f"family {kind!r} takes ({want}), got {params!r}")
+    known = {"conjugacy": _GROUPS, "drg": _DRGS}.get(kind)
+    if known is not None and params[0] not in known:
+        raise ParseError(f"unknown {kind} member {params[0]!r}; "
+                         f"have {sorted(known)}")
+
+
 @lru_cache(maxsize=None)
 def build_family(kind: str, params: tuple) -> SchemeDescriptor:
+    check_family(kind, params)
     if kind == "hamming":
         return gen_hamming(*params)
     if kind == "johnson":
@@ -310,16 +338,8 @@ def build_family(kind: str, params: tuple) -> SchemeDescriptor:
     if kind == "cyclic":
         return gen_cyclic(*params)
     if kind == "conjugacy":
-        (gname,) = params
-        if gname not in _GROUPS:
-            raise ParseError(f"unknown group {gname!r}; have {sorted(_GROUPS)}")
-        return gen_conjugacy(_GROUPS[gname](), name=f"conj-{gname}")
-    if kind == "drg":
-        (gname,) = params
-        if gname not in _DRGS:
-            raise ParseError(f"unknown graph {gname!r}; have {sorted(_DRGS)}")
-        return scheme_from_drg(_DRGS[gname](), name=f"drg-{gname}")
-    raise ParseError(f"unknown family kind {kind!r}")
+        return gen_conjugacy(_GROUPS[params[0]](), name=f"conj-{params[0]}")
+    return scheme_from_drg(_DRGS[params[0]](), name=f"drg-{params[0]}")
 
 
 def builtin_catalog() -> list[SchemeDescriptor]:

@@ -11,7 +11,7 @@ import os
 import sys
 from typing import Optional
 
-from .catalog import build_family, load_scheme
+from .catalog import build_family, check_family, load_scheme
 from .connectivity import enumerate_min_cuts, vertex_connectivity
 from .errors import (CapExceeded, Disconnected, ParseError, SchemeError,
                      SizeCap)
@@ -119,6 +119,10 @@ def _manifest_entries(path: str) -> tuple[list, dict]:
             fam = ent["family"]
             if not isinstance(fam, list) or not fam:
                 raise ParseError(f"{path}: entry {k} has bad 'family'")
+            try:
+                check_family(fam[0], tuple(fam[1:]))
+            except ParseError as exc:
+                raise ParseError(f"{path}: entry {k}: {exc}") from exc
             entries.append(((fam[0], tuple(fam[1:])), rel))
         else:
             raise ParseError(f"{path}: entry {k} needs 'file' or 'family'")

@@ -26,6 +26,16 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
+def unpack_masks(masks: list[int], n: int) -> np.ndarray:
+    """Boolean array of shape (len(masks), n): row r holds bit j of
+    masks[r] in column j.  Masks must fit in n bits."""
+    nbytes = (n + 7) // 8
+    buf = b"".join(m.to_bytes(nbytes, "little") for m in masks)
+    packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(masks), nbytes)
+    return np.unpackbits(packed, axis=1, count=n,
+                         bitorder="little").view(bool)
+
+
 class Graph:
     __slots__ = ("n", "rows", "alive", "_dist")
 
@@ -248,11 +258,10 @@ class Graph:
         return best
 
     def adjacency_matrix(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n), dtype=np.int8)
-        for v in bits(self.alive):
-            for w in bits(self.rows[v] & self.alive):
-                a[v, w] = 1
-        return a
+        """Boolean n x n adjacency of the live graph; dead rows are empty."""
+        live = self.alive
+        return unpack_masks([self.rows[v] & live if live >> v & 1 else 0
+                             for v in range(self.n)], self.n)
 
     def __repr__(self):
         return f"Graph(n={self.n}, edges={self.edge_count()})"

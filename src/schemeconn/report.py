@@ -39,7 +39,7 @@ class AnalysisConfig:
     qp_tol: float = 1e-8
     column_tol: float = 1e-8
     multiplicity_tol: float = 1e-6
-    clique_cap: int = 100_000
+    clique_cap: int = audits.CLIQUE_CAP
     cut_enum_budget: int = 200_000
     spectral_max_v: int = 1024
 
@@ -159,7 +159,8 @@ def analyze_relation(scheme: SchemeDescriptor, i: int,
         skipped.append(f"theorem1: {e.reason}")
 
     try:
-        ca = audits.corollary_audits(scheme, i, kappa=kappa, seed=config.seed)
+        ca = audits.corollary_audits(scheme, i, kappa=kappa, seed=config.seed,
+                                     clique_cap=config.clique_cap)
         corollaries = {
             "status": "ok",
             "c1_ok": ca.c1_ok, "c2_ok": ca.c2_ok, "c3_ok": ca.c3_ok,
@@ -386,12 +387,32 @@ def _survey_task(arg):
         return idx, None, [], f"{type(e).__name__}: {e}"
 
 
+def _report_name_error(name: str, reports: list[dict],
+                       written: dict[str, int]) -> Optional[str]:
+    """Why an entry's reports cannot be written as <name>-r<i>.json in the
+    output directory, or None.  The name must be a plain file stem, so no
+    report lands outside the directory, and no file may be written twice,
+    so the summary's report count equals the number of report files."""
+    if not (0 < len(name) <= 200 and name.isprintable()
+            and not name.startswith(".")
+            and not any(c in name for c in "/\\")):
+        return f"scheme name {name!r} is not a plain file name"
+    fnames = [f"{name}-r{rep['relation']}.json" for rep in reports]
+    for fname in fnames:
+        if fname in written:
+            return f"{fname} was already written for entry {written[fname]}"
+    if len(set(fnames)) < len(fnames):
+        return f"a relation of {name} is listed twice"
+    return None
+
+
 def run_survey(entries, out_dir: str, jobs: int = 1,
                config: AnalysisConfig = DEFAULT_CONFIG) -> dict:
     """entries: list of (source, relations) where source is ("file", path)
     or (family_kind, params); relations is None for all.  Writes one JSON
     per (scheme, relation) plus summary.json; output is byte-identical for
-    any jobs value."""
+    any jobs value.  An entry whose reports cannot be written under a plain,
+    unused file name is recorded as an error and writes nothing."""
     os.makedirs(out_dir, exist_ok=True)
     tasks = [(idx, source, relations, config)
              for idx, (source, relations) in enumerate(entries)]
@@ -407,14 +428,19 @@ def run_survey(entries, out_dir: str, jobs: int = 1,
     all_findings = []
     errors = []
     n_reports = 0
+    written: dict[str, int] = {}        # report file name -> entry index
     for idx, name, reports, err in results:
+        if err is None:
+            err = _report_name_error(name, reports, written)
         if err is not None:
             errors.append({"entry": idx, "error": err})
             continue
         for rep in reports:
             n_reports += 1
-            path = os.path.join(out_dir, f"{name}-r{rep['relation']}.json")
-            with open(path, "w", encoding="utf-8") as fh:
+            fname = f"{name}-r{rep['relation']}.json"
+            written[fname] = idx
+            with open(os.path.join(out_dir, fname), "w",
+                      encoding="utf-8") as fh:
                 fh.write(_dump(rep))
             for section in ("theorem1", "corollaries", "w_empty",
                             "small_cut", "ball_deletion"):

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from schemeconn.catalog import (BUILTIN_FAMILIES, build_family,
+from schemeconn.catalog import (BUILTIN_FAMILIES, build_family, check_family,
                                 builtin_catalog, cyclic_group_table,
                                 dihedral4_table, gen_conjugacy, gen_cyclic,
                                 gen_hamming, gen_johnson, load_scheme,
@@ -181,3 +181,8 @@ def test_build_family_unknown():
         build_family("kneser", (7, 3))
     with pytest.raises(ParseError):
         build_family("conjugacy", ("A5",))
+    for kind, params in (("johnson", (5,)), ("hamming", (2, "x")),
+                         ("cyclic", (5, 1)), ("cyclic", (True,)),
+                         ("drg", (3,)), (["cyclic"], (5,))):
+        with pytest.raises(ParseError):
+            check_family(kind, params)

@@ -104,6 +104,14 @@ def test_config_threading():
     assert rep["config"]["seed"] == 99
 
 
+def test_clique_cap_from_config():
+    rep = analyze_relation(build_family("drg", ("petersen",)), 1,
+                           config=AnalysisConfig(clique_cap=3))
+    cor = rep["corollaries"]
+    assert cor["c3_capped"] is True and cor["c3_clique_count"] == 3
+    assert rep["config"]["clique_cap"] == 3
+
+
 def test_builtin_entries_cover_catalog():
     entries = builtin_entries()
     assert len(entries) >= 40
@@ -174,6 +182,38 @@ def test_survey_relation_selection(tmp_path):
     assert sorted(os.listdir(out)) == ["hamming-3-2-r1.json", "summary.json"]
 
 
+def _report_files(root):
+    return sorted(n for n in os.listdir(root) if n != "summary.json")
+
+
+def test_survey_refuses_path_in_scheme_name(tmp_path):
+    path = tmp_path / "evil.json"
+    save_scheme(gen_cyclic(5), str(path))
+    payload = json.loads(path.read_text())
+    payload["name"] = "../evil"
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "out" / "a"
+    entries = [(("file", str(path)), None), (("cyclic", (6,)), None)]
+    summary = run_survey(entries, str(out))
+    assert [e["entry"] for e in summary["errors"]] == [0]
+    assert "plain file name" in summary["errors"][0]["error"]
+    assert sorted(os.listdir(tmp_path / "out")) == ["a"]
+    assert _report_files(out) == ["cyclic-6-r1.json", "cyclic-6-r2.json",
+                                  "cyclic-6-r3.json"]
+    assert summary["reports"] == 3
+
+
+def test_survey_refuses_duplicate_report(tmp_path):
+    out = tmp_path / "dup"
+    entries = [(("cyclic", (5,)), None), (("cyclic", (5,)), [1]),
+               (("hamming", (3, 2)), [1, 1])]
+    summary = run_survey(entries, str(out))
+    assert [e["entry"] for e in summary["errors"]] == [1, 2]
+    assert "already written for entry 0" in summary["errors"][0]["error"]
+    assert _report_files(out) == ["cyclic-5-r1.json", "cyclic-5-r2.json"]
+    assert summary["reports"] == 2
+
+
 # -- CLI -----------------------------------------------------------------
 
 def _write_pentagon(tmp_path):
@@ -226,6 +266,27 @@ def test_cli_analyze_file_all_relations(tmp_path, capsys):
 
 def test_cli_analyze_no_source(capsys):
     assert main(["analyze"]) == 1
+
+
+@pytest.mark.parametrize("family", [["johnson", "5"], ["hamming", "2", "x"]])
+@pytest.mark.parametrize("command", ["analyze", "cuts"])
+def test_cli_family_arity_and_types(command, family, capsys):
+    argv = [command, "--family", *family]
+    if command == "cuts":
+        argv += ["--relation", "1", "--max-size", "2"]
+    assert main(argv) == 1
+    assert "ParseError" in capsys.readouterr().err
+
+
+def test_cli_survey_manifest_bad_family(tmp_path, capsys):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({
+        "entries": [{"family": ["cyclic", 5]}, {"family": ["johnson", 5]}],
+        "out": str(tmp_path / "never"),
+    }))
+    assert main(["survey", "--manifest", str(manifest)]) == 1
+    assert "entry 1" in capsys.readouterr().err
+    assert not (tmp_path / "never").exists()
 
 
 def test_cli_analyze_refuse_symmetrize(capsys):
