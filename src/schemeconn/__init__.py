@@ -1,26 +1,25 @@
 """Connectivity and spectral analysis for association scheme relations."""
 
+from .audits import RelationContext, spec_cut_audit
 from .catalog import (build_family, builtin_catalog, gen_conjugacy,
                       gen_cyclic, gen_hamming, gen_johnson, load_scheme,
                       save_scheme, scheme_from_drg)
-from .connectivity import (compute_cut_report, edge_connectivity,
-                           enumerate_min_cuts, local_vertex_connectivity,
-                           maximal_cliques, twins, vertex_connectivity)
+from .connectivity import (edge_connectivity, enumerate_min_cuts,
+                           local_vertex_connectivity, maximal_cliques, twins,
+                           vertex_connectivity)
 from .diagram import distribution_diagram, h_prime_connected
 from .errors import (CapExceeded, DetectorDisagreement, Disconnected,
-                     DisconnectedPair, HypothesisNotMet, HypothesisViolation,
-                     IdentityClassRequested, LiftImpossible, NonConstantIntersection,
+                     HypothesisNotMet, HypothesisViolation,
+                     IdentityClassRequested, NonConstantIntersection,
                      NotAGroup, NotAPartition, NotClosedUnderTranspose,
                      NotCommutative, NotDistanceRegular, NotSymmetric,
-                     ParseError, PreconditionUnverifiable, RefinementFailed,
-                     SchemeError, SizeCap)
+                     ParseError, RefinementFailed, SchemeError, SizeCap)
 from .graph import Graph
 from .report import (AnalysisConfig, analyze_relation, analyze_scheme,
                      run_survey)
 from .scheme import (RelationTable, SchemeDescriptor, relation_graph,
                      symmetrized_scheme, validate_scheme)
-from .spectral import (compute_spectral, primitivity, second_eigenvalue,
-                       spec_cut_audit)
+from .spectral import compute_spectral, primitivity, second_eigenvalue
 
 __version__ = "0.1.0"
 
@@ -29,12 +28,10 @@ __all__ = [
     "CapExceeded",
     "DetectorDisagreement",
     "Disconnected",
-    "DisconnectedPair",
     "Graph",
     "HypothesisNotMet",
     "HypothesisViolation",
     "IdentityClassRequested",
-    "LiftImpossible",
     "NonConstantIntersection",
     "NotAGroup",
     "NotAPartition",
@@ -43,8 +40,8 @@ __all__ = [
     "NotDistanceRegular",
     "NotSymmetric",
     "ParseError",
-    "PreconditionUnverifiable",
     "RefinementFailed",
+    "RelationContext",
     "RelationTable",
     "SchemeDescriptor",
     "SchemeError",
@@ -53,7 +50,6 @@ __all__ = [
     "analyze_scheme",
     "build_family",
     "builtin_catalog",
-    "compute_cut_report",
     "compute_spectral",
     "distribution_diagram",
     "edge_connectivity",

@@ -18,15 +18,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .connectivity import (is_isomorphic, maximal_cliques, twins,
+from .connectivity import (TwinData, edge_connectivity, is_isomorphic,
+                           k211_free, maximal_cliques, twins,
                            vertex_connectivity)
 from .diagram import Diagram, distribution_diagram, h_prime_connected
-from .errors import (Disconnected, HypothesisViolation,
-                     PreconditionUnverifiable)
+from .errors import Disconnected, HypothesisNotMet, HypothesisViolation
 from .graph import (Graph, bits, complete_bipartite, cycle_graph, mask_of,
                     petersen)
 from .scheme import SchemeDescriptor, is_complete_multipartite, relation_graph
@@ -35,6 +36,48 @@ from .sweeps import deletion_sweeps
 DEFAULT_SEED = 0x5EED
 C1_EXHAUSTIVE_VALENCY = 12
 CLIQUE_CAP = 100_000
+
+
+class RelationContext:
+    """What the audits of relation g read, each computed at most once: the
+    graph (built here), its distribution diagram, twins and connectivity."""
+
+    def __init__(self, scheme: SchemeDescriptor, g: int):
+        self.scheme = scheme
+        self.g = g
+        self.graph = relation_graph(scheme, g)
+
+    @cached_property
+    def diagram(self) -> Diagram:
+        return distribution_diagram(self.scheme, self.g)
+
+    @cached_property
+    def connected(self) -> bool:
+        return self.graph.is_connected()
+
+    @cached_property
+    def complete(self) -> bool:
+        return self.graph.is_complete()
+
+    @cached_property
+    def complete_multipartite(self) -> bool:
+        return is_complete_multipartite(self.graph)
+
+    @cached_property
+    def twins(self) -> TwinData:
+        return twins(self.graph)
+
+    @cached_property
+    def h_prime_connected(self) -> bool:
+        return h_prime_connected(self.diagram)
+
+    @cached_property
+    def kappa(self) -> int:
+        return vertex_connectivity(self.graph)
+
+    @cached_property
+    def lam(self) -> int:
+        return edge_connectivity(self.graph)
 
 
 # -- The four-way equivalence audit --------------------------------------
@@ -50,19 +93,19 @@ class Theorem1Audit:
     first_twin_pair: Optional[tuple[int, int]]
 
 
-def theorem1_audit(scheme: SchemeDescriptor, g: int) -> Theorem1Audit:
+def theorem1_audit(ctx: RelationContext) -> Theorem1Audit:
     """Audit the equivalence: some puncture connected / every puncture
     connected / punctured diagram connected / twin-free.  Hypotheses (graph
     connected and not complete multipartite) are enforced."""
-    graph = relation_graph(scheme, g)
-    if not graph.is_connected():
+    graph = ctx.graph
+    if not ctx.connected:
         raise HypothesisViolation("disconnected")
-    if is_complete_multipartite(graph):
+    if ctx.complete_multipartite:
         raise HypothesisViolation("complete multipartite")
     flags = [graph.is_connected(deleted=graph.closed_neighborhood(a))
-             for a in range(scheme.v)]
-    hp = h_prime_connected(distribution_diagram(scheme, g))
-    tw = twins(graph)
+             for a in range(ctx.scheme.v)]
+    hp = ctx.h_prime_connected
+    tw = ctx.twins
     twin_free = not tw.pairs
     exists_a = any(flags)
     forall_a = all(flags)
@@ -94,9 +137,7 @@ class CorollaryAudits:
     seed: int
 
 
-def corollary_audits(scheme: SchemeDescriptor, g: int,
-                     kappa: Optional[int] = None,
-                     seed: int = DEFAULT_SEED,
+def corollary_audits(ctx: RelationContext, seed: int = DEFAULT_SEED,
                      clique_cap: int = CLIQUE_CAP) -> CorollaryAudits:
     """C2: deleting an open neighborhood leaves at most one non-singleton
     component.  C1: deleting any T inside a closed neighborhood that misses
@@ -116,15 +157,14 @@ def corollary_audits(scheme: SchemeDescriptor, g: int,
     quotient per basepoint shared by C2, C1 and C3.  C2 is read off the
     component sizes: after deleting the open neighbourhood, a is alone
     and the rest are exactly these components."""
-    graph = relation_graph(scheme, g)
-    if not graph.is_connected():
+    if not ctx.connected:
         raise Disconnected("corollary audits need a connected relation")
-    v1 = scheme.valencies[g]
-    rng = None
+    graph = ctx.graph
+    v1 = ctx.scheme.valencies[ctx.g]
+    kappa = rng = None
     if v1 > C1_EXHAUSTIVE_VALENCY:
-        if kappa is None:
-            kappa = vertex_connectivity(graph)
-        rng = random.Random(f"{seed:#x}:{scheme.name}:{g}")
+        kappa = ctx.kappa
+        rng = random.Random(f"{seed:#x}:{ctx.scheme.name}:{ctx.g}")
     cliques, capped = maximal_cliques(graph, cap=clique_cap)
     checked, c1_wit, c2_wit, c3_wit = deletion_sweeps(graph, v1, kappa, rng,
                                                      cliques)
@@ -152,42 +192,17 @@ class IUWDecomposition:
     component_map: tuple[tuple[int, ...], ...]   # components of graph minus a's closed nbhd
 
 
-def _h_prime_components(diag: Diagram, g: int) -> list[tuple[int, ...]]:
-    d = diag.size - 1
-    rest = 0
-    for i in range(1, d + 1):
-        if i != g:
-            rest |= 1 << i
-    comps = []
-    while rest:
-        start = (rest & -rest).bit_length() - 1
-        seen = 1 << start
-        frontier = seen
-        while frontier:
-            new = 0
-            for j in bits(frontier):
-                new |= diag.adj[j]
-            frontier = new & rest & ~seen
-            seen |= frontier
-        comps.append(tuple(bits(seen)))
-        rest &= ~seen
-    return comps
-
-
-def iuw_decompose(scheme: SchemeDescriptor, g: int, a: int = 0
-                  ) -> IUWDecomposition:
+def iuw_decompose(ctx: RelationContext, a: int = 0) -> IUWDecomposition:
     """Partition the non-{0,g} classes into twin classes (I), a
     minimum-weight non-singleton diagram component (U), and the rest (W);
     pull each back to a vertex set at the given basepoint.  When the
     punctured diagram is connected the decomposition is all-empty by
     convention."""
-    diag = distribution_diagram(scheme, g)
-    graph = relation_graph(scheme, g)
+    scheme, g, graph = ctx.scheme, ctx.g, ctx.graph
     comp_map = tuple(
         tuple(bits(m))
         for m in graph.component_masks(deleted=graph.closed_neighborhood(a)))
-    hp = h_prime_connected(diag)
-    if hp:
+    if ctx.h_prime_connected:
         return IUWDecomposition(basepoint=a, h_prime_connected=True,
                                 i_classes=(), u_classes=(), w_classes=(),
                                 i_vertices=(), u_vertices=(), w_vertices=(),
@@ -196,7 +211,9 @@ def iuw_decompose(scheme: SchemeDescriptor, g: int, a: int = 0
     vg = scheme.valencies[g]
     nodes = [i for i in range(1, scheme.d + 1) if i != g]
     i_classes = tuple(i for i in nodes if p[g, g, i] == vg)
-    comps = _h_prime_components(diag, g)
+    punctured = Graph(ctx.diagram.size, ctx.diagram.adj)
+    comps = [tuple(bits(m))
+             for m in punctured.component_masks(deleted=1 | 1 << g)]
     non_singleton = [c for c in comps if len(c) >= 2]
     if non_singleton:
         u_classes = min(non_singleton,
@@ -222,17 +239,6 @@ def iuw_decompose(scheme: SchemeDescriptor, g: int, a: int = 0
                             component_map=comp_map)
 
 
-def iuw_basepoint_invariance(scheme: SchemeDescriptor, g: int) -> bool:
-    """|I_a|, |U_a|, |W_a| must not depend on the basepoint."""
-    ref = iuw_decompose(scheme, g, 0)
-    sizes = (len(ref.i_vertices), len(ref.u_vertices), len(ref.w_vertices))
-    for a in range(1, scheme.v):
-        dec = iuw_decompose(scheme, g, a)
-        if (len(dec.i_vertices), len(dec.u_vertices), len(dec.w_vertices)) != sizes:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class WEmptyAudit:
     ok: bool
@@ -243,14 +249,14 @@ class WEmptyAudit:
     distance2_witness: Optional[tuple[int, int, int]]
 
 
-def w_empty_audit(scheme: SchemeDescriptor, g: int) -> WEmptyAudit:
+def w_empty_audit(ctx: RelationContext) -> WEmptyAudit:
     """For a connected relation the W part must be empty, and every vertex
     of U_a must sit at distance exactly 2 from a (checked on the graph
     itself, every basepoint)."""
-    graph = relation_graph(scheme, g)
-    if not graph.is_connected():
+    if not ctx.connected:
         raise Disconnected("w-empty audit needs a connected relation")
-    dec = iuw_decompose(scheme, g, 0)
+    scheme, graph = ctx.scheme, ctx.graph
+    dec = iuw_decompose(ctx, 0)
     ok = not dec.w_classes
     d2_ok, d2_wit = True, None
     # the distance-2 conclusion is conditional on a nonempty W part
@@ -286,36 +292,22 @@ class BallDeletionAudit:
     part_b_witness: Optional[tuple]
 
 
-def ball_deletion_audit(scheme: SchemeDescriptor, g: int, t: int
-                        ) -> BallDeletionAudit:
+def ball_deletion_audit(ctx: RelationContext, t: int) -> BallDeletionAudit:
     """Delete the radius-t class ball around a basepoint.  If the diagram
     minus its ball stays connected but the graph minus the vertex ball does
     not, the graph diameter is at most 2t; and any vertex cut off from a
     diameter-realizing vertex lies within distance 2t of the basepoint."""
-    graph = relation_graph(scheme, g)
-    if not graph.is_connected():
+    if not ctx.connected:
         raise Disconnected("ball deletion audit needs a connected relation")
-    diag = distribution_diagram(scheme, g)
+    scheme, graph, diag = ctx.scheme, ctx.graph, ctx.diagram
     dm = graph.distance_matrix()
     diameter = int(dm.max())
     if not 1 <= t <= diameter:
         raise ValueError(f"radius {t} outside 1..{diameter}")
     ball = tuple(i for i in range(scheme.d + 1)
                  if diag.levels[i] is not None and diag.levels[i] <= t)
-    outside = [i for i in range(scheme.d + 1) if i not in ball]
-    if not outside:
-        h_minus_conn = True
-    else:
-        seen = 1 << outside[0]
-        keep = mask_of(outside)
-        frontier = seen
-        while frontier:
-            new = 0
-            for j in bits(frontier):
-                new |= diag.adj[j]
-            frontier = new & keep & ~seen
-            seen |= frontier
-        h_minus_conn = seen == keep
+    h_minus_conn = Graph(diag.size, diag.adj).is_connected(
+        deleted=mask_of(ball))
     ball_arr = np.array(ball, dtype=scheme.table.classes.dtype)
     triggered = 0
     a_ok = b_ok = True
@@ -351,61 +343,6 @@ def ball_deletion_audit(scheme: SchemeDescriptor, g: int, t: int
                              part_a_witness=a_wit, part_b_witness=b_wit)
 
 
-# -- spread-out cuts -----------------------------------------------------
-
-def _cycle_through(graph: Graph, x: int, y: int, g: int, budget: list[int]
-                   ) -> bool:
-    """Is there a cycle of length <= g through x and y (at distance 2)?
-    Enumerates simple x-y paths up to length g-2 and closes each with a
-    disjoint second path."""
-    dm = graph.distance_matrix()
-
-    def dfs(u: int, used_mask: int, length: int) -> bool:
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise PreconditionUnverifiable("cycle search budget exhausted")
-        if u == y and length >= 2:
-            inner = used_mask & ~(1 << x) & ~(1 << y)
-            d2 = graph.distances_from(x, deleted=inner)
-            return d2[y] != -1 and length + d2[y] <= g
-        if length >= g - 2:
-            return False
-        for w in bits(graph.rows[u] & graph.alive & ~used_mask):
-            if dm[w][y] > g - 2 - (length + 1) and w != y:
-                continue
-            if dfs(w, used_mask | (1 << w), length + 1):
-                return True
-        return False
-
-    return dfs(x, (1 << x), 0)
-
-
-def spread_cut_check(graph: Graph, T, g: int, budget: int = 2_000_000) -> bool:
-    """Verify every distance-2 pair lies on a common cycle of length <= g
-    and that T is g+1-spread; then report whether deleting T leaves the
-    graph connected (the spread condition guarantees it does)."""
-    if g > 8:
-        raise PreconditionUnverifiable("cycle length cap is 8")
-    members = sorted(T)
-    dm = graph.distance_matrix()
-    for i, yy in enumerate(members):
-        for zz in members[i + 1:]:
-            dxy = dm[yy][zz]
-            if dxy != -1 and dxy < g + 1:
-                raise ValueError(
-                    f"deletion set not spread: d({yy},{zz}) = {dxy} <= {g}")
-    counter = [budget]
-    lv = list(bits(graph.alive))
-    for i, x in enumerate(lv):
-        for y in lv[i + 1:]:
-            if dm[x][y] != 2:
-                continue
-            if not _cycle_through(graph, x, y, g, counter):
-                raise ValueError(
-                    f"distance-2 pair ({x},{y}) lies on no cycle of length <= {g}")
-    return graph.is_connected(deleted=mask_of(members))
-
-
 # -- small-cut classification -------------------------------------------
 
 @dataclass(frozen=True)
@@ -438,19 +375,16 @@ def _exceptional_match(graph: Graph) -> Optional[str]:
     return None
 
 
-def small_cut_theorems_audit(scheme: SchemeDescriptor, g: int,
-                             kappa: Optional[int] = None) -> SmallCutAudit:
+def small_cut_theorems_audit(ctx: RelationContext) -> SmallCutAudit:
     """kappa = 2 forces a polygon; diameter-2 graphs obey the counting
     lower bound on kappa; diameter-2 with kappa <= 3 is one of four
     exceptional graphs."""
-    graph = relation_graph(scheme, g)
-    if not graph.is_connected():
+    if not ctx.connected:
         raise Disconnected("small-cut audit needs a connected relation")
-    if kappa is None:
-        kappa = vertex_connectivity(graph)
+    graph, kappa = ctx.graph, ctx.kappa
     diam = graph.diameter()
-    v1 = scheme.valencies[g]
-    n = scheme.v
+    v1 = ctx.scheme.valencies[ctx.g]
+    n = ctx.scheme.v
 
     cut2_app = kappa == 2
     cut2_ok = graph.is_cycle_graph() if cut2_app else True
@@ -478,71 +412,27 @@ def small_cut_theorems_audit(scheme: SchemeDescriptor, g: int,
                          tcut3_match=match)
 
 
-# -- cross-tabulation properties ----------------------------------------
+# -- cut-size lemma ------------------------------------------------------
 
-def crosstab_h_prime_components(scheme: SchemeDescriptor, g: int
-                                ) -> tuple[bool, Optional[tuple]]:
-    """No component of the graph minus a closed neighborhood may mix
-    classes from different components of the punctured diagram."""
-    diag = distribution_diagram(scheme, g)
-    if h_prime_connected(diag):
-        return True, None
-    comp_id = {}
-    for cid, comp in enumerate(_h_prime_components(diag, g)):
-        for i in comp:
-            comp_id[i] = cid
-    graph = relation_graph(scheme, g)
-    for a in range(scheme.v):
-        row = scheme.table.classes[a]
-        for m in graph.component_masks(deleted=graph.closed_neighborhood(a)):
-            ids = {comp_id[int(row[x])] for x in bits(m)}
-            if len(ids) > 1:
-                return False, (a, tuple(sorted(ids)))
-    return True, None
+@dataclass(frozen=True)
+class SpecCutAudit:
+    ok: bool
+    p_local: int          # p_gg^g for the designated class
+    kappa: int
+    slack: int
 
 
-def common_neighbors_contained(scheme: SchemeDescriptor, g: int
-                               ) -> tuple[Optional[bool], Optional[tuple]]:
-    """Vertices in distinct components after deleting a closed neighborhood
-    have all common neighbors inside the deleted open neighborhood.
-    Exhaustive; None when the scheme is too large for the pair sweep."""
-    if scheme.v > 64:
-        return None, None
-    graph = relation_graph(scheme, g)
-    for a in range(scheme.v):
-        nb = graph.neighborhood(a)
-        masks = graph.component_masks(deleted=graph.closed_neighborhood(a))
-        for i, m1 in enumerate(masks):
-            for m2 in masks[i + 1:]:
-                for x in bits(m1):
-                    for y in bits(m2):
-                        stray = graph.rows[x] & graph.rows[y] & graph.alive & ~nb
-                        if stray:
-                            z = (stray & -stray).bit_length() - 1
-                            return False, (a, x, y, z)
-    return True, None
-
-
-def w_meets_i_check(scheme: SchemeDescriptor, g: int
-                    ) -> tuple[bool, bool, Optional[tuple]]:
-    """W_a never meets I_b for b in U_a; vacuous whenever the W part is
-    empty.  Returns (ok, vacuous, witness)."""
-    dec = iuw_decompose(scheme, g, 0)
-    if not dec.w_classes:
-        return True, True, None
-    classes = scheme.table.classes
-    i_arr = np.array(dec.i_classes or [-1], dtype=classes.dtype)
-    w_arr = np.array(dec.w_classes, dtype=classes.dtype)
-    u_arr = np.array(dec.u_classes or [-1], dtype=classes.dtype)
-    for a in range(scheme.v):
-        row = classes[a]
-        w_a = np.isin(row, w_arr)
-        if not w_a.any():
-            continue
-        for b in np.nonzero(np.isin(row, u_arr))[0]:
-            i_b = np.isin(classes[int(b)], i_arr)
-            both = w_a & i_b
-            if both.any():
-                x = int(np.nonzero(both)[0][0])
-                return False, False, (a, int(b), x)
-    return True, False, None
+def spec_cut_audit(ctx: RelationContext) -> SpecCutAudit:
+    """On a K_{2,1,1}-free relation every minimum disconnecting set is
+    larger than p_11^1 (with 1 the designated class); every minimum
+    disconnecting set has size kappa, so comparing kappa decides it."""
+    if not ctx.connected:
+        raise Disconnected("cut-size audit needs a connected relation")
+    free, wit = k211_free(ctx.graph)
+    if not free:
+        raise HypothesisNotMet(f"not K_{{2,1,1}}-free: witness {wit}")
+    g = ctx.g
+    p_local = ctx.scheme.p(g, g, g)
+    kappa = ctx.kappa
+    return SpecCutAudit(ok=kappa > p_local, p_local=p_local, kappa=kappa,
+                        slack=kappa - p_local)

@@ -197,20 +197,6 @@ def load_scheme(path) -> SchemeDescriptor:
     return validate_scheme(table, name=name)
 
 
-def load_group_table(path) -> np.ndarray:
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    if not isinstance(payload, dict) or "v" not in payload or "mul" not in payload:
-        raise ParseError(f"{path}: expected fields 'v' and 'mul'")
-    mul = np.asarray(payload["mul"], dtype=np.int64)
-    if mul.ndim != 2 or mul.shape != (payload["v"], payload["v"]):
-        raise ParseError(f"{path}: mul must be a v x v matrix")
-    return mul
-
-
 # -- concrete small groups ----------------------------------------------
 
 def cyclic_group_table(n: int) -> np.ndarray:

@@ -145,9 +145,21 @@ def cmd_survey(args) -> int:
         if jobs is None:
             jobs = defaults.get("jobs")
         if jobs is None:
-            jobs = int(os.environ.get("SCHEME_CONN_JOBS", "1"))
+            env = os.environ.get("SCHEME_CONN_JOBS", "1")
+            try:
+                jobs = int(env)
+            except ValueError:
+                raise ParseError(
+                    f"SCHEME_CONN_JOBS={env!r} is not an integer") from None
         seed = args.seed if args.seed is not None else defaults.get(
             "seed", DEFAULT_CONFIG.seed)
+        # manifest values arrive as any JSON type; bool is not a count
+        if not isinstance(out_dir, str):
+            raise ParseError(f"output directory {out_dir!r} is not a string")
+        if type(jobs) is not int or jobs < 1:
+            raise ParseError(f"jobs {jobs!r} is not an integer >= 1")
+        if type(seed) is not int:
+            raise ParseError(f"seed {seed!r} is not an integer")
         config = AnalysisConfig(seed=seed)
     except SchemeError as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
@@ -180,7 +192,7 @@ def cmd_cuts(args) -> int:
         if kappa > args.max_size:
             raise CapExceeded(f"kappa = {kappa} exceeds "
                               f"--max-size {args.max_size}")
-        data = enumerate_min_cuts(graph)
+        data = enumerate_min_cuts(graph, kappa)
     except Disconnected as e:
         print(f"Disconnected: {e}", file=sys.stderr)
         return EXIT_INVALID
@@ -192,7 +204,7 @@ def cmd_cuts(args) -> int:
         return EXIT_INVALID
     for cut, flag in zip(data.cuts, data.neighborhood_flags):
         print(f"{','.join(str(x) for x in cut)} neighborhood={flag}")
-    print(f"{len(data.cuts)} minimum cuts of size {data.kappa}; "
+    print(f"{len(data.cuts)} minimum cuts of size {kappa}; "
           f"all_neighborhoods={data.all_neighborhoods}")
     return EXIT_OK
 

@@ -1,4 +1,4 @@
-"""Vertex/edge connectivity, twins, cuts, and local clique structure.
+"""Vertex/edge connectivity, twins, minimum cuts, and clique machinery.
 
 Connectivity is computed by unit-capacity max-flow.  For vertex connectivity
 the flow runs on the implicit vertex-split digraph (an in-node and an
@@ -14,7 +14,6 @@ choices throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import comb
 from typing import Optional
@@ -346,7 +345,6 @@ def edge_connectivity(graph: Graph) -> int:
 
 @dataclass(frozen=True)
 class MinCutData:
-    kappa: int
     cuts: tuple[tuple[int, ...], ...]
     neighborhood_flags: tuple[bool, ...]
 
@@ -355,15 +353,15 @@ class MinCutData:
         return all(self.neighborhood_flags)
 
 
-def enumerate_min_cuts(graph: Graph, budget: int = 5_000_000) -> MinCutData:
-    """Every vertex subset of size kappa whose deletion disconnects the
-    graph, by exhaustive enumeration, with each cut flagged when it equals
-    some open neighborhood."""
-    kappa = vertex_connectivity(graph)
+def enumerate_min_cuts(graph: Graph, kappa: int,
+                       budget: int = 5_000_000) -> MinCutData:
+    """Every vertex subset of size kappa, the graph's vertex connectivity,
+    whose deletion disconnects the graph, by exhaustive enumeration, with
+    each cut flagged when it equals some open neighborhood."""
     live = list(bits(graph.alive))
     n = len(live)
     if kappa >= n - 1:
-        return MinCutData(kappa=kappa, cuts=(), neighborhood_flags=())
+        return MinCutData(cuts=(), neighborhood_flags=())
     if comb(n, kappa) > budget:
         raise CapExceeded(
             f"C({n},{kappa}) = {comb(n, kappa)} subsets exceeds budget {budget}")
@@ -375,8 +373,7 @@ def enumerate_min_cuts(graph: Graph, budget: int = 5_000_000) -> MinCutData:
         if not graph.is_connected(deleted=m):
             cuts.append(subset)
             flags.append(m in nbhds)
-    return MinCutData(kappa=kappa, cuts=tuple(cuts),
-                      neighborhood_flags=tuple(flags))
+    return MinCutData(cuts=tuple(cuts), neighborhood_flags=tuple(flags))
 
 
 # -- local clique structure ----------------------------------------------
@@ -399,29 +396,6 @@ def k211_free(graph: Graph) -> tuple[bool, Optional[tuple]]:
                     return False, (x, y, w)
             rest &= ~comp
     return True, None
-
-
-def local_clique_structure(graph: Graph) -> list[tuple[int, ...]]:
-    """Per-vertex clique sizes of the neighborhood decomposition; only
-    meaningful when k211_free holds (raises otherwise)."""
-    ok, witness = k211_free(graph)
-    if not ok:
-        raise ValueError(f"neighborhood is not a union of cliques: {witness}")
-    out = []
-    for x in range(graph.n):
-        if not graph.alive >> x & 1:
-            out.append(())
-            continue
-        nb = graph.neighborhood(x)
-        sizes = []
-        rest = nb
-        while rest:
-            start = (rest & -rest).bit_length() - 1
-            comp = graph.reach_mask(start, deleted=graph.alive & ~nb) & nb
-            sizes.append(comp.bit_count())
-            rest &= ~comp
-        out.append(tuple(sorted(sizes)))
-    return out
 
 
 def maximal_cliques(graph: Graph, cap: int = 100_000) -> tuple[list[int], bool]:
@@ -456,6 +430,10 @@ def maximal_cliques(graph: Graph, cap: int = 100_000) -> tuple[list[int], bool]:
         return True
 
     expand(0, graph.alive, 0)
+    # expand refers to itself through its closure; breaking that cycle lets
+    # reference counting free the clique list as soon as the caller drops it
+    # instead of at the next cyclic collection, which may land mid-sweep
+    del expand
     return out, capped
 
 
@@ -496,48 +474,3 @@ def is_isomorphic(g1: Graph, g2: Graph) -> bool:
         return False
 
     return place(0)
-
-
-# -- cut report ----------------------------------------------------------
-
-@dataclass(frozen=True)
-class CutReport:
-    kappa: int
-    lam: int
-    valency: int
-    complete: bool
-    whitney_ok: bool
-    godsil_bound: Fraction
-    godsil_ok: bool
-    min_cut_count: Optional[int]
-    min_cuts_are_neighborhoods: Optional[bool]
-    min_cuts: Optional[tuple[tuple[int, ...], ...]]
-
-
-def compute_cut_report(graph: Graph, enum_budget: int = 200_000) -> CutReport:
-    """kappa, lambda, Whitney chain, the half-valency lower bound on lambda
-    as an exact rational, and (within budget) the minimum-cut enumeration."""
-    degs = graph.degrees()
-    if len(set(degs)) != 1:
-        raise ValueError("cut report expects a regular graph")
-    valency = degs[0]
-    nv = graph.vertex_count()
-    kappa = vertex_connectivity(graph)
-    lam = edge_connectivity(graph)
-    complete = graph.is_complete()
-    whitney = kappa <= lam <= valency
-    bound = Fraction(valency * nv, 2 * (nv - 1))
-    godsil_ok = Fraction(lam) >= bound
-    cuts = count = flags = None
-    if complete:
-        # no disconnecting set at all; vacuously neighborhood-shaped
-        cuts, count, flags = (), 0, True
-    elif comb(nv, kappa) <= enum_budget:
-        data = enumerate_min_cuts(graph, budget=enum_budget)
-        cuts = data.cuts
-        count = len(data.cuts)
-        flags = data.all_neighborhoods
-    return CutReport(kappa=kappa, lam=lam, valency=valency, complete=complete,
-                     whitney_ok=whitney, godsil_bound=bound, godsil_ok=godsil_ok,
-                     min_cut_count=count, min_cuts_are_neighborhoods=flags,
-                     min_cuts=cuts)

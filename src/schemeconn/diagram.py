@@ -3,20 +3,21 @@
 For a symmetric scheme and a designated class g, the diagram H_g lives on
 the class indices {0..d}: j and k are adjacent when p[g,j,k] + p[g,k,j] > 0
 (loops tracked separately and ignored by BFS).  Levels are BFS distances
-from class 0; walking in the graph projects onto walking in the diagram and
-every diagram walk lifts back, which is what project_walk/lift_walk check
-and exploit.
+from class 0, and a connected relation graph's distances equal the levels
+of the classes (geodesic_correspondence_check).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .errors import DisconnectedPair, LiftImpossible
 from .graph import Graph, bits
 from .scheme import SchemeDescriptor
+
+if TYPE_CHECKING:
+    from .audits import RelationContext
 
 
 @dataclass(frozen=True)
@@ -47,106 +48,20 @@ def distribution_diagram(scheme: SchemeDescriptor, g: int) -> Diagram:
             if p[g, j, k] + p[g, k, j] > 0:
                 adj[j] |= 1 << k
                 adj[k] |= 1 << j
-    # BFS from 0 ignoring loops
-    levels: list[Optional[int]] = [None] * (d + 1)
-    levels[0] = 0
-    frontier = 1
-    seen = 1
-    dist = 0
-    sets = [(0,)]
-    while frontier:
-        new = 0
-        for j in bits(frontier):
-            new |= adj[j]
-        frontier = new & ~seen
-        seen |= frontier
-        dist += 1
-        if frontier:
-            sets.append(tuple(bits(frontier)))
-            for j in bits(frontier):
-                levels[j] = dist
-    diam = max(lv for lv in levels if lv is not None)
-    if any(lv is None for lv in levels):
-        diam = None
+    dist = Graph(d + 1, adj).distances_from(0)
+    top = max(dist)
+    sets = tuple(tuple(j for j in range(d + 1) if dist[j] == lv)
+                 for lv in range(top + 1))
     return Diagram(source=g, size=d + 1, adj=tuple(adj), loops=loops,
-                   levels=tuple(levels), level_sets=tuple(sets),
-                   diameter=diam)
+                   levels=tuple(None if lv < 0 else lv for lv in dist),
+                   level_sets=sets, diameter=None if -1 in dist else top)
 
 
 def h_prime_connected(diagram: Diagram) -> bool:
     """Connectivity of H minus {0, g}; the empty diagram counts as
     connected."""
-    g = diagram.source
-    keep = ((1 << diagram.size) - 1) & ~1 & ~(1 << g)
-    if keep == 0:
-        return True
-    start = (keep & -keep).bit_length() - 1
-    seen = 1 << start
-    frontier = seen
-    while frontier:
-        new = 0
-        for j in bits(frontier):
-            new |= diagram.adj[j]
-        frontier = new & keep & ~seen
-        seen |= frontier
-    return seen == keep
-
-
-def to_dot(diagram: Diagram, name: str = "H") -> str:
-    """GraphViz text for the diagram; loops are rendered as self-edges."""
-    lines = [f"graph {name} {{"]
-    for j in range(diagram.size):
-        lv = diagram.levels[j]
-        label = f"{j} (level {lv})" if lv is not None else f"{j} (unreachable)"
-        lines.append(f'  n{j} [label="{label}"];')
-    for j in range(diagram.size):
-        for k in bits(diagram.adj[j]):
-            if k >= j:
-                lines.append(f"  n{j} -- n{k};")
-        if diagram.loops >> j & 1:
-            lines.append(f"  n{j} -- n{j};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-# -- walk projection and lifting ----------------------------------------
-
-def project_walk(scheme: SchemeDescriptor, g: int, a: int, walk) -> list[int]:
-    """Map a Gamma_g-walk to the class-of-(a, .) walk in H_g."""
-    graph_classes = scheme.classes
-    walk = list(walk)
-    for s in range(len(walk) - 1):
-        if graph_classes[walk[s], walk[s + 1]] != g:
-            raise ValueError(
-                f"steps must follow relation {g}: ({walk[s]},{walk[s + 1]}) "
-                f"is in class {int(graph_classes[walk[s], walk[s + 1]])}")
-    return [int(graph_classes[a, x]) for x in walk]
-
-
-def lift_walk(scheme: SchemeDescriptor, g: int, a: int, b: int,
-              class_walk) -> list[int]:
-    """Lift an H_g-walk starting at class(a,b) to a Gamma_g-walk from b,
-    choosing the least-index vertex at every step."""
-    classes = scheme.classes
-    class_walk = list(class_walk)
-    if not class_walk:
-        raise ValueError("empty class walk")
-    if int(classes[a, b]) != class_walk[0]:
-        raise ValueError(
-            f"walk starts at class {class_walk[0]} but (a,b) is in class "
-            f"{int(classes[a, b])}")
-    out = [b]
-    cur = b
-    for nxt_class in class_walk[1:]:
-        row = classes[cur]
-        arow = classes[a]
-        cand = np.nonzero((row == g) & (arow == nxt_class))[0]
-        if len(cand) == 0:
-            raise LiftImpossible(
-                f"no neighbor of {cur} lies in class {nxt_class} around {a}")
-        cur = int(cand[0])
-        out.append(cur)
-    return out
+    return Graph(diagram.size, diagram.adj).is_connected(
+        deleted=1 | 1 << diagram.source)
 
 
 # -- geodesics ----------------------------------------------------------
@@ -168,112 +83,11 @@ def geodesic_correspondence_check(scheme: SchemeDescriptor, g: int,
     return False, ((a, b), int(got[a, b]), int(want[a, b]))
 
 
-def c_of(scheme: SchemeDescriptor, g: int, target: int) -> int:
-    """Sum of p[g, j, target] over classes j one level below target."""
-    diag = distribution_diagram(scheme, g)
-    lv = diag.levels[target]
-    if lv is None:
-        raise DisconnectedPair(f"class {target} unreachable in H_{g}")
-    if lv == 0:
-        raise ValueError("c is defined for classes at level >= 1")
-    below = diag.level_sets[lv - 1]
-    return int(sum(scheme.tensor.p[g, j, target] for j in below))
-
-
-def c_monotone_check(scheme: SchemeDescriptor, g: int) -> tuple[bool, Optional[tuple]]:
-    """c never decreases along diagram geodesics from 0 (and hence c = 1
-    propagates to every geodesic predecessor)."""
-    diag = distribution_diagram(scheme, g)
-    for i in range(1, diag.size):
-        if diag.levels[i] is None or diag.levels[i] < 2:
-            continue
-        ci = c_of(scheme, g, i)
-        for j in bits(diag.adj[i]):
-            if j == 0 or diag.levels[j] != diag.levels[i] - 1:
-                continue
-            cj = c_of(scheme, g, j)
-            if cj > ci:
-                return False, (j, cj, i, ci)
-    return True, None
-
-
-def interval(graph: Graph, a: int, b: int) -> int:
-    """Bitmask of vertices on some a-b geodesic."""
-    da = np.asarray(graph.distances_from(a), dtype=np.int64)
-    if da[b] < 0:
-        raise DisconnectedPair(f"{a} and {b} are in different components")
-    db = np.asarray(graph.distances_from(b), dtype=np.int64)
-    on = (da >= 0) & (db >= 0) & (da + db == da[b])
-    m = 0
-    for x in np.nonzero(on)[0]:
-        m |= 1 << int(x)
-    return m
-
-
-def unique_geodesic_check(scheme: SchemeDescriptor, g: int,
-                          graph: Graph) -> tuple[bool, Optional[tuple]]:
-    """For classes with c = 1, every pair in the class has an interval of
-    exactly level+1 vertices (a single geodesic)."""
-    diag = distribution_diagram(scheme, g)
-    dist = graph.distance_matrix().astype(np.int64)
-    classes = scheme.classes
-    for i in range(1, diag.size):
-        lv = diag.levels[i]
-        if lv is None or c_of(scheme, g, i) != 1:
-            continue
-        pairs = np.argwhere(classes == i)
-        for a, b in pairs:
-            a, b = int(a), int(b)
-            if a > b:
-                continue
-            da, db = dist[a], dist[b]
-            size = int(np.count_nonzero((da >= 0) & (db >= 0)
-                                        & (da + db == da[b])))
-            if size != lv + 1:
-                return False, (i, (a, b), size, lv + 1)
-    return True, None
-
-
-# -- proximity to a fixed target set ------------------------------------
-
-@dataclass(frozen=True)
-class ProximalPartition:
-    targets: tuple[int, ...]
-    proximal: tuple[tuple[int, ...], ...]      # per vertex: nearest targets
-    proximal_only: tuple[Optional[int], ...]   # unique nearest target or None
-
-
-def proximal_partition(graph: Graph, targets) -> ProximalPartition:
-    targets = tuple(sorted(targets))
-    if not targets:
-        raise ValueError("need at least one target")
-    rows = [np.asarray(graph.distances_from(t), dtype=np.int64) for t in targets]
-    prox: list[tuple[int, ...]] = []
-    only: list[Optional[int]] = []
-    for x in range(graph.n):
-        if not graph.alive >> x & 1:
-            prox.append(())
-            only.append(None)
-            continue
-        ds = [(r[x] if r[x] >= 0 else None) for r in rows]
-        finite = [d for d in ds if d is not None]
-        if not finite:
-            prox.append(())
-            only.append(None)
-            continue
-        best = min(finite)
-        near = tuple(t for t, d in zip(targets, ds) if d == best)
-        prox.append(near)
-        only.append(near[0] if len(near) == 1 else None)
-    return ProximalPartition(targets=targets, proximal=tuple(prox),
-                             proximal_only=tuple(only))
-
-
-def p_polynomial_generator(scheme: SchemeDescriptor, g: int) -> bool:
+def p_polynomial_generator(ctx: RelationContext) -> bool:
     """True when H_g is a path covering all classes (one class per level),
     i.e. relation g generates a metric ordering of the scheme."""
-    diag = distribution_diagram(scheme, g)
+    diag = ctx.diagram
     if diag.diameter is None:
         return False
-    return (diag.diameter == scheme.d
+    return (diag.diameter == ctx.scheme.d
             and all(len(s) == 1 for s in diag.level_sets))

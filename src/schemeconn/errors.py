@@ -63,10 +63,6 @@ class Disconnected(SchemeError):
     pass
 
 
-class DisconnectedPair(SchemeError):
-    pass
-
-
 class HypothesisViolation(SchemeError):
     """An audit's hypothesis fails; the audit is reported as skipped."""
 
@@ -76,14 +72,6 @@ class HypothesisViolation(SchemeError):
 
 
 class CapExceeded(SchemeError):
-    pass
-
-
-class LiftImpossible(SchemeError):
-    pass
-
-
-class PreconditionUnverifiable(SchemeError):
     pass
 
 

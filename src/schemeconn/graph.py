@@ -57,18 +57,6 @@ class Graph:
             rows[w] |= 1 << u
         return cls(n, rows)
 
-    @classmethod
-    def from_adjacency(cls, a) -> "Graph":
-        a = np.asarray(a)
-        n = a.shape[0]
-        rows = []
-        for i in range(n):
-            m = 0
-            for j in np.nonzero(a[i])[0]:
-                m |= 1 << int(j)
-            rows.append(m)
-        return cls(n, rows)
-
     # -- basic accessors -------------------------------------------------
 
     def neighborhood(self, v: int) -> int:
@@ -203,16 +191,6 @@ class Graph:
         rows = [(live & ~self.rows[v] & ~(1 << v)) if live >> v & 1 else 0
                 for v in range(self.n)]
         return Graph(self.n, rows, live)
-
-    def induced_reindexed(self, mask: int) -> "Graph":
-        """Induced subgraph on mask, vertices renumbered by ascending index."""
-        verts = list(bits(mask & self.alive))
-        idx = {v: i for i, v in enumerate(verts)}
-        rows = [0] * len(verts)
-        for v in verts:
-            for w in bits(self.rows[v] & mask & self.alive):
-                rows[idx[v]] |= 1 << idx[w]
-        return Graph(len(verts), rows)
 
     # -- small structural tests ------------------------------------------
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import comb
@@ -18,16 +19,13 @@ from typing import Optional
 import numpy as np
 
 from . import audits
-from .connectivity import (CutReport, edge_connectivity, enumerate_min_cuts,
-                           twins, vertex_connectivity)
-from .diagram import distribution_diagram, h_prime_connected, \
-    p_polynomial_generator
+from .connectivity import enumerate_min_cuts
+from .diagram import p_polynomial_generator
 from .errors import (CapExceeded, DetectorDisagreement, Disconnected,
                      HypothesisNotMet, HypothesisViolation)
-from .scheme import (SchemeDescriptor, is_complete_multipartite,
-                     relation_graph, symmetrized_scheme)
+from .scheme import SchemeDescriptor, symmetrized_scheme
 from .spectral import (SpectralData, compute_spectral, primitivity,
-                       second_eigenvalue, spec_cut_audit)
+                       second_eigenvalue)
 
 TOOL_VERSION = "0.1.0"
 
@@ -81,7 +79,7 @@ def spectral_section(scheme: SchemeDescriptor, spectral: SpectralData,
     if sum(spectral.multiplicities) != v:
         findings.append("multiplicities do not sum to v")
     try:
-        verdict = primitivity(scheme, spectral)
+        verdict = primitivity(scheme, spectral, config.column_tol)
         prim = {
             "primitive": verdict.primitive,
             "disconnected_relations": list(verdict.disconnected_relations),
@@ -109,24 +107,24 @@ def analyze_relation(scheme: SchemeDescriptor, i: int,
                      symmetrized: bool = False) -> dict:
     """Full audit report for one basis relation.  `spectral`/
     `spectral_block` can be shared across the relations of one scheme."""
-    graph = relation_graph(scheme, i)
+    ctx = audits.RelationContext(scheme, i)
+    graph = ctx.graph
     v = scheme.v
     v1 = int(scheme.valencies[i])
-    connected = graph.is_connected()
-    complete = graph.is_complete()
+    connected = ctx.connected
+    complete = ctx.complete
     findings: list[str] = []
     skipped: list[str] = []
 
     diameter = graph.diameter()
-    twin_count = len(twins(graph).pairs)
-    hp = h_prime_connected(distribution_diagram(scheme, i))
+    twin_count = len(ctx.twins.pairs)
     bound = Fraction(v1 * v, 2 * (v - 1))
 
     kappa = lam = None
     whitney_ok = godsil_ok = conjecture_ok = None
-    if connected and v >= 2:
-        kappa = vertex_connectivity(graph)
-        lam = edge_connectivity(graph)
+    if connected:
+        kappa = ctx.kappa
+        lam = ctx.lam
         whitney_ok = kappa <= lam <= v1
         godsil_ok = Fraction(lam) >= bound
         conjecture_ok = kappa == lam == v1
@@ -142,7 +140,7 @@ def analyze_relation(scheme: SchemeDescriptor, i: int,
         skipped.append("connectivity: disconnected relation")
 
     try:
-        t1 = audits.theorem1_audit(scheme, i)
+        t1 = audits.theorem1_audit(ctx)
         theorem1 = {
             "status": "ok",
             "exists_a_connected": t1.exists_a_connected,
@@ -159,7 +157,7 @@ def analyze_relation(scheme: SchemeDescriptor, i: int,
         skipped.append(f"theorem1: {e.reason}")
 
     try:
-        ca = audits.corollary_audits(scheme, i, kappa=kappa, seed=config.seed,
+        ca = audits.corollary_audits(ctx, seed=config.seed,
                                      clique_cap=config.clique_cap)
         corollaries = {
             "status": "ok",
@@ -180,7 +178,7 @@ def analyze_relation(scheme: SchemeDescriptor, i: int,
         corollaries = {"status": "skipped", "reason": str(e)}
         skipped.append(f"corollaries: {e}")
 
-    dec = audits.iuw_decompose(scheme, i, 0)
+    dec = audits.iuw_decompose(ctx, 0)
     iuw = {
         "h_prime_connected": dec.h_prime_connected,
         "i_classes": list(dec.i_classes),
@@ -191,7 +189,7 @@ def analyze_relation(scheme: SchemeDescriptor, i: int,
     }
 
     if connected:
-        we = audits.w_empty_audit(scheme, i)
+        we = audits.w_empty_audit(ctx)
         w_empty = {
             "status": "ok",
             "ok": we.ok,
@@ -210,7 +208,7 @@ def analyze_relation(scheme: SchemeDescriptor, i: int,
         skipped.append("w_empty: disconnected")
 
     if connected:
-        sc = audits.small_cut_theorems_audit(scheme, i, kappa=kappa)
+        sc = audits.small_cut_theorems_audit(ctx)
         small_cut = {
             "status": "ok",
             "tcut2_applicable": sc.tcut2_applicable, "tcut2_ok": sc.tcut2_ok,
@@ -234,16 +232,17 @@ def analyze_relation(scheme: SchemeDescriptor, i: int,
 
     min_cut_count = None
     min_cuts_are_neighborhoods = None
-    if connected and not complete and kappa is not None:
+    if connected and not complete:
         if comb(v, kappa) <= config.cut_enum_budget:
-            mc = enumerate_min_cuts(graph, budget=config.cut_enum_budget)
+            mc = enumerate_min_cuts(graph, kappa,
+                                    budget=config.cut_enum_budget)
             min_cut_count = len(mc.cuts)
             min_cuts_are_neighborhoods = mc.all_neighborhoods
         else:
             skipped.append("min cut enumeration: over budget")
 
     if connected:
-        bd = audits.ball_deletion_audit(scheme, i, 1)
+        bd = audits.ball_deletion_audit(ctx, 1)
         ball = {
             "status": "ok", "t": 1,
             "h_minus_ball_connected": bd.h_minus_ball_connected,
@@ -268,26 +267,19 @@ def analyze_relation(scheme: SchemeDescriptor, i: int,
         if twin_count > 0 and prim.get("primitive") is True:
             findings.append("twins present but scheme judged primitive")
         if connected and spectral is not None:
-            theta = second_eigenvalue(scheme, spectral, i)
+            theta = second_eigenvalue(ctx, spectral)
             spec["second_eigenvalue"] = _fmt(theta)
-            cm = is_complete_multipartite(graph)
             spec["second_eigenvalue_positive"] = bool(theta > 1e-6)
-            if not cm and theta <= 1e-6:
+            if not ctx.complete_multipartite and theta <= 1e-6:
                 findings.append(
                     f"second eigenvalue {theta!r} not positive on "
                     f"non-complete-multipartite relation")
         else:
             spec["second_eigenvalue"] = None
             spec["second_eigenvalue_positive"] = None
-        if connected and kappa is not None:
-            report_for_cut = CutReport(
-                kappa=kappa, lam=lam, valency=v1, complete=complete,
-                whitney_ok=bool(whitney_ok), godsil_bound=bound,
-                godsil_ok=bool(godsil_ok), min_cut_count=min_cut_count,
-                min_cuts_are_neighborhoods=min_cuts_are_neighborhoods,
-                min_cuts=None)
+        if connected:
             try:
-                sca = spec_cut_audit(scheme, i, report_for_cut)
+                sca = audits.spec_cut_audit(ctx)
                 spec["cut_size_lemma"] = {
                     "applicable": True, "ok": sca.ok,
                     "p_local": sca.p_local, "slack": sca.slack,
@@ -324,7 +316,7 @@ def analyze_relation(scheme: SchemeDescriptor, i: int,
         "godsil_ok": godsil_ok,
         "conjecture_ok": conjecture_ok,
         "twin_pairs": twin_count,
-        "h_prime_connected": hp,
+        "h_prime_connected": ctx.h_prime_connected,
         "theorem1": theorem1,
         "corollaries": corollaries,
         "iuw": iuw,
@@ -334,7 +326,7 @@ def analyze_relation(scheme: SchemeDescriptor, i: int,
         "min_cuts_are_neighborhoods": min_cuts_are_neighborhoods,
         "ball_deletion": ball,
         "spectral": spec,
-        "p_polynomial_generator": p_polynomial_generator(scheme, i),
+        "p_polynomial_generator": p_polynomial_generator(ctx),
         "findings": findings,
         "skipped": skipped,
         "ok": not findings,
@@ -387,6 +379,28 @@ def _survey_task(arg):
         return idx, None, [], f"{type(e).__name__}: {e}"
 
 
+def _pooled(tasks: list[tuple], jobs: int) -> list[tuple]:
+    """_survey_task over a pool, one submission per entry.  A worker that
+    dies breaks the pool and loses every unfinished entry; each of those is
+    rerun in a one-worker pool of its own, so only an entry that kills its
+    own worker is recorded as failed."""
+    results, lost = [], []
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        futures = [(t, pool.submit(_survey_task, t)) for t in tasks]
+        for t, fut in futures:
+            try:
+                results.append(fut.result())
+            except BrokenProcessPool:
+                lost.append(t)
+    for t in lost:
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            try:
+                results.append(pool.submit(_survey_task, t).result())
+            except BrokenProcessPool:
+                results.append((t[0], None, [], "worker process died"))
+    return results
+
+
 def _report_name_error(name: str, reports: list[dict],
                        written: dict[str, int]) -> Optional[str]:
     """Why an entry's reports cannot be written as <name>-r<i>.json in the
@@ -412,13 +426,13 @@ def run_survey(entries, out_dir: str, jobs: int = 1,
     or (family_kind, params); relations is None for all.  Writes one JSON
     per (scheme, relation) plus summary.json; output is byte-identical for
     any jobs value.  An entry whose reports cannot be written under a plain,
-    unused file name is recorded as an error and writes nothing."""
+    unused file name, or whose pool worker dies, is recorded as an error and
+    writes nothing."""
     os.makedirs(out_dir, exist_ok=True)
     tasks = [(idx, source, relations, config)
              for idx, (source, relations) in enumerate(entries)]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_survey_task, tasks))
+        results = _pooled(tasks, jobs)
     else:
         results = [_survey_task(t) for t in tasks]
     results.sort(key=lambda r: r[0])

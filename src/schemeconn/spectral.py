@@ -7,14 +7,16 @@ carry explicit tolerances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .connectivity import CutReport, k211_free
-from .errors import (DetectorDisagreement, Disconnected, HypothesisNotMet,
-                     NotSymmetric, RefinementFailed)
+from .errors import (DetectorDisagreement, Disconnected, NotSymmetric,
+                     RefinementFailed)
 from .scheme import SchemeDescriptor, relation_graph
+
+if TYPE_CHECKING:
+    from .audits import RelationContext
 
 GROUPING_TOL = 1e-9
 SCALAR_RESIDUAL_TOL = 1e-8
@@ -142,10 +144,11 @@ def _has_equal_columns(e: np.ndarray, tol: float) -> bool:
     return bool((diffs < tol).any())
 
 
-def primitivity(scheme: SchemeDescriptor, spectral: SpectralData
-                ) -> PrimitivityVerdict:
+def primitivity(scheme: SchemeDescriptor, spectral: SpectralData,
+                column_tol: float = COLUMN_TOL) -> PrimitivityVerdict:
     """Two detectors that must agree: a disconnected basis relation, and a
-    repeated column in some nontrivial idempotent."""
+    repeated column (equal within column_tol) in some nontrivial
+    idempotent."""
     disc = []
     witness = None
     for i in range(1, scheme.d + 1):
@@ -155,7 +158,7 @@ def primitivity(scheme: SchemeDescriptor, spectral: SpectralData
             if witness is None:
                 witness = tuple(tuple(comp) for comp in graph.components())
     rep = [ell for ell in range(1, scheme.d + 1)
-           if _has_equal_columns(spectral.idempotents[ell], COLUMN_TOL)]
+           if _has_equal_columns(spectral.idempotents[ell], column_tol)]
     if bool(disc) != bool(rep):
         raise DetectorDisagreement(
             f"disconnected relations {disc} vs repeated-column idempotents {rep}")
@@ -165,45 +168,15 @@ def primitivity(scheme: SchemeDescriptor, spectral: SpectralData
                               witness_partition=witness)
 
 
-def second_eigenvalue(scheme: SchemeDescriptor, spectral: SpectralData,
-                      i: int) -> float:
-    """Largest eigenvalue of A_i strictly below the valency."""
-    graph = relation_graph(scheme, i)
-    if not graph.is_connected():
+def second_eigenvalue(ctx: RelationContext, spectral: SpectralData) -> float:
+    """Largest eigenvalue of A_g strictly below the valency."""
+    if not ctx.connected:
         raise Disconnected("second eigenvalue wants a connected relation")
-    vi = float(scheme.valencies[i])
+    i = ctx.g
+    vi = float(ctx.scheme.valencies[i])
     tol = 1e-6 * max(1.0, vi)
-    cands = [float(spectral.p[j, i]) for j in range(scheme.d + 1)
+    cands = [float(spectral.p[j, i]) for j in range(ctx.scheme.d + 1)
              if spectral.p[j, i] < vi - tol]
     if not cands:
         raise RefinementFailed("no eigenvalue below the valency")
     return max(cands)
-
-
-# -- cut-size lemma ------------------------------------------------------
-
-@dataclass(frozen=True)
-class SpecCutAudit:
-    ok: bool
-    p_local: int          # p_gg^g for the designated class
-    kappa: int
-    slack: int
-
-
-def spec_cut_audit(scheme: SchemeDescriptor, i: int,
-                   cut_report: CutReport) -> SpecCutAudit:
-    """On a K_{2,1,1}-free relation every minimum disconnecting set is
-    larger than p_11^1 (with 1 the designated class)."""
-    graph = relation_graph(scheme, i)
-    if not graph.is_connected():
-        raise Disconnected("cut-size audit needs a connected relation")
-    free, wit = k211_free(graph)
-    if not free:
-        raise HypothesisNotMet(f"not K_{{2,1,1}}-free: witness {wit}")
-    p_local = int(scheme.p(i, i, i))
-    kappa = cut_report.kappa
-    ok = kappa > p_local
-    if cut_report.min_cuts is not None:
-        ok = ok and all(len(cut) > p_local for cut in cut_report.min_cuts)
-    return SpecCutAudit(ok=ok, p_local=p_local, kappa=kappa,
-                        slack=kappa - p_local)

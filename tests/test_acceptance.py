@@ -78,7 +78,8 @@ def test_01_equivalence_audit_over_catalog(catalog_pairs):
     failures = []
     for p in catalog_pairs:
         try:
-            t1 = audits.theorem1_audit(p.scheme, p.relation)
+            t1 = audits.theorem1_audit(
+                audits.RelationContext(p.scheme, p.relation))
         except HypothesisViolation:
             skipped += 1
             continue
@@ -123,8 +124,9 @@ def test_03_w_part_empty_on_connected(catalog_pairs):
     for p in catalog_pairs:
         if not p.connected:
             continue
-        we = audits.w_empty_audit(p.scheme, p.relation)
-        dec = audits.iuw_decompose(p.scheme, p.relation, 0)
+        ctx = audits.RelationContext(p.scheme, p.relation)
+        we = audits.w_empty_audit(ctx)
+        dec = audits.iuw_decompose(ctx, 0)
         checked += 1
         if not we.ok or dec.w_classes:
             failures.append((p.scheme.name, p.relation, we.w_classes))
@@ -272,7 +274,8 @@ def test_08_small_cut_classification(catalog_pairs, flow_values):
     all_nbhd = True
     for key, want in ((("cyclic-5", 1), 5), (("drg-petersen", 1), 10),
                       (("drg-k33", 1), 2)):
-        data = enumerate_min_cuts(by_key[key].graph)
+        graph = by_key[key].graph
+        data = enumerate_min_cuts(graph, flow_values[key][0])
         cut_counts[key] = (len(data.cuts), want)
         all_nbhd = all_nbhd and data.all_neighborhoods
     ok = (kappa2 == cycles and not unmatched and all_nbhd

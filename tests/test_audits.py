@@ -2,20 +2,25 @@
 
 import pytest
 
-from schemeconn.audits import (ball_deletion_audit, common_neighbors_contained,
-                               corollary_audits, crosstab_h_prime_components,
-                               iuw_basepoint_invariance, iuw_decompose,
-                               small_cut_theorems_audit, spread_cut_check,
-                               theorem1_audit, w_empty_audit, w_meets_i_check)
+from schemeconn.audits import (RelationContext, ball_deletion_audit,
+                               corollary_audits, iuw_decompose,
+                               small_cut_theorems_audit, theorem1_audit,
+                               w_empty_audit)
 from schemeconn.catalog import build_family, gen_cyclic, gen_hamming
-from schemeconn.errors import (Disconnected, HypothesisViolation,
-                               PreconditionUnverifiable)
-from schemeconn.graph import cycle_graph, petersen
-from schemeconn.scheme import relation_graph
+from schemeconn.errors import Disconnected, HypothesisViolation
+
+
+def drg(name, g):
+    return RelationContext(build_family("drg", (name,)), g)
+
+
+def h62_r3():
+    """Relation 3 of H(6, 2): connected, with antipodal twins."""
+    return RelationContext(build_family("hamming", (6, 2)), 3)
 
 
 def test_theorem1_petersen_all_true():
-    audit = theorem1_audit(build_family("drg", ("petersen",)), 1)
+    audit = theorem1_audit(drg("petersen", 1))
     assert audit.exists_a_connected
     assert audit.forall_a_connected
     assert audit.h_prime_connected
@@ -26,18 +31,18 @@ def test_theorem1_petersen_all_true():
 
 
 def test_theorem1_rook_all_true():
-    audit = theorem1_audit(gen_hamming(2, 3), 1)
+    audit = theorem1_audit(RelationContext(gen_hamming(2, 3), 1))
     assert audit.equivalent and audit.twin_free
 
 
 def test_theorem1_c6_all_true():
-    audit = theorem1_audit(gen_cyclic(6), 1)
+    audit = theorem1_audit(RelationContext(gen_cyclic(6), 1))
     assert audit.equivalent and audit.forall_a_connected
 
 
 def test_theorem1_h62_r3_all_false():
     # connected graph with twins: every basepoint puncture disconnects
-    audit = theorem1_audit(build_family("hamming", (6, 2)), 3)
+    audit = theorem1_audit(h62_r3())
     assert not audit.exists_a_connected
     assert not audit.forall_a_connected
     assert not audit.h_prime_connected
@@ -50,17 +55,17 @@ def test_theorem1_h62_r3_all_false():
 
 def test_theorem1_gates():
     with pytest.raises(HypothesisViolation):
-        theorem1_audit(build_family("drg", ("k33",)), 1)   # complete multipartite
+        theorem1_audit(drg("k33", 1))      # complete multipartite
     with pytest.raises(HypothesisViolation):
-        theorem1_audit(gen_cyclic(4), 1)                   # C4 = K22
+        theorem1_audit(RelationContext(gen_cyclic(4), 1))  # C4 = K22
     with pytest.raises(HypothesisViolation):
-        theorem1_audit(gen_cyclic(10), 2)                  # disconnected
+        theorem1_audit(RelationContext(gen_cyclic(10), 2))  # disconnected
     with pytest.raises(HypothesisViolation):
-        theorem1_audit(gen_cyclic(3), 1)                   # complete
+        theorem1_audit(RelationContext(gen_cyclic(3), 1))  # complete
 
 
 def test_corollaries_pentagon():
-    audit = corollary_audits(gen_cyclic(5), 1)
+    audit = corollary_audits(RelationContext(gen_cyclic(5), 1))
     assert audit.c1_ok and audit.c2_ok and audit.c3_ok
     assert audit.c1_mode == "exhaustive"
     assert audit.c1_checked == 30
@@ -68,37 +73,38 @@ def test_corollaries_pentagon():
 
 
 def test_corollaries_petersen():
-    audit = corollary_audits(build_family("drg", ("petersen",)), 1)
+    audit = corollary_audits(drg("petersen", 1))
     assert audit.c1_ok and audit.c2_ok and audit.c3_ok
     assert audit.c1_checked == 140
     assert audit.c3_clique_count == 15
 
 
 def test_corollaries_rook():
-    audit = corollary_audits(gen_hamming(2, 3), 1)
+    audit = corollary_audits(RelationContext(gen_hamming(2, 3), 1))
     assert audit.c1_ok and audit.c2_ok and audit.c3_ok
     assert audit.c3_clique_count == 6
 
 
 def test_corollaries_sampled_mode():
-    s = build_family("johnson", (9, 2))     # valency 14 forces sampling
-    a1 = corollary_audits(s, 1, kappa=14)
+    ctx = RelationContext(build_family("johnson", (9, 2)), 1)
+    a1 = corollary_audits(ctx)               # valency 14 forces sampling
+    assert ctx.kappa == 14
     assert a1.c1_mode == "sampled"
     assert a1.c1_ok and a1.c2_ok and a1.c3_ok
     assert a1.c1_checked == 36 * 200
-    a2 = corollary_audits(s, 1, kappa=14)
+    a2 = corollary_audits(ctx)
     assert a2 == a1                          # same seed, same stream
-    a3 = corollary_audits(s, 1, kappa=14, seed=7)
+    a3 = corollary_audits(ctx, seed=7)
     assert a3.seed == 7 and a3.c1_ok
 
 
 def test_corollaries_gate():
     with pytest.raises(Disconnected):
-        corollary_audits(gen_cyclic(10), 2)
+        corollary_audits(RelationContext(gen_cyclic(10), 2))
 
 
 def test_iuw_h42_r2():
-    dec = iuw_decompose(gen_hamming(4, 2), 2)
+    dec = iuw_decompose(RelationContext(gen_hamming(4, 2), 2))
     assert not dec.h_prime_connected
     assert dec.i_classes == (4,)
     assert dec.u_classes == (1, 3)
@@ -109,7 +115,7 @@ def test_iuw_h42_r2():
 
 
 def test_iuw_h62_r3():
-    dec = iuw_decompose(build_family("hamming", (6, 2)), 3)
+    dec = iuw_decompose(h62_r3())
     assert dec.i_classes == (6,)
     assert dec.u_classes == (1, 2, 4, 5)
     assert dec.w_classes == ()
@@ -117,29 +123,23 @@ def test_iuw_h62_r3():
 
 def test_iuw_c10_r2_nonempty_w():
     # disconnected relation: two pentagons; W picks up the stray class
-    dec = iuw_decompose(gen_cyclic(10), 2)
+    dec = iuw_decompose(RelationContext(gen_cyclic(10), 2))
     assert dec.i_classes == ()
     assert dec.u_classes == (1, 3, 5)
     assert dec.w_classes == (4,)
 
 
 def test_iuw_connected_h_prime_empty():
-    dec = iuw_decompose(gen_cyclic(5), 1)
+    dec = iuw_decompose(RelationContext(gen_cyclic(5), 1))
     assert dec.h_prime_connected
     assert dec.i_classes == () and dec.u_classes == () and dec.w_classes == ()
     assert dec.component_map == ((2, 3),)
 
 
-def test_iuw_basepoint_invariance():
-    assert iuw_basepoint_invariance(gen_hamming(4, 2), 2)
-    assert iuw_basepoint_invariance(gen_cyclic(10), 2)
-    assert iuw_basepoint_invariance(build_family("drg", ("petersen",)), 1)
-
-
 def test_w_empty_connected_relations():
     for fam, g in ((("drg", ("petersen",)), 1), (("hamming", (6, 2)), 3),
                    (("johnson", (6, 3)), 1), (("conjugacy", ("S3",)), 2)):
-        audit = w_empty_audit(build_family(*fam), g)
+        audit = w_empty_audit(RelationContext(build_family(*fam), g))
         assert audit.ok, (fam, g)
         assert audit.w_classes == ()
         assert audit.distance2_ok
@@ -147,41 +147,18 @@ def test_w_empty_connected_relations():
 
 def test_w_empty_h62_r3_vacuous_distance2():
     # U nonempty but W empty: the distance-2 conclusion has no hypothesis
-    audit = w_empty_audit(build_family("hamming", (6, 2)), 3)
+    audit = w_empty_audit(h62_r3())
     assert audit.ok and not audit.h_prime_connected
     assert audit.distance2_vacuous and audit.distance2_witness is None
 
 
 def test_w_empty_gate():
     with pytest.raises(Disconnected):
-        w_empty_audit(gen_cyclic(10), 2)
-
-
-def test_crosstab_component_classes():
-    assert crosstab_h_prime_components(gen_hamming(4, 2), 2) == (True, None)
-    assert crosstab_h_prime_components(build_family("hamming", (6, 2)), 3) \
-        == (True, None)
-    assert crosstab_h_prime_components(gen_cyclic(5), 1) == (True, None)
-
-
-def test_common_neighbors_contained():
-    assert common_neighbors_contained(gen_cyclic(5), 1) == (True, None)
-    assert common_neighbors_contained(gen_hamming(4, 2), 2) == (True, None)
-    assert common_neighbors_contained(build_family("johnson", (5, 2)), 2) \
-        == (True, None)
-    big = build_family("johnson", (12, 2))
-    assert common_neighbors_contained(big, 1) == (None, None)
-
-
-def test_w_meets_i():
-    assert w_meets_i_check(build_family("drg", ("petersen",)), 1) \
-        == (True, True, None)
-    ok, vacuous, wit = w_meets_i_check(gen_cyclic(10), 2)
-    assert ok and not vacuous and wit is None
+        w_empty_audit(RelationContext(gen_cyclic(10), 2))
 
 
 def test_ball_deletion_h62_r3():
-    audit = ball_deletion_audit(build_family("hamming", (6, 2)), 3, 1)
+    audit = ball_deletion_audit(h62_r3(), 1)
     assert audit.diameter == 3
     assert audit.ball_classes == (0, 3)
     assert not audit.h_minus_ball_connected
@@ -190,10 +167,10 @@ def test_ball_deletion_h62_r3():
 
 
 def test_ball_deletion_untriggered():
-    audit = ball_deletion_audit(build_family("drg", ("petersen",)), 1, 1)
+    audit = ball_deletion_audit(drg("petersen", 1), 1)
     assert audit.triggered_basepoints == 0
     assert audit.part_a_ok and audit.part_b_ok
-    audit = ball_deletion_audit(gen_cyclic(8), 1, 2)
+    audit = ball_deletion_audit(RelationContext(gen_cyclic(8), 1), 2)
     assert audit.ball_classes == (0, 1, 2)
     assert audit.h_minus_ball_connected
     assert audit.triggered_basepoints == 0
@@ -201,64 +178,38 @@ def test_ball_deletion_untriggered():
 
 def test_ball_deletion_errors():
     with pytest.raises(ValueError):
-        ball_deletion_audit(gen_cyclic(8), 1, 9)
+        ball_deletion_audit(RelationContext(gen_cyclic(8), 1), 9)
     with pytest.raises(Disconnected):
-        ball_deletion_audit(gen_cyclic(10), 2, 1)
-
-
-def test_spread_cut_petersen():
-    assert spread_cut_check(petersen(), [0], 5)
-    with pytest.raises(ValueError):
-        spread_cut_check(petersen(), [0, 1], 5)     # diameter 2: never spread
-    with pytest.raises(ValueError):
-        spread_cut_check(petersen(), [0], 4)        # girth 5: no short cycles
-
-
-def test_spread_cut_cycles():
-    assert spread_cut_check(cycle_graph(8), [0], 8)
-    with pytest.raises(ValueError):
-        spread_cut_check(cycle_graph(8), [0, 4], 8)
-
-
-def test_spread_cut_rook():
-    g = relation_graph(gen_hamming(2, 3), 1)
-    assert spread_cut_check(g, [0], 4)
-
-
-def test_spread_cut_caps():
-    with pytest.raises(PreconditionUnverifiable):
-        spread_cut_check(cycle_graph(12), [0], 9)
-    with pytest.raises(PreconditionUnverifiable):
-        spread_cut_check(petersen(), [0], 5, budget=3)
+        ball_deletion_audit(RelationContext(gen_cyclic(10), 2), 1)
 
 
 def test_small_cut_cycles():
-    audit = small_cut_theorems_audit(gen_cyclic(5), 1)
+    audit = small_cut_theorems_audit(RelationContext(gen_cyclic(5), 1))
     assert audit.kappa == 2
     assert audit.tcut2_applicable and audit.tcut2_ok
     assert audit.tcut3_applicable and audit.tcut3_match == "C5"
-    audit = small_cut_theorems_audit(gen_cyclic(4), 1)
+    audit = small_cut_theorems_audit(RelationContext(gen_cyclic(4), 1))
     assert audit.tcut3_match == "C4"
-    audit = small_cut_theorems_audit(gen_cyclic(6), 1)
+    audit = small_cut_theorems_audit(RelationContext(gen_cyclic(6), 1))
     assert audit.tcut2_ok and not audit.tcut3_applicable
     assert audit.tcut3_match is None
 
 
 def test_small_cut_exceptional_graphs():
-    audit = small_cut_theorems_audit(build_family("drg", ("petersen",)), 1)
+    audit = small_cut_theorems_audit(drg("petersen", 1))
     assert audit.kappa == 3 and audit.diameter == 2
     assert not audit.tcut2_applicable and audit.tcut2_ok
     assert audit.tdiam2_applicable and audit.tdiam2_ok
     assert audit.tdiam2_best_t == 2
     assert audit.tdiam2_t_equals_valency
     assert audit.tcut3_match == "petersen"
-    audit = small_cut_theorems_audit(build_family("drg", ("k33",)), 1)
+    audit = small_cut_theorems_audit(drg("k33", 1))
     assert audit.tcut3_match == "K33"
     assert not audit.tdiam2_t_equals_valency
 
 
 def test_small_cut_rook():
-    audit = small_cut_theorems_audit(gen_hamming(2, 3), 1)
+    audit = small_cut_theorems_audit(RelationContext(gen_hamming(2, 3), 1))
     assert audit.kappa == 4
     assert not audit.tcut2_applicable and not audit.tcut3_applicable
     assert audit.tdiam2_applicable and audit.tdiam2_ok
@@ -267,4 +218,4 @@ def test_small_cut_rook():
 
 def test_small_cut_gate():
     with pytest.raises(Disconnected):
-        small_cut_theorems_audit(gen_cyclic(10), 2)
+        small_cut_theorems_audit(RelationContext(gen_cyclic(10), 2))

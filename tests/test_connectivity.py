@@ -1,5 +1,5 @@
 """Max-flow connectivity against brute-force oracles, twins, min cuts,
-clique machinery, and the cut report."""
+clique machinery, and the connectivity fields of a report."""
 
 import itertools
 import random
@@ -7,16 +7,17 @@ from fractions import Fraction
 
 import pytest
 
-from schemeconn.catalog import build_family, gen_hamming
-from schemeconn.connectivity import (compute_cut_report, edge_connectivity,
-                                     enumerate_min_cuts, is_isomorphic,
-                                     k211_free, local_clique_structure,
+from schemeconn.audits import RelationContext
+from schemeconn.catalog import build_family, gen_cyclic, gen_hamming
+from schemeconn.connectivity import (edge_connectivity, enumerate_min_cuts,
+                                     is_isomorphic, k211_free,
                                      local_vertex_connectivity,
                                      maximal_cliques, twins,
                                      vertex_connectivity)
 from schemeconn.errors import CapExceeded, Disconnected
 from schemeconn.graph import (Graph, bits, complete_bipartite, complete_graph,
                               cycle_graph, mask_of, petersen)
+from schemeconn.report import analyze_relation
 from schemeconn.scheme import relation_graph
 
 
@@ -135,15 +136,17 @@ def test_twins_none():
 
 
 def test_min_cuts_c5():
-    data = enumerate_min_cuts(cycle_graph(5))
-    assert data.kappa == 2
+    g = cycle_graph(5)
+    assert vertex_connectivity(g) == 2
+    data = enumerate_min_cuts(g, 2)
     assert len(data.cuts) == 5
     assert data.all_neighborhoods
 
 
 def test_min_cuts_petersen():
-    data = enumerate_min_cuts(petersen())
-    assert data.kappa == 3
+    g = petersen()
+    assert vertex_connectivity(g) == 3
+    data = enumerate_min_cuts(g, 3)
     assert len(data.cuts) == 10
     assert data.all_neighborhoods
     nbhds = {tuple(bits(petersen().rows[v])) for v in range(10)}
@@ -151,8 +154,9 @@ def test_min_cuts_petersen():
 
 
 def test_min_cuts_k33():
-    data = enumerate_min_cuts(complete_bipartite(3, 3))
-    assert data.kappa == 3
+    g = complete_bipartite(3, 3)
+    assert vertex_connectivity(g) == 3
+    data = enumerate_min_cuts(g, 3)
     assert set(data.cuts) == {(0, 1, 2), (3, 4, 5)}
     assert data.all_neighborhoods
 
@@ -161,21 +165,22 @@ def test_min_cuts_non_neighborhood():
     # path-of-cliques: the middle vertex is a cut vertex but not a
     # neighborhood of anything
     g = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
-    data = enumerate_min_cuts(g)
-    assert data.kappa == 1
+    assert vertex_connectivity(g) == 1
+    data = enumerate_min_cuts(g, 1)
     assert data.cuts == ((2,),)
     assert not data.all_neighborhoods
 
 
 def test_min_cuts_complete():
-    data = enumerate_min_cuts(complete_graph(5))
-    assert data.kappa == 4 and data.cuts == ()
+    g = complete_graph(5)
+    assert vertex_connectivity(g) == 4
+    assert enumerate_min_cuts(g, 4).cuts == ()
 
 
 def test_min_cuts_budget():
     g = relation_graph(build_family("johnson", (8, 2)), 1)
     with pytest.raises(CapExceeded):
-        enumerate_min_cuts(g, budget=1000)
+        enumerate_min_cuts(g, vertex_connectivity(g), budget=1000)
 
 
 def test_k211_free():
@@ -186,16 +191,6 @@ def test_k211_free():
     k211 = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
     ok, wit = k211_free(k211)
     assert not ok and wit is not None
-
-
-def test_local_clique_structure():
-    rook = relation_graph(gen_hamming(2, 3), 1)
-    sizes = local_clique_structure(rook)
-    assert all(s == (2, 2) for s in sizes)
-    assert all(s == (1, 1, 1) for s in local_clique_structure(petersen()))
-    k211 = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
-    with pytest.raises(ValueError):
-        local_clique_structure(k211)
 
 
 def test_maximal_cliques():
@@ -243,26 +238,30 @@ def test_is_isomorphic():
 
 
 def test_cut_report_pentagon():
-    rep = compute_cut_report(cycle_graph(5))
-    assert rep.kappa == 2 and rep.lam == 2 and rep.valency == 2
-    assert rep.whitney_ok and not rep.complete
-    assert rep.godsil_bound == Fraction(10, 8)
-    assert rep.godsil_ok
-    assert rep.min_cut_count == 5 and rep.min_cuts_are_neighborhoods
+    rep = analyze_relation(gen_cyclic(5), 1)
+    assert rep["kappa"] == 2 and rep["lambda"] == 2 and rep["valency"] == 2
+    assert rep["whitney_ok"] and not rep["complete"]
+    bound = Fraction(rep["godsil_bound_num"], rep["godsil_bound_den"])
+    assert bound == Fraction(10, 8)
+    assert rep["godsil_ok"]
+    assert rep["min_cut_count"] == 5 and rep["min_cuts_are_neighborhoods"]
 
 
 def test_cut_report_petersen():
-    rep = compute_cut_report(petersen())
-    assert rep.godsil_bound == Fraction(5, 3)
-    assert rep.lam == 3 and rep.godsil_ok
-    assert rep.min_cut_count == 10 and rep.min_cuts_are_neighborhoods
+    rep = analyze_relation(build_family("drg", ("petersen",)), 1)
+    bound = Fraction(rep["godsil_bound_num"], rep["godsil_bound_den"])
+    assert bound == Fraction(5, 3)
+    assert rep["lambda"] == 3 and rep["godsil_ok"]
+    assert rep["min_cut_count"] == 10 and rep["min_cuts_are_neighborhoods"]
 
 
 def test_cut_report_complete():
-    rep = compute_cut_report(complete_graph(4))
-    assert rep.complete and rep.kappa == 3 and rep.lam == 3
-    assert rep.whitney_ok
-    assert rep.min_cut_count == 0
+    g = complete_graph(4)
+    assert g.is_complete()
+    kappa, lam = vertex_connectivity(g), edge_connectivity(g)
+    assert kappa == 3 and lam == 3
+    assert kappa <= lam <= 3
+    assert enumerate_min_cuts(g, kappa).cuts == ()
 
 
 def test_whitney_chain_catalog_slice():
@@ -271,9 +270,7 @@ def test_whitney_chain_catalog_slice():
         if s.v > 64 or not s.symmetric:
             continue
         for i in range(1, s.d + 1):
-            g = relation_graph(s, i)
-            if not g.is_connected():
+            ctx = RelationContext(s, i)
+            if not ctx.connected:
                 continue
-            rep = compute_cut_report(g)
-            assert rep.kappa <= rep.lam <= rep.valency
-            assert rep.whitney_ok
+            assert ctx.kappa <= ctx.lam <= s.valencies[i]

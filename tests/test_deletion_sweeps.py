@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from schemeconn import sweeps
-from schemeconn.audits import corollary_audits
+from schemeconn.audits import RelationContext, corollary_audits
 from schemeconn.catalog import BUILTIN_FAMILIES, build_family
 from schemeconn.connectivity import maximal_cliques
 from schemeconn.errors import CapExceeded
@@ -120,13 +120,14 @@ def test_catalog_audits_match_reference():
     seen = 0
     for s, g, graph in _small_catalog_relations():
         v1 = int(s.valencies[g])
-        audit = corollary_audits(s, g, kappa=v1)
+        ctx = RelationContext(s, g)
+        audit = corollary_audits(ctx)
         cliques, _ = maximal_cliques(graph)
         if audit.c1_mode == "exhaustive":
             want_c1 = ref_c1_exhaustive(graph)
         else:
             rng = random.Random(f"{audit.seed:#x}:{s.name}:{g}")
-            want_c1 = ref_c1_sampled(graph, v1, v1, rng)
+            want_c1 = ref_c1_sampled(graph, v1, ctx.kappa, rng)
         got = (audit.c1_ok, audit.c1_checked, audit.c1_witness)
         assert got == want_c1, (s.name, g)
         assert (audit.c2_ok, audit.c2_witness) == ref_c2(graph), (s.name, g)

@@ -1,17 +1,10 @@
-"""Distribution diagrams, walk lifting, geodesics, and proximity."""
+"""Distribution diagrams, their levels, and the geodesic correspondence."""
 
-import numpy as np
-import pytest
-
+from schemeconn.audits import RelationContext
 from schemeconn.catalog import build_family, gen_cyclic, gen_hamming
-from schemeconn.diagram import (c_monotone_check, c_of, distribution_diagram,
+from schemeconn.diagram import (distribution_diagram,
                                 geodesic_correspondence_check,
-                                h_prime_connected, interval, lift_walk,
-                                p_polynomial_generator, project_walk,
-                                proximal_partition, to_dot,
-                                unique_geodesic_check)
-from schemeconn.errors import DisconnectedPair, LiftImpossible
-from schemeconn.graph import bits, cycle_graph
+                                h_prime_connected, p_polynomial_generator)
 from schemeconn.scheme import relation_graph
 
 
@@ -50,6 +43,7 @@ def test_h62_relation3_diagram():
     s = gen_hamming(6, 2)
     diag = distribution_diagram(s, 3)
     assert diag.levels == (0, 3, 2, 1, 2, 3, 2)
+    assert diag.level_sets == ((0,), (3,), (2, 4, 6), (1, 5))
     assert diag.neighbors(6) == (3,)
     assert not h_prime_connected(diag)
 
@@ -71,55 +65,6 @@ def test_diagram_edge_symmetry():
                     assert j in diag.neighbors(k)
 
 
-def test_project_walk_pentagon():
-    s = gen_cyclic(5)
-    assert project_walk(s, 1, 0, [2, 1, 0]) == [2, 1, 0]
-    assert project_walk(s, 1, 0, [2, 3, 4, 0]) == [2, 2, 1, 0]
-    with pytest.raises(ValueError):
-        project_walk(s, 1, 0, [0, 2])   # not an edge
-
-
-def test_lift_walk_pentagon_geodesic():
-    s = gen_cyclic(5)
-    assert lift_walk(s, 1, 0, 2, [2, 1, 0]) == [2, 1, 0]
-
-
-def test_lift_walk_petersen_from_any_distance2():
-    s = build_family("drg", ("petersen",))
-    graph = relation_graph(s, 1)
-    a = 0
-    for b in range(10):
-        if s.classes[a][b] != 2:
-            continue
-        walk = lift_walk(s, 1, a, b, [2, 2, 1])
-        assert project_walk(s, 1, a, walk) == [2, 2, 1]
-        for u, w in zip(walk, walk[1:]):
-            assert graph.has_edge(u, w)
-
-
-def test_lift_roundtrip_exhaustive_small():
-    # project-then-lift preserves the class walk, all starts, length 3
-    for fam in (("cyclic", (5,)), ("hamming", (2, 3))):
-        s = build_family(*fam)
-        graph = relation_graph(s, 1)
-        for a in range(s.v):
-            for b in range(s.v):
-                nb = list(bits(graph.neighborhood(b)))[:2]
-                for c in nb:
-                    cls = project_walk(s, 1, a, [b, c])
-                    lifted = lift_walk(s, 1, a, b, cls)
-                    assert project_walk(s, 1, a, lifted) == cls
-
-
-def test_lift_impossible_off_diagram():
-    s = gen_cyclic(5)
-    # no neighbor of 1 is adjacent to 0 (C5 is triangle-free)
-    with pytest.raises(LiftImpossible):
-        lift_walk(s, 1, 0, 1, [1, 1])
-    with pytest.raises(ValueError):
-        lift_walk(s, 1, 0, 1, [2, 1])   # wrong starting class
-
-
 def test_geodesic_correspondence_samples():
     for fam, g in ((("drg", ("petersen",)), 1), (("cyclic", (6,)), 1),
                    (("hamming", (4, 2)), 1), (("johnson", (8, 3)), 1)):
@@ -134,96 +79,10 @@ def test_geodesic_correspondence_disconnected():
     assert not ok and wit[0] == "diagram"
 
 
-def test_c_values():
-    assert c_of(gen_cyclic(5), 1, 1) == 1
-    assert c_of(gen_cyclic(5), 1, 2) == 1
-    assert c_of(build_family("drg", ("petersen",)), 1, 2) == 1
-    assert c_of(gen_hamming(2, 3), 1, 2) == 2
-    # H(4,2): c(i) = i along the path
-    s = gen_hamming(4, 2)
-    assert [c_of(s, 1, i) for i in (1, 2, 3, 4)] == [1, 2, 3, 4]
-
-
-def test_c_of_errors():
-    s = gen_hamming(4, 2)
-    with pytest.raises(ValueError):
-        c_of(s, 1, 0)
-    with pytest.raises(DisconnectedPair):
-        c_of(s, 2, 1)   # odd classes unreachable in H_2
-
-
-def test_c_monotone_catalog_slice():
-    for fam in (("cyclic", (9,)), ("hamming", (5, 2)), ("johnson", (8, 3)),
-                ("hamming", (2, 4)), ("conjugacy", ("D4",))):
-        s = build_family(*fam)
-        for g in range(1, s.d + 1):
-            if not relation_graph(s, g).is_connected():
-                continue
-            ok, wit = c_monotone_check(s, g)
-            assert ok, (fam, g, wit)
-
-
-def test_interval_identity():
-    g = cycle_graph(5)
-    assert interval(g, 2, 2) == 1 << 2
-
-
-def test_interval_pentagon():
-    g = cycle_graph(5)
-    assert interval(g, 0, 2) == 0b111   # the unique geodesic 0-1-2
-
-
-def test_interval_rooks_two_geodesics():
-    s = gen_hamming(2, 3)
-    g = relation_graph(s, 1)
-    a = 0
-    b = next(x for x in range(9) if s.classes[a][x] == 2)
-    assert bin(interval(g, a, b)).count("1") == 4
-
-
-def test_interval_disconnected_pair():
-    s = gen_cyclic(6)
-    g = relation_graph(s, 2)   # two triangles
-    with pytest.raises(DisconnectedPair):
-        interval(g, 0, 1)
-
-
-def test_unique_geodesic_classes():
-    for fam in (("cyclic", (5,)), ("cyclic", (8,)), ("drg", ("petersen",))):
-        s = build_family(*fam)
-        ok, wit = unique_geodesic_check(s, 1, relation_graph(s, 1))
-        assert ok, wit
-
-
-def test_proximal_partition_c6():
-    g = cycle_graph(6)
-    part = proximal_partition(g, (0, 3))
-    assert part.proximal_only[1] == 0
-    assert part.proximal_only[5] == 0
-    assert part.proximal_only[2] == 3
-    assert part.proximal[0] == (0,)
-
-
-def test_proximal_tie_c8():
-    g = cycle_graph(8)
-    part = proximal_partition(g, (0, 4))
-    assert part.proximal[2] == (0, 4)
-    assert part.proximal_only[2] is None
-    part1 = proximal_partition(g, (5,))
-    assert all(part1.proximal_only[x] == 5 for x in range(8))
-
-
-def test_to_dot_text():
-    diag = distribution_diagram(gen_cyclic(5), 1)
-    dot = to_dot(diag)
-    assert dot.startswith("graph")
-    assert "n0 -- n1" in dot and "n1 -- n2" in dot
-    assert "n2 -- n2" in dot   # the loop
-
-
 def test_p_polynomial_tags():
-    assert p_polynomial_generator(gen_hamming(4, 2), 1)
-    assert not p_polynomial_generator(gen_hamming(4, 2), 2)
-    assert p_polynomial_generator(build_family("johnson", (8, 3)), 1)
-    assert p_polynomial_generator(gen_cyclic(5), 1)
-    assert p_polynomial_generator(gen_cyclic(5), 2)
+    for scheme, g, want in ((gen_hamming(4, 2), 1, True),
+                            (gen_hamming(4, 2), 2, False),
+                            (build_family("johnson", (8, 3)), 1, True),
+                            (gen_cyclic(5), 1, True),
+                            (gen_cyclic(5), 2, True)):
+        assert p_polynomial_generator(RelationContext(scheme, g)) is want

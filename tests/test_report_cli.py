@@ -1,14 +1,21 @@
 """Report JSON contract, the survey harness, and CLI exit codes."""
 
+import hashlib
 import json
+import multiprocessing
 import os
+import sys
+from collections import Counter
 
 import pytest
 
+from schemeconn import report
 from schemeconn.catalog import build_family, gen_cyclic, save_scheme
 from schemeconn.cli import main
 from schemeconn.report import (AnalysisConfig, analyze_relation,
-                               analyze_scheme, builtin_entries, run_survey)
+                               analyze_scheme, builtin_entries, run_survey,
+                               spectral_section)
+from schemeconn.spectral import compute_spectral
 
 REQUIRED_FIELDS = [
     "scheme", "relation", "v", "d", "valency", "connected", "complete",
@@ -112,6 +119,94 @@ def test_clique_cap_from_config():
     assert rep["config"]["clique_cap"] == 3
 
 
+def test_column_tol_from_config():
+    # a tolerance this loose makes every idempotent column "repeated" on a
+    # primitive scheme, so the two primitivity detectors must disagree
+    s = build_family("drg", ("petersen",))
+    block = spectral_section(s, compute_spectral(s),
+                             AnalysisConfig(column_tol=10.0))
+    assert block["primitivity"]["primitive"] is None
+    assert any("detectors disagree" in f for f in block["findings"])
+
+
+# Leading 16 hex digits of the SHA-256 of each report's JSON without its
+# "spectral" block, which is left out because qp_residual and the 12-digit
+# P/Q strings depend on BLAS rounding.  The slice has exhaustive and
+# sampled C1 (johnson-7-3 r2, valency 18), min-cut enumeration over budget
+# and disconnected relations.
+DIGEST_SLICE = [("cyclic", (5,)), ("cyclic", (12,)), ("hamming", (4, 2)),
+                ("johnson", (7, 3)), ("conjugacy", ("Q8",)),
+                ("drg", ("petersen",)), ("drg", ("k33",))]
+REPORT_DIGESTS = {
+    "cyclic-5-r1": "ea2422816a023a91",
+    "cyclic-5-r2": "c1ce6790d66ece30",
+    "cyclic-12-r1": "072026b48025068b",
+    "cyclic-12-r2": "6c6ac7930b20b334",
+    "cyclic-12-r3": "373557af88dc29ee",
+    "cyclic-12-r4": "16f0dc3e67606d39",
+    "cyclic-12-r5": "1d76a0f3e3cea740",
+    "cyclic-12-r6": "16f080d78a80361f",
+    "hamming-4-2-r1": "087060bf13493d9c",
+    "hamming-4-2-r2": "39a7ef580ecae08b",
+    "hamming-4-2-r3": "285a250a2371df88",
+    "hamming-4-2-r4": "0f4c515d833be77d",
+    "johnson-7-3-r1": "45d55732b25345b4",
+    "johnson-7-3-r2": "433d4e14dc216696",
+    "johnson-7-3-r3": "fdb44f66f01e8ba0",
+    "conj-Q8-r1": "1582e050d1538482",
+    "conj-Q8-r2": "c90e50cbb9522e02",
+    "conj-Q8-r3": "feaf4505eabba890",
+    "conj-Q8-r4": "1f09119dfd575682",
+    "drg-petersen-r1": "a1ead5bb707be502",
+    "drg-petersen-r2": "c82d735b1fd2e1a7",
+    "drg-k33-r1": "837a88f72b235b46",
+    "drg-k33-r2": "52ab2b9516db8050",
+}
+
+
+def test_report_digests_unchanged():
+    got = {}
+    for kind, params in DIGEST_SLICE:
+        for rep in analyze_scheme(build_family(kind, params)):
+            body = {k: v for k, v in rep.items() if k != "spectral"}
+            digest = hashlib.sha256(json.dumps(body, indent=2).encode())
+            got[f"{rep['scheme']}-r{rep['relation']}"] = \
+                digest.hexdigest()[:16]
+    assert got == REPORT_DIGESTS
+
+
+def _count_calls(monkeypatch, module, name, calls):
+    """Count calls of module.<name> wherever the package holds it."""
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+    for key, mod in list(sys.modules.items()):
+        if key.startswith("schemeconn") and vars(mod).get(name) is original:
+            monkeypatch.setattr(mod, name, wrapper)
+
+
+@pytest.mark.parametrize("family,connected", [
+    (("johnson", (7, 3)), 3),       # r2 runs the sampled C1 sweep
+    (("hamming", (4, 2)), 2),
+], ids=["johnson-7-3", "hamming-4-2"])
+def test_analyze_relation_builds_shared_objects_once(monkeypatch, family,
+                                                     connected):
+    from schemeconn import connectivity, diagram, scheme as scheme_mod
+    s = build_family(*family)
+    spec = compute_spectral(s)
+    block = spectral_section(s, spec)
+    calls = Counter()
+    _count_calls(monkeypatch, scheme_mod, "relation_graph", calls)
+    _count_calls(monkeypatch, diagram, "distribution_diagram", calls)
+    _count_calls(monkeypatch, connectivity, "vertex_connectivity", calls)
+    for i in range(1, s.d + 1):
+        analyze_relation(s, i, spectral=spec, spectral_block=block)
+    assert calls == {"relation_graph": s.d, "distribution_diagram": s.d,
+                     "vertex_connectivity": connected}
+
+
 def test_builtin_entries_cover_catalog():
     entries = builtin_entries()
     assert len(entries) >= 40
@@ -173,6 +268,33 @@ def test_survey_isolates_bad_entry(tmp_path):
     assert "ParseError" in summary["errors"][0]["error"]
     # the good entry still produced its report
     assert (out / "cyclic-5-r1.json").exists()
+
+
+_SURVEY_TASK = report._survey_task
+
+
+def _task_dying_on_entry_1(arg):
+    if arg[0] == 1:
+        os._exit(1)
+    return _SURVEY_TASK(arg)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="a patched task reaches pool workers only by fork")
+def test_survey_survives_worker_death(tmp_path, monkeypatch):
+    entries = [(("cyclic", (n,)), None) for n in (5, 6, 7)]
+    run_survey(entries, str(tmp_path / "clean"), jobs=2)
+    monkeypatch.setattr(report, "_survey_task", _task_dying_on_entry_1)
+    summary = run_survey(entries, str(tmp_path / "crash"), jobs=2)
+    assert summary["errors"] == [{"entry": 1,
+                                  "error": "worker process died"}]
+    assert summary["reports"] == 2 + 3
+    clean = _tree(tmp_path / "clean")
+    want = {name: data for name, data in clean.items()
+            if name != "summary.json" and not name.startswith("cyclic-6-")}
+    got = _tree(tmp_path / "crash")
+    del got["summary.json"]
+    assert got == want
 
 
 def test_survey_relation_selection(tmp_path):
@@ -355,6 +477,30 @@ def test_cli_survey_content_error_isolated(tmp_path, capsys):
     assert main(["survey", "--manifest", str(manifest)]) == 3
     assert (out / "cyclic-5-r1.json").exists()
     assert "NonConstantIntersection" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("defaults,env", [
+    ({"jobs": "2"}, None),
+    ({"jobs": 0}, None),
+    ({"jobs": True}, None),
+    ({"out": 5}, None),
+    ({"seed": "x"}, None),
+    ({}, "abc"),
+], ids=["jobs-string", "jobs-zero", "jobs-bool", "out-int", "seed-string",
+        "env-jobs-string"])
+def test_cli_survey_bad_defaults(tmp_path, monkeypatch, capsys, defaults,
+                                 env):
+    if env is None:
+        monkeypatch.delenv("SCHEME_CONN_JOBS", raising=False)
+    else:
+        monkeypatch.setenv("SCHEME_CONN_JOBS", env)
+    manifest = tmp_path / "manifest.json"
+    payload = {"entries": [{"family": ["cyclic", 5]}],
+               "out": str(tmp_path / "never")}
+    manifest.write_text(json.dumps({**payload, **defaults}))
+    assert main(["survey", "--manifest", str(manifest)]) == 1
+    assert "ParseError" in capsys.readouterr().err
+    assert not (tmp_path / "never").exists()
 
 
 def test_cli_survey_jobs_env(tmp_path, monkeypatch, capsys):

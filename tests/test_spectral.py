@@ -5,12 +5,18 @@ import math
 import numpy as np
 import pytest
 
+from schemeconn.audits import RelationContext, spec_cut_audit
 from schemeconn.catalog import build_family, gen_cyclic, gen_hamming
-from schemeconn.connectivity import compute_cut_report, twins
+from schemeconn.connectivity import twins
 from schemeconn.errors import (Disconnected, HypothesisNotMet, NotSymmetric)
 from schemeconn.scheme import relation_graph, validate_scheme, RelationTable
 from schemeconn.spectral import (compute_spectral, primitivity,
-                                 second_eigenvalue, spec_cut_audit)
+                                 second_eigenvalue)
+
+
+def theta(scheme, g):
+    return second_eigenvalue(RelationContext(scheme, g),
+                             compute_spectral(scheme))
 
 
 def test_pentagon_eigenmatrix():
@@ -104,24 +110,22 @@ def test_twins_imply_imprimitive():
 
 def test_second_eigenvalue():
     s = build_family("drg", ("petersen",))
-    assert abs(second_eigenvalue(s, compute_spectral(s), 1) - 1.0) < 1e-9
+    assert abs(theta(s, 1) - 1.0) < 1e-9
     s = build_family("drg", ("k33",))
-    assert abs(second_eigenvalue(s, compute_spectral(s), 1)) < 1e-9
+    assert abs(theta(s, 1)) < 1e-9
     s = gen_cyclic(5)
     golden = (math.sqrt(5) - 1) / 2
-    assert abs(second_eigenvalue(s, compute_spectral(s), 1) - golden) < 1e-9
+    assert abs(theta(s, 1) - golden) < 1e-9
 
 
 def test_second_eigenvalue_gate():
     s = gen_hamming(4, 2)
     with pytest.raises(Disconnected):
-        second_eigenvalue(s, compute_spectral(s), 2)
+        theta(s, 2)
 
 
 def test_spec_cut_rook():
-    s = gen_hamming(2, 3)
-    rep = compute_cut_report(relation_graph(s, 1))
-    audit = spec_cut_audit(s, 1, rep)
+    audit = spec_cut_audit(RelationContext(gen_hamming(2, 3), 1))
     assert audit.ok
     assert audit.p_local == 1
     assert audit.kappa == 4
@@ -129,24 +133,23 @@ def test_spec_cut_rook():
 
 
 def test_spec_cut_triangle_free_slack():
-    s = build_family("drg", ("petersen",))
-    audit = spec_cut_audit(s, 1, compute_cut_report(relation_graph(s, 1)))
+    audit = spec_cut_audit(
+        RelationContext(build_family("drg", ("petersen",)), 1))
     assert audit.ok and audit.p_local == 0 and audit.slack == 3
 
 
 def test_spec_cut_k211_gate():
-    s = build_family("johnson", (5, 2))
-    rep = compute_cut_report(relation_graph(s, 1))
+    ctx = RelationContext(build_family("johnson", (5, 2)), 1)
     with pytest.raises(HypothesisNotMet):
-        spec_cut_audit(s, 1, rep)
+        spec_cut_audit(ctx)
 
 
 def test_theta_negative_on_complete_multipartite():
     # the complete multipartite members have second eigenvalue <= 0
     s = build_family("drg", ("k33",))
-    assert second_eigenvalue(s, compute_spectral(s), 1) <= 1e-9
+    assert theta(s, 1) <= 1e-9
     s = gen_cyclic(4)
-    assert second_eigenvalue(s, compute_spectral(s), 1) <= 1e-9
+    assert theta(s, 1) <= 1e-9
 
 
 def test_theta_positive_otherwise_catalog_slice():
@@ -157,5 +160,4 @@ def test_theta_positive_otherwise_catalog_slice():
         graph = relation_graph(s, g)
         assert not is_complete_multipartite(graph)
         if not graph.is_complete():
-            theta = second_eigenvalue(s, compute_spectral(s), g)
-            assert theta > 1e-6, fam
+            assert theta(s, g) > 1e-6, fam
