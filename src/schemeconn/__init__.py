@@ -11,9 +11,10 @@ from .diagram import distribution_diagram, h_prime_connected
 from .errors import (CapExceeded, DetectorDisagreement, Disconnected,
                      HypothesisNotMet, HypothesisViolation,
                      IdentityClassRequested, NonConstantIntersection,
-                     NotAGroup, NotAPartition, NotClosedUnderTranspose,
-                     NotCommutative, NotDistanceRegular, NotSymmetric,
-                     ParseError, RefinementFailed, SchemeError, SizeCap)
+                     NotAGroup, NotAnAutomorphism, NotAPartition,
+                     NotClosedUnderTranspose, NotCommutative,
+                     NotDistanceRegular, NotSymmetric, ParseError,
+                     RefinementFailed, SchemeError, SizeCap)
 from .graph import Graph
 from .report import (AnalysisConfig, analyze_relation, analyze_scheme,
                      run_survey)
@@ -34,6 +35,7 @@ __all__ = [
     "IdentityClassRequested",
     "NonConstantIntersection",
     "NotAGroup",
+    "NotAnAutomorphism",
     "NotAPartition",
     "NotClosedUnderTranspose",
     "NotCommutative",

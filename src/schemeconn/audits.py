@@ -40,7 +40,9 @@ CLIQUE_CAP = 100_000
 
 class RelationContext:
     """What the audits of relation g read, each computed at most once: the
-    graph (built here), its distribution diagram, twins and connectivity."""
+    graph (built here), its distribution diagram, twins and connectivity.
+    kappa and lam sweep one flow per orbit of the scheme's stabiliser of
+    vertex 0, the graph's least live vertex."""
 
     def __init__(self, scheme: SchemeDescriptor, g: int):
         self.scheme = scheme
@@ -73,11 +75,11 @@ class RelationContext:
 
     @cached_property
     def kappa(self) -> int:
-        return vertex_connectivity(self.graph)
+        return vertex_connectivity(self.graph, self.scheme.stabiliser)
 
     @cached_property
     def lam(self) -> int:
-        return edge_connectivity(self.graph)
+        return edge_connectivity(self.graph, self.scheme.stabiliser)
 
 
 # -- The four-way equivalence audit --------------------------------------

@@ -32,6 +32,32 @@ from .scheme import (
 
 # -- families ------------------------------------------------------------
 
+def _cycle(n: int, points: list[int]) -> list[int]:
+    """The permutation of range(n) sending points[i] to points[i+1] and the
+    last point to the first."""
+    perm = list(range(n))
+    for a, b in zip(points, points[1:] + points[:1]):
+        perm[a] = b
+    return perm
+
+
+def _cycle_points(block) -> list[list[int]]:
+    """A transposition and a full cycle on block, which together generate
+    its symmetric group; none for a block of fewer than two points."""
+    pts = list(block)
+    return [pts[:2], pts] if len(pts) >= 2 else []
+
+
+def _distinct_moving(perms) -> tuple[tuple[int, ...], ...]:
+    """The permutations as tuples, identities and repeats dropped."""
+    out: list[tuple[int, ...]] = []
+    for perm in perms:
+        t = tuple(int(x) for x in perm)
+        if t != tuple(range(len(t))) and t not in out:
+            out.append(t)
+    return tuple(out)
+
+
 @lru_cache(maxsize=None)
 def gen_hamming(n: int, q: int) -> SchemeDescriptor:
     """Words of length n over q symbols, classes by Hamming distance."""
@@ -45,8 +71,19 @@ def gen_hamming(n: int, q: int) -> SchemeDescriptor:
     for pos in range(n):
         digits[:, n - 1 - pos] = (x // q ** pos) % q
     classes = (digits[:, None, :] != digits[None, :, :]).sum(axis=2)
+    # stabiliser of the zero word: S_n on coordinates, and S_{q-1} on the
+    # nonzero symbols of coordinate 0 (conjugated to every coordinate by S_n)
+    weights = q ** np.arange(n - 1, -1, -1)
+    gens = [digits[:, _cycle(n, pts)] @ weights
+            for pts in _cycle_points(range(n))]
+    for pts in _cycle_points(range(1, q)):
+        tau = np.array(_cycle(q, pts))
+        moved = digits.copy()
+        moved[:, 0] = tau[digits[:, 0]]
+        gens.append(moved @ weights)
     return validate_scheme(RelationTable.from_classes(classes),
-                           name=f"hamming-{n}-{q}")
+                           name=f"hamming-{n}-{q}",
+                           stabiliser=_distinct_moving(gens))
 
 
 @lru_cache(maxsize=None)
@@ -57,13 +94,24 @@ def gen_johnson(vs: int, k: int) -> SchemeDescriptor:
     v = comb(vs, k)
     if v > SIZE_CAP:
         raise SizeCap(f"C({vs},{k}) = {v} exceeds cap {SIZE_CAP}")
+    subsets = list(combinations(range(vs), k))
     members = np.zeros((v, vs), dtype=np.int32)
-    for idx, subset in enumerate(combinations(range(vs), k)):
+    for idx, subset in enumerate(subsets):
         members[idx, list(subset)] = 1
     inter = members @ members.T
     classes = k - inter
+    # stabiliser of {0..k-1}: S_k x S_{vs-k}, lifted to k-subsets
+    index = {subset: idx for idx, subset in enumerate(subsets)}
+
+    def lift(sigma: list[int]) -> list[int]:
+        return [index[tuple(sorted(sigma[x] for x in subset))]
+                for subset in subsets]
+
+    gens = [lift(_cycle(vs, pts)) for block in (range(k), range(k, vs))
+            for pts in _cycle_points(block)]
     return validate_scheme(RelationTable.from_classes(classes),
-                           name=f"johnson-{vs}-{k}")
+                           name=f"johnson-{vs}-{k}",
+                           stabiliser=_distinct_moving(gens))
 
 
 @lru_cache(maxsize=None)
@@ -76,8 +124,10 @@ def gen_cyclic(n: int) -> SchemeDescriptor:
     x = np.arange(n)
     diff = np.abs(x[:, None] - x[None, :])
     classes = np.minimum(diff, n - diff)
+    # the dihedral stabiliser of 0 is generated by x -> -x
     return validate_scheme(RelationTable.from_classes(classes),
-                           name=f"cyclic-{n}")
+                           name=f"cyclic-{n}",
+                           stabiliser=_distinct_moving([(-x) % n]))
 
 
 GROUP_CAP = 256

@@ -34,8 +34,20 @@ def _exit_code(exc: SchemeError) -> int:
     return EXIT_INVALID
 
 
+def _family_param(token: str):
+    """An integer token as an int.  Anything else stays a string for
+    check_family to refuse, including digit-like text that int() rejects,
+    such as '+-3' or a superscript digit."""
+    if token.lstrip("+-").isdigit():
+        try:
+            return int(token)
+        except ValueError:
+            pass
+    return token
+
+
 def _family_params(tokens: list[str]) -> tuple:
-    return tuple(int(t) if t.lstrip("+-").isdigit() else t for t in tokens)
+    return tuple(_family_param(t) for t in tokens)
 
 
 def _load_source(args) -> SchemeDescriptor:
@@ -188,7 +200,7 @@ def cmd_cuts(args) -> int:
             raise CapExceeded(
                 f"cut enumeration needs max-size <= 3 or v <= 64 "
                 f"(got {args.max_size} on v={scheme.v})")
-        kappa = vertex_connectivity(graph)
+        kappa = vertex_connectivity(graph, scheme.stabiliser)
         if kappa > args.max_size:
             raise CapExceeded(f"kappa = {kappa} exceeds "
                               f"--max-size {args.max_size}")

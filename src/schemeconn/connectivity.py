@@ -10,12 +10,25 @@ neighbors in two different components of the cut graph (second sweep),
 because dropping s from a cut all of whose far components avoid Gamma(s)
 would leave a smaller cut.  Everything is deterministic: least-index
 choices throughout.
+
+Both sweeps may be cut down by automorphisms fixing s.  An automorphism p
+maps internally disjoint u-w paths to internally disjoint p(u)-p(w) paths
+and back (p^-1 is an automorphism too), so the local connectivity of
+{u, w} equals that of {p(u), p(w)}, and likewise for edge-disjoint paths.
+Since p fixes s, it permutes the targets t (the non-neighbours of s, for
+edges every other vertex) and the non-adjacent pairs inside Gamma(s).  So
+every member of an orbit of the group the automorphisms generate has the
+same local connectivity, and one flow per orbit gives the same minimum as
+the full sweep.  Orbits come from union-find under the generators; with no
+generators every target and pair is its own orbit and the sweep runs in
+full, in the same order.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from operator import getitem
 from typing import Optional
 
 from .errors import CapExceeded, Disconnected
@@ -296,8 +309,50 @@ def local_vertex_connectivity(graph: Graph, s: int, t: int,
     return _vertex_flow(graph.rows, graph.alive, s, t, cap)
 
 
-def vertex_connectivity(graph: Graph) -> int:
-    """Global vertex connectivity; n-1 for complete graphs."""
+def _orbit_representatives(items: list, automorphisms, image) -> list:
+    """The first item of each orbit of the group generated by automorphisms
+    on items, in items order; image(p, item) is p's image of item and must
+    be in items again."""
+    index = {item: i for i, item in enumerate(items)}
+    parent = list(range(len(items)))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for p in automorphisms:
+        for i, item in enumerate(items):
+            j = index.get(image(p, item))
+            if j is None:
+                raise ValueError(f"automorphism moves {item!r} out of the "
+                                 f"swept set")
+            a, b = root(i), root(j)
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    return [item for i, item in enumerate(items) if parent[i] == i]
+
+
+def _pair_image(p, pair: tuple[int, int]) -> tuple[int, int]:
+    u, w = p[pair[0]], p[pair[1]]
+    return (u, w) if u < w else (w, u)
+
+
+def _fixed_source(graph: Graph, automorphisms) -> int:
+    """The least live vertex, which every automorphism must fix."""
+    live = graph.alive
+    s = (live & -live).bit_length() - 1
+    for k, p in enumerate(automorphisms):
+        if p[s] != s:
+            raise ValueError(f"automorphism {k} maps the source {s} to {p[s]}")
+    return s
+
+
+def vertex_connectivity(graph: Graph, automorphisms=()) -> int:
+    """Global vertex connectivity; n-1 for complete graphs.  automorphisms
+    (image sequences of graph automorphisms fixing the least live vertex)
+    shrink the sweep to one flow per orbit; the value is the same."""
     live = graph.alive
     nv = live.bit_count()
     if nv == 0:
@@ -309,23 +364,24 @@ def vertex_connectivity(graph: Graph) -> int:
     if graph.is_complete():
         return nv - 1
     best = min(graph.degrees())
-    s = (live & -live).bit_length() - 1
-    for t in bits(live & ~graph.closed_neighborhood(s)):
+    s = _fixed_source(graph, automorphisms)
+    targets = list(bits(live & ~graph.closed_neighborhood(s)))
+    for t in _orbit_representatives(targets, automorphisms, getitem):
         f = _vertex_flow(graph.rows, live, s, t, best)
         if f < best:
             best = f
     nbrs = list(bits(graph.neighborhood(s)))
-    for i, u in enumerate(nbrs):
-        for w in nbrs[i + 1:]:
-            if graph.has_edge(u, w):
-                continue
-            f = _vertex_flow(graph.rows, live, u, w, best)
-            if f < best:
-                best = f
+    pairs = [(u, w) for i, u in enumerate(nbrs) for w in nbrs[i + 1:]
+             if not graph.has_edge(u, w)]
+    for u, w in _orbit_representatives(pairs, automorphisms, _pair_image):
+        f = _vertex_flow(graph.rows, live, u, w, best)
+        if f < best:
+            best = f
     return best
 
 
-def edge_connectivity(graph: Graph) -> int:
+def edge_connectivity(graph: Graph, automorphisms=()) -> int:
+    """Global edge connectivity; automorphisms as for vertex_connectivity."""
     live = graph.alive
     nv = live.bit_count()
     if nv < 2:
@@ -333,8 +389,9 @@ def edge_connectivity(graph: Graph) -> int:
     if not graph.is_connected():
         raise Disconnected("graph is disconnected")
     best = min(graph.degrees())
-    s = (live & -live).bit_length() - 1
-    for t in bits(live & ~(1 << s)):
+    s = _fixed_source(graph, automorphisms)
+    targets = list(bits(live & ~(1 << s)))
+    for t in _orbit_representatives(targets, automorphisms, getitem):
         f = _edge_flow(graph.rows, live, s, t, best)
         if f < best:
             best = f

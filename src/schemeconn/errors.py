@@ -35,6 +35,16 @@ class NotCommutative(SchemeError):
         super().__init__(f"p[{i},{j}]^{k} = {pij} but p[{j},{i}]^{k} = {pji}")
 
 
+class NotAnAutomorphism(SchemeError):
+    """A claimed stabiliser generator that does not fix vertex 0, is not a
+    permutation, or moves some pair into another class."""
+
+    def __init__(self, index, witness, reason):
+        self.index = index        # position of the generator in the tuple
+        self.witness = witness    # offending vertex, image or pair
+        super().__init__(f"stabiliser generator {index}: {reason}")
+
+
 class NotSymmetric(SchemeError):
     pass
 

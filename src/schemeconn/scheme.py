@@ -5,7 +5,9 @@ else (transpose map, intersection numbers, valencies) is derived from it and
 re-derived on load.  Validation does the full triple count for every (i,j):
 the product A_i A_j is computed once in exact int64 arithmetic and checked to
 be constant on every class, which is the definition of p_ij^k with no
-sampling involved.
+sampling involved.  Stabiliser generators offered by a construction are
+checked just as exactly: each must fix vertex 0, permute X and map every
+pair to a pair of the same class.
 """
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ import numpy as np
 from .errors import (
     IdentityClassRequested,
     NonConstantIntersection,
+    NotAnAutomorphism,
     NotAPartition,
     NotClosedUnderTranspose,
     NotCommutative,
@@ -96,9 +99,14 @@ class IntersectionTensor:
 
 @dataclass(frozen=True)
 class SchemeDescriptor:
+    """A validated scheme.  `stabiliser` holds verified generators (one
+    image tuple each) of a group of permutations of X that fix vertex 0 and
+    preserve every class; empty when the construction supplies none."""
+
     name: str
     table: RelationTable
     tensor: IntersectionTensor
+    stabiliser: tuple[tuple[int, ...], ...] = ()
 
     @property
     def v(self) -> int:
@@ -132,12 +140,51 @@ def _first_pair_index(classes: np.ndarray, d: int) -> np.ndarray:
     return first
 
 
-def validate_scheme(table: RelationTable, name: str = "scheme") -> SchemeDescriptor:
-    """Full triple-count validation; raises with a witness on failure."""
+def _checked_stabiliser(classes: np.ndarray,
+                        stabiliser) -> tuple[tuple[int, ...], ...]:
+    """Each generator as an image tuple, once it is shown to be a
+    permutation of X fixing vertex 0 with classes[p[a], p[b]] equal to
+    classes[a, b] for every pair."""
+    v = classes.shape[0]
+    out = []
+    for idx, gen in enumerate(stabiliser):
+        perm = np.asarray(gen)
+        if perm.shape != (v,) or perm.dtype.kind not in "iu":
+            raise NotAnAutomorphism(idx, None,
+                                    f"not a sequence of {v} vertex indices")
+        off = np.nonzero((perm < 0) | (perm >= v))[0]
+        if len(off):
+            x = int(off[0])
+            raise NotAnAutomorphism(idx, x, f"maps {x} to {int(perm[x])}, "
+                                            f"outside 0..{v - 1}")
+        if perm[0] != 0:
+            raise NotAnAutomorphism(idx, 0, f"maps 0 to {int(perm[0])}")
+        hits = np.bincount(perm, minlength=v)
+        if (hits != 1).any():
+            y = int(np.nonzero(hits > 1)[0][0])
+            raise NotAnAutomorphism(idx, y, f"not a permutation: {y} is the "
+                                            f"image of {int(hits[y])} vertices")
+        moved = classes[np.ix_(perm, perm)] != classes
+        if moved.any():
+            a, b = (int(x) for x in np.argwhere(moved)[0])
+            pa, pb = int(perm[a]), int(perm[b])
+            raise NotAnAutomorphism(
+                idx, ((a, b), (pa, pb)),
+                f"maps ({a},{b}) of class {int(classes[a, b])} to "
+                f"({pa},{pb}) of class {int(classes[pa, pb])}")
+        out.append(tuple(int(x) for x in perm))
+    return tuple(out)
+
+
+def validate_scheme(table: RelationTable, name: str = "scheme",
+                    stabiliser=()) -> SchemeDescriptor:
+    """Full triple-count validation plus an exact check of each offered
+    stabiliser generator; raises with a witness on failure."""
     c = table.classes.astype(np.int64)
     v, d = table.v, table.d
     if d + 1 > 300:
         raise SizeCap(f"{d + 1} classes exceeds the tensor cap")
+    gens = _checked_stabiliser(table.classes, stabiliser)
     first = _first_pair_index(c, d)
     p = np.zeros((d + 1, d + 1, d + 1), dtype=np.int64)
     # identity row/column is forced: p[0,j,k] = [j==k], p[i,0,k] = [i==k]
@@ -186,7 +233,8 @@ def validate_scheme(table: RelationTable, name: str = "scheme") -> SchemeDescrip
     val = tuple(int(p[i, tm[i], 0]) for i in range(d + 1))
     p.setflags(write=False)
     tensor = IntersectionTensor(d=d, p=p, valencies=val)
-    return SchemeDescriptor(name=name, table=table, tensor=tensor)
+    return SchemeDescriptor(name=name, table=table, tensor=tensor,
+                            stabiliser=gens)
 
 
 def symmetrize(table: RelationTable) -> RelationTable:
@@ -207,9 +255,12 @@ def symmetrize(table: RelationTable) -> RelationTable:
 
 
 def symmetrized_scheme(desc: SchemeDescriptor) -> SchemeDescriptor:
+    """The symmetrization of desc.  Its stabiliser generators preserve the
+    merged classes too; they are carried over and checked again."""
     if desc.symmetric:
         return desc
-    return validate_scheme(symmetrize(desc.table), name=desc.name)
+    return validate_scheme(symmetrize(desc.table), name=desc.name,
+                           stabiliser=desc.stabiliser)
 
 
 def relation_graph(scheme: SchemeDescriptor, i: int) -> Graph:

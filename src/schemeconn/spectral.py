@@ -11,6 +11,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
+from .diagram import distribution_diagram
 from .errors import (DetectorDisagreement, Disconnected, NotSymmetric,
                      RefinementFailed)
 from .scheme import SchemeDescriptor, relation_graph
@@ -148,15 +149,15 @@ def primitivity(scheme: SchemeDescriptor, spectral: SpectralData,
                 column_tol: float = COLUMN_TOL) -> PrimitivityVerdict:
     """Two detectors that must agree: a disconnected basis relation, and a
     repeated column (equal within column_tol) in some nontrivial
-    idempotent."""
-    disc = []
+    idempotent.  Relation i is connected iff its distribution diagram
+    reaches every class, so only the first disconnected relation's graph is
+    built, for the witness partition."""
+    disc = [i for i in range(1, scheme.d + 1)
+            if distribution_diagram(scheme, i).diameter is None]
     witness = None
-    for i in range(1, scheme.d + 1):
-        graph = relation_graph(scheme, i)
-        if not graph.is_connected():
-            disc.append(i)
-            if witness is None:
-                witness = tuple(tuple(comp) for comp in graph.components())
+    if disc:
+        witness = tuple(tuple(comp)
+                        for comp in relation_graph(scheme, disc[0]).components())
     rep = [ell for ell in range(1, scheme.d + 1)
            if _has_equal_columns(spectral.idempotents[ell], column_tol)]
     if bool(disc) != bool(rep):

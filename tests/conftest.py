@@ -1,0 +1,50 @@
+"""Catalog fixtures shared by the acceptance and symmetry suites.
+
+`flow_values` runs the full, unreduced kappa and lambda sweeps on every
+connected catalog relation once per session; the reduced sweeps are
+checked against it."""
+
+from dataclasses import dataclass
+
+import pytest
+
+from schemeconn.catalog import BUILTIN_FAMILIES, build_family
+from schemeconn.connectivity import edge_connectivity, vertex_connectivity
+from schemeconn.graph import Graph
+from schemeconn.scheme import relation_graph, symmetrized_scheme
+
+
+@dataclass(frozen=True)
+class Pair:
+    scheme: object
+    relation: int
+    graph: Graph
+    connected: bool
+
+
+@pytest.fixture(scope="session")
+def catalog_schemes():
+    out = []
+    for kind, params in BUILTIN_FAMILIES:
+        s = build_family(kind, params)
+        out.append(s if s.symmetric else symmetrized_scheme(s))
+    return out
+
+
+@pytest.fixture(scope="session")
+def catalog_pairs(catalog_schemes):
+    out = []
+    for s in catalog_schemes:
+        for i in range(1, s.d + 1):
+            g = relation_graph(s, i)
+            out.append(Pair(s, i, g, g.is_connected()))
+    return out
+
+
+@pytest.fixture(scope="session")
+def flow_values(catalog_pairs):
+    """(scheme name, relation) -> (kappa, lambda) for connected pairs, from
+    the sweeps without automorphisms."""
+    return {(p.scheme.name, p.relation):
+            (vertex_connectivity(p.graph), edge_connectivity(p.graph))
+            for p in catalog_pairs if p.connected}

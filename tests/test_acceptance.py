@@ -11,7 +11,6 @@ Each test prints a single pass/fail line (visible with pytest -s).
 
 import os
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -19,56 +18,18 @@ import numpy as np
 import pytest
 
 from schemeconn import audits
-from schemeconn.catalog import BUILTIN_FAMILIES, build_family
-from schemeconn.connectivity import (edge_connectivity, enumerate_min_cuts,
-                                     is_isomorphic, k211_free,
-                                     vertex_connectivity)
+from schemeconn.catalog import build_family
+from schemeconn.connectivity import enumerate_min_cuts, is_isomorphic, k211_free
 from schemeconn.diagram import geodesic_correspondence_check
 from schemeconn.errors import HypothesisViolation
 from schemeconn.graph import (Graph, bits, complete_bipartite, cycle_graph,
                               petersen)
 from schemeconn.report import run_survey
-from schemeconn.scheme import relation_graph, symmetrized_scheme
 from schemeconn.spectral import compute_spectral
-
-
-@dataclass(frozen=True)
-class Pair:
-    scheme: object
-    relation: int
-    graph: Graph
-    connected: bool
 
 
 def _line(idx: int, label: str, ok: bool, detail: str) -> None:
     print(f"[{idx:2d}/10] {label}: {'PASS' if ok else 'FAIL'} ({detail})")
-
-
-@pytest.fixture(scope="session")
-def catalog_schemes():
-    out = []
-    for kind, params in BUILTIN_FAMILIES:
-        s = build_family(kind, params)
-        out.append(s if s.symmetric else symmetrized_scheme(s))
-    return out
-
-
-@pytest.fixture(scope="session")
-def catalog_pairs(catalog_schemes):
-    out = []
-    for s in catalog_schemes:
-        for i in range(1, s.d + 1):
-            g = relation_graph(s, i)
-            out.append(Pair(s, i, g, g.is_connected()))
-    return out
-
-
-@pytest.fixture(scope="session")
-def flow_values(catalog_pairs):
-    """(scheme name, relation) -> (kappa, lambda) for connected pairs."""
-    return {(p.scheme.name, p.relation):
-            (vertex_connectivity(p.graph), edge_connectivity(p.graph))
-            for p in catalog_pairs if p.connected}
 
 
 def test_01_equivalence_audit_over_catalog(catalog_pairs):

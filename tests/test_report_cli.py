@@ -390,7 +390,9 @@ def test_cli_analyze_no_source(capsys):
     assert main(["analyze"]) == 1
 
 
-@pytest.mark.parametrize("family", [["johnson", "5"], ["hamming", "2", "x"]])
+@pytest.mark.parametrize("family", [["johnson", "5"], ["hamming", "2", "x"],
+                                    ["johnson", "+-3", "2"],
+                                    ["hamming", "\u00b2", "2"]])
 @pytest.mark.parametrize("command", ["analyze", "cuts"])
 def test_cli_family_arity_and_types(command, family, capsys):
     argv = [command, "--family", *family]
