@@ -5,7 +5,7 @@ from .catalog import (build_family, builtin_catalog, gen_conjugacy,
                       gen_cyclic, gen_hamming, gen_johnson, load_scheme,
                       save_scheme, scheme_from_drg)
 from .connectivity import (edge_connectivity, enumerate_min_cuts,
-                           local_vertex_connectivity, maximal_cliques, twins,
+                           local_vertex_connectivity, twins,
                            vertex_connectivity)
 from .diagram import distribution_diagram, h_prime_connected
 from .errors import (CapExceeded, DetectorDisagreement, Disconnected,
@@ -63,7 +63,6 @@ __all__ = [
     "h_prime_connected",
     "load_scheme",
     "local_vertex_connectivity",
-    "maximal_cliques",
     "primitivity",
     "relation_graph",
     "run_survey",

@@ -6,17 +6,23 @@ a failure is an implementation bug or a corrupted scheme, and the witness
 fields say where to look.  Audits whose hypotheses fail raise
 HypothesisViolation (the caller records a skip) rather than guessing.
 
-The corollary sweeps rest on one lemma.  Let T lie inside the closed
-neighbourhood N[a].  Then G - T is connected iff the quotient of G - T is,
-where each component of G - N[a] is contracted to one node: T misses every
-such component, each stays whole and connected in G - T, and contracting
-connected vertex sets neither joins nor splits components.  So one small
-quotient per basepoint decides every deletion set inside N[a], and batches
-of sets are decided together by a boolean BFS over it.
+The corollary audits rest on one criterion.  Take T inside the closed
+neighbourhood N[a] that misses some b in N(a).  Then G - T is disconnected
+for some such T iff (i) some component of G - N[a] has no neighbour of b
+(witness T = N[a] - {b}), or (ii) some x in N(a) - {b} with x not adjacent
+to b has N(x) inside N[a] (witness T = N[a] - {b, x}).  Proof sketch: T
+misses every component of G - N[a], so each stays whole in G - T; let R
+be b plus these components.  If R is disconnected, (i) holds and its
+witness cuts.  If R is connected, G - T is disconnected iff some survivor
+of N[a] has no edge into R; it is not adjacent to b, so it is not a, and
+it is an x as in (ii), whose witness also cuts it off.  So C1 is decided
+exactly, pair by pair, from the components of G - N[a].  C3 then follows:
+a maximal clique K lies in N[a] for each a in K, and misses part of N(a)
+unless K = N[a] for all its vertices, i.e. G = K is complete, where
+nothing is left to disconnect.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -31,10 +37,7 @@ from .errors import Disconnected, HypothesisNotMet, HypothesisViolation
 from .graph import (Graph, bits, complete_bipartite, cycle_graph, mask_of,
                     petersen)
 from .scheme import SchemeDescriptor, is_complete_multipartite, relation_graph
-from .sweeps import deletion_sweeps
 
-DEFAULT_SEED = 0x5EED
-C1_EXHAUSTIVE_VALENCY = 12
 CLIQUE_CAP = 100_000
 
 
@@ -74,6 +77,14 @@ class RelationContext:
         return h_prime_connected(self.diagram)
 
     @cached_property
+    def punctured_components(self) -> tuple[list[int], ...]:
+        """For every basepoint a, the components of G - N[a] as bit masks,
+        by least vertex."""
+        graph = self.graph
+        return tuple(graph.component_masks(deleted=graph.closed_neighborhood(a))
+                     for a in range(self.scheme.v))
+
+    @cached_property
     def kappa(self) -> int:
         return vertex_connectivity(self.graph, self.scheme.stabiliser)
 
@@ -99,13 +110,11 @@ def theorem1_audit(ctx: RelationContext) -> Theorem1Audit:
     """Audit the equivalence: some puncture connected / every puncture
     connected / punctured diagram connected / twin-free.  Hypotheses (graph
     connected and not complete multipartite) are enforced."""
-    graph = ctx.graph
     if not ctx.connected:
         raise HypothesisViolation("disconnected")
     if ctx.complete_multipartite:
         raise HypothesisViolation("complete multipartite")
-    flags = [graph.is_connected(deleted=graph.closed_neighborhood(a))
-             for a in range(ctx.scheme.v)]
+    flags = [len(comps) <= 1 for comps in ctx.punctured_components]
     hp = ctx.h_prime_connected
     tw = ctx.twins
     twin_free = not tw.pairs
@@ -129,54 +138,68 @@ class CorollaryAudits:
     c1_ok: bool
     c2_ok: bool
     c3_ok: bool
-    c1_mode: str                 # "exhaustive" or "sampled"
-    c1_checked: int
-    c1_witness: Optional[tuple]
-    c2_witness: Optional[tuple]
-    c3_witness: Optional[tuple]
-    c3_clique_count: int
+    c1_checked: int              # (a, b) pairs, up to the first failure
+    c1_witness: Optional[dict]   # None when the corollary holds
+    c2_witness: Optional[dict]
+    c3_witness: Optional[dict]
     c3_capped: bool
-    seed: int
 
 
-def corollary_audits(ctx: RelationContext, seed: int = DEFAULT_SEED,
-                     clique_cap: int = CLIQUE_CAP) -> CorollaryAudits:
+def _c1_cut(graph: Graph, a: int, comps: list[int]
+            ) -> tuple[int, Optional[tuple[int, ...]]]:
+    """(pairs checked, deleted set) for the pairs (a, b), b in N(a)
+    ascending, up to and including the first whose criterion fires."""
+    closed = graph.closed_neighborhood(a)
+    # neighbours of a whose whole neighbourhood lies in N[a]
+    enclosed = mask_of(x for x in bits(graph.neighborhood(a))
+                       if not graph.neighborhood(x) & ~closed)
+    checked = 0
+    for b in bits(graph.neighborhood(a)):
+        checked += 1
+        rest = closed & ~(1 << b)
+        row = graph.neighborhood(b)
+        if any(not comp & row for comp in comps):
+            return checked, tuple(bits(rest))                    # (i)
+        lone = enclosed & ~row & ~(1 << b)
+        if lone:
+            return checked, tuple(bits(rest & ~(lone & -lone)))  # (ii)
+    return checked, None
+
+
+def corollary_audits(ctx: RelationContext) -> CorollaryAudits:
     """C2: deleting an open neighborhood leaves at most one non-singleton
-    component.  C1: deleting any T inside a closed neighborhood that misses
-    part of the open one leaves the graph connected (exhaustive for valency
-    <= 12, else sizes <= 3 plus a seeded sample; sizes below the known
-    vertex connectivity cannot disconnect and are skipped by definition).
-    C3: deleting any maximal clique (at most clique_cap are listed) leaves
-    the graph connected.
+    component.  C1: deleting any T inside a closed neighborhood N[a] that
+    misses part of the open one leaves the graph connected.  C3: deleting
+    any maximal clique leaves the graph connected.
 
-    Every set deleted here lies inside one closed neighbourhood N[a]; a
-    clique lies inside N[its least vertex].  Lemma: for T inside N[a], G - T
-    is connected iff the quotient of G by the components of G - N[a] is
-    connected once T's members are removed.  Proof: T misses every such
-    component, so each stays whole and connected in G - T, and contracting
-    connected vertex sets neither joins nor splits components.  The sweeps
-    therefore run on at most valency + 1 + (component count) nodes, one
-    quotient per basepoint shared by C2, C1 and C3.  C2 is read off the
-    component sizes: after deleting the open neighbourhood, a is alone
-    and the rest are exactly these components."""
+    C1 is decided exactly by the criterion of the module docstring, one
+    (a, b) pair at a time, basepoint-major with b ascending; C2 is read off
+    the component sizes, since G minus N(a) is a alone plus the components
+    of G - N[a].  C3 holds whenever C1 does; only when C1 fails are the
+    maximal cliques listed (at most CLIQUE_CAP) to find a C3 witness."""
     if not ctx.connected:
         raise Disconnected("corollary audits need a connected relation")
     graph = ctx.graph
-    v1 = ctx.scheme.valencies[ctx.g]
-    kappa = rng = None
-    if v1 > C1_EXHAUSTIVE_VALENCY:
-        kappa = ctx.kappa
-        rng = random.Random(f"{seed:#x}:{ctx.scheme.name}:{ctx.g}")
-    cliques, capped = maximal_cliques(graph, cap=clique_cap)
-    checked, c1_wit, c2_wit, c3_wit = deletion_sweeps(graph, v1, kappa, rng,
-                                                     cliques)
+    checked, c1_wit, c2_wit = 0, None, None
+    for a, comps in enumerate(ctx.punctured_components):
+        if c2_wit is None:
+            big = sum(1 for comp in comps if comp.bit_count() >= 2)
+            if big > 1:
+                c2_wit = {"basepoint": a, "non_singleton_components": big}
+        if c1_wit is None:
+            n, cut = _c1_cut(graph, a, comps)
+            checked += n
+            if cut is not None:
+                c1_wit = {"basepoint": a, "deleted": list(cut)}
+    c3_wit, capped = None, False
+    if c1_wit is not None:
+        cliques, capped = maximal_cliques(graph, cap=CLIQUE_CAP)
+        c3_wit = next(({"clique": list(bits(c))} for c in cliques
+                       if not graph.is_connected(deleted=c)), None)
     return CorollaryAudits(c1_ok=c1_wit is None, c2_ok=c2_wit is None,
-                           c3_ok=c3_wit is None,
-                           c1_mode="exhaustive" if rng is None else "sampled",
-                           c1_checked=checked, c1_witness=c1_wit,
-                           c2_witness=c2_wit, c3_witness=c3_wit,
-                           c3_clique_count=len(cliques), c3_capped=capped,
-                           seed=seed)
+                           c3_ok=c3_wit is None, c1_checked=checked,
+                           c1_witness=c1_wit, c2_witness=c2_wit,
+                           c3_witness=c3_wit, c3_capped=capped)
 
 
 # -- the I/U/W decomposition --------------------------------------------
@@ -200,10 +223,8 @@ def iuw_decompose(ctx: RelationContext, a: int = 0) -> IUWDecomposition:
     pull each back to a vertex set at the given basepoint.  When the
     punctured diagram is connected the decomposition is all-empty by
     convention."""
-    scheme, g, graph = ctx.scheme, ctx.g, ctx.graph
-    comp_map = tuple(
-        tuple(bits(m))
-        for m in graph.component_masks(deleted=graph.closed_neighborhood(a)))
+    scheme, g = ctx.scheme, ctx.g
+    comp_map = tuple(tuple(bits(m)) for m in ctx.punctured_components[a])
     if ctx.h_prime_connected:
         return IUWDecomposition(basepoint=a, h_prime_connected=True,
                                 i_classes=(), u_classes=(), w_classes=(),

@@ -226,6 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="schemeconn",
         description="Association scheme connectivity analyzer")
     sub = parser.add_subparsers(dest="command", required=True)
+    seed_help = ("kept for compatibility; has no effect, since every audit "
+                 "is exact")
 
     p = sub.add_parser("verify", help="validate a scheme file")
     p.add_argument("path")
@@ -241,7 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--symmetrize", action=argparse.BooleanOptionalAction,
                    default=True,
                    help="merge transpose class pairs first (default on)")
-    p.add_argument("--seed", type=int, default=DEFAULT_CONFIG.seed)
+    p.add_argument("--seed", type=int, default=DEFAULT_CONFIG.seed,
+                   help=seed_help)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("survey", help="batch analysis with JSON reports")
@@ -250,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=None,
                    help="parallel workers (default $SCHEME_CONN_JOBS or 1)")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None, help=seed_help)
     p.set_defaults(func=cmd_survey)
 
     p = sub.add_parser("cuts", help="enumerate minimum vertex cuts")

@@ -26,16 +26,6 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
-def unpack_masks(masks: list[int], n: int) -> np.ndarray:
-    """Boolean array of shape (len(masks), n): row r holds bit j of
-    masks[r] in column j.  Masks must fit in n bits."""
-    nbytes = (n + 7) // 8
-    buf = b"".join(m.to_bytes(nbytes, "little") for m in masks)
-    packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(masks), nbytes)
-    return np.unpackbits(packed, axis=1, count=n,
-                         bitorder="little").view(bool)
-
-
 class Graph:
     __slots__ = ("n", "rows", "alive", "_dist")
 
@@ -82,10 +72,6 @@ class Graph:
 
     def vertices(self) -> Iterator[int]:
         return bits(self.alive)
-
-    def is_regular(self) -> bool:
-        degs = self.degrees()
-        return len(set(degs)) <= 1
 
     def is_complete(self) -> bool:
         live = self.alive
@@ -234,12 +220,6 @@ class Graph:
                 if found >= 0 and (best is None or found + 1 < best):
                     best = found + 1
         return best
-
-    def adjacency_matrix(self) -> np.ndarray:
-        """Boolean n x n adjacency of the live graph; dead rows are empty."""
-        live = self.alive
-        return unpack_masks([self.rows[v] & live if live >> v & 1 else 0
-                             for v in range(self.n)], self.n)
 
     def __repr__(self):
         return f"Graph(n={self.n}, edges={self.edge_count()})"

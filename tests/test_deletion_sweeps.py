@@ -1,25 +1,32 @@
-"""The batched neighbourhood-quotient sweeps behind the corollary audits,
-checked against the per-set bitset sweeps they replaced and against
-networkx.
+"""The exact C1 criterion behind the corollary audits, and the C2 and C3
+verdicts derived with it, checked against per-set deletion sweeps and
+against networkx.
 
-The reference functions below run one full-graph BFS per deletion set, in
-the enumeration order the audits define; the quotient sweeps must report
-the same verdict, the same number of C1 sets checked and the same witness.
+The reference functions below run one full-graph BFS per deletion set.
+`ref_c1_exhaustive` sweeps every T inside N[a] that misses part of N(a),
+basepoint by basepoint; `ref_c1_pairs` sweeps, for each pair (a, b) with b
+in N(a) in the audit's order, every T inside N[a] that misses b, so it
+fixes the pair count the audit reports.
 """
 
 import random
-from itertools import combinations
+from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
-from schemeconn import sweeps
 from schemeconn.audits import RelationContext, corollary_audits
 from schemeconn.catalog import BUILTIN_FAMILIES, build_family
 from schemeconn.connectivity import maximal_cliques
-from schemeconn.errors import CapExceeded
 from schemeconn.graph import Graph, bits, mask_of
 from schemeconn.scheme import relation_graph, symmetrized_scheme
+
+
+class GraphContext(RelationContext):
+    """A context over a bare graph, for graphs that no scheme carries."""
+
+    def __init__(self, graph):
+        self.graph = graph
+        self.scheme = SimpleNamespace(v=graph.n)
 
 
 # -- reference sweeps: one bitset BFS per deletion set -------------------
@@ -39,36 +46,20 @@ def ref_c1_exhaustive(graph):
     return True, checked, None
 
 
-def ref_c1_sampled(graph, v1, kappa, rng, budget=5_000_000):
+def ref_c1_pairs(graph):
+    """(C1 holds, pairs checked up to the first that some T cuts)."""
     checked = 0
-    if kappa <= 3:
-        for a in range(graph.n):
-            nb = graph.neighborhood(a)
-            members = list(bits(nb | (1 << a)))
-            for size in range(1, 4):
-                for sub in combinations(members, size):
-                    t_mask = mask_of(sub)
-                    if not nb & ~t_mask:
-                        continue
-                    checked += 1
-                    if checked > budget:
-                        raise CapExceeded("size<=3 deletion sweep over budget")
-                    if not graph.is_connected(deleted=t_mask):
-                        return False, checked, (a, sub)
     for a in range(graph.n):
-        nb = graph.neighborhood(a)
-        members = list(bits(nb | (1 << a)))
-        for _ in range(sweeps.C1_SAMPLES):
-            while True:
-                size = rng.randint(4, v1)
-                sub = rng.sample(members, size)
-                t_mask = mask_of(sub)
-                if nb & ~t_mask:
-                    break
+        closed = graph.closed_neighborhood(a)
+        for b in bits(graph.neighborhood(a)):
             checked += 1
-            if not graph.is_connected(deleted=t_mask):
-                return False, checked, (a, tuple(sorted(sub)))
-    return True, checked, None
+            members = list(bits(closed & ~(1 << b)))
+            for code in range(1 << len(members)):
+                t_mask = mask_of(m for i, m in enumerate(members)
+                                 if code >> i & 1)
+                if not graph.is_connected(deleted=t_mask):
+                    return False, checked
+    return True, checked
 
 
 def ref_c2(graph):
@@ -76,30 +67,55 @@ def ref_c2(graph):
         big = sum(1 for m in graph.component_masks(deleted=graph.neighborhood(a))
                   if m.bit_count() >= 2)
         if big > 1:
-            return False, (a, big)
+            return False, {"basepoint": a, "non_singleton_components": big}
     return True, None
 
 
 def ref_c3(graph, cliques):
     for cm in cliques:
         if not graph.is_connected(deleted=cm):
-            return False, tuple(bits(cm))
+            return False, {"clique": list(bits(cm))}
     return True, None
 
 
-def assert_matches_reference(graph, v1, kappa=None, seed=None):
-    """Exhaustive C1 when seed is None, else sampled from Random(seed)."""
-    cliques, _ = maximal_cliques(graph)
-    rng = None if seed is None else random.Random(seed)
-    checked, c1, c2, c3 = sweeps.deletion_sweeps(graph, v1, kappa, rng, cliques)
-    if seed is None:
-        want_c1 = ref_c1_exhaustive(graph)
-    else:
-        want_c1 = ref_c1_sampled(graph, v1, kappa, random.Random(seed))
-    assert (c1 is None, checked, c1) == want_c1
-    assert (c2 is None, c2) == ref_c2(graph)
-    assert (c3 is None, c3) == ref_c3(graph, cliques)
-    return checked, c1, c2, c3
+def assert_witnesses_cut(graph, audit):
+    """Every C1 and C3 witness disconnects the graph by networkx, and the
+    C1 witness lies inside N[a] and misses part of N(a)."""
+    nx = pytest.importorskip("networkx")
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(graph.n))
+    nxg.add_edges_from((u, w) for u in range(graph.n)
+                       for w in bits(graph.rows[u]) if u < w)
+    deleted = []
+    if audit.c1_witness is not None:
+        a, t = audit.c1_witness["basepoint"], audit.c1_witness["deleted"]
+        t_mask = mask_of(t)
+        assert not t_mask & ~graph.closed_neighborhood(a)
+        assert graph.neighborhood(a) & ~t_mask
+        deleted.append(t)
+    if audit.c3_witness is not None:
+        deleted.append(audit.c3_witness["clique"])
+    for t in deleted:
+        rest = nxg.subgraph(x for x in range(graph.n) if x not in set(t))
+        assert not nx.is_connected(rest), t
+
+
+def assert_matches_reference(graph):
+    """The audit against every reference; returns the audit."""
+    audit = corollary_audits(GraphContext(graph))
+    ok, checked = ref_c1_pairs(graph)
+    assert (audit.c1_ok, audit.c1_checked) == (ok, checked)
+    ex_ok, _, ex_wit = ref_c1_exhaustive(graph)
+    assert audit.c1_ok == ex_ok
+    if not ok:
+        assert audit.c1_witness["basepoint"] == ex_wit[0]
+    assert (audit.c2_ok, audit.c2_witness) == ref_c2(graph)
+    cliques, capped = maximal_cliques(graph)
+    assert not capped
+    assert (audit.c3_ok, audit.c3_witness) == ref_c3(graph, cliques)
+    assert not audit.c3_capped
+    assert_witnesses_cut(graph, audit)
+    return audit
 
 
 # -- (a) catalog relations with v <= 64 ----------------------------------
@@ -117,38 +133,22 @@ def _small_catalog_relations():
 
 
 def test_catalog_audits_match_reference():
-    seen = 0
+    seen = exhaustive = 0
     for s, g, graph in _small_catalog_relations():
-        v1 = int(s.valencies[g])
-        ctx = RelationContext(s, g)
-        audit = corollary_audits(ctx)
-        cliques, _ = maximal_cliques(graph)
-        if audit.c1_mode == "exhaustive":
-            want_c1 = ref_c1_exhaustive(graph)
-        else:
-            rng = random.Random(f"{audit.seed:#x}:{s.name}:{g}")
-            want_c1 = ref_c1_sampled(graph, v1, ctx.kappa, rng)
-        got = (audit.c1_ok, audit.c1_checked, audit.c1_witness)
-        assert got == want_c1, (s.name, g)
+        audit = corollary_audits(RelationContext(s, g))
+        assert audit.c1_ok and audit.c1_checked == s.v * int(s.valencies[g])
+        assert audit.c1_witness is None and audit.c3_witness is None
+        if s.valencies[g] <= 12:
+            assert ref_c1_exhaustive(graph)[0], (s.name, g)
+            exhaustive += 1
         assert (audit.c2_ok, audit.c2_witness) == ref_c2(graph), (s.name, g)
-        assert (audit.c3_ok, audit.c3_witness) == ref_c3(graph, cliques), \
-            (s.name, g)
-        assert audit.c3_clique_count == len(cliques)
+        # the derived C3 verdict against every maximal clique
+        cliques, capped = maximal_cliques(graph)
+        assert not capped
+        assert ref_c3(graph, cliques) == (audit.c3_ok, None), (s.name, g)
+        assert not audit.c3_capped
         seen += 1
-    assert seen >= 60
-
-
-def test_catalog_sampled_mode_matches_reference():
-    # the sampled path on every relation it can run on, not only valency > 12
-    seen = 0
-    for s, g, graph in _small_catalog_relations():
-        v1 = int(s.valencies[g])
-        if v1 < 4:
-            continue
-        assert_matches_reference(graph, v1, kappa=v1,
-                                 seed=f"sampled:{s.name}:{g}")
-        seen += 1
-    assert seen >= 30
+    assert seen >= 60 and exhaustive >= 40
 
 
 # -- (b) failures on hand-built graphs -----------------------------------
@@ -171,83 +171,65 @@ def _hub_with_pendant(n):
 
 
 def test_bowtie_exhaustive_failure():
-    checked, c1, c2, c3 = assert_matches_reference(_cliques_sharing_vertex(3), 2)
-    assert c1 is not None and 2 in c1[1]
-    assert c2 is None and c3 is None
+    audit = assert_matches_reference(_cliques_sharing_vertex(3))
+    # (i): the component {3, 4} of G - N[0] has no neighbour of b = 1
+    assert audit.c1_checked == 1
+    assert audit.c1_witness == {"basepoint": 0, "deleted": [0, 2]}
+    assert audit.c2_ok and audit.c3_ok
 
 
 def test_hub_with_pendant_exhaustive_failures():
-    checked, c1, c2, c3 = assert_matches_reference(_hub_with_pendant(2), 1)
-    assert c1 == (0, (0,)) and checked == 2      # the empty set, then {0}
-    assert c2 == (1, 2)
-    assert c3 is not None and 0 in c3
+    audit = assert_matches_reference(_hub_with_pendant(2))
+    # (ii): G - N[0] is empty, and x = 2 is not adjacent to b = 1
+    assert audit.c1_checked == 1
+    assert audit.c1_witness == {"basepoint": 0, "deleted": [0, 3, 4, 5]}
+    assert audit.c2_witness == {"basepoint": 1, "non_singleton_components": 2}
+    assert not audit.c3_ok and 0 in audit.c3_witness["clique"]
 
 
-@pytest.mark.parametrize("graph", [_cliques_sharing_vertex(14),
-                                   _hub_with_pendant(7)],
+@pytest.mark.parametrize("graph,c3_ok", [(_cliques_sharing_vertex(14), True),
+                                         (_hub_with_pendant(7), False)],
                          ids=["two-K14", "hub-pendant"])
-def test_sampled_failures(graph):
-    # kappa = 1: the size <= 3 sweep finds the cut vertex first
-    checked, c1, _, _ = assert_matches_reference(graph, 12, kappa=1, seed=3)
-    assert c1 is not None and len(c1[1]) == 1
-    # kappa above 3 skips that sweep; the seeded sample must find a cut
-    checked, c1, _, _ = assert_matches_reference(graph, 12, kappa=12, seed=3)
-    assert c1 is not None and len(c1[1]) >= 4
+def test_large_valency_failures(graph, c3_ok):
+    # valency above 12: too many subsets for the reference sweeps, so the
+    # witnesses are checked as cuts instead
+    audit = corollary_audits(GraphContext(graph))
+    assert not audit.c1_ok and audit.c1_checked == 1
+    assert audit.c3_ok == c3_ok and not audit.c3_capped
+    assert_witnesses_cut(graph, audit)
 
 
-def test_small_set_budget(monkeypatch):
-    graph = _cliques_sharing_vertex(14)
-    cliques, _ = maximal_cliques(graph)
-    # the cut vertex 13 is the 14th size-1 set at basepoint 0
-    monkeypatch.setattr(sweeps, "C1_SMALL_SET_BUDGET", 14)
-    checked, c1, _, _ = sweeps.deletion_sweeps(graph, 12, 1, random.Random(0),
-                                         cliques)
-    assert (checked, c1) == (14, (0, (13,)))
-    assert ref_c1_sampled(graph, 12, 1, random.Random(0), budget=14) \
-        == (False, 14, (0, (13,)))
-    monkeypatch.setattr(sweeps, "C1_SMALL_SET_BUDGET", 13)
-    with pytest.raises(CapExceeded):
-        sweeps.deletion_sweeps(graph, 12, 1, random.Random(0), cliques)
-    with pytest.raises(CapExceeded):
-        ref_c1_sampled(graph, 12, 1, random.Random(0), budget=13)
+# -- (c) random graphs against brute force and networkx ------------------
 
-
-# -- (c) the quotient verdict against networkx ---------------------------
-
-def _random_graphs():
-    rng = random.Random(1702)
-    for n, p in ((12, 0.3), (20, 0.15), (24, 0.4), (30, 0.1)):
+def _random_connected_graphs(count, seed):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(3, 10)
+        p = rng.uniform(0.2, 1.0)
         edges = [(i, j) for i in range(n) for j in range(i + 1, n)
                  if rng.random() < p]
-        yield Graph.from_edges(n, edges)
-    yield relation_graph(build_family("drg", ("petersen",)), 1)
-    yield relation_graph(build_family("hamming", (4, 2)), 2)   # disconnected
-    yield relation_graph(build_family("johnson", (7, 3)), 2)
+        graph = Graph.from_edges(n, edges)
+        if graph.is_connected():
+            out.append(graph)
+    return out
 
 
 def test_quotient_verdict_matches_networkx():
-    nx = pytest.importorskip("networkx")
-    rng = random.Random(37)
-    compared = 0
-    for graph in _random_graphs():
-        nxg = nx.Graph()
-        nxg.add_nodes_from(range(graph.n))
-        nxg.add_edges_from((u, w) for u in range(graph.n)
-                           for w in bits(graph.rows[u]) if u < w)
-        adj = graph.adjacency_matrix()
-        for a in range(graph.n):
-            q = sweeps.neighbourhood_quotient(graph, adj, a)
-            k1 = len(q.members)
-            density = [rng.random() for _ in range(40)]
-            deleted = np.array([[rng.random() < p for _ in range(k1)]
-                                for p in density], dtype=bool)
-            cut = sweeps.cut_rows(q.adj, deleted)
-            for row, got in zip(deleted, cut):
-                gone = set(int(x) for x in q.members[row])
-                rest = nxg.subgraph(x for x in range(graph.n) if x not in gone)
-                if rest.number_of_nodes() == 0:
-                    assert not got
-                    continue
-                assert got == (not nx.is_connected(rest)), (a, sorted(gone))
-                compared += 1
-    assert compared > 3000
+    # the criterion reads only b and the contracted components of G - N[a]
+    holding = failing = late = 0
+    for graph in _random_connected_graphs(1500, 1702):
+        audit = assert_matches_reference(graph)
+        holding += audit.c1_ok
+        failing += not audit.c1_ok
+        late += not audit.c1_ok and audit.c1_checked > 1
+    assert holding >= 150 and failing >= 800 and late >= 500
+
+
+def test_c3_fallback_stops_at_clique_cap(monkeypatch):
+    # maximal cliques are listed only after C1 fails, at most CLIQUE_CAP
+    from schemeconn import audits
+    monkeypatch.setattr(audits, "CLIQUE_CAP", 1)
+    graph = _cliques_sharing_vertex(3)
+    audit = corollary_audits(GraphContext(graph))
+    assert not audit.c1_ok and audit.c3_ok and audit.c3_capped

@@ -105,18 +105,14 @@ def test_analyze_scheme_symmetrizes():
 
 
 def test_config_threading():
+    # the seed is accepted and recorded, but no audit reads it
     rep = analyze_relation(build_family("johnson", (9, 2)), 1,
                            config=AnalysisConfig(seed=99))
-    assert rep["corollaries"]["seed"] == 99
     assert rep["config"]["seed"] == 99
-
-
-def test_clique_cap_from_config():
-    rep = analyze_relation(build_family("drg", ("petersen",)), 1,
-                           config=AnalysisConfig(clique_cap=3))
     cor = rep["corollaries"]
-    assert cor["c3_capped"] is True and cor["c3_clique_count"] == 3
-    assert rep["config"]["clique_cap"] == 3
+    assert "seed" not in cor and cor["c1_mode"] == "exact"
+    assert cor == analyze_relation(build_family("johnson", (9, 2)), 1)[
+        "corollaries"]
 
 
 def test_column_tol_from_config():
@@ -131,36 +127,36 @@ def test_column_tol_from_config():
 
 # Leading 16 hex digits of the SHA-256 of each report's JSON without its
 # "spectral" block, which is left out because qp_residual and the 12-digit
-# P/Q strings depend on BLAS rounding.  The slice has exhaustive and
-# sampled C1 (johnson-7-3 r2, valency 18), min-cut enumeration over budget
-# and disconnected relations.
+# P/Q strings depend on BLAS rounding.  The slice has relations of valency
+# up to 18 (johnson-7-3 r2), min-cut enumeration over budget and
+# disconnected relations.
 DIGEST_SLICE = [("cyclic", (5,)), ("cyclic", (12,)), ("hamming", (4, 2)),
                 ("johnson", (7, 3)), ("conjugacy", ("Q8",)),
                 ("drg", ("petersen",)), ("drg", ("k33",))]
 REPORT_DIGESTS = {
-    "cyclic-5-r1": "ea2422816a023a91",
-    "cyclic-5-r2": "c1ce6790d66ece30",
-    "cyclic-12-r1": "072026b48025068b",
-    "cyclic-12-r2": "6c6ac7930b20b334",
-    "cyclic-12-r3": "373557af88dc29ee",
-    "cyclic-12-r4": "16f0dc3e67606d39",
-    "cyclic-12-r5": "1d76a0f3e3cea740",
-    "cyclic-12-r6": "16f080d78a80361f",
-    "hamming-4-2-r1": "087060bf13493d9c",
-    "hamming-4-2-r2": "39a7ef580ecae08b",
-    "hamming-4-2-r3": "285a250a2371df88",
-    "hamming-4-2-r4": "0f4c515d833be77d",
-    "johnson-7-3-r1": "45d55732b25345b4",
-    "johnson-7-3-r2": "433d4e14dc216696",
-    "johnson-7-3-r3": "fdb44f66f01e8ba0",
-    "conj-Q8-r1": "1582e050d1538482",
-    "conj-Q8-r2": "c90e50cbb9522e02",
-    "conj-Q8-r3": "feaf4505eabba890",
-    "conj-Q8-r4": "1f09119dfd575682",
-    "drg-petersen-r1": "a1ead5bb707be502",
-    "drg-petersen-r2": "c82d735b1fd2e1a7",
-    "drg-k33-r1": "837a88f72b235b46",
-    "drg-k33-r2": "52ab2b9516db8050",
+    "cyclic-5-r1": "1b96ac7f1ce2e565",
+    "cyclic-5-r2": "a25aeb8eb2054dc3",
+    "cyclic-12-r1": "bf382485ffc9477a",
+    "cyclic-12-r2": "1af255afe2bbf3af",
+    "cyclic-12-r3": "f15aaab9a282fe8e",
+    "cyclic-12-r4": "ffc78f416e555fa1",
+    "cyclic-12-r5": "f4259bb5eaaa938d",
+    "cyclic-12-r6": "28118de8c7e8f517",
+    "hamming-4-2-r1": "389b1c2d335e1cd3",
+    "hamming-4-2-r2": "5b74597315d55c6b",
+    "hamming-4-2-r3": "6d504bb826992a8e",
+    "hamming-4-2-r4": "bdfb8cc84206685f",
+    "johnson-7-3-r1": "e7ae1d7857542a3c",
+    "johnson-7-3-r2": "b2d4e616e3831a47",
+    "johnson-7-3-r3": "c04f18f96c0f97a1",
+    "conj-Q8-r1": "3f0abb2fa2c0325d",
+    "conj-Q8-r2": "03635038aab427d0",
+    "conj-Q8-r3": "34785cf51ff6a871",
+    "conj-Q8-r4": "81ce397a287fb706",
+    "drg-petersen-r1": "0bf4ce1e0377d908",
+    "drg-petersen-r2": "6218f7573c3b5b46",
+    "drg-k33-r1": "2e1cdba16ec193ec",
+    "drg-k33-r2": "00a08ad3895b55e9",
 }
 
 
@@ -188,7 +184,7 @@ def _count_calls(monkeypatch, module, name, calls):
 
 
 @pytest.mark.parametrize("family,connected", [
-    (("johnson", (7, 3)), 3),       # r2 runs the sampled C1 sweep
+    (("johnson", (7, 3)), 3),       # r2 has valency 18
     (("hamming", (4, 2)), 2),
 ], ids=["johnson-7-3", "hamming-4-2"])
 def test_analyze_relation_builds_shared_objects_once(monkeypatch, family,
