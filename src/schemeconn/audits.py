@@ -224,7 +224,9 @@ def iuw_decompose(ctx: RelationContext, a: int = 0) -> IUWDecomposition:
     punctured diagram is connected the decomposition is all-empty by
     convention."""
     scheme, g = ctx.scheme, ctx.g
-    comp_map = tuple(tuple(bits(m)) for m in ctx.punctured_components[a])
+    graph = ctx.graph
+    comp_map = tuple(tuple(bits(m)) for m in graph.component_masks(
+        deleted=graph.closed_neighborhood(a)))
     if ctx.h_prime_connected:
         return IUWDecomposition(basepoint=a, h_prime_connected=True,
                                 i_classes=(), u_classes=(), w_classes=(),

@@ -1,15 +1,21 @@
 """Vertex/edge connectivity, twins, minimum cuts, and clique machinery.
 
-Connectivity is computed by unit-capacity max-flow.  For vertex connectivity
-the flow runs on the implicit vertex-split digraph (an in-node and an
-out-node per vertex, internal capacity 1); the global value minimizes over
-the least-index source against all its non-neighbors plus a sweep over
-non-adjacent pairs of its neighbors.  A minimum cut either misses s (first
-sweep: pick t in the far component) or contains s, in which case s keeps
-neighbors in two different components of the cut graph (second sweep),
-because dropping s from a cut all of whose far components avoid Gamma(s)
-would leave a smaller cut.  Everything is deterministic: least-index
-choices throughout.
+Connectivity is computed by unit-capacity max-flow, with one Dinic for both
+kinds.  Vertex connectivity reduces to arc-disjoint paths on the split
+digraph (Even and Tarjan, SIAM J. Comput. 4, 1975): vertex v becomes an
+in-node v and an out-node v + n, joined by the one arc v -> v + n, and each
+edge {v, w} becomes the arcs v + n -> w and w + n -> v.  Every path through
+v then passes that single internal arc, so arc-disjoint paths from the
+out-node of s to the in-node of t are internally vertex-disjoint s-t paths
+and back.
+
+The global vertex connectivity minimizes over the least-index source
+against all its non-neighbors plus a sweep over non-adjacent pairs of its
+neighbors.  A minimum cut either misses s (first sweep: pick t in the far
+component) or contains s, in which case s keeps neighbors in two different
+components of the cut graph (second sweep), because dropping s from a cut
+all of whose far components avoid Gamma(s) would leave a smaller cut.
+Everything is deterministic: least-index choices throughout.
 
 Both sweeps may be cut down by automorphisms fixing s.  An automorphism p
 maps internally disjoint u-w paths to internally disjoint p(u)-p(w) paths
@@ -34,9 +40,6 @@ from typing import Optional
 from .errors import CapExceeded, Disconnected
 from .graph import Graph, bits, mask_of
 
-NO = -1
-SRC = -2
-
 
 # -- twins ---------------------------------------------------------------
 
@@ -58,184 +61,20 @@ def twins(graph: Graph) -> TwinData:
     return TwinData(pairs=tuple(pairs), classes=tuple(classes))
 
 
-# -- unit-capacity max-flow on the split digraph -------------------------
-
-def _vertex_flow(rows, alive: int, s: int, t: int, limit: int) -> int:
-    """Number of internally vertex-disjoint s-t paths, computed by Dinic
-    phases and capped at limit.  s and t must be distinct non-adjacent live
-    vertices.
-
-    Out-node of v is state v+n, in-node is state v.  Residual arcs:
-      A  v_out -> w_in   forward edge, unused (succ[v] != w)
-      B  w_in  -> p_out  reverse of used edge p -> w (p = pred[w])
-      C  w_in  -> w_out  internal, w not on any path
-      D  v_out -> v_in   reverse internal, v on a path
-    Arcs strictly alternate sides, so even BFS levels are out-states and odd
-    levels are in-states.
-    """
-    n = len(rows)
-    succ = [NO] * n
-    pred = [NO] * n
-    on_path = 0
-    first = 0                       # mask of first hops (pred == SRC)
-    bt = 1 << t
-    adj_s = rows[s] & alive
-    flow = 0
-    while flow < limit:
-        # BFS phase: levels over reachable residual states
-        lev_in = [NO] * n
-        lev_out = [NO] * n
-        lev_out[s] = 0
-        vis_in = 0
-        vis_out = 1 << s
-        lin_mask = [0]              # lin_mask[lvl]: in-states at lvl
-        lout_mask = [1 << s]
-        frontier = [s + n]
-        t_found = False
-        while frontier and not t_found:
-            lvl = len(lin_mask)     # next level to assign
-            new_in = 0
-            new_out = 0
-            nxt = []
-            for code in frontier:
-                if code >= n:       # out-node v: arcs A and D
-                    v = code - n
-                    targets = rows[v] & alive & ~vis_in
-                    if v == s:
-                        targets &= ~first
-                    else:
-                        sv = succ[v]
-                        if sv != NO:
-                            targets &= ~(1 << sv)
-                        if on_path >> v & 1:
-                            targets |= (1 << v) & ~vis_in
-                    new_in |= targets
-                else:               # in-node w: arcs B and C
-                    w = code
-                    if on_path >> w & 1:
-                        p = pred[w]
-                        if p != SRC and not vis_out >> p & 1:
-                            new_out |= 1 << p
-                    elif not vis_out >> w & 1:
-                        new_out |= 1 << w
-            if new_in:
-                vis_in |= new_in
-                for w in bits(new_in):
-                    lev_in[w] = lvl
-                    nxt.append(w)
-                if new_in & bt:
-                    t_found = True
-            if new_out:
-                vis_out |= new_out
-                for v in bits(new_out):
-                    lev_out[v] = lvl
-                    nxt.append(v + n)
-            lin_mask.append(new_in)
-            lout_mask.append(new_out)
-            frontier = nxt
-        if not t_found:
-            return flow
-
-        # blocking flow: repeated level-respecting DFS with dead marking
-        dead_in = 0
-        dead_out = 0
-        cur_a: dict[int, int] = {}
-        d_tried = 0                 # out-nodes whose D arc was consumed
-        stack = [s + n]
-        while True:
-            code = stack[-1]
-            if code == t:
-                # apply augmentation along stack, then restart
-                for c1, c2 in zip(stack, stack[1:]):
-                    if c1 >= n:                 # out -> in
-                        v = c1 - n
-                        w = c2
-                        if v == w:              # D: cancel internal
-                            on_path &= ~(1 << v)
-                            pred[v] = NO
-                        else:                   # A: add edge flow
-                            if v == s:
-                                first |= 1 << w
-                            else:
-                                succ[v] = w
-                            if w != t:
-                                pred[w] = SRC if v == s else v
-                    else:                       # in -> out
-                        w = c1
-                        p = c2 - n
-                        if w == p:              # C: w joins a path
-                            on_path |= 1 << w
-                        else:                   # B: cancel edge flow p -> w
-                            succ[p] = NO
-                flow += 1
-                if flow >= limit:
-                    return flow
-                for c in stack[1:-1]:
-                    if c >= n:
-                        dead_out |= 1 << (c - n)
-                    else:
-                        dead_in |= 1 << c
-                stack = [s + n]
-                continue
-            if code >= n:           # out-node: A choices then D
-                v = code - n
-                lvl = lev_out[v]
-                if code not in cur_a:
-                    targets = rows[v] & alive
-                    if v == s:
-                        targets &= ~first
-                    elif succ[v] != NO:
-                        targets &= ~(1 << succ[v])
-                    cur_a[code] = targets & lin_mask[lvl + 1] if lvl + 1 < len(lin_mask) else 0
-                pick = cur_a[code] & ~dead_in
-                if pick:
-                    b = pick & -pick
-                    cur_a[code] ^= b
-                    stack.append(b.bit_length() - 1)
-                    continue
-                if (on_path >> v & 1 and not d_tried >> v & 1
-                        and lvl + 1 < len(lin_mask)
-                        and lin_mask[lvl + 1] >> v & 1
-                        and not dead_in >> v & 1):
-                    d_tried |= 1 << v
-                    stack.append(v)
-                    continue
-                if v == s:
-                    break           # phase exhausted
-                dead_out |= 1 << v
-                stack.pop()
-            else:                   # in-node: single option, B or C
-                w = code
-                lvl = lev_in[w]
-                nxt_out = NO
-                if on_path >> w & 1:
-                    p = pred[w]
-                    if p != SRC:
-                        nxt_out = p
-                else:
-                    nxt_out = w
-                if (nxt_out != NO and lvl + 1 < len(lout_mask)
-                        and lout_mask[lvl + 1] >> nxt_out & 1
-                        and not dead_out >> nxt_out & 1):
-                    stack.append(nxt_out + n)
-                else:
-                    dead_in |= 1 << w
-                    stack.pop()
-    return flow
-
+# -- unit-capacity max-flow -----------------------------------------------
 
 def _edge_flow(rows, alive: int, s: int, t: int, limit: int) -> int:
-    """Number of edge-disjoint s-t paths, Dinic, capped at limit."""
+    """Number of arc-disjoint s-t paths, Dinic, capped at limit.  rows are
+    the out-rows of a digraph (rows[v] has bit w for each arc v -> w), an
+    undirected graph being the symmetric case; only live states are used."""
     n = len(rows)
     used = [0] * n                  # used[v]: targets carrying flow v -> w
     rused = [0] * n                 # rused[v]: sources w with flow w -> v
     bt = 1 << t
     flow = 0
     while flow < limit:
-        lev = [NO] * n
-        lev[s] = 0
         seen = 1 << s
-        lmask = [1 << s]
+        lmask = [1 << s]            # lmask[i]: states at BFS level i
         frontier = 1 << s
         t_found = False
         while frontier and not t_found:
@@ -244,9 +83,6 @@ def _edge_flow(rows, alive: int, s: int, t: int, limit: int) -> int:
                 new |= (rows[v] & alive & ~used[v]) | rused[v]
             new &= ~seen
             seen |= new
-            lvl = len(lmask)
-            for v in bits(new):
-                lev[v] = lvl
             lmask.append(new)
             if new & bt:
                 t_found = True
@@ -272,10 +108,10 @@ def _edge_flow(rows, alive: int, s: int, t: int, limit: int) -> int:
                 stack = [s]
                 cur.pop(s, None)
                 continue
-            lvl = lev[v]
-            if v not in cur:
+            if v not in cur:            # the stack holds one state per level
+                lvl = len(stack)
                 cur[v] = (((rows[v] & alive & ~used[v]) | rused[v])
-                          & (lmask[lvl + 1] if lvl + 1 < len(lmask) else 0))
+                          & (lmask[lvl] if lvl < len(lmask) else 0))
             advanced = False
             pick = cur[v] & ~dead
             while pick:
@@ -298,13 +134,31 @@ def _edge_flow(rows, alive: int, s: int, t: int, limit: int) -> int:
     return flow
 
 
+# _vertex_flow runs the flow under this second name, so that rebinding
+# _edge_flow (to count or time it) sees edge-connectivity flows only
+_dinic = _edge_flow
+
+
+def _vertex_flow(rows, alive: int, s: int, t: int, limit: int) -> int:
+    """Number of internally vertex-disjoint s-t paths (s, t distinct,
+    non-adjacent and live), capped at limit: the arc-disjoint paths from
+    the out-node of s to the in-node of t on the split digraph."""
+    n = len(rows)
+    split = [1 << v + n for v in range(n)] + list(rows)
+    return _dinic(split, alive | alive << n, s + n, t, limit)
+
+
 def local_vertex_connectivity(graph: Graph, s: int, t: int,
                               limit: Optional[int] = None) -> int:
-    """Menger count of internally disjoint s-t paths (s, t non-adjacent)."""
-    if graph.has_edge(s, t):
-        raise ValueError("local vertex connectivity needs non-adjacent endpoints")
+    """Menger count of internally disjoint s-t paths (s, t distinct,
+    non-adjacent live vertices)."""
+    for v in (s, t):
+        if not (0 <= v < graph.n and graph.alive >> v & 1):
+            raise ValueError(f"endpoint {v} is not a live vertex")
     if s == t:
         raise ValueError("endpoints must differ")
+    if graph.has_edge(s, t):
+        raise ValueError("local vertex connectivity needs non-adjacent endpoints")
     cap = graph.n if limit is None else limit
     return _vertex_flow(graph.rows, graph.alive, s, t, cap)
 

@@ -96,20 +96,9 @@ class Graph:
             seen |= frontier
         return seen
 
-    def components(self, deleted: int = 0) -> list[list[int]]:
-        """Connected components of the live graph minus deleted, each sorted,
-        ordered by least vertex."""
-        live = self.alive & ~deleted
-        out = []
-        rest = live
-        while rest:
-            start = (rest & -rest).bit_length() - 1
-            comp = self.reach_mask(start, deleted)
-            out.append(list(bits(comp)))
-            rest &= ~comp
-        return out
-
     def component_masks(self, deleted: int = 0) -> list[int]:
+        """Connected components of the live graph minus deleted, as bit
+        masks ordered by least vertex."""
         live = self.alive & ~deleted
         out = []
         rest = live

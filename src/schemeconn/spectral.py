@@ -7,14 +7,14 @@ carry explicit tolerances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .diagram import distribution_diagram
 from .errors import (DetectorDisagreement, Disconnected, NotSymmetric,
                      RefinementFailed)
-from .scheme import SchemeDescriptor, relation_graph
+from .scheme import SchemeDescriptor
 
 if TYPE_CHECKING:
     from .audits import RelationContext
@@ -132,7 +132,6 @@ class PrimitivityVerdict:
     primitive: bool
     disconnected_relations: tuple[int, ...]
     repeated_column_idempotents: tuple[int, ...]
-    witness_partition: Optional[tuple[tuple[int, ...], ...]]
 
 
 def _has_equal_columns(e: np.ndarray, tol: float) -> bool:
@@ -150,14 +149,9 @@ def primitivity(scheme: SchemeDescriptor, spectral: SpectralData,
     """Two detectors that must agree: a disconnected basis relation, and a
     repeated column (equal within column_tol) in some nontrivial
     idempotent.  Relation i is connected iff its distribution diagram
-    reaches every class, so only the first disconnected relation's graph is
-    built, for the witness partition."""
+    reaches every class, so no relation graph is built."""
     disc = [i for i in range(1, scheme.d + 1)
             if distribution_diagram(scheme, i).diameter is None]
-    witness = None
-    if disc:
-        witness = tuple(tuple(comp)
-                        for comp in relation_graph(scheme, disc[0]).components())
     rep = [ell for ell in range(1, scheme.d + 1)
            if _has_equal_columns(spectral.idempotents[ell], column_tol)]
     if bool(disc) != bool(rep):
@@ -165,8 +159,7 @@ def primitivity(scheme: SchemeDescriptor, spectral: SpectralData,
             f"disconnected relations {disc} vs repeated-column idempotents {rep}")
     return PrimitivityVerdict(primitive=not disc,
                               disconnected_relations=tuple(disc),
-                              repeated_column_idempotents=tuple(rep),
-                              witness_partition=witness)
+                              repeated_column_idempotents=tuple(rep))
 
 
 def second_eigenvalue(ctx: RelationContext, spectral: SpectralData) -> float:

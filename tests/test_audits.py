@@ -8,6 +8,7 @@ from schemeconn.audits import (RelationContext, ball_deletion_audit,
                                w_empty_audit)
 from schemeconn.catalog import build_family, gen_cyclic, gen_hamming
 from schemeconn.errors import Disconnected, HypothesisViolation
+from schemeconn.graph import bits
 
 
 def drg(name, g):
@@ -98,6 +99,19 @@ def test_iuw_h42_r2():
     assert dec.i_vertices == (15,)
     assert len(dec.u_vertices) == 8
     assert all(bin(x).count("1") % 2 == 1 for x in dec.u_vertices)
+
+
+def test_iuw_reads_its_own_basepoint_only():
+    # a disconnected relation has no audit that sweeps every basepoint, so
+    # iuw_decompose must not start that sweep
+    ctx = RelationContext(gen_hamming(4, 2), 2)
+    assert not ctx.connected
+    iuw_decompose(ctx, 0)
+    assert "punctured_components" not in ctx.__dict__
+    for c in (ctx, RelationContext(gen_cyclic(5), 1)):
+        for a in (0, 3):
+            assert iuw_decompose(c, a).component_map == tuple(
+                tuple(bits(m)) for m in c.punctured_components[a])
 
 
 def test_iuw_h62_r3():

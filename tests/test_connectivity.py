@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from schemeconn import connectivity
 from schemeconn.audits import RelationContext
 from schemeconn.catalog import build_family, gen_cyclic, gen_hamming
 from schemeconn.connectivity import (edge_connectivity, enumerate_min_cuts,
@@ -97,6 +98,68 @@ def test_local_vertex_connectivity():
         local_vertex_connectivity(g, 0, 1)   # adjacent
     with pytest.raises(ValueError):
         local_vertex_connectivity(g, 3, 3)
+    c4 = cycle_graph(4)
+    for alive, s, t in ((0b1110, 0, 2),     # deleted source
+                        (0b1011, 0, 2),     # deleted target
+                        (0b1111, 0, 7),     # out of range
+                        (0b1111, -1, 2)):
+        with pytest.raises(ValueError):
+            local_vertex_connectivity(Graph(4, c4.rows, alive), s, t)
+
+
+def test_flow_matches_networkx_digraphs():
+    """The shared Dinic on random digraphs with deleted vertices and
+    antiparallel arcs, at limits below, at and above the true value,
+    against networkx with unit capacities on the live subdigraph."""
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(2024)
+    for trial in range(1000):
+        n = rng.randint(2, 10)
+        p = rng.uniform(0.15, 0.7)
+        rows = [sum(1 << w for w in range(n) if w != v and rng.random() < p)
+                for v in range(n)]
+        alive = mask_of(v for v in range(n) if rng.random() < 0.85)
+        live = list(bits(alive))
+        if len(live) < 2:
+            continue
+        s, t = rng.sample(live, 2)
+        d = nx.DiGraph()
+        d.add_nodes_from(live)
+        d.add_edges_from((v, w) for v in live for w in bits(rows[v] & alive))
+        nx.set_edge_attributes(d, 1, "capacity")
+        true = nx.maximum_flow_value(d, s, t)
+        for limit in {max(true - 1, 0), true, true + 1, n}:
+            assert connectivity._edge_flow(rows, alive, s, t, limit) == \
+                min(limit, true), (trial, rows, alive, s, t, limit)
+
+
+def test_local_vertex_connectivity_matches_networkx():
+    """Every non-adjacent live pair of random graphs with deleted vertices
+    against networkx on the induced subgraph."""
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.connectivity import local_node_connectivity
+    rng = random.Random(612)
+    pairs = 0
+    for trial in range(200):
+        n = rng.randint(3, 12)
+        p = rng.uniform(0.2, 0.8)
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < p]
+        full = Graph.from_edges(n, edges)
+        alive = mask_of(v for v in range(n) if rng.random() < 0.8)
+        g = Graph(n, full.rows, alive)
+        live = list(bits(alive))
+        h = nx.Graph()
+        h.add_nodes_from(live)
+        h.add_edges_from((u, w) for u, w in edges
+                         if alive >> u & 1 and alive >> w & 1)
+        for s, t in itertools.combinations(live, 2):
+            if g.has_edge(s, t):
+                continue
+            pairs += 1
+            assert local_vertex_connectivity(g, s, t) == \
+                local_node_connectivity(h, s, t), (trial, edges, alive, s, t)
+    assert pairs > 1000
 
 
 def test_vertex_connectivity_edge_cases():
