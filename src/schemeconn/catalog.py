@@ -239,8 +239,18 @@ def load_scheme(path) -> SchemeDescriptor:
             or any(not isinstance(row, list) for row in classes)
             or any(not all(isinstance(x, int) for x in row) for row in classes)):
         raise ParseError(f"{path}: classes must be a matrix of integers")
-    table = RelationTable.from_classes(np.asarray(classes, dtype=np.int64))
+    try:
+        matrix = np.asarray(classes, dtype=np.int64)
+    except ValueError as exc:       # ragged rows
+        raise ParseError(f"{path}: classes rows differ in length") from exc
+    except OverflowError as exc:    # an entry outside int64
+        raise ParseError(f"{path}: class index out of range") from exc
+    table = RelationTable.from_classes(matrix)
     if table.v != payload["v"] or table.d != payload["d"]:
+        if not all(isinstance(payload[key], int) for key in ("v", "d")):
+            raise ParseError(
+                f"{path}: v and d must be integers, got v={payload['v']!r}, "
+                f"d={payload['d']!r}")
         raise ParseError(
             f"{path}: declared v={payload['v']}, d={payload['d']} but matrix "
             f"has v={table.v}, d={table.d}")

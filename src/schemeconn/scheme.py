@@ -3,11 +3,16 @@
 A scheme on X = {0..v-1} is stored as a single v x v class matrix; everything
 else (transpose map, intersection numbers, valencies) is derived from it and
 re-derived on load.  Validation does the full triple count for every (i,j):
-the product A_i A_j is computed once in exact int64 arithmetic and checked to
+the product A_i A_j is computed once as a float32 BLAS product and checked to
 be constant on every class, which is the definition of p_ij^k with no
-sampling involved.  Stabiliser generators offered by a construction are
-checked just as exactly: each must fix vertex 0, permute X and map every
-pair to a pair of the same class.
+sampling involved.  The float arithmetic is exact: A_i and A_j are 0/1
+matrices, so every entry of the product and every partial sum BLAS forms on
+the way is an integer in [0, v], and v <= SIZE_CAP < 2**24 fits float32's
+24-bit significand whatever the summation order, thread count or FMA use.  A
+failure's witness is recounted in integers before it is reported.
+Stabiliser generators offered by a construction are checked just as exactly:
+each must fix vertex 0, permute X and map every pair to a pair of the same
+class.
 """
 from __future__ import annotations
 
@@ -27,6 +32,8 @@ from .errors import (
 )
 from .graph import Graph, bits
 
+# validate_scheme's float32 products are exact only while every count, at
+# most v, is below 2**24 (float32 has a 24-bit significand)
 SIZE_CAP = 4096
 
 
@@ -54,23 +61,22 @@ class RelationTable:
         if c.min() < 0:
             raise NotAPartition("negative class index")
         d = int(c.max())
-        present = np.bincount(c.ravel(), minlength=d + 1)
-        if (present == 0).any():
-            missing = int(np.nonzero(present == 0)[0][0])
+        # labels present, sorted, with the flat index of each one's first
+        # pair; no (d+1)-sized array, so a huge label costs nothing
+        uniq, first = np.unique(c.ravel(), return_index=True)
+        if len(uniq) != d + 1:
+            missing = int(np.argmax(uniq != np.arange(len(uniq))))
             raise NotAPartition(f"class {missing} is empty")
         diag = np.diagonal(c)
         if (diag != 0).any():
             x = int(np.nonzero(diag != 0)[0][0])
             raise NotAPartition(f"classes[{x}][{x}] = {int(c[x, x])}, expected 0")
-        if int(present[0]) != v:
+        if np.count_nonzero(c == 0) != v:
             # some off-diagonal pair carries class 0
             bad = np.argwhere((c == 0) & ~np.eye(v, dtype=bool))[0]
             raise NotAPartition(f"classes[{bad[0]}][{bad[1]}] = 0 off the diagonal")
         # transpose map: class of (y,x) must be a function of class of (x,y)
         ct = np.ascontiguousarray(c.T)
-        first = np.empty(d + 1, dtype=np.int64)
-        uniq, uidx = np.unique(c.ravel(), return_index=True)
-        first[uniq] = uidx
         tmap = ct.ravel()[first]
         if not np.array_equal(tmap[c], ct):
             bad = np.argwhere(tmap[c] != ct)[0]
@@ -176,15 +182,20 @@ def _checked_stabiliser(classes: np.ndarray,
     return tuple(out)
 
 
+def _pair_count(classes: np.ndarray, i: int, j: int, a: int, b: int) -> int:
+    """Number of c with classes[a, c] = i and classes[c, b] = j, in integers."""
+    return int(np.count_nonzero((classes[a] == i) & (classes[:, b] == j)))
+
+
 def validate_scheme(table: RelationTable, name: str = "scheme",
                     stabiliser=()) -> SchemeDescriptor:
     """Full triple-count validation plus an exact check of each offered
     stabiliser generator; raises with a witness on failure."""
-    c = table.classes.astype(np.int64)
+    c = table.classes
     v, d = table.v, table.d
     if d + 1 > 300:
         raise SizeCap(f"{d + 1} classes exceeds the tensor cap")
-    gens = _checked_stabiliser(table.classes, stabiliser)
+    gens = _checked_stabiliser(c, stabiliser)
     first = _first_pair_index(c, d)
     p = np.zeros((d + 1, d + 1, d + 1), dtype=np.int64)
     # identity row/column is forced: p[0,j,k] = [j==k], p[i,0,k] = [i==k]
@@ -195,8 +206,8 @@ def validate_scheme(table: RelationTable, name: str = "scheme",
     p[0, 0, 0] = 1
 
     def mat(i: int) -> np.ndarray:
-        # int32 holds any count <= v <= 4096 and keeps memory sane
-        return (c == i).astype(np.int32)
+        # float32 runs on BLAS and holds every count exactly (see SIZE_CAP)
+        return (c == i).astype(np.float32)
 
     def check_pair(i: int, j: int, ai: np.ndarray, aj: np.ndarray) -> np.ndarray:
         n = ai @ aj
@@ -207,7 +218,8 @@ def validate_scheme(table: RelationTable, name: str = "scheme",
             k = int(c[a, b])
             ra, rb = divmod(int(first[k]), v)
             raise NonConstantIntersection(
-                i, j, k, ((ra, rb), int(pv[k])), ((a, b), int(n[a, b])))
+                i, j, k, ((ra, rb), _pair_count(c, i, j, ra, rb)),
+                ((a, b), _pair_count(c, i, j, a, b)))
         return pv.astype(np.int64)
 
     if table.symmetric:
@@ -237,29 +249,35 @@ def validate_scheme(table: RelationTable, name: str = "scheme",
                             stabiliser=gens)
 
 
-def symmetrize(table: RelationTable) -> RelationTable:
-    """Merge each class with its transpose; validates the merged table and
-    propagates the failure if the input was not a commutative scheme.
-    Symmetric input is returned unchanged."""
-    if table.symmetric:
-        return table
+def _merged_table(table: RelationTable) -> RelationTable:
+    """table with each class merged with its transpose (not validated)."""
     tm = table.transpose_map
     orbits = sorted({tuple(sorted((i, tm[i]))) for i in range(table.d + 1)})
     relabel = np.zeros(table.d + 1, dtype=np.int64)
     for new, orb in enumerate(orbits):
         for i in orb:
             relabel[i] = new
-    merged = RelationTable.from_classes(relabel[table.classes.astype(np.int64)])
+    return RelationTable.from_classes(relabel[table.classes])
+
+
+def symmetrize(table: RelationTable) -> RelationTable:
+    """Merge each class with its transpose; validates the merged table and
+    propagates the failure if the input was not a commutative scheme.
+    Symmetric input is returned unchanged."""
+    if table.symmetric:
+        return table
+    merged = _merged_table(table)
     validate_scheme(merged)   # raises if the fusion is not a scheme
     return merged
 
 
 def symmetrized_scheme(desc: SchemeDescriptor) -> SchemeDescriptor:
-    """The symmetrization of desc.  Its stabiliser generators preserve the
-    merged classes too; they are carried over and checked again."""
+    """The symmetrization of desc, validated once.  Its stabiliser
+    generators preserve the merged classes too; they are carried over and
+    checked again."""
     if desc.symmetric:
         return desc
-    return validate_scheme(symmetrize(desc.table), name=desc.name,
+    return validate_scheme(_merged_table(desc.table), name=desc.name,
                            stabiliser=desc.stabiliser)
 
 

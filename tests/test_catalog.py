@@ -136,13 +136,15 @@ def test_drg_rejects_path():
 
 
 def test_save_load_roundtrip(tmp_path):
-    path = tmp_path / "pent.json"
-    s = gen_cyclic(5)
-    save_scheme(s, path)
-    loaded = load_scheme(path)
-    assert loaded.name == s.name
-    assert np.array_equal(loaded.classes, s.classes)
-    assert loaded.valencies == s.valencies
+    for s in builtin_catalog():
+        path = tmp_path / f"{s.name}.json"
+        save_scheme(s, path)
+        loaded = load_scheme(path)
+        assert loaded.name == s.name
+        assert loaded.classes.dtype == s.classes.dtype
+        assert np.array_equal(loaded.classes, s.classes), s.name
+        assert np.array_equal(loaded.tensor.p, s.tensor.p), s.name
+        assert loaded.valencies == s.valencies
 
 
 def test_load_rejects_malformed(tmp_path):

@@ -4,11 +4,14 @@ import hashlib
 import json
 import multiprocessing
 import os
+import re
+import subprocess
 import sys
 from collections import Counter
 
 import pytest
 
+import schemeconn
 from schemeconn import report
 from schemeconn.catalog import build_family, gen_cyclic, save_scheme
 from schemeconn.cli import main
@@ -351,6 +354,36 @@ def test_cli_verify_parse_error(tmp_path, capsys):
     path.write_text('{"name": "x", "v": 5')
     assert main(["verify", str(path)]) == 1
     assert "parse error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payload,code,message", [
+    ({"name": "x", "v": 2, "d": 1, "classes": [[0, 1], [1]]}, 1,
+     "rows differ in length"),
+    ({"name": "x", "v": 2, "d": 1, "classes": [[0, 1], [1, 2**64]]}, 1,
+     "class index out of range"),
+    ({"name": "x", "v": "2", "d": 1, "classes": [[0, 1], [1, 0]]}, 1,
+     "v and d must be integers"),
+    ({"name": "x", "v": 2, "d": 1, "classes": [[0, 2**62], [2**62, 0]]}, 2,
+     "class 1 is empty"),
+], ids=["ragged", "int-overflow", "v-string", "huge-label"])
+def test_cli_verify_hostile_file(tmp_path, payload, code, message):
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps(payload))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(report.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "schemeconn.cli", "verify", str(path)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == code
+    assert message in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_versions_agree():
+    with open(os.path.join(os.path.dirname(__file__), os.pardir,
+                           "pyproject.toml")) as fh:
+        declared = re.search(r'^version = "([^"]+)"$', fh.read(), re.M)[1]
+    assert schemeconn.__version__ == declared == report.TOOL_VERSION
 
 
 def test_cli_verify_invalid_scheme(tmp_path, capsys):

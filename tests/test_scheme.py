@@ -4,6 +4,7 @@ brute-force triple counting."""
 import numpy as np
 import pytest
 
+from schemeconn import scheme as scheme_module
 from schemeconn.catalog import (build_family, cyclic_group_table, gen_cyclic,
                                 symmetric3_table)
 from schemeconn.errors import (IdentityClassRequested, NonConstantIntersection,
@@ -11,9 +12,9 @@ from schemeconn.errors import (IdentityClassRequested, NonConstantIntersection,
                                NotCommutative, NotSymmetric, SizeCap)
 from schemeconn.graph import (Graph, complete_bipartite, complete_graph,
                               cycle_graph, petersen)
-from schemeconn.scheme import (RelationTable, is_complete_multipartite,
-                               relation_graph, symmetrize, symmetrized_scheme,
-                               validate_scheme)
+from schemeconn.scheme import (SIZE_CAP, RelationTable,
+                               is_complete_multipartite, relation_graph,
+                               symmetrize, symmetrized_scheme, validate_scheme)
 
 
 def brute_intersection(classes, i, j, k):
@@ -97,8 +98,14 @@ def test_offdiagonal_identity_rejected():
 
 def test_empty_class_rejected():
     c = [[0, 2], [2, 0]]
-    with pytest.raises(NotAPartition):
+    with pytest.raises(NotAPartition, match="class 1 is empty"):
         RelationTable.from_classes(c)
+    # a huge label is found missing without a (d+1)-sized count
+    with pytest.raises(NotAPartition, match="class 1 is empty"):
+        RelationTable.from_classes([[0, 2**62], [2**62, 0]])
+    # every label 0..3 present: the fault is the diagonal, not a class
+    with pytest.raises(NotAPartition, match=r"classes\[1\]\[1\] = 3, expected 0"):
+        RelationTable.from_classes([[0, 1], [2, 3]])
 
 
 def test_transpose_closure_rejected():
@@ -111,6 +118,8 @@ def test_transpose_closure_rejected():
 def test_size_cap():
     with pytest.raises(SizeCap):
         RelationTable.from_classes(np.zeros((5000, 5000), dtype=np.int64))
+    # validate_scheme counts in float32, exact only below 2**24
+    assert SIZE_CAP < 2**24
 
 
 def test_perturbed_pentagon_rejected():
@@ -154,6 +163,24 @@ def test_symmetrize_idempotent():
     once = symmetrize(table)
     twice = symmetrize(once)
     assert twice is once
+
+
+def test_symmetrized_scheme_validates_once(monkeypatch):
+    s = build_family("conjugacy", ("Z7",))
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return validate_scheme(*args, **kwargs)
+    monkeypatch.setattr(scheme_module, "validate_scheme", counting)
+    merged = symmetrized_scheme(s)
+    assert len(calls) == 1
+    assert merged.symmetric and merged.d == 3
+    assert np.array_equal(merged.classes, gen_cyclic(7).classes)
+    # symmetrize still validates what it returns
+    calls.clear()
+    assert np.array_equal(symmetrize(s.table).classes, merged.classes)
+    assert len(calls) == 1
 
 
 def test_relation_graph_pentagon():
