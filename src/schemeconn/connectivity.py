@@ -35,7 +35,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from operator import getitem
-from typing import Optional
+from typing import Iterator, Optional
+
+import numpy as np
 
 from .errors import CapExceeded, Disconnected
 from .graph import Graph, bits, mask_of
@@ -264,26 +266,88 @@ class MinCutData:
         return all(self.neighborhood_flags)
 
 
+# subsets x live vertices in one batch of enumerate_min_cuts: 2**16 cells
+# is 2,048 subsets at n = 32, and keeps a batch's arrays to about 1 MB in
+# all (the two float32 ones at 256 KB each) however many subsets there are
+CUT_BATCH_CELLS = 1 << 16
+
+
+def _lex_subset_batches(n: int, k: int, size: int) -> Iterator[np.ndarray]:
+    """combinations(range(n), k) in order, as (size, k) arrays (the last
+    one shorter).  The subset of lexicographic rank r is {n-1-d_1, ..,
+    n-1-d_k} for the combinatorial-number-system digits d_1 > .. > d_k of
+    C(n,k)-1-r = C(d_1,k) + C(d_2,k-1) + .. + C(d_k,1), each digit being
+    the greatest d with C(d, j) within what is left of the sum."""
+    total = comb(n, k)
+    # capped at total, which the sum never reaches, so each table fits
+    # int64 and stays nondecreasing for searchsorted
+    tables = [np.array([min(comb(d, j), total) for d in range(n)],
+                       dtype=np.int64) for j in range(k, 0, -1)]
+    for start in range(0, total, size):
+        rem = total - 1 - np.arange(start, min(start + size, total),
+                                    dtype=np.int64)
+        out = np.empty((len(rem), k), dtype=np.intp)
+        for i, table in enumerate(tables):
+            digit = np.searchsorted(table, rem, side="right") - 1
+            out[:, i] = n - 1 - digit
+            rem -= table[digit]
+        yield out
+
+
 def enumerate_min_cuts(graph: Graph, kappa: int,
                        budget: int = 5_000_000) -> MinCutData:
     """Every vertex subset of size kappa, the graph's vertex connectivity,
     whose deletion disconnects the graph, by exhaustive enumeration, with
-    each cut flagged when it equals some open neighborhood."""
+    each cut flagged when it equals some open neighborhood.  Cuts come in
+    combinations(live vertices, kappa) order; CapExceeded when there are
+    more than budget subsets.
+
+    The subsets are decided CUT_BATCH_CELLS // n at a time (n the number
+    of live vertices) by one BFS for the whole batch: row r of the (B, n)
+    bool matrix keep marks the survivors of subset r, its reach starts at
+    the least survivor, and reach = (reach @ (A + I) > 0) & keep runs as a
+    float32 product until no row grows.  A subset is a cut iff its reach
+    falls short of keep.  The product is exact: reach and A + I are 0/1,
+    so each entry is a count of at most n, an integer that float32 holds
+    exactly while n < 2**24, and relation graphs have n <= SIZE_CAP = 4096
+    (the argument of scheme.validate_scheme); only whether it is > 0 is
+    read.  Memory is A plus about 1 MB of batch arrays, whatever C(n,
+    kappa) is.  Each BFS level costs a B x n by n x n product, so the time
+    grows with the diameter of what is left: quick on the dense relation
+    graphs the reports enumerate, slower than one bitset BFS per subset on
+    long cycles.
+    """
     live = list(bits(graph.alive))
     n = len(live)
     if kappa >= n - 1:
         return MinCutData(cuts=(), neighborhood_flags=())
-    if comb(n, kappa) > budget:
+    total = comb(n, kappa)
+    if total > budget:
         raise CapExceeded(
-            f"C({n},{kappa}) = {comb(n, kappa)} subsets exceeds budget {budget}")
+            f"C({n},{kappa}) = {total} subsets exceeds budget {budget}")
+    pos = {v: i for i, v in enumerate(live)}
+    adj = np.eye(n, dtype=np.float32)
+    for i, v in enumerate(live):
+        adj[i, [pos[w] for w in bits(graph.neighborhood(v))]] = 1
     nbhds = {graph.neighborhood(v) for v in live}
     cuts = []
     flags = []
-    for subset in combinations(live, kappa):
-        m = mask_of(subset)
-        if not graph.is_connected(deleted=m):
+    for subsets in _lex_subset_batches(n, kappa,
+                                       max(1, CUT_BATCH_CELLS // n)):
+        rows = np.arange(len(subsets))
+        keep = np.ones((len(subsets), n), dtype=bool)
+        keep[rows[:, None], subsets] = False
+        reach = np.zeros_like(keep)
+        reach[rows, keep.argmax(axis=1)] = True
+        while True:
+            grown = (reach.astype(np.float32) @ adj > 0) & keep
+            if np.array_equal(grown, reach):
+                break
+            reach = grown
+        for r in np.flatnonzero((reach != keep).any(axis=1)):
+            subset = tuple(live[i] for i in subsets[r])
             cuts.append(subset)
-            flags.append(m in nbhds)
+            flags.append(mask_of(subset) in nbhds)
     return MinCutData(cuts=tuple(cuts), neighborhood_flags=tuple(flags))
 
 

@@ -13,7 +13,6 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from math import comb
 from typing import Optional
 
 import numpy as np
@@ -21,8 +20,8 @@ import numpy as np
 from . import audits
 from .connectivity import enumerate_min_cuts
 from .diagram import p_polynomial_generator
-from .errors import (DetectorDisagreement, Disconnected, HypothesisNotMet,
-                     HypothesisViolation)
+from .errors import (CapExceeded, DetectorDisagreement, Disconnected,
+                     HypothesisNotMet, HypothesisViolation)
 from .scheme import SchemeDescriptor, symmetrized_scheme
 from .spectral import (SpectralData, compute_spectral, primitivity,
                        second_eigenvalue)
@@ -229,13 +228,14 @@ def analyze_relation(scheme: SchemeDescriptor, i: int,
     min_cut_count = None
     min_cuts_are_neighborhoods = None
     if connected and not complete:
-        if comb(v, kappa) <= config.cut_enum_budget:
+        try:
             mc = enumerate_min_cuts(graph, kappa,
                                     budget=config.cut_enum_budget)
+        except CapExceeded:
+            skipped.append("min cut enumeration: over budget")
+        else:
             min_cut_count = len(mc.cuts)
             min_cuts_are_neighborhoods = mc.all_neighborhoods
-        else:
-            skipped.append("min cut enumeration: over budget")
 
     if connected:
         bd = audits.ball_deletion_audit(ctx, 1)

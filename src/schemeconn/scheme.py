@@ -47,6 +47,8 @@ class RelationTable:
     classes: np.ndarray            # (v, v) int32, read-only
     symmetric: bool
     transpose_map: tuple[int, ...]
+    first_pair: np.ndarray         # (d+1,) flat index of each class's first
+                                   # pair in row-major order, read-only
 
     @classmethod
     def from_classes(cls, classes) -> "RelationTable":
@@ -88,9 +90,10 @@ class RelationTable:
             raise NotClosedUnderTranspose("transpose map is not an involution")
         c32 = c.astype(np.int32)
         c32.setflags(write=False)
+        first.setflags(write=False)
         tm = tuple(int(t) for t in tmap)
         return cls(v=v, d=d, classes=c32, symmetric=all(t == i for i, t in enumerate(tm)),
-                   transpose_map=tm)
+                   transpose_map=tm, first_pair=first)
 
 
 @dataclass(frozen=True)
@@ -136,14 +139,6 @@ class SchemeDescriptor:
 
     def p(self, i: int, j: int, k: int) -> int:
         return int(self.tensor.p[i, j, k])
-
-
-def _first_pair_index(classes: np.ndarray, d: int) -> np.ndarray:
-    """Flat index of the first (row-major) pair of each class."""
-    first = np.empty(d + 1, dtype=np.int64)
-    uniq, uidx = np.unique(classes.ravel(), return_index=True)
-    first[uniq] = uidx
-    return first
 
 
 def _checked_stabiliser(classes: np.ndarray,
@@ -196,7 +191,7 @@ def validate_scheme(table: RelationTable, name: str = "scheme",
     if d + 1 > 300:
         raise SizeCap(f"{d + 1} classes exceeds the tensor cap")
     gens = _checked_stabiliser(c, stabiliser)
-    first = _first_pair_index(c, d)
+    first = table.first_pair
     p = np.zeros((d + 1, d + 1, d + 1), dtype=np.int64)
     # identity row/column is forced: p[0,j,k] = [j==k], p[i,0,k] = [i==k]
     for j in range(d + 1):

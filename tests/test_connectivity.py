@@ -2,6 +2,7 @@
 clique machinery, and the connectivity fields of a report."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -10,15 +11,15 @@ import pytest
 from schemeconn import connectivity
 from schemeconn.audits import RelationContext
 from schemeconn.catalog import build_family, gen_cyclic, gen_hamming
-from schemeconn.connectivity import (edge_connectivity, enumerate_min_cuts,
-                                     is_isomorphic, k211_free,
-                                     local_vertex_connectivity,
+from schemeconn.connectivity import (MinCutData, edge_connectivity,
+                                     enumerate_min_cuts, is_isomorphic,
+                                     k211_free, local_vertex_connectivity,
                                      maximal_cliques, twins,
                                      vertex_connectivity)
 from schemeconn.errors import CapExceeded, Disconnected
 from schemeconn.graph import (Graph, bits, complete_bipartite, complete_graph,
                               cycle_graph, mask_of, petersen)
-from schemeconn.report import analyze_relation
+from schemeconn.report import AnalysisConfig, analyze_relation
 from schemeconn.scheme import relation_graph
 
 
@@ -46,6 +47,23 @@ def brute_lambda(graph):
             if best is None or cross < best:
                 best = cross
     return best
+
+
+def ref_min_cuts(graph, kappa):
+    """enumerate_min_cuts as one bitset BFS per subset: the reference for
+    the batched BFS."""
+    live = list(graph.vertices())
+    if kappa >= len(live) - 1:
+        return MinCutData(cuts=(), neighborhood_flags=())
+    nbhds = {graph.neighborhood(v) for v in live}
+    cuts = []
+    flags = []
+    for subset in itertools.combinations(live, kappa):
+        m = mask_of(subset)
+        if not graph.is_connected(deleted=m):
+            cuts.append(subset)
+            flags.append(m in nbhds)
+    return MinCutData(cuts=tuple(cuts), neighborhood_flags=tuple(flags))
 
 
 def random_connected_graph(rng, n, p):
@@ -244,6 +262,76 @@ def test_min_cuts_budget():
     g = relation_graph(build_family("johnson", (8, 2)), 1)
     with pytest.raises(CapExceeded):
         enumerate_min_cuts(g, vertex_connectivity(g), budget=1000)
+
+
+def test_lex_subset_batches_match_combinations():
+    for n in range(0, 9):
+        for k in range(0, n + 1):
+            want = list(itertools.combinations(range(n), k))
+            for size in (1, 3, 7, 1000):
+                got = [tuple(int(x) for x in row) for batch in
+                       connectivity._lex_subset_batches(n, k, size)
+                       for row in batch]
+                assert got == want, (n, k, size)
+    batch = next(connectivity._lex_subset_batches(4096, 1, 5000))
+    assert batch[:, 0].tolist() == list(range(4096))
+
+
+def test_min_cuts_match_reference_on_catalog(catalog_pairs):
+    """Every connected, non-complete catalog relation whose enumeration
+    the reports run, against one BFS per subset; the Johnson members span
+    many batches."""
+    budget = AnalysisConfig().cut_enum_budget
+    checked = 0
+    for p in catalog_pairs:
+        if not p.connected or p.graph.is_complete():
+            continue
+        kappa = vertex_connectivity(p.graph, p.scheme.stabiliser)
+        if math.comb(p.scheme.v, kappa) > budget:
+            continue
+        assert enumerate_min_cuts(p.graph, kappa, budget) == \
+            ref_min_cuts(p.graph, kappa), (p.scheme.name, p.relation)
+        checked += 1
+    assert checked == 46
+
+
+def test_min_cuts_match_reference_random():
+    """Random graphs with deleted vertices, connected or not, at every
+    subset size, against one BFS per subset."""
+    rng = random.Random(909)
+    disconnected = 0
+    for trial in range(600):
+        n = rng.randint(1, 12)
+        p = rng.uniform(0.1, 0.8)
+        full = Graph.from_edges(n, [(i, j) for i in range(n)
+                                    for j in range(i + 1, n)
+                                    if rng.random() < p])
+        g = Graph(n, full.rows,
+                  mask_of(v for v in range(n) if rng.random() < 0.85))
+        nv = g.vertex_count()
+        if not g.is_connected() and nv >= 2:
+            disconnected += 1
+            assert enumerate_min_cuts(g, 0).cuts == ((),)
+        for kappa in range(nv + 1):
+            assert enumerate_min_cuts(g, kappa) == ref_min_cuts(g, kappa), \
+                (trial, g.rows, g.alive, kappa)
+    assert disconnected > 50
+
+
+def test_min_cuts_match_networkx():
+    nx = pytest.importorskip("networkx")
+    for g in (petersen(), cycle_graph(7), complete_bipartite(3, 3),
+              relation_graph(build_family("hamming", (2, 3)), 1)):
+        h = nx.Graph()
+        h.add_nodes_from(g.vertices())
+        h.add_edges_from((u, w) for u in g.vertices()
+                         for w in bits(g.neighborhood(u)) if u < w)
+        want = {frozenset(c) for c in nx.all_node_cuts(h)}
+        data = enumerate_min_cuts(g, vertex_connectivity(g))
+        assert {frozenset(c) for c in data.cuts} == want
+        nbhds = {frozenset(h[v]) for v in h}
+        assert data.neighborhood_flags == tuple(frozenset(c) in nbhds
+                                                for c in data.cuts)
 
 
 def test_k211_free():
