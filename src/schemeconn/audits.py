@@ -6,6 +6,10 @@ a failure is an implementation bug or a corrupted scheme, and the witness
 fields say where to look.  Audits whose hypotheses fail raise
 HypothesisViolation (the caller records a skip) rather than guessing.
 
+Theorem 1, C1/C2 and the ball-deletion lemma all read the components of
+G - B_t(a) for every basepoint a, with N[a] = B_1(a).  The context sweeps
+them once per radius and every audit shares the sweep.
+
 The corollary audits rest on one criterion.  Take T inside the closed
 neighbourhood N[a] that misses some b in N(a).  Then G - T is disconnected
 for some such T iff (i) some component of G - N[a] has no neighbour of b
@@ -43,7 +47,8 @@ CLIQUE_CAP = 100_000
 
 class RelationContext:
     """What the audits of relation g read, each computed at most once: the
-    graph (built here), its distribution diagram, twins and connectivity.
+    graph (built here), its distribution diagram, twins, connectivity and
+    the per-basepoint component sweeps.
     kappa and lam sweep one flow per orbit of the scheme's stabiliser of
     vertex 0, the graph's least live vertex."""
 
@@ -77,12 +82,19 @@ class RelationContext:
         return h_prime_connected(self.diagram)
 
     @cached_property
-    def punctured_components(self) -> tuple[list[int], ...]:
-        """For every basepoint a, the components of G - N[a] as bit masks,
-        by least vertex."""
-        graph = self.graph
-        return tuple(graph.component_masks(deleted=graph.closed_neighborhood(a))
-                     for a in range(self.scheme.v))
+    def _ball_sweeps(self) -> dict[int, tuple[list[int], ...]]:
+        return {}
+
+    def ball_components(self, t: int) -> tuple[list[int], ...]:
+        """For every basepoint a, the components of G - B_t(a) as bit masks
+        by least vertex, where B_t(a) is the ball of radius t; computed once
+        per radius.  B_1(a) = N[a], the sweep theorem 1 and C1/C2 read."""
+        sweeps = self._ball_sweeps
+        if t not in sweeps:
+            graph = self.graph
+            sweeps[t] = tuple(graph.component_masks(deleted=graph.ball(a, t))
+                              for a in range(self.scheme.v))
+        return sweeps[t]
 
     @cached_property
     def kappa(self) -> int:
@@ -114,7 +126,7 @@ def theorem1_audit(ctx: RelationContext) -> Theorem1Audit:
         raise HypothesisViolation("disconnected")
     if ctx.complete_multipartite:
         raise HypothesisViolation("complete multipartite")
-    flags = [len(comps) <= 1 for comps in ctx.punctured_components]
+    flags = [len(comps) <= 1 for comps in ctx.ball_components(1)]
     hp = ctx.h_prime_connected
     tw = ctx.twins
     twin_free = not tw.pairs
@@ -181,7 +193,7 @@ def corollary_audits(ctx: RelationContext) -> CorollaryAudits:
         raise Disconnected("corollary audits need a connected relation")
     graph = ctx.graph
     checked, c1_wit, c2_wit = 0, None, None
-    for a, comps in enumerate(ctx.punctured_components):
+    for a, comps in enumerate(ctx.ball_components(1)):
         if c2_wit is None:
             big = sum(1 for comp in comps if comp.bit_count() >= 2)
             if big > 1:
@@ -321,7 +333,12 @@ def ball_deletion_audit(ctx: RelationContext, t: int) -> BallDeletionAudit:
     """Delete the radius-t class ball around a basepoint.  If the diagram
     minus its ball stays connected but the graph minus the vertex ball does
     not, the graph diameter is at most 2t; and any vertex cut off from a
-    diameter-realizing vertex lies within distance 2t of the basepoint."""
+    diameter-realizing vertex lies within distance 2t of the basepoint.
+
+    The vertex ball is the graph ball B_t(a): the classes at diagram level
+    at most t are the vertices within distance t of a, so the components
+    are read from the context's shared sweep, which for t = 1 is the one
+    theorem 1 and C1/C2 read."""
     if not ctx.connected:
         raise Disconnected("ball deletion audit needs a connected relation")
     scheme, graph, diag = ctx.scheme, ctx.graph, ctx.diagram
@@ -333,23 +350,17 @@ def ball_deletion_audit(ctx: RelationContext, t: int) -> BallDeletionAudit:
                  if diag.levels[i] is not None and diag.levels[i] <= t)
     h_minus_conn = Graph(diag.size, diag.adj).is_connected(
         deleted=mask_of(ball))
-    ball_arr = np.array(ball, dtype=scheme.table.classes.dtype)
     triggered = 0
     a_ok = b_ok = True
     a_wit = b_wit = None
-    for a in range(scheme.v):
-        row = scheme.table.classes[a]
-        del_mask = mask_of(int(x) for x in np.nonzero(np.isin(row, ball_arr))[0])
-        rest = graph.alive & ~del_mask
-        if rest == 0:
-            continue
-        comp_masks = graph.component_masks(deleted=del_mask)
+    for a, comp_masks in enumerate(ctx.ball_components(t)):
         if len(comp_masks) <= 1:
             continue
         triggered += 1
         if h_minus_conn and b_ok and diameter > 2 * t:
             b_ok, b_wit = False, (a, diameter)
         if a_ok:
+            rest = sum(comp_masks)   # disjoint masks: the sum is the union
             dist_row = dm[a]
             for cm in comp_masks:
                 far = [x for x in bits(cm) if dist_row[x] == diameter]
@@ -388,16 +399,8 @@ class SmallCutAudit:
 def _exceptional_match(graph: Graph) -> Optional[str]:
     targets = [("C4", cycle_graph(4)), ("C5", cycle_graph(5)),
                ("K33", complete_bipartite(3, 3)), ("petersen", petersen())]
-    n = graph.vertex_count()
-    degs = sorted(graph.degrees())
-    for name, tg in targets:
-        if n != tg.vertex_count() or degs != sorted(tg.degrees()):
-            continue
-        if graph.girth() != tg.girth():
-            continue
-        if is_isomorphic(graph, tg):
-            return name
-    return None
+    return next((name for name, tg in targets if is_isomorphic(graph, tg)),
+                None)
 
 
 def small_cut_theorems_audit(ctx: RelationContext) -> SmallCutAudit:

@@ -118,8 +118,9 @@ def _manifest_entries(path: str) -> tuple[list, dict]:
         rel = ent.get("relations")
         if rel == "all":
             rel = None
+        # bool is an int subclass, but true/false name no relation
         if rel is not None and (not isinstance(rel, list)
-                                or not all(isinstance(x, int) for x in rel)):
+                                or not all(type(x) is int for x in rel)):
             raise ParseError(f"{path}: entry {k} has bad 'relations'")
         if "file" in ent:
             # resolvability is checked up front; content errors are isolated

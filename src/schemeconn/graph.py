@@ -2,10 +2,13 @@
 
 Rows are Python ints, one bit per vertex, which keeps BFS sweeps at a few
 machine words per step even at the v <= 4096 desk cap.  Vertex deletion is a
-mask argument; graphs themselves are immutable.
+mask argument; graphs themselves are immutable.  One layered BFS,
+`Graph.layers`, yields the frontier at each distance; reach masks,
+components, balls and distances are all read off it.
 """
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -79,13 +82,15 @@ class Graph:
 
     # -- traversal -------------------------------------------------------
 
-    def reach_mask(self, start: int, deleted: int = 0) -> int:
-        """All vertices reachable from start in the live graph minus deleted."""
+    def layers(self, start: int, deleted: int = 0) -> Iterator[int]:
+        """The BFS frontiers from start in the live graph minus deleted: the
+        masks of the vertices at distance 0, 1, 2, ... in turn.  Every other
+        traversal here is read off this one loop."""
         live = self.alive & ~deleted
         rows = self.rows
-        seen = 1 << start
-        frontier = seen
+        seen = frontier = 1 << start
         while frontier:
+            yield frontier
             new = 0
             m = frontier
             while m:
@@ -94,7 +99,20 @@ class Graph:
                 m ^= b
             frontier = new & live & ~seen
             seen |= frontier
+
+    def reach_mask(self, start: int, deleted: int = 0) -> int:
+        """All vertices reachable from start in the live graph minus deleted."""
+        seen = 0
+        for frontier in self.layers(start, deleted):
+            seen |= frontier
         return seen
+
+    def ball(self, start: int, radius: int) -> int:
+        """The live vertices within distance radius of start, start included."""
+        out = 0
+        for frontier in islice(self.layers(start), radius + 1):
+            out |= frontier
+        return out
 
     def component_masks(self, deleted: int = 0) -> list[int]:
         """Connected components of the live graph minus deleted, as bit
@@ -117,25 +135,10 @@ class Graph:
         start = (live & -live).bit_length() - 1
         return self.reach_mask(start, deleted) == live
 
-    def distances_from(self, start: int, deleted: int = 0) -> list[int]:
+    def distances_from(self, start: int) -> list[int]:
         """BFS distances; -1 for unreachable or dead vertices."""
-        live = self.alive & ~deleted
-        rows = self.rows
         dist = [-1] * self.n
-        dist[start] = 0
-        seen = 1 << start
-        frontier = seen
-        d = 0
-        while frontier:
-            new = 0
-            m = frontier
-            while m:
-                b = m & -m
-                new |= rows[b.bit_length() - 1]
-                m ^= b
-            frontier = new & live & ~seen
-            seen |= frontier
-            d += 1
+        for d, frontier in enumerate(self.layers(start)):
             for v in bits(frontier):
                 dist[v] = d
         return dist
@@ -172,43 +175,6 @@ class Graph:
     def is_cycle_graph(self) -> bool:
         return (self.vertex_count() >= 3 and self.is_connected()
                 and all(d == 2 for d in self.degrees()))
-
-    def girth(self) -> Optional[int]:
-        """Length of a shortest cycle; None for forests.  Exact, via
-        shortest u-w path avoiding each edge (u,w) in turn."""
-        best = None
-        for u in bits(self.alive):
-            for w in bits(self.rows[u] & self.alive):
-                if w <= u:
-                    continue
-                # BFS from u to w not using the edge u-w
-                live = self.alive
-                rows = self.rows
-                dist = 0
-                seen = 1 << u
-                frontier = seen
-                found = -1
-                while frontier and found < 0:
-                    new = 0
-                    m = frontier
-                    while m:
-                        b = m & -m
-                        v = b.bit_length() - 1
-                        r = rows[v]
-                        if v == u:
-                            r &= ~(1 << w)
-                        elif v == w:
-                            r &= ~(1 << u)
-                        new |= r
-                        m ^= b
-                    frontier = new & live & ~seen
-                    seen |= frontier
-                    dist += 1
-                    if frontier >> w & 1:
-                        found = dist
-                if found >= 0 and (best is None or found + 1 < best):
-                    best = found + 1
-        return best
 
     def __repr__(self):
         return f"Graph(n={self.n}, edges={self.edge_count()})"

@@ -255,17 +255,6 @@ def _merged_table(table: RelationTable) -> RelationTable:
     return RelationTable.from_classes(relabel[table.classes])
 
 
-def symmetrize(table: RelationTable) -> RelationTable:
-    """Merge each class with its transpose; validates the merged table and
-    propagates the failure if the input was not a commutative scheme.
-    Symmetric input is returned unchanged."""
-    if table.symmetric:
-        return table
-    merged = _merged_table(table)
-    validate_scheme(merged)   # raises if the fusion is not a scheme
-    return merged
-
-
 def symmetrized_scheme(desc: SchemeDescriptor) -> SchemeDescriptor:
     """The symmetrization of desc, validated once.  Its stabiliser
     generators preserve the merged classes too; they are carried over and
@@ -284,14 +273,10 @@ def relation_graph(scheme: SchemeDescriptor, i: int) -> Graph:
         raise IdentityClassRequested("class 0 is the identity relation")
     if not 1 <= i <= scheme.d:
         raise ValueError(f"relation {i} out of range 1..{scheme.d}")
-    eq = (scheme.classes == i)
-    rows = []
-    for x in range(scheme.v):
-        m = 0
-        for y in np.nonzero(eq[x])[0]:
-            m |= 1 << int(y)
-        rows.append(m)
-    return Graph(scheme.v, rows)
+    # bit y of row x is byte y // 8, bit y % 8 of the little-endian packing
+    packed = np.packbits(scheme.classes == i, axis=1, bitorder="little")
+    return Graph(scheme.v, [int.from_bytes(row.tobytes(), "little")
+                            for row in packed])
 
 
 def is_complete_multipartite(graph: Graph) -> bool:

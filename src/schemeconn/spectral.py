@@ -61,23 +61,27 @@ def compute_spectral(scheme: SchemeDescriptor,
         raise NotSymmetric("spectral decomposition expects a symmetric scheme")
     v, d = scheme.v, scheme.d
     c = scheme.table.classes
-    mats = [(c == i).astype(np.float64) for i in range(d + 1)]
+
+    def mat(i: int) -> np.ndarray:
+        # built where it is used, so the d+1 matrices are never held at once
+        return (c == i).astype(np.float64)
 
     if d == 0:
         basis = [np.eye(v)]
     else:
-        w, vecs = np.linalg.eigh(mats[1])
+        w, vecs = np.linalg.eigh(mat(1))
         tol = grouping_tol * max(1.0, float(np.abs(w).max()))
         basis = [vecs[:, a:b] for a, b in _split_by_gaps(w, tol)]
     for i in range(2, d + 1):
         norm_i = float(scheme.valencies[i])
         tol = grouping_tol * max(1.0, norm_i)
+        ai = mat(i)
         refined = []
         for blk in basis:
             if blk.shape[1] == 1:
                 refined.append(blk)
                 continue
-            m = blk.T @ mats[i] @ blk
+            m = blk.T @ ai @ blk
             m = (m + m.T) / 2.0
             w, u = np.linalg.eigh(m)
             for a, b in _split_by_gaps(w, tol):
@@ -88,11 +92,12 @@ def compute_spectral(scheme: SchemeDescriptor,
             f"found {len(basis)} common eigenspaces, expected {d + 1}")
 
     scalars = np.empty((d + 1, d + 1))
-    for j, blk in enumerate(basis):
-        for i in range(d + 1):
-            m = blk.T @ mats[i] @ blk
+    for i in range(d + 1):
+        ai = mat(i)
+        for j, blk in enumerate(basis):
+            m = blk.T @ ai @ blk
             theta = float(np.trace(m)) / blk.shape[1]
-            resid = float(np.abs(mats[i] @ blk - theta * blk).max())
+            resid = float(np.abs(ai @ blk - theta * blk).max())
             if resid > SCALAR_RESIDUAL_TOL * max(1.0, scheme.valencies[i]):
                 raise RefinementFailed(
                     f"A_{i} is not scalar on eigenspace {j}: residual {resid:.3e}")

@@ -2,13 +2,14 @@
 
 import pytest
 
-from schemeconn.audits import (RelationContext, ball_deletion_audit,
-                               corollary_audits, iuw_decompose,
-                               small_cut_theorems_audit, theorem1_audit,
-                               w_empty_audit)
+from schemeconn.audits import (RelationContext, _exceptional_match,
+                               ball_deletion_audit, corollary_audits,
+                               iuw_decompose, small_cut_theorems_audit,
+                               theorem1_audit, w_empty_audit)
 from schemeconn.catalog import build_family, gen_cyclic, gen_hamming
 from schemeconn.errors import Disconnected, HypothesisViolation
-from schemeconn.graph import bits
+from schemeconn.graph import (Graph, bits, complete_bipartite, cycle_graph,
+                              petersen)
 
 
 def drg(name, g):
@@ -101,17 +102,27 @@ def test_iuw_h42_r2():
     assert all(bin(x).count("1") % 2 == 1 for x in dec.u_vertices)
 
 
-def test_iuw_reads_its_own_basepoint_only():
+def test_iuw_reads_its_own_basepoint_only(monkeypatch):
     # a disconnected relation has no audit that sweeps every basepoint, so
-    # iuw_decompose must not start that sweep
+    # iuw_decompose must not start that sweep: it grows only the components
+    # of G - N[a] at its own basepoint
     ctx = RelationContext(gen_hamming(4, 2), 2)
     assert not ctx.connected
-    iuw_decompose(ctx, 0)
-    assert "punctured_components" not in ctx.__dict__
+    grown = []
+    reach = Graph.reach_mask
+
+    def spy(self, start, deleted=0):
+        if self is ctx.graph:
+            grown.append(start)
+        return reach(self, start, deleted)
+    monkeypatch.setattr(Graph, "reach_mask", spy)
+    dec = iuw_decompose(ctx, 0)
+    assert len(grown) == len(dec.component_map)
+    monkeypatch.undo()
     for c in (ctx, RelationContext(gen_cyclic(5), 1)):
         for a in (0, 3):
             assert iuw_decompose(c, a).component_map == tuple(
-                tuple(bits(m)) for m in c.punctured_components[a])
+                tuple(bits(m)) for m in c.ball_components(1)[a])
 
 
 def test_iuw_h62_r3():
@@ -206,6 +217,24 @@ def test_small_cut_exceptional_graphs():
     audit = small_cut_theorems_audit(drg("k33", 1))
     assert audit.tcut3_match == "K33"
     assert not audit.tdiam2_t_equals_valency
+
+
+def _prism(n):
+    """C_n x K_2: outer cycle 0..n-1, inner cycle n..2n-1, and rungs."""
+    edges = [(i, (i + 1) % n) for i in range(n)]
+    edges += [(n + i, n + j) for i, j in edges] + [(i, n + i) for i in range(n)]
+    return Graph.from_edges(2 * n, edges)
+
+
+def test_exceptional_match_names_and_lookalikes():
+    # the prisms share vertex count and degrees with K33 and Petersen
+    assert _exceptional_match(cycle_graph(4)) == "C4"
+    assert _exceptional_match(cycle_graph(5)) == "C5"
+    assert _exceptional_match(complete_bipartite(3, 3)) == "K33"
+    assert _exceptional_match(petersen()) == "petersen"
+    assert _exceptional_match(_prism(3)) is None
+    assert _exceptional_match(_prism(5)) is None
+    assert sorted(_prism(5).degrees()) == sorted(petersen().degrees())
 
 
 def test_small_cut_rook():

@@ -6,12 +6,15 @@ The reference functions below run one full-graph BFS per deletion set.
 `ref_c1_exhaustive` sweeps every T inside N[a] that misses part of N(a),
 basepoint by basepoint; `ref_c1_pairs` sweeps, for each pair (a, b) with b
 in N(a) in the audit's order, every T inside N[a] that misses b, so it
-fixes the pair count the audit reports.
+fixes the pair count the audit reports.  `ref_ball_components` builds
+each ball from class rows by diagram level, independently of the graph
+BFS behind the context's shared per-radius sweep.
 """
 
 import random
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from schemeconn.audits import RelationContext, corollary_audits
@@ -149,6 +152,32 @@ def test_catalog_audits_match_reference():
         assert not audit.c3_capped
         seen += 1
     assert seen >= 60 and exhaustive >= 40
+
+
+def ref_ball_components(s, g, graph, t):
+    """Components of G minus the class ball: for each basepoint a, delete
+    the vertices whose class from a sits at diagram level at most t."""
+    levels = RelationContext(s, g).diagram.levels
+    ball = [i for i in range(s.d + 1)
+            if levels[i] is not None and levels[i] <= t]
+    out = []
+    for a in range(s.v):
+        row = np.isin(s.classes[a], ball)
+        deleted = mask_of(int(x) for x in np.nonzero(row)[0])
+        out.append(graph.component_masks(deleted=deleted))
+    return tuple(out)
+
+
+def test_ball_components_match_class_row_sweep():
+    radii = 0
+    for s, g, graph in _small_catalog_relations():
+        ctx = RelationContext(s, g)
+        for t in range(1, graph.diameter() + 1):
+            assert ctx.ball_components(t) == ref_ball_components(
+                s, g, graph, t), (s.name, g, t)
+            radii += 1
+        assert ctx.ball_components(1) is ctx.ball_components(1)
+    assert radii >= 100
 
 
 # -- (b) failures on hand-built graphs -----------------------------------

@@ -442,6 +442,20 @@ def test_cli_survey_manifest_bad_family(tmp_path, capsys):
     assert not (tmp_path / "never").exists()
 
 
+@pytest.mark.parametrize("relations", [[True], [False], [1, True]],
+                         ids=["true", "false", "one-true"])
+def test_cli_survey_manifest_bool_relations(tmp_path, capsys, relations):
+    # JSON booleans are ints to Python, but name no relation
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({
+        "entries": [{"family": ["cyclic", 5], "relations": relations}],
+        "out": str(tmp_path / "never"),
+    }))
+    assert main(["survey", "--manifest", str(manifest)]) == 1
+    assert "ParseError" in capsys.readouterr().err
+    assert not (tmp_path / "never").exists()
+
+
 def test_cli_analyze_refuse_symmetrize(capsys):
     code = main(["analyze", "--family", "conjugacy", "Z5",
                  "--no-symmetrize"])

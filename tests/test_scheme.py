@@ -14,7 +14,7 @@ from schemeconn.graph import (Graph, complete_bipartite, complete_graph,
                               cycle_graph, petersen)
 from schemeconn.scheme import (SIZE_CAP, RelationTable,
                                is_complete_multipartite, relation_graph,
-                               symmetrize, symmetrized_scheme, validate_scheme)
+                               symmetrized_scheme, validate_scheme)
 
 
 def brute_intersection(classes, i, j, k):
@@ -145,7 +145,7 @@ def test_thin_s3_not_commutative():
 def test_symmetrize_z5_gives_pentagon():
     table = RelationTable.from_classes(thin_scheme_classes(cyclic_group_table(5)))
     assert table.d == 4 and not table.symmetric
-    merged = symmetrize(table)
+    merged = symmetrized_scheme(validate_scheme(table))
     assert merged.symmetric and merged.d == 2
     assert np.array_equal(merged.classes, gen_cyclic(5).classes)
 
@@ -153,15 +153,15 @@ def test_symmetrize_z5_gives_pentagon():
 def test_symmetrize_z7_gives_heptagon():
     table = RelationTable.from_classes(thin_scheme_classes(cyclic_group_table(7)))
     assert table.d == 6
-    merged = symmetrize(table)
+    merged = symmetrized_scheme(validate_scheme(table))
     assert merged.d == 3
     assert np.array_equal(merged.classes, gen_cyclic(7).classes)
 
 
 def test_symmetrize_idempotent():
     table = RelationTable.from_classes(thin_scheme_classes(cyclic_group_table(5)))
-    once = symmetrize(table)
-    twice = symmetrize(once)
+    once = symmetrized_scheme(validate_scheme(table))
+    twice = symmetrized_scheme(once)
     assert twice is once
 
 
@@ -177,10 +177,6 @@ def test_symmetrized_scheme_validates_once(monkeypatch):
     assert len(calls) == 1
     assert merged.symmetric and merged.d == 3
     assert np.array_equal(merged.classes, gen_cyclic(7).classes)
-    # symmetrize still validates what it returns
-    calls.clear()
-    assert np.array_equal(symmetrize(s.table).classes, merged.classes)
-    assert len(calls) == 1
 
 
 def test_relation_graph_pentagon():
@@ -210,6 +206,22 @@ def test_relation_graph_regularity_catalog_slice():
         for i in range(1, s.d + 1):
             g = relation_graph(s, i)
             assert set(g.degrees()) == {s.valencies[i]}
+
+
+def test_relation_graph_rows_match_per_bit_loop(catalog_schemes):
+    # the packed rows against one bit set per neighbour, every relation
+    seen = 0
+    for s in catalog_schemes:
+        for i in range(1, s.d + 1):
+            rows = []
+            for x in range(s.v):
+                m = 0
+                for y in np.nonzero(s.classes[x] == i)[0]:
+                    m |= 1 << int(y)
+                rows.append(m)
+            assert relation_graph(s, i).rows == tuple(rows), (s.name, i)
+            seen += 1
+    assert seen >= 140
 
 
 def test_relation_graph_requires_symmetric():
