@@ -22,7 +22,7 @@ from .scheme import (RelationTable, SchemeDescriptor, relation_graph,
                      symmetrized_scheme, validate_scheme)
 from .spectral import compute_spectral, primitivity, second_eigenvalue
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "AnalysisConfig",

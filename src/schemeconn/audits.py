@@ -97,6 +97,12 @@ class RelationContext:
         return sweeps[t]
 
     @cached_property
+    def iuw(self) -> IUWDecomposition:
+        """The I/U/W decomposition at basepoint 0, shared by the report and
+        the W-empty audit."""
+        return iuw_decompose(self, 0)
+
+    @cached_property
     def kappa(self) -> int:
         return vertex_connectivity(self.graph, self.scheme.stabiliser)
 
@@ -234,11 +240,16 @@ def iuw_decompose(ctx: RelationContext, a: int = 0) -> IUWDecomposition:
     minimum-weight non-singleton diagram component (U), and the rest (W);
     pull each back to a vertex set at the given basepoint.  When the
     punctured diagram is connected the decomposition is all-empty by
-    convention."""
+    convention.  A connected relation reads the components of G - N[a]
+    off the context's shared sweep; a disconnected one, which no audit
+    sweeps, grows them at its own basepoint only."""
     scheme, g = ctx.scheme, ctx.g
     graph = ctx.graph
-    comp_map = tuple(tuple(bits(m)) for m in graph.component_masks(
-        deleted=graph.closed_neighborhood(a)))
+    if ctx.connected:
+        masks = ctx.ball_components(1)[a]
+    else:
+        masks = graph.component_masks(deleted=graph.closed_neighborhood(a))
+    comp_map = tuple(tuple(bits(m)) for m in masks)
     if ctx.h_prime_connected:
         return IUWDecomposition(basepoint=a, h_prime_connected=True,
                                 i_classes=(), u_classes=(), w_classes=(),
@@ -293,7 +304,7 @@ def w_empty_audit(ctx: RelationContext) -> WEmptyAudit:
     if not ctx.connected:
         raise Disconnected("w-empty audit needs a connected relation")
     scheme, graph = ctx.scheme, ctx.graph
-    dec = iuw_decompose(ctx, 0)
+    dec = ctx.iuw
     ok = not dec.w_classes
     d2_ok, d2_wit = True, None
     # the distance-2 conclusion is conditional on a nonempty W part

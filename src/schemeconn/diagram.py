@@ -38,16 +38,14 @@ def distribution_diagram(scheme: SchemeDescriptor, g: int) -> Diagram:
     if not 1 <= g <= scheme.d:
         raise ValueError(f"class {g} out of range 1..{scheme.d}")
     d = scheme.d
-    p = scheme.tensor.p
-    adj = [0] * (d + 1)
-    loops = 0
-    for j in range(d + 1):
-        if p[g, j, j] > 0:
-            loops |= 1 << j
-        for k in range(j + 1, d + 1):
-            if p[g, j, k] + p[g, k, j] > 0:
-                adj[j] |= 1 << k
-                adj[k] |= 1 << j
+    pg = scheme.tensor.p[g]
+    linked = pg + pg.T > 0
+    np.fill_diagonal(linked, False)
+    # bit k of row j is byte k // 8, bit k % 8 of the little-endian packing
+    adj = [int.from_bytes(row.tobytes(), "little")
+           for row in np.packbits(linked, axis=1, bitorder="little")]
+    loops = int.from_bytes(np.packbits(np.diagonal(pg) > 0,
+                                       bitorder="little").tobytes(), "little")
     dist = Graph(d + 1, adj).distances_from(0)
     top = max(dist)
     sets = tuple(tuple(j for j in range(d + 1) if dist[j] == lv)

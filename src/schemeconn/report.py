@@ -8,6 +8,7 @@ in canonical order, so the output does not depend on the schedule.
 from __future__ import annotations
 
 import json
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -26,7 +27,7 @@ from .scheme import SchemeDescriptor, symmetrized_scheme
 from .spectral import (SpectralData, compute_spectral, primitivity,
                        second_eigenvalue)
 
-TOOL_VERSION = "0.2.0"
+TOOL_VERSION = "0.3.0"
 
 
 @dataclass(frozen=True)
@@ -37,7 +38,6 @@ class AnalysisConfig:
     column_tol: float = 1e-8
     multiplicity_tol: float = 1e-6
     cut_enum_budget: int = 200_000
-    spectral_max_v: int = 1024
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -47,10 +47,12 @@ DEFAULT_CONFIG = AnalysisConfig()
 
 
 def _fmt(x: float) -> str:
-    # 12 significant digits; -0.0 normalized so output is reproducible
-    if x == 0.0:
-        x = 0.0
-    return f"{x:.12g}"
+    """A value within 1e-9 of an integer prints as that integer (so -0 is
+    0), any other with 10 significant digits: the printed strings do not
+    depend on the rounding of one BLAS or LAPACK build."""
+    if math.isfinite(x) and abs(x - round(x)) <= 1e-9:
+        return str(round(x))
+    return f"{x:.10g}"
 
 
 def _matrix_strings(m: np.ndarray) -> list[list[str]]:
@@ -70,10 +72,10 @@ def spectral_section(scheme: SchemeDescriptor, spectral: SpectralData,
         findings.append(f"QP=vI residual {resid:.3e} over {config.qp_tol}")
     if rowsum >= config.qp_tol:
         findings.append(f"Q row sum residual {rowsum:.3e}")
-    traces = [float(np.trace(e)) for e in spectral.idempotents]
-    for j, tr in enumerate(traces):
-        if abs(tr - round(tr)) > config.multiplicity_tol or round(tr) <= 0:
-            findings.append(f"trace(E_{j}) = {tr!r} is not a positive integer")
+    for j, m in enumerate(spectral.q[0]):
+        m = float(m)
+        if abs(m - round(m)) > config.multiplicity_tol or round(m) <= 0:
+            findings.append(f"m_{j} = Q_0{j} = {m!r} is not a positive integer")
     if sum(spectral.multiplicities) != v:
         findings.append("multiplicities do not sum to v")
     try:
@@ -91,8 +93,8 @@ def spectral_section(scheme: SchemeDescriptor, spectral: SpectralData,
         "multiplicities": list(spectral.multiplicities),
         "P": _matrix_strings(spectral.p),
         "Q": _matrix_strings(spectral.q),
-        "qp_residual": _fmt(resid),
-        "q_rowsum_residual": _fmt(rowsum),
+        "qp_ok": resid < config.qp_tol,
+        "q_rowsum_ok": rowsum < config.qp_tol,
         "primitivity": prim,
         "findings": findings,
     }
@@ -173,7 +175,7 @@ def analyze_relation(scheme: SchemeDescriptor, i: int,
         corollaries = {"status": "skipped", "reason": "disconnected"}
         skipped.append("corollaries: disconnected")
 
-    dec = audits.iuw_decompose(ctx, 0)
+    dec = ctx.iuw
     iuw = {
         "h_prime_connected": dec.h_prime_connected,
         "i_classes": list(dec.i_classes),
@@ -252,47 +254,43 @@ def analyze_relation(scheme: SchemeDescriptor, i: int,
     else:
         ball = {"status": "skipped", "reason": "disconnected"}
 
-    if spectral_block is None and scheme.v <= config.spectral_max_v:
+    if spectral_block is None:
         if spectral is None:
             spectral = compute_spectral(scheme, grouping_tol=config.grouping_tol)
         spectral_block = spectral_section(scheme, spectral, config)
-    if spectral_block is not None:
-        spec = dict(spectral_block)
-        findings.extend(spec.pop("findings"))
-        prim = spec.get("primitivity", {})
-        if twin_count > 0 and prim.get("primitive") is True:
-            findings.append("twins present but scheme judged primitive")
-        if connected and spectral is not None:
-            theta = second_eigenvalue(ctx, spectral)
-            spec["second_eigenvalue"] = _fmt(theta)
-            spec["second_eigenvalue_positive"] = bool(theta > 1e-6)
-            if not ctx.complete_multipartite and theta <= 1e-6:
-                findings.append(
-                    f"second eigenvalue {theta!r} not positive on "
-                    f"non-complete-multipartite relation")
-        else:
-            spec["second_eigenvalue"] = None
-            spec["second_eigenvalue_positive"] = None
-        if connected:
-            try:
-                sca = audits.spec_cut_audit(ctx)
-                spec["cut_size_lemma"] = {
-                    "applicable": True, "ok": sca.ok,
-                    "p_local": sca.p_local, "slack": sca.slack,
-                }
-                if not sca.ok:
-                    findings.append(
-                        f"cut-size lemma fails: kappa {sca.kappa} <= "
-                        f"p_local {sca.p_local}")
-            except HypothesisNotMet as e:
-                spec["cut_size_lemma"] = {"applicable": False,
-                                          "reason": str(e)}
-        else:
-            spec["cut_size_lemma"] = {"applicable": False,
-                                      "reason": "disconnected"}
+    spec = dict(spectral_block)
+    findings.extend(spec.pop("findings"))
+    prim = spec.get("primitivity", {})
+    if twin_count > 0 and prim.get("primitive") is True:
+        findings.append("twins present but scheme judged primitive")
+    if connected and spectral is not None:
+        theta = second_eigenvalue(ctx, spectral)
+        spec["second_eigenvalue"] = _fmt(theta)
+        spec["second_eigenvalue_positive"] = bool(theta > 1e-6)
+        if not ctx.complete_multipartite and theta <= 1e-6:
+            findings.append(
+                f"second eigenvalue {theta!r} not positive on "
+                f"non-complete-multipartite relation")
     else:
-        spec = {"status": "skipped", "reason": "scheme too large"}
-        skipped.append("spectral: scheme too large")
+        spec["second_eigenvalue"] = None
+        spec["second_eigenvalue_positive"] = None
+    if connected:
+        try:
+            sca = audits.spec_cut_audit(ctx)
+            spec["cut_size_lemma"] = {
+                "applicable": True, "ok": sca.ok,
+                "p_local": sca.p_local, "slack": sca.slack,
+            }
+            if not sca.ok:
+                findings.append(
+                    f"cut-size lemma fails: kappa {sca.kappa} <= "
+                    f"p_local {sca.p_local}")
+        except HypothesisNotMet as e:
+            spec["cut_size_lemma"] = {"applicable": False,
+                                      "reason": str(e)}
+    else:
+        spec["cut_size_lemma"] = {"applicable": False,
+                                  "reason": "disconnected"}
 
     return {
         "scheme": scheme.name,
@@ -344,11 +342,8 @@ def analyze_scheme(scheme: SchemeDescriptor, relations=None,
         symmetrized = True
     if relations is None:
         relations = list(range(1, scheme.d + 1))
-    spectral = None
-    block = None
-    if scheme.v <= config.spectral_max_v:
-        spectral = compute_spectral(scheme, grouping_tol=config.grouping_tol)
-        block = spectral_section(scheme, spectral, config)
+    spectral = compute_spectral(scheme, grouping_tol=config.grouping_tol)
+    block = spectral_section(scheme, spectral, config)
     return [analyze_relation(scheme, i, config=config, spectral=spectral,
                              spectral_block=block, symmetrized=symmetrized)
             for i in relations]

@@ -1,5 +1,26 @@
 """Common eigenspaces, eigenmatrices, and the spectral audits.
 
+Everything is computed in the regular representation of the Bose-Mesner
+algebra, which has d+1 dimensions whatever v is (Brouwer-Cohen-Neumaier,
+Distance-Regular Graphs, 1989, sec. 2.2; Bannai-Ito, Algebraic
+Combinatorics I, 1984, sec. II.2-3).  Multiplication by A_i sends A_j to
+sum_k p_ij^k A_k, so on the basis A_0..A_d it acts as the matrix
+B_i[k][j] = p_ij^k.  In a symmetric scheme k_k p_ij^k = k_j p_ik^j, so
+with D = diag(valencies) the matrices S_i = D^{1/2} B_i D^{-1/2} are
+symmetric, and they commute.  Their d+1 common eigenvectors are
+D^{1/2} times the columns of Q, one per primitive idempotent E_j, and S_i
+acts on the j-th as the scalar P_ji, the eigenvalue of A_i on the j-th
+common eigenspace of the relation matrices.  Then Q = v P^-1, and the
+multiplicity of eigenspace j is m_j = Q_0j.
+
+Primitivity reads Q as well.  E_j = (1/v) sum_k Q_kj A_k is a symmetric
+idempotent, so for vertices x, y with class(x, y) = k
+
+    ||E_j e_x - E_j e_y||^2 = 2 (m_j - Q_kj) / v,
+
+and columns x and y of E_j are equal iff Q_kj = m_j.  Nothing of size v
+is built.
+
 The decomposition is floating point and quarantined: nothing here feeds
 back into a connectivity decision.  All assertions made from this module
 carry explicit tolerances.
@@ -27,14 +48,8 @@ COLUMN_TOL = 1e-8
 @dataclass(frozen=True)
 class SpectralData:
     p: np.ndarray                      # p[j][i]: eigenvalue of A_i on space j
-    q: np.ndarray
-    multiplicities: tuple[int, ...]
-    idempotents: tuple[np.ndarray, ...]
-    grouping_tol: float
-
-    @property
-    def d(self) -> int:
-        return self.p.shape[0] - 1
+    q: np.ndarray                      # v P^-1; m_j = q[0][j]
+    multiplicities: tuple[int, ...]    # q[0] rounded
 
 
 def _split_by_gaps(vals: np.ndarray, tol: float) -> list[tuple[int, int]]:
@@ -51,37 +66,36 @@ def _split_by_gaps(vals: np.ndarray, tol: float) -> list[tuple[int, int]]:
 
 def compute_spectral(scheme: SchemeDescriptor,
                      grouping_tol: float = GROUPING_TOL) -> SpectralData:
-    """Simultaneously diagonalize the relation matrices.
+    """Simultaneously diagonalize the symmetrized intersection matrices.
 
-    Start from the eigendecomposition of A_1 and refine each shared
-    eigenspace against A_2..A_d until every matrix acts as a scalar; a
-    valid scheme yields exactly d+1 common eigenspaces.
+    Start from one shared space and refine each eigenspace against
+    S_1..S_d until every matrix acts as a scalar; a valid scheme yields
+    exactly d+1 one-dimensional common eigenspaces.
     """
     if not scheme.symmetric:
         raise NotSymmetric("spectral decomposition expects a symmetric scheme")
     v, d = scheme.v, scheme.d
-    c = scheme.table.classes
+    val = np.asarray(scheme.valencies, dtype=np.float64)
+    root = np.sqrt(val)
+    scale = root[:, None] / root[None, :]
+    p = scheme.tensor.p
 
-    def mat(i: int) -> np.ndarray:
-        # built where it is used, so the d+1 matrices are never held at once
-        return (c == i).astype(np.float64)
+    def sym(i: int) -> np.ndarray:
+        # S_i[k][j] = sqrt(k_k / k_j) p_ij^k
+        return scale * p[i].T
 
-    if d == 0:
-        basis = [np.eye(v)]
-    else:
-        w, vecs = np.linalg.eigh(mat(1))
-        tol = grouping_tol * max(1.0, float(np.abs(w).max()))
-        basis = [vecs[:, a:b] for a, b in _split_by_gaps(w, tol)]
-    for i in range(2, d + 1):
-        norm_i = float(scheme.valencies[i])
-        tol = grouping_tol * max(1.0, norm_i)
-        ai = mat(i)
+    basis = [np.eye(d + 1)]
+    for i in range(1, d + 1):
+        if len(basis) == d + 1:
+            break
+        tol = grouping_tol * max(1.0, float(val[i]))
+        si = sym(i)
         refined = []
         for blk in basis:
             if blk.shape[1] == 1:
                 refined.append(blk)
                 continue
-            m = blk.T @ ai @ blk
+            m = blk.T @ si @ blk
             m = (m + m.T) / 2.0
             w, u = np.linalg.eigh(m)
             for a, b in _split_by_gaps(w, tol):
@@ -91,27 +105,27 @@ def compute_spectral(scheme: SchemeDescriptor,
         raise RefinementFailed(
             f"found {len(basis)} common eigenspaces, expected {d + 1}")
 
+    u = np.hstack(basis)                 # column j spans eigenspace j
     scalars = np.empty((d + 1, d + 1))
     for i in range(d + 1):
-        ai = mat(i)
-        for j, blk in enumerate(basis):
-            m = blk.T @ ai @ blk
-            theta = float(np.trace(m)) / blk.shape[1]
-            resid = float(np.abs(ai @ blk - theta * blk).max())
-            if resid > SCALAR_RESIDUAL_TOL * max(1.0, scheme.valencies[i]):
-                raise RefinementFailed(
-                    f"A_{i} is not scalar on eigenspace {j}: residual {resid:.3e}")
-            scalars[j, i] = theta
+        su = sym(i) @ u
+        theta = np.einsum("kj,kj->j", u, su)
+        resid = np.abs(su - u * theta).max(axis=0)
+        j = int(np.argmax(resid))
+        if resid[j] > SCALAR_RESIDUAL_TOL * max(1.0, float(val[i])):
+            raise RefinementFailed(
+                f"A_{i} is not scalar on eigenspace {j}: "
+                f"residual {resid[j]:.3e}")
+        scalars[:, i] = theta
 
     # all-ones eigenspace first, then rows in descending eigenvalue order.
     # Sort keys are integer ranks per column (rank 0 = largest), assigned by
-    # gap detection so float noise cannot flip ties.
-    ones = np.ones(v)
-    weight = [float(np.linalg.norm(blk.T @ ones)) for blk in basis]
-    j0 = int(np.argmax(weight))
+    # gap detection so float noise cannot flip ties.  The all-ones matrix
+    # sum_k A_k is the vector D^{1/2} 1 = root in these coordinates.
+    j0 = int(np.argmax(np.abs(root @ u)))
     ranks = np.zeros((d + 1, d + 1), dtype=np.int64)
     for i in range(d + 1):
-        tol = 1e-6 * max(1.0, float(scheme.valencies[i]))
+        tol = 1e-6 * max(1.0, float(val[i]))
         by_val = sorted(range(d + 1), key=lambda j: -scalars[j, i])
         r = 0
         ranks[by_val[0], i] = 0
@@ -121,13 +135,10 @@ def compute_spectral(scheme: SchemeDescriptor,
             ranks[j, i] = r
     order = [j0] + sorted((j for j in range(d + 1) if j != j0),
                           key=lambda j: tuple(ranks[j]))
-    basis = [basis[j] for j in order]
-    p = scalars[order, :]
-    mult = tuple(blk.shape[1] for blk in basis)
-    idem = tuple(blk @ blk.T for blk in basis)
-    q = v * np.linalg.inv(p)
-    return SpectralData(p=p, q=q, multiplicities=mult, idempotents=idem,
-                        grouping_tol=grouping_tol)
+    eig = scalars[order, :]
+    q = v * np.linalg.inv(eig)
+    return SpectralData(p=eig, q=q,
+                        multiplicities=tuple(int(round(m)) for m in q[0]))
 
 
 # -- primitivity ---------------------------------------------------------
@@ -139,26 +150,18 @@ class PrimitivityVerdict:
     repeated_column_idempotents: tuple[int, ...]
 
 
-def _has_equal_columns(e: np.ndarray, tol: float) -> bool:
-    """Any two columns equal entrywise within tol.  Candidate pairs come
-    from a lexicographic column sort; genuinely equal columns differ by
-    float noise far below any eigenspace separation, so they land adjacent."""
-    order = np.lexsort(e)
-    s = e[:, order]
-    diffs = np.abs(s[:, 1:] - s[:, :-1]).max(axis=0)
-    return bool((diffs < tol).any())
-
-
 def primitivity(scheme: SchemeDescriptor, spectral: SpectralData,
                 column_tol: float = COLUMN_TOL) -> PrimitivityVerdict:
     """Two detectors that must agree: a disconnected basis relation, and a
-    repeated column (equal within column_tol) in some nontrivial
-    idempotent.  Relation i is connected iff its distribution diagram
-    reaches every class, so no relation graph is built."""
+    repeated column in some nontrivial idempotent E_j, i.e. a class k >= 1
+    with m_j - Q_kj within column_tol of 0 (module docstring).  Relation i
+    is connected iff its distribution diagram reaches every class, so no
+    relation graph is built."""
     disc = [i for i in range(1, scheme.d + 1)
             if distribution_diagram(scheme, i).diameter is None]
-    rep = [ell for ell in range(1, scheme.d + 1)
-           if _has_equal_columns(spectral.idempotents[ell], column_tol)]
+    q = spectral.q
+    rep = [j for j in range(1, scheme.d + 1)
+           if (np.abs(q[0, j] - q[1:, j]) < column_tol).any()]
     if bool(disc) != bool(rep):
         raise DetectorDisagreement(
             f"disconnected relations {disc} vs repeated-column idempotents {rep}")

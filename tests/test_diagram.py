@@ -86,3 +86,24 @@ def test_p_polynomial_tags():
                             (gen_cyclic(5), 1, True),
                             (gen_cyclic(5), 2, True)):
         assert p_polynomial_generator(RelationContext(scheme, g)) is want
+
+
+def _diagram_loop(scheme, g):
+    """adj and loops as the pairwise loop over the tensor builds them."""
+    d, p = scheme.d, scheme.tensor.p
+    adj, loops = [0] * (d + 1), 0
+    for j in range(d + 1):
+        if p[g, j, j] > 0:
+            loops |= 1 << j
+        for k in range(j + 1, d + 1):
+            if p[g, j, k] + p[g, k, j] > 0:
+                adj[j] |= 1 << k
+                adj[k] |= 1 << j
+    return tuple(adj), loops
+
+
+def test_diagram_matches_pairwise_loop(catalog_schemes):
+    for s in list(catalog_schemes) + [gen_cyclic(101)]:
+        for g in range(1, s.d + 1):
+            diag = distribution_diagram(s, g)
+            assert (diag.adj, diag.loops) == _diagram_loop(s, g), (s.name, g)

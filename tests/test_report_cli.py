@@ -128,38 +128,39 @@ def test_column_tol_from_config():
     assert any("detectors disagree" in f for f in block["findings"])
 
 
-# Leading 16 hex digits of the SHA-256 of each report's JSON without its
-# "spectral" block, which is left out because qp_residual and the 12-digit
-# P/Q strings depend on BLAS rounding.  The slice has relations of valency
-# up to 18 (johnson-7-3 r2), min-cut enumeration over budget and
-# disconnected relations.
+# Leading 16 hex digits of the SHA-256 of each report's JSON, spectral
+# block included: its numbers are printed as integers when within 1e-9 of
+# one and with 10 significant digits otherwise, and its residuals as pass
+# flags, so no digit depends on BLAS or LAPACK rounding.  The slice has
+# relations of valency up to 18 (johnson-7-3 r2), min-cut enumeration over
+# budget and disconnected relations.
 DIGEST_SLICE = [("cyclic", (5,)), ("cyclic", (12,)), ("hamming", (4, 2)),
                 ("johnson", (7, 3)), ("conjugacy", ("Q8",)),
                 ("drg", ("petersen",)), ("drg", ("k33",))]
 REPORT_DIGESTS = {
-    "cyclic-5-r1": "1b96ac7f1ce2e565",
-    "cyclic-5-r2": "a25aeb8eb2054dc3",
-    "cyclic-12-r1": "bf382485ffc9477a",
-    "cyclic-12-r2": "1af255afe2bbf3af",
-    "cyclic-12-r3": "f15aaab9a282fe8e",
-    "cyclic-12-r4": "ffc78f416e555fa1",
-    "cyclic-12-r5": "f4259bb5eaaa938d",
-    "cyclic-12-r6": "28118de8c7e8f517",
-    "hamming-4-2-r1": "389b1c2d335e1cd3",
-    "hamming-4-2-r2": "5b74597315d55c6b",
-    "hamming-4-2-r3": "6d504bb826992a8e",
-    "hamming-4-2-r4": "bdfb8cc84206685f",
-    "johnson-7-3-r1": "e7ae1d7857542a3c",
-    "johnson-7-3-r2": "b2d4e616e3831a47",
-    "johnson-7-3-r3": "c04f18f96c0f97a1",
-    "conj-Q8-r1": "3f0abb2fa2c0325d",
-    "conj-Q8-r2": "03635038aab427d0",
-    "conj-Q8-r3": "34785cf51ff6a871",
-    "conj-Q8-r4": "81ce397a287fb706",
-    "drg-petersen-r1": "0bf4ce1e0377d908",
-    "drg-petersen-r2": "6218f7573c3b5b46",
-    "drg-k33-r1": "2e1cdba16ec193ec",
-    "drg-k33-r2": "00a08ad3895b55e9",
+    "cyclic-5-r1": "4b775c10dfa4eabf",
+    "cyclic-5-r2": "dd5f343b672f8bb1",
+    "cyclic-12-r1": "30b7c81358ab7ee9",
+    "cyclic-12-r2": "8403cc45d3f0e29f",
+    "cyclic-12-r3": "3e6a8adb9e0c7edd",
+    "cyclic-12-r4": "f3e0d587bcf877c4",
+    "cyclic-12-r5": "087ce683c0ea7a79",
+    "cyclic-12-r6": "e05dac2e98d79364",
+    "hamming-4-2-r1": "2e616988559d08f2",
+    "hamming-4-2-r2": "2b4f33e1a43d128c",
+    "hamming-4-2-r3": "51647619ea156908",
+    "hamming-4-2-r4": "9cf51b623cfecc5d",
+    "johnson-7-3-r1": "662e68311f6815a4",
+    "johnson-7-3-r2": "2825fbec39aa5804",
+    "johnson-7-3-r3": "c6db08ea9b8d0dad",
+    "conj-Q8-r1": "0d9e12635e53e6de",
+    "conj-Q8-r2": "cfc06859c736827a",
+    "conj-Q8-r3": "c66f9d7c6613a980",
+    "conj-Q8-r4": "7b72e97a8c3b75d8",
+    "drg-petersen-r1": "8eb87dd47b8200f8",
+    "drg-petersen-r2": "1f6dc17d9d6047c3",
+    "drg-k33-r1": "4389caa0c4ba32e0",
+    "drg-k33-r2": "ff87377eac8c2431",
 }
 
 
@@ -167,8 +168,7 @@ def test_report_digests_unchanged():
     got = {}
     for kind, params in DIGEST_SLICE:
         for rep in analyze_scheme(build_family(kind, params)):
-            body = {k: v for k, v in rep.items() if k != "spectral"}
-            digest = hashlib.sha256(json.dumps(body, indent=2).encode())
+            digest = hashlib.sha256(json.dumps(rep, indent=2).encode())
             got[f"{rep['scheme']}-r{rep['relation']}"] = \
                 digest.hexdigest()[:16]
     assert got == REPORT_DIGESTS

@@ -1,10 +1,12 @@
 """Eigenmatrices, idempotents, primitivity, and the spectral cut bound."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from schemeconn import report
 from schemeconn.audits import RelationContext, spec_cut_audit
 from schemeconn.catalog import build_family, gen_cyclic, gen_hamming
 from schemeconn.connectivity import twins
@@ -12,6 +14,8 @@ from schemeconn.errors import (Disconnected, HypothesisNotMet, NotSymmetric)
 from schemeconn.scheme import relation_graph, validate_scheme, RelationTable
 from schemeconn.spectral import (compute_spectral, primitivity,
                                  second_eigenvalue)
+from spectral_reference import (idempotents_from_q, reference_spectral,
+                                repeated_column_idempotents)
 
 
 def theta(scheme, g):
@@ -68,8 +72,8 @@ def test_spectral_identities_catalog_slice():
         assert abs(sums[0] - v) < 1e-8
         assert np.abs(sums[1:]).max() < 1e-8, fam
         assert sum(spec.multiplicities) == v
-        # idempotent trace = multiplicity, within float tolerance
-        for m, e in zip(spec.multiplicities, spec.idempotents):
+        # E_j built from Q: trace = multiplicity, within float tolerance
+        for m, e in zip(spec.multiplicities, idempotents_from_q(s, spec.q)):
             assert abs(np.trace(e) - m) < 1e-6
             assert np.abs(e @ e - e).max() < 1e-8
 
@@ -77,8 +81,75 @@ def test_spectral_identities_catalog_slice():
 def test_idempotents_resolve_identity():
     s = build_family("johnson", (6, 2))
     spec = compute_spectral(s)
-    total = sum(spec.idempotents)
+    total = sum(idempotents_from_q(s, spec.q))
     assert np.abs(total - np.eye(s.v)).max() < 1e-8
+
+
+# the catalog plus three schemes beyond it: v = 560, d = 8, d = 50
+EXTRA_SCHEMES = (("johnson", (16, 3)), ("hamming", (8, 2)), ("cyclic", (101,)))
+
+
+@pytest.fixture(scope="module")
+def oracle_schemes(catalog_schemes):
+    return list(catalog_schemes) + [build_family(*f) for f in EXTRA_SCHEMES]
+
+
+def test_spectral_matches_vxv_reference(oracle_schemes):
+    # the v x v simultaneous diagonalization is the reference for P, Q,
+    # the multiplicities (block dimensions) and the repeated-column verdict
+    # (equal columns of the idempotents themselves)
+    for s in oracle_schemes:
+        spec, ref = compute_spectral(s), reference_spectral(s)
+        assert spec.multiplicities == ref.multiplicities, s.name
+        assert np.abs(spec.p - ref.p).max() < 1e-9, s.name
+        assert np.abs(spec.q - ref.q).max() < 1e-9, s.name
+        assert primitivity(s, spec).repeated_column_idempotents == \
+            repeated_column_idempotents(ref), s.name
+
+
+def test_idempotents_from_q_are_the_primitive_idempotents(oracle_schemes):
+    for s in oracle_schemes:
+        spec = compute_spectral(s)
+        es = idempotents_from_q(s, spec.q)
+        for m, e in zip(spec.multiplicities, es):
+            assert np.abs(e @ e - e).max() < 1e-9, s.name
+            assert abs(np.trace(e) - m) < 1e-9, s.name
+        assert np.abs(sum(es) - np.eye(s.v)).max() < 1e-9, s.name
+
+
+def test_spectral_allocates_nothing_of_size_v_squared():
+    s = build_family("johnson", (16, 3))
+    compute_spectral(s)
+    tracemalloc.start()
+    try:
+        compute_spectral(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one 560 x 560 float64 matrix is 2.5 MB
+    assert peak < s.v * s.v * 8 // 20
+
+
+def test_spectral_block_above_the_old_size_limit(monkeypatch):
+    # J(15,4) has v = 1365; the eigenspace of J(n,k) at level i has
+    # dimension C(n,i) - C(n,i-1)
+    s = build_family("johnson", (15, 4))
+    assert s.v == 1365
+    blocks = []
+    section = report.spectral_section
+
+    def spy(*args, **kwargs):
+        blocks.append(section(*args, **kwargs))
+        return blocks[-1]
+    monkeypatch.setattr(report, "spectral_section", spy)
+    assert report.analyze_scheme(s, relations=[]) == []
+    (block,) = blocks
+    assert block["multiplicities"] == [
+        math.comb(15, i) - math.comb(15, i - 1) if i else 1
+        for i in range(5)]
+    assert block["qp_ok"] is True and block["q_rowsum_ok"] is True
+    assert block["primitivity"]["primitive"] is True
+    assert block["findings"] == []
 
 
 def test_spectral_requires_symmetric():
