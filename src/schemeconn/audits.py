@@ -36,7 +36,7 @@ import numpy as np
 from .connectivity import (TwinData, edge_connectivity, is_isomorphic,
                            k211_free, maximal_cliques, twins,
                            vertex_connectivity)
-from .diagram import Diagram, distribution_diagram, h_prime_connected
+from .diagram import Diagram, h_prime_connected
 from .errors import Disconnected, HypothesisNotMet, HypothesisViolation
 from .graph import (Graph, bits, complete_bipartite, cycle_graph, mask_of,
                     petersen)
@@ -47,8 +47,8 @@ CLIQUE_CAP = 100_000
 
 class RelationContext:
     """What the audits of relation g read, each computed at most once: the
-    graph (built here), its distribution diagram, twins, connectivity and
-    the per-basepoint component sweeps.
+    graph (built here), the scheme's diagram and distances read off it,
+    twins, connectivity and the per-basepoint component sweeps.
     kappa and lam sweep one flow per orbit of the scheme's stabiliser of
     vertex 0, the graph's least live vertex."""
 
@@ -57,9 +57,16 @@ class RelationContext:
         self.g = g
         self.graph = relation_graph(scheme, g)
 
-    @cached_property
+    @property
     def diagram(self) -> Diagram:
-        return distribution_diagram(self.scheme, self.g)
+        return self.scheme.diagrams[self.g]
+
+    @cached_property
+    def levels(self) -> np.ndarray:
+        """Diagram level of each class (int16, -1 unreachable): the distances
+        from a are levels[scheme.classes[a]]."""
+        return np.array([-1 if lv is None else lv
+                         for lv in self.diagram.levels], dtype=np.int16)
 
     @cached_property
     def connected(self) -> bool:
@@ -299,27 +306,25 @@ class WEmptyAudit:
 
 def w_empty_audit(ctx: RelationContext) -> WEmptyAudit:
     """For a connected relation the W part must be empty, and every vertex
-    of U_a must sit at distance exactly 2 from a (checked on the graph
-    itself, every basepoint)."""
+    of U_a must sit at distance exactly 2 from a, the distances read off
+    the diagram levels.  The witness is (a, x, distance) for the first
+    failing basepoint a and its least failing vertex x."""
     if not ctx.connected:
         raise Disconnected("w-empty audit needs a connected relation")
-    scheme, graph = ctx.scheme, ctx.graph
     dec = ctx.iuw
     ok = not dec.w_classes
     d2_ok, d2_wit = True, None
     # the distance-2 conclusion is conditional on a nonempty W part
     vacuous = not dec.w_classes or not dec.u_classes
     if not vacuous:
-        u_arr = np.array(dec.u_classes, dtype=scheme.table.classes.dtype)
-        for a in range(scheme.v):
-            dist = graph.distances_from(a)
-            row = scheme.table.classes[a]
-            for x in np.nonzero(np.isin(row, u_arr))[0]:
-                if dist[int(x)] != 2:
-                    d2_ok, d2_wit = False, (a, int(x), dist[int(x)])
-                    break
-            if not d2_ok:
-                break
+        # distance depends only on the class and every class occurs in row
+        # 0, so basepoint 0 holds the first failure of any basepoint
+        row = ctx.scheme.classes[0]
+        dist = ctx.levels[row]
+        bad = np.isin(row, dec.u_classes) & (dist != 2)
+        if bad.any():
+            x = int(np.argmax(bad))
+            d2_ok, d2_wit = False, (0, x, int(dist[x]))
     return WEmptyAudit(ok=ok, h_prime_connected=dec.h_prime_connected,
                        w_classes=dec.w_classes, distance2_ok=d2_ok,
                        distance2_vacuous=vacuous, distance2_witness=d2_wit)
@@ -349,16 +354,15 @@ def ball_deletion_audit(ctx: RelationContext, t: int) -> BallDeletionAudit:
     The vertex ball is the graph ball B_t(a): the classes at diagram level
     at most t are the vertices within distance t of a, so the components
     are read from the context's shared sweep, which for t = 1 is the one
-    theorem 1 and C1/C2 read."""
+    theorem 1 and C1/C2 read.  The diameter is the diagram's, and the
+    distances from a are the levels of a's class row."""
     if not ctx.connected:
         raise Disconnected("ball deletion audit needs a connected relation")
-    scheme, graph, diag = ctx.scheme, ctx.graph, ctx.diagram
-    dm = graph.distance_matrix()
-    diameter = int(dm.max())
+    diag, levels = ctx.diagram, ctx.levels
+    diameter = diag.diameter
     if not 1 <= t <= diameter:
         raise ValueError(f"radius {t} outside 1..{diameter}")
-    ball = tuple(i for i in range(scheme.d + 1)
-                 if diag.levels[i] is not None and diag.levels[i] <= t)
+    ball = tuple(int(i) for i in np.flatnonzero(levels <= t))
     h_minus_conn = Graph(diag.size, diag.adj).is_connected(
         deleted=mask_of(ball))
     triggered = 0
@@ -372,7 +376,7 @@ def ball_deletion_audit(ctx: RelationContext, t: int) -> BallDeletionAudit:
             b_ok, b_wit = False, (a, diameter)
         if a_ok:
             rest = sum(comp_masks)   # disjoint masks: the sum is the union
-            dist_row = dm[a]
+            dist_row = levels[ctx.scheme.classes[a]]
             for cm in comp_masks:
                 far = [x for x in bits(cm) if dist_row[x] == diameter]
                 if not far:
@@ -421,7 +425,7 @@ def small_cut_theorems_audit(ctx: RelationContext) -> SmallCutAudit:
     if not ctx.connected:
         raise Disconnected("small-cut audit needs a connected relation")
     graph, kappa = ctx.graph, ctx.kappa
-    diam = graph.diameter()
+    diam = ctx.diagram.diameter
     v1 = ctx.scheme.valencies[ctx.g]
     n = ctx.scheme.v
 

@@ -62,12 +62,10 @@ def _load_source(args) -> SchemeDescriptor:
 def cmd_verify(args) -> int:
     try:
         scheme = load_scheme(args.path)
-    except ParseError as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return EXIT_PARSE
     except SchemeError as e:
-        print(f"invalid scheme: {e}", file=sys.stderr)
-        return EXIT_INVALID
+        label = "parse error" if isinstance(e, ParseError) else "invalid scheme"
+        print(f"{label}: {e}", file=sys.stderr)
+        return _exit_code(e)
     kind = "symmetric" if scheme.symmetric else "non-symmetric"
     print(f"{scheme.name}: valid {kind} scheme, v={scheme.v} d={scheme.d} "
           f"valencies={scheme.valencies}")

@@ -3,8 +3,10 @@
 For a symmetric scheme and a designated class g, the diagram H_g lives on
 the class indices {0..d}: j and k are adjacent when p[g,j,k] + p[g,k,j] > 0
 (loops tracked separately and ignored by BFS).  Levels are BFS distances
-from class 0, and a connected relation graph's distances equal the levels
-of the classes (geodesic_correspondence_check).
+from class 0.  A relation graph's distance from a to x is the level of the
+class of (a, x), and its diameter is the diagram's, None when it is
+disconnected (Brouwer-Cohen-Neumaier, Distance-Regular Graphs, sec. 2.2;
+geodesic_correspondence_check is the BFS oracle), so no report runs a BFS.
 """
 from __future__ import annotations
 
@@ -14,10 +16,10 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from .graph import Graph, bits
-from .scheme import SchemeDescriptor
 
 if TYPE_CHECKING:
     from .audits import RelationContext
+    from .scheme import SchemeDescriptor
 
 
 @dataclass(frozen=True)

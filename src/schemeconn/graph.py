@@ -154,14 +154,6 @@ class Graph:
             self._dist = d
         return self._dist
 
-    def diameter(self) -> Optional[int]:
-        """None when disconnected (or fewer than 2 live vertices)."""
-        if self.vertex_count() < 2 or not self.is_connected():
-            return None
-        d = self.distance_matrix()
-        live = list(bits(self.alive))
-        return int(d[np.ix_(live, live)].max())
-
     # -- derived graphs --------------------------------------------------
 
     def complement(self) -> "Graph":
@@ -184,10 +176,6 @@ class Graph:
 
 def cycle_graph(n: int) -> Graph:
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def complete_graph(n: int) -> Graph:
-    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def complete_bipartite(a: int, b: int) -> Graph:

@@ -108,7 +108,6 @@ def analyze_relation(scheme: SchemeDescriptor, i: int,
     """Full audit report for one basis relation.  `spectral`/
     `spectral_block` can be shared across the relations of one scheme."""
     ctx = audits.RelationContext(scheme, i)
-    graph = ctx.graph
     v = scheme.v
     v1 = int(scheme.valencies[i])
     connected = ctx.connected
@@ -116,7 +115,7 @@ def analyze_relation(scheme: SchemeDescriptor, i: int,
     findings: list[str] = []
     skipped: list[str] = []
 
-    diameter = graph.diameter()
+    diameter = ctx.diagram.diameter
     twin_count = len(ctx.twins.pairs)
     bound = Fraction(v1 * v, 2 * (v - 1))
 
@@ -231,7 +230,7 @@ def analyze_relation(scheme: SchemeDescriptor, i: int,
     min_cuts_are_neighborhoods = None
     if connected and not complete:
         try:
-            mc = enumerate_min_cuts(graph, kappa,
+            mc = enumerate_min_cuts(ctx.graph, kappa,
                                     budget=config.cut_enum_budget)
         except CapExceeded:
             skipped.append("min cut enumeration: over budget")

@@ -17,9 +17,11 @@ class.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from .diagram import Diagram, distribution_diagram
 from .errors import (
     IdentityClassRequested,
     NonConstantIntersection,
@@ -139,6 +141,11 @@ class SchemeDescriptor:
 
     def p(self, i: int, j: int, k: int) -> int:
         return int(self.tensor.p[i, j, k])
+
+    @cached_property
+    def diagrams(self) -> dict[int, Diagram]:
+        """Distribution diagram of each class 1..d, built once and shared."""
+        return {g: distribution_diagram(self, g) for g in range(1, self.d + 1)}
 
 
 def _checked_stabiliser(classes: np.ndarray,

@@ -32,7 +32,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .diagram import distribution_diagram
 from .errors import (DetectorDisagreement, Disconnected, NotSymmetric,
                      RefinementFailed)
 from .scheme import SchemeDescriptor
@@ -156,9 +155,9 @@ def primitivity(scheme: SchemeDescriptor, spectral: SpectralData,
     repeated column in some nontrivial idempotent E_j, i.e. a class k >= 1
     with m_j - Q_kj within column_tol of 0 (module docstring).  Relation i
     is connected iff its distribution diagram reaches every class, so no
-    relation graph is built."""
-    disc = [i for i in range(1, scheme.d + 1)
-            if distribution_diagram(scheme, i).diameter is None]
+    relation graph is built; the diagrams are the scheme's own, which the
+    relation contexts read too."""
+    disc = [i for i, diag in scheme.diagrams.items() if diag.diameter is None]
     q = spectral.q
     rep = [j for j in range(1, scheme.d + 1)
            if (np.abs(q[0, j] - q[1:, j]) < column_tol).any()]

@@ -1,5 +1,8 @@
 """Theorem and corollary audits on known schemes."""
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from schemeconn.audits import (RelationContext, _exceptional_match,
@@ -166,6 +169,46 @@ def test_w_empty_h62_r3_vacuous_distance2():
 def test_w_empty_gate():
     with pytest.raises(Disconnected):
         w_empty_audit(RelationContext(gen_cyclic(10), 2))
+
+
+def ref_distance2(ctx):
+    """The W-empty distance-2 check as a BFS from every basepoint, in
+    order: (ok, first (a, x, distance) with x in U_a not at distance 2)."""
+    scheme, dec = ctx.scheme, ctx.iuw
+    for a in range(scheme.v):
+        dist = ctx.graph.distances_from(a)
+        row = scheme.classes[a]
+        for x in np.nonzero(np.isin(row, dec.u_classes))[0]:
+            if dist[int(x)] != 2:
+                return False, (a, int(x), dist[int(x)])
+    return True, None
+
+
+@pytest.mark.parametrize("family,g", [
+    (("cyclic", (7,)), 1), (("cyclic", (9,)), 2), (("hamming", (4, 2)), 1),
+    (("hamming", (3, 3)), 1), (("johnson", (8, 3)), 1),
+], ids=["cyclic-7-r1", "cyclic-9-r2", "hamming-4-2-r1", "hamming-3-3-r1",
+        "johnson-8-3-r1"])
+def test_w_empty_distance2_matches_bfs_when_w_nonempty(family, g):
+    # valid input never has W nonempty on a connected relation, so the
+    # decomposition is forced: U at level 2 only, then with a class at
+    # level 1 or 3 mixed in, each against the every-basepoint BFS
+    ctx = RelationContext(build_family(*family), g)
+    sets = ctx.diagram.level_sets
+    assert ctx.connected and ctx.diagram.diameter >= 3
+    dec = ctx.iuw
+    cases = [sets[2], sets[2] + sets[3][:1], sets[3][-1:] + sets[2],
+             sets[1]]
+    results = []
+    for u in cases:
+        ctx.iuw = replace(dec, u_classes=tuple(sorted(u)),
+                          w_classes=sets[-1][:1])
+        audit = w_empty_audit(ctx)
+        assert not audit.ok and not audit.distance2_vacuous
+        got = (audit.distance2_ok, audit.distance2_witness)
+        assert got == ref_distance2(ctx), (family, g, u)
+        results.append(got[0])
+    assert results == [True, False, False, False]
 
 
 def test_ball_deletion_h62_r3():

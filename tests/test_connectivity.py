@@ -17,10 +17,11 @@ from schemeconn.connectivity import (MinCutData, edge_connectivity,
                                      maximal_cliques, twins,
                                      vertex_connectivity)
 from schemeconn.errors import CapExceeded, Disconnected
-from schemeconn.graph import (Graph, bits, complete_bipartite, complete_graph,
-                              cycle_graph, mask_of, petersen)
+from schemeconn.graph import (Graph, bits, complete_bipartite, cycle_graph,
+                              mask_of, petersen)
 from schemeconn.report import AnalysisConfig, analyze_relation
 from schemeconn.scheme import relation_graph
+from small_graphs import complete_graph
 
 
 def brute_kappa(graph):

@@ -172,7 +172,7 @@ def test_ball_components_match_class_row_sweep():
     radii = 0
     for s, g, graph in _small_catalog_relations():
         ctx = RelationContext(s, g)
-        for t in range(1, graph.diameter() + 1):
+        for t in range(1, int(graph.distance_matrix().max()) + 1):
             assert ctx.ball_components(t) == ref_ball_components(
                 s, g, graph, t), (s.name, g, t)
             radii += 1

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -174,16 +175,19 @@ def test_report_digests_unchanged():
     assert got == REPORT_DIGESTS
 
 
-def _count_calls(monkeypatch, module, name, calls):
-    """Count calls of module.<name> wherever the package holds it."""
-    original = getattr(module, name)
+def _count_calls(monkeypatch, owner, name, calls):
+    """Count calls of owner.<name>, owner a module or a class, wherever the
+    package holds it."""
+    original = getattr(owner, name)
 
     def wrapper(*args, **kwargs):
         calls[name] += 1
         return original(*args, **kwargs)
-    for key, mod in list(sys.modules.items()):
-        if key.startswith("schemeconn") and vars(mod).get(name) is original:
-            monkeypatch.setattr(mod, name, wrapper)
+    holders = [owner] + [mod for key, mod in list(sys.modules.items())
+                         if key.startswith("schemeconn")]
+    for holder in holders:
+        if vars(holder).get(name) is original:
+            monkeypatch.setattr(holder, name, wrapper)
 
 
 @pytest.mark.parametrize("family,connected", [
@@ -192,14 +196,20 @@ def _count_calls(monkeypatch, module, name, calls):
 ], ids=["johnson-7-3", "hamming-4-2"])
 def test_analyze_relation_builds_shared_objects_once(monkeypatch, family,
                                                      connected):
+    # the scheme's spectral block and its relations' reports together build
+    # each diagram once and read every distance off the diagrams: no
+    # distance_matrix call is counted
     from schemeconn import connectivity, diagram, scheme as scheme_mod
-    s = build_family(*family)
+    from schemeconn.graph import Graph
+    # a fresh descriptor: build_family's is cached and may hold its diagrams
+    s = replace(build_family(*family))
     spec = compute_spectral(s)
-    block = spectral_section(s, spec)
     calls = Counter()
     _count_calls(monkeypatch, scheme_mod, "relation_graph", calls)
     _count_calls(monkeypatch, diagram, "distribution_diagram", calls)
     _count_calls(monkeypatch, connectivity, "vertex_connectivity", calls)
+    _count_calls(monkeypatch, Graph, "distance_matrix", calls)
+    block = spectral_section(s, spec)
     for i in range(1, s.d + 1):
         analyze_relation(s, i, spectral=spec, spectral_block=block)
     assert calls == {"relation_graph": s.d, "distribution_diagram": s.d,
@@ -365,7 +375,12 @@ def test_cli_verify_parse_error(tmp_path, capsys):
      "v and d must be integers"),
     ({"name": "x", "v": 2, "d": 1, "classes": [[0, 2**62], [2**62, 0]]}, 2,
      "class 1 is empty"),
-], ids=["ragged", "int-overflow", "v-string", "huge-label"])
+    # the cyclic scheme on Z_601: a valid partition with 301 classes
+    ({"name": "cyclic-601", "v": 601, "d": 300,
+      "classes": [[min((x - y) % 601, (y - x) % 601) for y in range(601)]
+                  for x in range(601)]}, 4,
+     "301 classes exceeds the tensor cap"),
+], ids=["ragged", "int-overflow", "v-string", "huge-label", "tensor-cap"])
 def test_cli_verify_hostile_file(tmp_path, payload, code, message):
     path = tmp_path / "hostile.json"
     path.write_text(json.dumps(payload))

@@ -10,11 +10,11 @@ from schemeconn.catalog import (build_family, cyclic_group_table, gen_cyclic,
 from schemeconn.errors import (IdentityClassRequested, NonConstantIntersection,
                                NotAPartition, NotClosedUnderTranspose,
                                NotCommutative, NotSymmetric, SizeCap)
-from schemeconn.graph import (Graph, complete_bipartite, complete_graph,
-                              cycle_graph, petersen)
+from schemeconn.graph import Graph, complete_bipartite, cycle_graph, petersen
 from schemeconn.scheme import (SIZE_CAP, RelationTable,
                                is_complete_multipartite, relation_graph,
                                symmetrized_scheme, validate_scheme)
+from small_graphs import complete_graph
 
 
 def brute_intersection(classes, i, j, k):
