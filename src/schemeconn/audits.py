@@ -10,6 +10,20 @@ Theorem 1, C1/C2 and the ball-deletion lemma all read the components of
 G - B_t(a) for every basepoint a, with N[a] = B_1(a).  The context sweeps
 them once per radius and every audit shares the sweep.
 
+On a scheme with a verified transitive group the sweep is basepoint 0
+alone (Brouwer-Cohen-Neumaier, Distance-Regular Graphs, 1989, §2.1).  An
+automorphism p of the scheme preserves every class, so it is an
+automorphism of G that maps B_t(a) onto B_t(p(a)) and the components of
+G - B_t(a) onto those of G - B_t(p(a)), with sizes, adjacency to N(b)
+and distances kept.  Whether a basepoint is disconnected, triggers ball
+deletion, or fails C1, C2 or a ball-deletion part is therefore constant
+on each orbit, and the group's one orbit is X.  So a count of basepoints
+is v times the count at 0; C1's pair count is v|N(0)| when C1 holds,
+and otherwise the count at 0 up to its first failure, since the full
+sweep fails first at basepoint 0 too; and every witness, taken at the
+first failing basepoint, is the one at 0.  K_{2,1,1}-freeness is decided
+at 0 alike.
+
 The corollary audits rest on one criterion.  Take T inside the closed
 neighbourhood N[a] that misses some b in N(a).  Then G - T is disconnected
 for some such T iff (i) some component of G - N[a] has no neighbour of b
@@ -50,7 +64,10 @@ class RelationContext:
     graph (built here), the scheme's diagram and distances read off it,
     twins, connectivity and the per-basepoint component sweeps.
     kappa and lam sweep one flow per orbit of the scheme's stabiliser of
-    vertex 0, the graph's least live vertex."""
+    vertex 0, the graph's least live vertex.  The basepoint audits sweep
+    `basepoints`: vertex 0 alone when the scheme carries a verified
+    transitive group, every vertex when it does not; each basepoint
+    stands for `weight` of them."""
 
     def __init__(self, scheme: SchemeDescriptor, g: int):
         self.scheme = scheme
@@ -60,6 +77,14 @@ class RelationContext:
     @property
     def diagram(self) -> Diagram:
         return self.scheme.diagrams[self.g]
+
+    @cached_property
+    def basepoints(self) -> tuple[int, ...] | range:
+        return (0,) if self.scheme.transitive else range(self.scheme.v)
+
+    @cached_property
+    def weight(self) -> int:
+        return self.scheme.v // len(self.basepoints)
 
     @cached_property
     def levels(self) -> np.ndarray:
@@ -89,19 +114,31 @@ class RelationContext:
         return h_prime_connected(self.diagram)
 
     @cached_property
-    def _ball_sweeps(self) -> dict[int, tuple[list[int], ...]]:
+    def _ball_sweeps(self) -> dict[tuple, tuple[list[int], ...]]:
         return {}
+
+    def _components(self, t: int, basepoints) -> tuple[list[int], ...]:
+        """The components of G - B_t(a) for each a in basepoints (a range or
+        a tuple), computed once per radius and set of basepoints."""
+        sweeps = self._ball_sweeps
+        key = (t, basepoints)
+        if key not in sweeps:
+            graph = self.graph
+            sweeps[key] = tuple(
+                graph.component_masks(deleted=graph.ball(a, t))
+                for a in basepoints)
+        return sweeps[key]
 
     def ball_components(self, t: int) -> tuple[list[int], ...]:
         """For every basepoint a, the components of G - B_t(a) as bit masks
         by least vertex, where B_t(a) is the ball of radius t; computed once
-        per radius.  B_1(a) = N[a], the sweep theorem 1 and C1/C2 read."""
-        sweeps = self._ball_sweeps
-        if t not in sweeps:
-            graph = self.graph
-            sweeps[t] = tuple(graph.component_masks(deleted=graph.ball(a, t))
-                              for a in range(self.scheme.v))
-        return sweeps[t]
+        per radius.  B_1(a) = N[a]."""
+        return self._components(t, range(self.scheme.v))
+
+    def swept_components(self, t: int) -> tuple[list[int], ...]:
+        """ball_components(t) at `basepoints` only: the sweep theorem 1,
+        C1/C2 (t = 1) and ball deletion read."""
+        return self._components(t, self.basepoints)
 
     @cached_property
     def iuw(self) -> IUWDecomposition:
@@ -139,7 +176,7 @@ def theorem1_audit(ctx: RelationContext) -> Theorem1Audit:
         raise HypothesisViolation("disconnected")
     if ctx.complete_multipartite:
         raise HypothesisViolation("complete multipartite")
-    flags = [len(comps) <= 1 for comps in ctx.ball_components(1)]
+    flags = [len(comps) <= 1 for comps in ctx.swept_components(1)]
     hp = ctx.h_prime_connected
     tw = ctx.twins
     twin_free = not tw.pairs
@@ -151,7 +188,7 @@ def theorem1_audit(ctx: RelationContext) -> Theorem1Audit:
         h_prime_connected=hp,
         twin_free=twin_free,
         equivalent=(exists_a == forall_a == hp == twin_free),
-        disconnected_basepoints=flags.count(False),
+        disconnected_basepoints=flags.count(False) * ctx.weight,
         first_twin_pair=tw.pairs[0] if tw.pairs else None,
     )
 
@@ -206,7 +243,7 @@ def corollary_audits(ctx: RelationContext) -> CorollaryAudits:
         raise Disconnected("corollary audits need a connected relation")
     graph = ctx.graph
     checked, c1_wit, c2_wit = 0, None, None
-    for a, comps in enumerate(ctx.ball_components(1)):
+    for a, comps in zip(ctx.basepoints, ctx.swept_components(1)):
         if c2_wit is None:
             big = sum(1 for comp in comps if comp.bit_count() >= 2)
             if big > 1:
@@ -216,6 +253,8 @@ def corollary_audits(ctx: RelationContext) -> CorollaryAudits:
             checked += n
             if cut is not None:
                 c1_wit = {"basepoint": a, "deleted": list(cut)}
+    if c1_wit is None:
+        checked *= ctx.weight
     c3_wit, capped = None, False
     if c1_wit is not None:
         cliques, capped = maximal_cliques(graph, cap=CLIQUE_CAP)
@@ -248,12 +287,13 @@ def iuw_decompose(ctx: RelationContext, a: int = 0) -> IUWDecomposition:
     pull each back to a vertex set at the given basepoint.  When the
     punctured diagram is connected the decomposition is all-empty by
     convention.  A connected relation reads the components of G - N[a]
-    off the context's shared sweep; a disconnected one, which no audit
-    sweeps, grows them at its own basepoint only."""
+    off the context's shared sweep when a is one of its basepoints;
+    otherwise (a disconnected relation, which no audit sweeps, or a
+    basepoint outside the sweep) they are grown at a only."""
     scheme, g = ctx.scheme, ctx.g
     graph = ctx.graph
-    if ctx.connected:
-        masks = ctx.ball_components(1)[a]
+    if ctx.connected and a in ctx.basepoints:
+        masks = ctx.swept_components(1)[ctx.basepoints.index(a)]
     else:
         masks = graph.component_masks(deleted=graph.closed_neighborhood(a))
     comp_map = tuple(tuple(bits(m)) for m in masks)
@@ -368,10 +408,10 @@ def ball_deletion_audit(ctx: RelationContext, t: int) -> BallDeletionAudit:
     triggered = 0
     a_ok = b_ok = True
     a_wit = b_wit = None
-    for a, comp_masks in enumerate(ctx.ball_components(t)):
+    for a, comp_masks in zip(ctx.basepoints, ctx.swept_components(t)):
         if len(comp_masks) <= 1:
             continue
-        triggered += 1
+        triggered += ctx.weight
         if h_minus_conn and b_ok and diameter > 2 * t:
             b_ok, b_wit = False, (a, diameter)
         if a_ok:
@@ -471,7 +511,7 @@ def spec_cut_audit(ctx: RelationContext) -> SpecCutAudit:
     disconnecting set has size kappa, so comparing kappa decides it."""
     if not ctx.connected:
         raise Disconnected("cut-size audit needs a connected relation")
-    free, wit = k211_free(ctx.graph)
+    free, wit = k211_free(ctx.graph, ctx.basepoints)
     if not free:
         raise HypothesisNotMet(f"not K_{{2,1,1}}-free: witness {wit}")
     g = ctx.g

@@ -71,19 +71,26 @@ def gen_hamming(n: int, q: int) -> SchemeDescriptor:
     for pos in range(n):
         digits[:, n - 1 - pos] = (x // q ** pos) % q
     classes = (digits[:, None, :] != digits[None, :, :]).sum(axis=2)
-    # stabiliser of the zero word: S_n on coordinates, and S_{q-1} on the
-    # nonzero symbols of coordinate 0 (conjugated to every coordinate by S_n)
     weights = q ** np.arange(n - 1, -1, -1)
-    gens = [digits[:, _cycle(n, pts)] @ weights
-            for pts in _cycle_points(range(n))]
-    for pts in _cycle_points(range(1, q)):
-        tau = np.array(_cycle(q, pts))
+
+    def on_symbol_0(sigma: list[int]) -> np.ndarray:
         moved = digits.copy()
-        moved[:, 0] = tau[digits[:, 0]]
-        gens.append(moved @ weights)
+        moved[:, 0] = np.array(sigma)[digits[:, 0]]
+        return moved @ weights
+
+    # S_n on coordinates; with S_{q-1} on the nonzero symbols of coordinate
+    # 0 (conjugated to every coordinate by S_n) it generates the stabiliser
+    # of the zero word, and with x_0 -> x_0 + 1 mod q, which S_n conjugates
+    # to a translation of every coordinate, a transitive group
+    coords = [digits[:, _cycle(n, pts)] @ weights
+              for pts in _cycle_points(range(n))]
+    symbols = [on_symbol_0(_cycle(q, pts))
+               for pts in _cycle_points(range(1, q))]
+    shift = on_symbol_0(_cycle(q, list(range(q))))
     return validate_scheme(RelationTable.from_classes(classes),
                            name=f"hamming-{n}-{q}",
-                           stabiliser=_distinct_moving(gens))
+                           stabiliser=_distinct_moving(coords + symbols),
+                           transitive=_distinct_moving(coords + [shift]))
 
 
 @lru_cache(maxsize=None)
@@ -109,9 +116,13 @@ def gen_johnson(vs: int, k: int) -> SchemeDescriptor:
 
     gens = [lift(_cycle(vs, pts)) for block in (range(k), range(k, vs))
             for pts in _cycle_points(block)]
+    # S_vs itself, by (0 1) and the full cycle, is transitive on k-subsets
     return validate_scheme(RelationTable.from_classes(classes),
                            name=f"johnson-{vs}-{k}",
-                           stabiliser=_distinct_moving(gens))
+                           stabiliser=_distinct_moving(gens),
+                           transitive=_distinct_moving(
+                               lift(_cycle(vs, pts))
+                               for pts in _cycle_points(range(vs))))
 
 
 @lru_cache(maxsize=None)
@@ -124,10 +135,12 @@ def gen_cyclic(n: int) -> SchemeDescriptor:
     x = np.arange(n)
     diff = np.abs(x[:, None] - x[None, :])
     classes = np.minimum(diff, n - diff)
-    # the dihedral stabiliser of 0 is generated by x -> -x
+    # the dihedral stabiliser of 0 is generated by x -> -x, and the
+    # rotation x -> x + 1 is transitive
     return validate_scheme(RelationTable.from_classes(classes),
                            name=f"cyclic-{n}",
-                           stabiliser=_distinct_moving([(-x) % n]))
+                           stabiliser=_distinct_moving([(-x) % n]),
+                           transitive=_distinct_moving([(x + 1) % n]))
 
 
 GROUP_CAP = 256
@@ -187,7 +200,29 @@ def gen_conjugacy(mul, name: str = "conjugacy") -> SchemeDescriptor:
             cls_of[x] = label
     prod = mul[np.arange(v)[:, None], inv[np.arange(v)][None, :]]  # a b^{-1}
     classes = cls_of[prod]
-    return validate_scheme(RelationTable.from_classes(classes), name=name)
+    return validate_scheme(RelationTable.from_classes(classes), name=name,
+                           transitive=_right_multiplications(mul, e))
+
+
+def _right_multiplications(mul: np.ndarray, e: int) -> tuple:
+    """Right multiplications x -> xg, which fix every a b^{-1}, for a
+    greedy generating set: g is taken, in element order, when it lies
+    outside the subgroup H the ones before it generate.  The orbits of
+    right multiplication by H are the cosets xH, so each g taken joins
+    orbits, and the last one leaves the one orbit X."""
+    v = mul.shape[0]
+    gens: list[int] = []
+    sub = {e}
+    for g in range(v):
+        if g in sub:
+            continue
+        gens.append(g)
+        frontier = list(sub)
+        while frontier:
+            frontier = [y for y in {int(mul[x, s]) for x in frontier
+                                    for s in gens} if y not in sub]
+            sub.update(frontier)
+    return tuple(tuple(int(y) for y in mul[:, g]) for g in gens)
 
 
 def scheme_from_drg(graph: Graph, name: str = "drg") -> SchemeDescriptor:
@@ -234,10 +269,15 @@ def load_scheme(path) -> SchemeDescriptor:
     name = payload["name"]
     if not isinstance(name, str):
         raise ParseError(f"{path}: name must be a string")
+    # bool is an int subclass, but true/false are no class index or size
+    if not all(type(payload[key]) is int for key in ("v", "d")):
+        raise ParseError(
+            f"{path}: v and d must be integers, got v={payload['v']!r}, "
+            f"d={payload['d']!r}")
     classes = payload["classes"]
     if (not isinstance(classes, list)
             or any(not isinstance(row, list) for row in classes)
-            or any(not all(isinstance(x, int) for x in row) for row in classes)):
+            or any(not all(type(x) is int for x in row) for row in classes)):
         raise ParseError(f"{path}: classes must be a matrix of integers")
     try:
         matrix = np.asarray(classes, dtype=np.int64)
@@ -247,10 +287,6 @@ def load_scheme(path) -> SchemeDescriptor:
         raise ParseError(f"{path}: class index out of range") from exc
     table = RelationTable.from_classes(matrix)
     if table.v != payload["v"] or table.d != payload["d"]:
-        if not all(isinstance(payload[key], int) for key in ("v", "d")):
-            raise ParseError(
-                f"{path}: v and d must be integers, got v={payload['v']!r}, "
-                f"d={payload['d']!r}")
         raise ParseError(
             f"{path}: declared v={payload['v']}, d={payload['d']} but matrix "
             f"has v={table.v}, d={table.d}")

@@ -25,16 +25,15 @@ Since p fixes s, it permutes the targets t (the non-neighbours of s, for
 edges every other vertex) and the non-adjacent pairs inside Gamma(s).  So
 every member of an orbit of the group the automorphisms generate has the
 same local connectivity, and one flow per orbit gives the same minimum as
-the full sweep.  Orbits come from union-find under the generators; with no
-generators every target and pair is its own orbit and the sweep runs in
-full, in the same order.
+the full sweep.  Orbits come from numpy min-label propagation under the
+generators; with no generators every target and pair is its own orbit and
+the sweep runs in full, in the same order.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from operator import getitem
 from typing import Iterator, Optional
 
 import numpy as np
@@ -165,34 +164,73 @@ def local_vertex_connectivity(graph: Graph, s: int, t: int,
     return _vertex_flow(graph.rows, graph.alive, s, t, cap)
 
 
-def _orbit_representatives(items: list, automorphisms, image) -> list:
-    """The first item of each orbit of the group generated by automorphisms
-    on items, in items order; image(p, item) is p's image of item and must
-    be in items again."""
-    index = {item: i for i, item in enumerate(items)}
-    parent = list(range(len(items)))
+def _orbit_representatives(items: np.ndarray, automorphisms) -> list[int]:
+    """Positions of the rows of items that come first in their orbits
+    under the group generated by automorphisms, ascending.  items is an
+    (m, r) array of distinct vertices (r = 1) or ascending vertex pairs
+    (r = 2); an automorphism p maps a row to the ascending row of its
+    images, which must be a row of items again.
 
-    def root(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    The orbits are the components of the graph that joins each row to its
+    image under each generator, found by min-label propagation: label[i]
+    is always a row of i's orbit at or before i.  Each round hooks the
+    labels of the two ends of every edge onto the lesser of the two, then
+    pointer jumping (label = label[label] until it stops changing) leaves
+    every label a fixed point.  When a round changes nothing, the two ends
+    of every edge share a label, so each orbit carries one label, and it
+    is the orbit's first row: that row's own label is at or before it and
+    in its orbit.  Rows are found again through a table indexed by the
+    row's vertices renumbered within the vertices items use, so no sort
+    is needed."""
+    m, r = items.shape
+    if m == 0 or not automorphisms:
+        return list(range(m))
+    perms = np.asarray(automorphisms, dtype=np.int64)
+    used = np.zeros(perms.shape[1], dtype=bool)
+    used[items] = True
+    local = np.cumsum(used) - 1
+    width = int(local[-1]) + 1
+    table = np.full(width ** r, -1, dtype=np.int64)
 
-    for p in automorphisms:
-        for i, item in enumerate(items):
-            j = index.get(image(p, item))
-            if j is None:
-                raise ValueError(f"automorphism moves {item!r} out of the "
-                                 f"swept set")
-            a, b = root(i), root(j)
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-    return [item for i, item in enumerate(items) if parent[i] == i]
+    def slot(rows: np.ndarray) -> np.ndarray:
+        return local[rows] @ width ** np.arange(r - 1, -1, -1)
+
+    table[slot(items)] = np.arange(m)
+    ends = []
+    for k, p in enumerate(perms):
+        image = p[items]
+        if r == 2:
+            image = np.stack((image.min(axis=1), image.max(axis=1)), axis=1)
+        inside = used[image].all(axis=1)
+        found = np.full(m, -1)
+        found[inside] = table[slot(image[inside])]
+        if (found < 0).any():
+            row = tuple(int(x) for x in items[np.argmax(found < 0)])
+            raise ValueError(f"automorphism {k} moves {row} out of the "
+                             f"swept set")
+        ends.append(found)
+    src = np.tile(np.arange(m), len(perms))
+    dst = np.concatenate(ends)
+    label = np.arange(m)
+    while True:
+        low = np.minimum(label[src], label[dst])
+        hooked = label.copy()
+        np.minimum.at(hooked, label[src], low)
+        np.minimum.at(hooked, label[dst], low)
+        while True:
+            jumped = hooked[hooked]
+            if np.array_equal(jumped, hooked):
+                break
+            hooked = jumped
+        if np.array_equal(hooked, label):
+            break
+        label = hooked
+    return np.flatnonzero(label == np.arange(m)).tolist()
 
 
-def _pair_image(p, pair: tuple[int, int]) -> tuple[int, int]:
-    u, w = p[pair[0]], p[pair[1]]
-    return (u, w) if u < w else (w, u)
+def _rows(items: list, r: int) -> np.ndarray:
+    """items (vertices, or ascending vertex pairs) as an (m, r) array."""
+    return np.array(items, dtype=np.int64).reshape(len(items), r)
 
 
 def _fixed_source(graph: Graph, automorphisms) -> int:
@@ -222,14 +260,15 @@ def vertex_connectivity(graph: Graph, automorphisms=()) -> int:
     best = min(graph.degrees())
     s = _fixed_source(graph, automorphisms)
     targets = list(bits(live & ~graph.closed_neighborhood(s)))
-    for t in _orbit_representatives(targets, automorphisms, getitem):
-        f = _vertex_flow(graph.rows, live, s, t, best)
+    for i in _orbit_representatives(_rows(targets, 1), automorphisms):
+        f = _vertex_flow(graph.rows, live, s, targets[i], best)
         if f < best:
             best = f
     nbrs = list(bits(graph.neighborhood(s)))
     pairs = [(u, w) for i, u in enumerate(nbrs) for w in nbrs[i + 1:]
              if not graph.has_edge(u, w)]
-    for u, w in _orbit_representatives(pairs, automorphisms, _pair_image):
+    for i in _orbit_representatives(_rows(pairs, 2), automorphisms):
+        u, w = pairs[i]
         f = _vertex_flow(graph.rows, live, u, w, best)
         if f < best:
             best = f
@@ -247,8 +286,8 @@ def edge_connectivity(graph: Graph, automorphisms=()) -> int:
     best = min(graph.degrees())
     s = _fixed_source(graph, automorphisms)
     targets = list(bits(live & ~(1 << s)))
-    for t in _orbit_representatives(targets, automorphisms, getitem):
-        f = _edge_flow(graph.rows, live, s, t, best)
+    for i in _orbit_representatives(_rows(targets, 1), automorphisms):
+        f = _edge_flow(graph.rows, live, s, targets[i], best)
         if f < best:
             best = f
     return best
@@ -353,11 +392,15 @@ def enumerate_min_cuts(graph: Graph, kappa: int,
 
 # -- local clique structure ----------------------------------------------
 
-def k211_free(graph: Graph) -> tuple[bool, Optional[tuple]]:
+def k211_free(graph: Graph, vertices=None) -> tuple[bool, Optional[tuple]]:
     """Whether every open neighborhood induces a disjoint union of cliques
     (no K_{2,1,1} through any vertex).  Witness: (x, u, w) with u, w
-    non-adjacent vertices in one component of the neighborhood of x."""
-    for x in bits(graph.alive):
+    non-adjacent vertices in one component of the neighborhood of x, for
+    the first such x.  vertices (default: every live vertex) limits the x
+    checked.  On a vertex-transitive graph x = 0 alone decides it: an
+    automorphism maps a witness at any x to one at 0, so the full sweep
+    fails first at 0 too and finds the same witness."""
+    for x in bits(graph.alive) if vertices is None else vertices:
         nb = graph.neighborhood(x)
         rest = nb
         while rest:

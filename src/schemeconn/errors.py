@@ -36,13 +36,17 @@ class NotCommutative(SchemeError):
 
 
 class NotAnAutomorphism(SchemeError):
-    """A claimed stabiliser generator that does not fix vertex 0, is not a
-    permutation, or moves some pair into another class."""
+    """A claimed generator that is not a permutation, moves some pair into
+    another class or, for a stabiliser, does not fix vertex 0; or a set of
+    claimed transitive generators whose orbit of vertex 0 is not X (index
+    None, witness the least vertex outside that orbit)."""
 
-    def __init__(self, index, witness, reason):
+    def __init__(self, index, witness, reason, role="stabiliser"):
         self.index = index        # position of the generator in the tuple
         self.witness = witness    # offending vertex, image or pair
-        super().__init__(f"stabiliser generator {index}: {reason}")
+        where = (f"{role} generators" if index is None
+                 else f"{role} generator {index}")
+        super().__init__(f"{where}: {reason}")
 
 
 class NotSymmetric(SchemeError):

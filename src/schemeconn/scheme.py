@@ -10,9 +10,10 @@ matrices, so every entry of the product and every partial sum BLAS forms on
 the way is an integer in [0, v], and v <= SIZE_CAP < 2**24 fits float32's
 24-bit significand whatever the summation order, thread count or FMA use.  A
 failure's witness is recounted in integers before it is reported.
-Stabiliser generators offered by a construction are checked just as exactly:
-each must fix vertex 0, permute X and map every pair to a pair of the same
-class.
+Generators offered by a construction are checked just as exactly: each must
+permute X and map every pair to a pair of the same class, a stabiliser
+generator must fix vertex 0, and the transitive generators together must
+carry 0 to every vertex.
 """
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .connectivity import _orbit_representatives
 from .diagram import Diagram, distribution_diagram
 from .errors import (
     IdentityClassRequested,
@@ -112,12 +114,15 @@ class IntersectionTensor:
 class SchemeDescriptor:
     """A validated scheme.  `stabiliser` holds verified generators (one
     image tuple each) of a group of permutations of X that fix vertex 0 and
-    preserve every class; empty when the construction supplies none."""
+    preserve every class; `transitive` holds verified generators of a
+    group that preserves every class and whose orbit of 0 is X.  Each is
+    empty when the construction supplies none."""
 
     name: str
     table: RelationTable
     tensor: IntersectionTensor
     stabiliser: tuple[tuple[int, ...], ...] = ()
+    transitive: tuple[tuple[int, ...], ...] = ()
 
     @property
     def v(self) -> int:
@@ -148,30 +153,31 @@ class SchemeDescriptor:
         return {g: distribution_diagram(self, g) for g in range(1, self.d + 1)}
 
 
-def _checked_stabiliser(classes: np.ndarray,
-                        stabiliser) -> tuple[tuple[int, ...], ...]:
+def _checked_generators(classes: np.ndarray, generators,
+                        role: str) -> tuple[tuple[int, ...], ...]:
     """Each generator as an image tuple, once it is shown to be a
-    permutation of X fixing vertex 0 with classes[p[a], p[b]] equal to
-    classes[a, b] for every pair."""
+    permutation of X with classes[p[a], p[b]] equal to classes[a, b] for
+    every pair and, for the role "stabiliser", to fix vertex 0."""
     v = classes.shape[0]
     out = []
-    for idx, gen in enumerate(stabiliser):
+    for idx, gen in enumerate(generators):
         perm = np.asarray(gen)
         if perm.shape != (v,) or perm.dtype.kind not in "iu":
-            raise NotAnAutomorphism(idx, None,
-                                    f"not a sequence of {v} vertex indices")
+            raise NotAnAutomorphism(idx, None, f"not a sequence of {v} "
+                                               f"vertex indices", role)
         off = np.nonzero((perm < 0) | (perm >= v))[0]
         if len(off):
             x = int(off[0])
             raise NotAnAutomorphism(idx, x, f"maps {x} to {int(perm[x])}, "
-                                            f"outside 0..{v - 1}")
-        if perm[0] != 0:
-            raise NotAnAutomorphism(idx, 0, f"maps 0 to {int(perm[0])}")
+                                            f"outside 0..{v - 1}", role)
+        if role == "stabiliser" and perm[0] != 0:
+            raise NotAnAutomorphism(idx, 0, f"maps 0 to {int(perm[0])}", role)
         hits = np.bincount(perm, minlength=v)
         if (hits != 1).any():
             y = int(np.nonzero(hits > 1)[0][0])
             raise NotAnAutomorphism(idx, y, f"not a permutation: {y} is the "
-                                            f"image of {int(hits[y])} vertices")
+                                            f"image of {int(hits[y])} "
+                                            f"vertices", role)
         moved = classes[np.ix_(perm, perm)] != classes
         if moved.any():
             a, b = (int(x) for x in np.argwhere(moved)[0])
@@ -179,9 +185,25 @@ def _checked_stabiliser(classes: np.ndarray,
             raise NotAnAutomorphism(
                 idx, ((a, b), (pa, pb)),
                 f"maps ({a},{b}) of class {int(classes[a, b])} to "
-                f"({pa},{pb}) of class {int(classes[pa, pb])}")
+                f"({pa},{pb}) of class {int(classes[pa, pb])}", role)
         out.append(tuple(int(x) for x in perm))
     return tuple(out)
+
+
+def _checked_transitive(classes: np.ndarray,
+                        generators) -> tuple[tuple[int, ...], ...]:
+    """The generators, checked as for _checked_generators, once the orbit
+    of vertex 0 under the group they generate is shown to be all of X."""
+    gens = _checked_generators(classes, generators, "transitive")
+    if gens:
+        v = classes.shape[0]
+        reps = _orbit_representatives(np.arange(v).reshape(v, 1), gens)
+        if len(reps) > 1:
+            x = reps[1]
+            raise NotAnAutomorphism(
+                None, x, f"not transitive: the orbit of 0 misses {x}",
+                "transitive")
+    return gens
 
 
 def _pair_count(classes: np.ndarray, i: int, j: int, a: int, b: int) -> int:
@@ -190,14 +212,16 @@ def _pair_count(classes: np.ndarray, i: int, j: int, a: int, b: int) -> int:
 
 
 def validate_scheme(table: RelationTable, name: str = "scheme",
-                    stabiliser=()) -> SchemeDescriptor:
+                    stabiliser=(), transitive=()) -> SchemeDescriptor:
     """Full triple-count validation plus an exact check of each offered
-    stabiliser generator; raises with a witness on failure."""
+    stabiliser generator and transitive generator, and of the transitive
+    generators' orbit of 0; raises with a witness on failure."""
     c = table.classes
     v, d = table.v, table.d
     if d + 1 > 300:
         raise SizeCap(f"{d + 1} classes exceeds the tensor cap")
-    gens = _checked_stabiliser(c, stabiliser)
+    gens = _checked_generators(c, stabiliser, "stabiliser")
+    transitive = _checked_transitive(c, transitive)
     first = table.first_pair
     p = np.zeros((d + 1, d + 1, d + 1), dtype=np.int64)
     # identity row/column is forced: p[0,j,k] = [j==k], p[i,0,k] = [i==k]
@@ -248,7 +272,7 @@ def validate_scheme(table: RelationTable, name: str = "scheme",
     p.setflags(write=False)
     tensor = IntersectionTensor(d=d, p=p, valencies=val)
     return SchemeDescriptor(name=name, table=table, tensor=tensor,
-                            stabiliser=gens)
+                            stabiliser=gens, transitive=transitive)
 
 
 def _merged_table(table: RelationTable) -> RelationTable:
@@ -263,13 +287,14 @@ def _merged_table(table: RelationTable) -> RelationTable:
 
 
 def symmetrized_scheme(desc: SchemeDescriptor) -> SchemeDescriptor:
-    """The symmetrization of desc, validated once.  Its stabiliser
-    generators preserve the merged classes too; they are carried over and
-    checked again."""
+    """The symmetrization of desc, validated once.  Its stabiliser and
+    transitive generators preserve the merged classes too; they are
+    carried over and checked again."""
     if desc.symmetric:
         return desc
     return validate_scheme(_merged_table(desc.table), name=desc.name,
-                           stabiliser=desc.stabiliser)
+                           stabiliser=desc.stabiliser,
+                           transitive=desc.transitive)
 
 
 def relation_graph(scheme: SchemeDescriptor, i: int) -> Graph:

@@ -29,7 +29,7 @@ class GraphContext(RelationContext):
 
     def __init__(self, graph):
         self.graph = graph
-        self.scheme = SimpleNamespace(v=graph.n)
+        self.scheme = SimpleNamespace(v=graph.n, transitive=())
 
 
 # -- reference sweeps: one bitset BFS per deletion set -------------------

@@ -380,7 +380,13 @@ def test_cli_verify_parse_error(tmp_path, capsys):
       "classes": [[min((x - y) % 601, (y - x) % 601) for y in range(601)]
                   for x in range(601)]}, 4,
      "301 classes exceeds the tensor cap"),
-], ids=["ragged", "int-overflow", "v-string", "huge-label", "tensor-cap"])
+    # JSON true/false are Python bools, an int subclass: no class index
+    ({"name": "k2", "v": 2, "d": 1, "classes": [[0, True], [True, 0]]}, 1,
+     "classes must be a matrix of integers"),
+    ({"name": "k2", "v": 2, "d": True, "classes": [[0, 1], [1, 0]]}, 1,
+     "v and d must be integers"),
+], ids=["ragged", "int-overflow", "v-string", "huge-label", "tensor-cap",
+        "bool-entry", "d-bool"])
 def test_cli_verify_hostile_file(tmp_path, payload, code, message):
     path = tmp_path / "hostile.json"
     path.write_text(json.dumps(payload))

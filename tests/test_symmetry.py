@@ -1,10 +1,13 @@
-"""Stabiliser generators and the orbit-reduced kappa/lambda sweeps.
+"""Stabiliser and transitive generators and the orbit-reduced kappa/lambda
+sweeps.
 
 The reduced sweeps are checked against the full sweeps of the shared
 `flow_values` fixture on every connected catalog relation, and against
 networkx on the small ones; the generators are checked independently of
-validate_scheme, and mutated generators must be refused."""
+validate_scheme, and mutated generators must be refused.  The numpy orbit
+finder is checked against the per-item union-find it replaced."""
 
+import random
 from operator import getitem
 
 import numpy as np
@@ -12,17 +15,67 @@ import pytest
 
 from schemeconn import connectivity
 from schemeconn.audits import RelationContext
-from schemeconn.catalog import (BUILTIN_FAMILIES, build_family, gen_johnson,
-                                load_scheme, save_scheme)
+from schemeconn.catalog import (BUILTIN_FAMILIES, build_family, gen_cyclic,
+                                gen_johnson, load_scheme, save_scheme)
 from schemeconn.cli import EXIT_INVALID, _exit_code
 from schemeconn.connectivity import edge_connectivity, vertex_connectivity
 from schemeconn.errors import NotAnAutomorphism
-from schemeconn.graph import cycle_graph
+from schemeconn.graph import bits, cycle_graph
 from schemeconn.scheme import (RelationTable, symmetrized_scheme,
                                validate_scheme)
 
 GROUP_FAMILIES = [(kind, params) for kind, params in BUILTIN_FAMILIES
                   if kind in ("johnson", "hamming", "cyclic")]
+TRANSITIVE_FAMILIES = [(kind, params) for kind, params in BUILTIN_FAMILIES
+                       if kind != "drg"]
+
+
+def ref_orbit_representatives(items: list, automorphisms, image) -> list:
+    """The first item of each orbit of the group generated by automorphisms
+    on items, in items order, by per-item union-find; image(p, item) is p's
+    image of item and must be in items again."""
+    index = {item: i for i, item in enumerate(items)}
+    parent = list(range(len(items)))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for p in automorphisms:
+        for i, item in enumerate(items):
+            j = index.get(image(p, item))
+            if j is None:
+                raise ValueError(f"automorphism moves {item!r} out of the "
+                                 f"swept set")
+            a, b = root(i), root(j)
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    return [item for i, item in enumerate(items) if parent[i] == i]
+
+
+def _pair_image(p, pair):
+    u, w = p[pair[0]], p[pair[1]]
+    return (u, w) if u < w else (w, u)
+
+
+def orbit_representatives(items: list, automorphisms) -> list:
+    """connectivity._orbit_representatives on a list of vertices or of
+    ascending pairs, mapped back to the items."""
+    r = 2 if items and isinstance(items[0], tuple) else 1
+    reps = connectivity._orbit_representatives(connectivity._rows(items, r),
+                                               automorphisms)
+    return [items[i] for i in reps]
+
+
+def _sweep_items(graph):
+    """The targets and neighbour pairs vertex_connectivity sweeps from 0."""
+    targets = list(bits(graph.alive & ~graph.closed_neighborhood(0)))
+    nbrs = list(bits(graph.neighborhood(0)))
+    pairs = [(u, w) for i, u in enumerate(nbrs) for w in nbrs[i + 1:]
+             if not graph.has_edge(u, w)]
+    return targets, pairs
 
 
 @pytest.mark.parametrize("kind,params", GROUP_FAMILIES,
@@ -39,8 +92,7 @@ def test_generators_fix_zero_and_preserve_classes(kind, params):
     # the generated group's orbits on X are exactly the classes seen from 0
     # (by intersection size, weight, or circular distance), so no generator
     # of the stated stabiliser is missing
-    reps = connectivity._orbit_representatives(list(range(s.v)),
-                                               s.stabiliser, getitem)
+    reps = ref_orbit_representatives(list(range(s.v)), s.stabiliser, getitem)
     first = [int(np.nonzero(c[0] == i)[0][0]) for i in range(s.d + 1)]
     assert reps == sorted(first)
 
@@ -155,3 +207,117 @@ def test_networkx_agrees_on_small_relations(catalog_pairs, flow_values):
         assert (ctx.kappa, ctx.lam) == want, (p.scheme.name, p.relation)
         checked += 1
     assert checked >= 60
+
+
+def test_orbit_representatives_match_union_find_on_catalog(catalog_pairs):
+    swept = 0
+    for p in catalog_pairs:
+        targets, pairs = _sweep_items(p.graph)
+        for gens in (p.scheme.stabiliser, ()):
+            assert orbit_representatives(targets, gens) == \
+                ref_orbit_representatives(targets, gens, getitem), \
+                (p.scheme.name, p.relation)
+            assert orbit_representatives(pairs, gens) == \
+                ref_orbit_representatives(pairs, gens, _pair_image), \
+                (p.scheme.name, p.relation)
+        swept += bool(p.scheme.stabiliser)
+        every = list(range(p.scheme.v))
+        assert orbit_representatives(every, p.scheme.transitive) == (
+            [0] if p.scheme.transitive else every)
+    assert swept >= 80
+
+
+def test_orbit_representatives_match_union_find_on_random_groups():
+    rng = random.Random(13)
+    for _ in range(200):
+        n = rng.randint(1, 40)
+        gens = []
+        for _ in range(rng.randint(0, 3)):
+            perm = list(range(n))
+            if rng.random() < 0.5:      # a product of a few short cycles
+                for _ in range(rng.randint(1, 3)):
+                    pts = rng.sample(range(n), min(n, rng.randint(2, 5)))
+                    cycle = list(range(n))
+                    for a, b in zip(pts, pts[1:] + pts[:1]):
+                        cycle[a] = b
+                    perm = [cycle[x] for x in perm]
+            else:
+                rng.shuffle(perm)
+            gens.append(tuple(perm))
+        every = list(range(n))
+        assert orbit_representatives(every, gens) == \
+            ref_orbit_representatives(every, gens, getitem)
+        pairs = [(u, w) for u in range(n) for w in range(u + 1, n)]
+        assert orbit_representatives(pairs, gens) == \
+            ref_orbit_representatives(pairs, gens, _pair_image)
+
+
+def test_orbit_representatives_refuse_images_outside_the_items():
+    rotation = (1, 2, 3, 4, 0)
+    with pytest.raises(ValueError, match="out of the swept set"):
+        orbit_representatives([0, 2, 3], [rotation])
+    with pytest.raises(ValueError, match="out of the swept set"):
+        orbit_representatives([(0, 2), (1, 3)], [rotation])
+    # every vertex of the image pair (0, 2) is swept, but not the pair
+    with pytest.raises(ValueError, match=r"moves \(0, 1\) out"):
+        orbit_representatives([(0, 1), (2, 3)], [(0, 2, 1, 3)])
+
+
+@pytest.mark.parametrize("kind,params", TRANSITIVE_FAMILIES,
+                         ids=[f"{k}-{'-'.join(map(str, p))}"
+                              for k, p in TRANSITIVE_FAMILIES])
+def test_transitive_generators_preserve_classes_and_reach_every_vertex(
+        kind, params):
+    s = build_family(kind, params)
+    c = np.asarray(s.classes)
+    assert s.transitive
+    for gen in s.transitive:
+        perm = np.asarray(gen)
+        assert sorted(gen) == list(range(s.v))
+        assert np.array_equal(c[perm][:, perm], c)
+    orbit, frontier = {0}, [0]
+    while frontier:
+        frontier = [y for y in {gen[x] for x in frontier
+                                for gen in s.transitive} if y not in orbit]
+        orbit.update(frontier)
+    assert orbit == set(range(s.v))
+    if not s.symmetric:
+        assert symmetrized_scheme(s).transitive == s.transitive
+
+
+def test_drg_and_file_schemes_carry_no_transitive_group(tmp_path):
+    for name in ("petersen", "k33"):
+        assert build_family("drg", (name,)).transitive == ()
+    path = tmp_path / "j62.json"
+    save_scheme(gen_johnson(6, 2), path)
+    assert load_scheme(path).transitive == ()
+
+
+def test_transitive_generator_moving_a_class_is_refused():
+    s = gen_johnson(6, 2)
+    bad = list(s.transitive[0])
+    bad[1], bad[-1] = bad[-1], bad[1]
+    with pytest.raises(NotAnAutomorphism) as info:
+        validate_scheme(s.table, name="mutant",
+                        transitive=s.transitive + (tuple(bad),))
+    assert info.value.index == len(s.transitive)
+    assert "transitive generator" in str(info.value)
+    assert _exit_code(info.value) == EXIT_INVALID
+    (a, b), (pa, pb) = info.value.witness
+    assert s.classes[a, b] != s.classes[pa, pb]
+    assert (bad[a], bad[b]) == (pa, pb)
+
+
+@pytest.mark.parametrize("family", [lambda: gen_johnson(6, 2),
+                                    lambda: gen_cyclic(7)],
+                         ids=["johnson-6-2", "cyclic-7"])
+def test_intransitive_generators_are_refused(family):
+    # the stabiliser of 0 preserves every class, but its orbit of 0 is {0}
+    s = family()
+    with pytest.raises(NotAnAutomorphism) as info:
+        validate_scheme(s.table, name="stabiliser-only",
+                        transitive=s.stabiliser)
+    assert info.value.index is None
+    assert info.value.witness == 1
+    assert "not transitive: the orbit of 0 misses 1" in str(info.value)
+    assert _exit_code(info.value) == EXIT_INVALID
