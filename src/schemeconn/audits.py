@@ -47,8 +47,8 @@ from typing import Optional
 
 import numpy as np
 
-from .connectivity import (TwinData, edge_connectivity, is_isomorphic,
-                           k211_free, maximal_cliques, twins,
+from .connectivity import (CLIQUE_CAP, TwinData, edge_connectivity,
+                           is_isomorphic, k211_free, maximal_cliques, twins,
                            vertex_connectivity)
 from .diagram import Diagram, h_prime_connected
 from .errors import Disconnected, HypothesisNotMet, HypothesisViolation
@@ -56,15 +56,13 @@ from .graph import (Graph, bits, complete_bipartite, cycle_graph, mask_of,
                     petersen)
 from .scheme import SchemeDescriptor, is_complete_multipartite, relation_graph
 
-CLIQUE_CAP = 100_000
-
 
 class RelationContext:
     """What the audits of relation g read, each computed at most once: the
     graph (built here), the scheme's diagram and distances read off it,
     twins, connectivity and the per-basepoint component sweeps.
     kappa and lam sweep one flow per orbit of the scheme's stabiliser of
-    vertex 0, the graph's least live vertex.  The basepoint audits sweep
+    vertex 0, the source of both sweeps.  The basepoint audits sweep
     `basepoints`: vertex 0 alone when the scheme carries a verified
     transitive group, every vertex when it does not; each basepoint
     stands for `weight` of them."""

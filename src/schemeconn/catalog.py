@@ -229,8 +229,6 @@ def scheme_from_drg(graph: Graph, name: str = "drg") -> SchemeDescriptor:
     """Distance partition of a connected graph, validated as a scheme.
     Raises NotDistanceRegular (with the witness) when the distance counts
     are not constant."""
-    if graph.vertex_count() != graph.n:
-        raise ValueError("dead vertices not supported here")
     if not graph.is_connected():
         raise Disconnected("graph must be connected")
     classes = graph.distance_matrix().astype(np.int64)

@@ -9,8 +9,8 @@ v then passes that single internal arc, so arc-disjoint paths from the
 out-node of s to the in-node of t are internally vertex-disjoint s-t paths
 and back.
 
-The global vertex connectivity minimizes over the least-index source
-against all its non-neighbors plus a sweep over non-adjacent pairs of its
+The global vertex connectivity minimizes over the source s = 0 against
+all its non-neighbors plus a sweep over non-adjacent pairs of its
 neighbors.  A minimum cut either misses s (first sweep: pick t in the far
 component) or contains s, in which case s keeps neighbors in two different
 components of the cut graph (second sweep), because dropping s from a cut
@@ -55,8 +55,8 @@ def twins(graph: Graph) -> TwinData:
     Twins are never adjacent (b in Gamma(a) = Gamma(b) would be a loop), so
     comparing rows directly is enough."""
     groups: dict[int, list[int]] = {}
-    for v in bits(graph.alive):
-        groups.setdefault(graph.neighborhood(v), []).append(v)
+    for v, row in enumerate(graph.rows):
+        groups.setdefault(row, []).append(v)
     classes = sorted(tuple(g) for g in groups.values() if len(g) > 1)
     pairs = sorted((a, b) for g in classes for a, b in combinations(g, 2))
     return TwinData(pairs=tuple(pairs), classes=tuple(classes))
@@ -64,10 +64,10 @@ def twins(graph: Graph) -> TwinData:
 
 # -- unit-capacity max-flow -----------------------------------------------
 
-def _edge_flow(rows, alive: int, s: int, t: int, limit: int) -> int:
+def _edge_flow(rows, s: int, t: int, limit: int) -> int:
     """Number of arc-disjoint s-t paths, Dinic, capped at limit.  rows are
     the out-rows of a digraph (rows[v] has bit w for each arc v -> w), an
-    undirected graph being the symmetric case; only live states are used."""
+    undirected graph being the symmetric case."""
     n = len(rows)
     used = [0] * n                  # used[v]: targets carrying flow v -> w
     rused = [0] * n                 # rused[v]: sources w with flow w -> v
@@ -81,7 +81,7 @@ def _edge_flow(rows, alive: int, s: int, t: int, limit: int) -> int:
         while frontier and not t_found:
             new = 0
             for v in bits(frontier):
-                new |= (rows[v] & alive & ~used[v]) | rused[v]
+                new |= (rows[v] & ~used[v]) | rused[v]
             new &= ~seen
             seen |= new
             lmask.append(new)
@@ -111,7 +111,7 @@ def _edge_flow(rows, alive: int, s: int, t: int, limit: int) -> int:
                 continue
             if v not in cur:            # the stack holds one state per level
                 lvl = len(stack)
-                cur[v] = (((rows[v] & alive & ~used[v]) | rused[v])
+                cur[v] = (((rows[v] & ~used[v]) | rused[v])
                           & (lmask[lvl] if lvl < len(lmask) else 0))
             advanced = False
             pick = cur[v] & ~dead
@@ -140,28 +140,28 @@ def _edge_flow(rows, alive: int, s: int, t: int, limit: int) -> int:
 _dinic = _edge_flow
 
 
-def _vertex_flow(rows, alive: int, s: int, t: int, limit: int) -> int:
-    """Number of internally vertex-disjoint s-t paths (s, t distinct,
-    non-adjacent and live), capped at limit: the arc-disjoint paths from
-    the out-node of s to the in-node of t on the split digraph."""
+def _vertex_flow(rows, s: int, t: int, limit: int) -> int:
+    """Number of internally vertex-disjoint s-t paths (s, t distinct and
+    non-adjacent), capped at limit: the arc-disjoint paths from the
+    out-node of s to the in-node of t on the split digraph."""
     n = len(rows)
     split = [1 << v + n for v in range(n)] + list(rows)
-    return _dinic(split, alive | alive << n, s + n, t, limit)
+    return _dinic(split, s + n, t, limit)
 
 
 def local_vertex_connectivity(graph: Graph, s: int, t: int,
                               limit: Optional[int] = None) -> int:
     """Menger count of internally disjoint s-t paths (s, t distinct,
-    non-adjacent live vertices)."""
+    non-adjacent vertices)."""
     for v in (s, t):
-        if not (0 <= v < graph.n and graph.alive >> v & 1):
-            raise ValueError(f"endpoint {v} is not a live vertex")
+        if not 0 <= v < graph.n:
+            raise ValueError(f"endpoint {v} is not a vertex")
     if s == t:
         raise ValueError("endpoints must differ")
     if graph.has_edge(s, t):
         raise ValueError("local vertex connectivity needs non-adjacent endpoints")
     cap = graph.n if limit is None else limit
-    return _vertex_flow(graph.rows, graph.alive, s, t, cap)
+    return _vertex_flow(graph.rows, s, t, cap)
 
 
 def _orbit_representatives(items: np.ndarray, automorphisms) -> list[int]:
@@ -233,43 +233,40 @@ def _rows(items: list, r: int) -> np.ndarray:
     return np.array(items, dtype=np.int64).reshape(len(items), r)
 
 
-def _fixed_source(graph: Graph, automorphisms) -> int:
-    """The least live vertex, which every automorphism must fix."""
-    live = graph.alive
-    s = (live & -live).bit_length() - 1
+def _check_fixes_source(automorphisms) -> None:
+    """Every automorphism must fix the source, vertex 0."""
     for k, p in enumerate(automorphisms):
-        if p[s] != s:
-            raise ValueError(f"automorphism {k} maps the source {s} to {p[s]}")
-    return s
+        if p[0] != 0:
+            raise ValueError(f"automorphism {k} maps the source 0 to {p[0]}")
 
 
 def vertex_connectivity(graph: Graph, automorphisms=()) -> int:
     """Global vertex connectivity; n-1 for complete graphs.  automorphisms
-    (image sequences of graph automorphisms fixing the least live vertex)
-    shrink the sweep to one flow per orbit; the value is the same."""
-    live = graph.alive
-    nv = live.bit_count()
-    if nv == 0:
+    (image sequences of graph automorphisms fixing vertex 0) shrink the
+    sweep to one flow per orbit; the value is the same."""
+    n, rows = graph.n, graph.rows
+    if n == 0:
         raise ValueError("empty graph")
-    if nv == 1:
+    if n == 1:
         return 0
     if not graph.is_connected():
         raise Disconnected("graph is disconnected")
     if graph.is_complete():
-        return nv - 1
+        return n - 1
     best = min(graph.degrees())
-    s = _fixed_source(graph, automorphisms)
-    targets = list(bits(live & ~graph.closed_neighborhood(s)))
+    _check_fixes_source(automorphisms)
+    targets = list(bits(((1 << n) - 1) & ~graph.closed_neighborhood(0)))
     for i in _orbit_representatives(_rows(targets, 1), automorphisms):
-        f = _vertex_flow(graph.rows, live, s, targets[i], best)
+        f = _vertex_flow(rows, 0, targets[i], best)
         if f < best:
             best = f
-    nbrs = list(bits(graph.neighborhood(s)))
-    pairs = [(u, w) for i, u in enumerate(nbrs) for w in nbrs[i + 1:]
-             if not graph.has_edge(u, w)]
+    nb = rows[0]
+    # for each neighbour u of 0, the later neighbours w > u that u misses
+    pairs = [(u, w) for u in bits(nb)
+             for w in bits(nb & ~rows[u] & ~((2 << u) - 1))]
     for i in _orbit_representatives(_rows(pairs, 2), automorphisms):
         u, w = pairs[i]
-        f = _vertex_flow(graph.rows, live, u, w, best)
+        f = _vertex_flow(rows, u, w, best)
         if f < best:
             best = f
     return best
@@ -277,17 +274,15 @@ def vertex_connectivity(graph: Graph, automorphisms=()) -> int:
 
 def edge_connectivity(graph: Graph, automorphisms=()) -> int:
     """Global edge connectivity; automorphisms as for vertex_connectivity."""
-    live = graph.alive
-    nv = live.bit_count()
-    if nv < 2:
+    if graph.n < 2:
         raise ValueError("need at least two vertices")
     if not graph.is_connected():
         raise Disconnected("graph is disconnected")
     best = min(graph.degrees())
-    s = _fixed_source(graph, automorphisms)
-    targets = list(bits(live & ~(1 << s)))
+    _check_fixes_source(automorphisms)
+    targets = list(range(1, graph.n))
     for i in _orbit_representatives(_rows(targets, 1), automorphisms):
-        f = _edge_flow(graph.rows, live, s, targets[i], best)
+        f = _edge_flow(graph.rows, 0, targets[i], best)
         if f < best:
             best = f
     return best
@@ -305,7 +300,7 @@ class MinCutData:
         return all(self.neighborhood_flags)
 
 
-# subsets x live vertices in one batch of enumerate_min_cuts: 2**16 cells
+# subsets x vertices in one batch of enumerate_min_cuts: 2**16 cells
 # is 2,048 subsets at n = 32, and keeps a batch's arrays to about 1 MB in
 # all (the two float32 ones at 256 KB each) however many subsets there are
 CUT_BATCH_CELLS = 1 << 16
@@ -338,14 +333,14 @@ def enumerate_min_cuts(graph: Graph, kappa: int,
     """Every vertex subset of size kappa, the graph's vertex connectivity,
     whose deletion disconnects the graph, by exhaustive enumeration, with
     each cut flagged when it equals some open neighborhood.  Cuts come in
-    combinations(live vertices, kappa) order; CapExceeded when there are
-    more than budget subsets.
+    combinations(range(n), kappa) order; CapExceeded when there are more
+    than budget subsets.
 
-    The subsets are decided CUT_BATCH_CELLS // n at a time (n the number
-    of live vertices) by one BFS for the whole batch: row r of the (B, n)
-    bool matrix keep marks the survivors of subset r, its reach starts at
-    the least survivor, and reach = (reach @ (A + I) > 0) & keep runs as a
-    float32 product until no row grows.  A subset is a cut iff its reach
+    The subsets are decided CUT_BATCH_CELLS // n at a time by one BFS for
+    the whole batch: row r of the (B, n) bool matrix keep marks the
+    survivors of subset r, its reach starts at the least survivor, and
+    reach = (reach @ (A + I) > 0) & keep runs as a float32 product until
+    no row grows.  A subset is a cut iff its reach
     falls short of keep.  The product is exact: reach and A + I are 0/1,
     so each entry is a count of at most n, an integer that float32 holds
     exactly while n < 2**24, and relation graphs have n <= SIZE_CAP = 4096
@@ -356,19 +351,17 @@ def enumerate_min_cuts(graph: Graph, kappa: int,
     graphs the reports enumerate, slower than one bitset BFS per subset on
     long cycles.
     """
-    live = list(bits(graph.alive))
-    n = len(live)
+    n = graph.n
     if kappa >= n - 1:
         return MinCutData(cuts=(), neighborhood_flags=())
     total = comb(n, kappa)
     if total > budget:
         raise CapExceeded(
             f"C({n},{kappa}) = {total} subsets exceeds budget {budget}")
-    pos = {v: i for i, v in enumerate(live)}
     adj = np.eye(n, dtype=np.float32)
-    for i, v in enumerate(live):
-        adj[i, [pos[w] for w in bits(graph.neighborhood(v))]] = 1
-    nbhds = {graph.neighborhood(v) for v in live}
+    for v, row in enumerate(graph.rows):
+        adj[v, list(bits(row))] = 1
+    nbhds = set(graph.rows)
     cuts = []
     flags = []
     for subsets in _lex_subset_batches(n, kappa,
@@ -384,7 +377,7 @@ def enumerate_min_cuts(graph: Graph, kappa: int,
                 break
             reach = grown
         for r in np.flatnonzero((reach != keep).any(axis=1)):
-            subset = tuple(live[i] for i in subsets[r])
+            subset = tuple(int(v) for v in subsets[r])
             cuts.append(subset)
             flags.append(mask_of(subset) in nbhds)
     return MinCutData(cuts=tuple(cuts), neighborhood_flags=tuple(flags))
@@ -396,16 +389,17 @@ def k211_free(graph: Graph, vertices=None) -> tuple[bool, Optional[tuple]]:
     """Whether every open neighborhood induces a disjoint union of cliques
     (no K_{2,1,1} through any vertex).  Witness: (x, u, w) with u, w
     non-adjacent vertices in one component of the neighborhood of x, for
-    the first such x.  vertices (default: every live vertex) limits the x
+    the first such x.  vertices (default: every vertex) limits the x
     checked.  On a vertex-transitive graph x = 0 alone decides it: an
     automorphism maps a witness at any x to one at 0, so the full sweep
     fails first at 0 too and finds the same witness."""
-    for x in bits(graph.alive) if vertices is None else vertices:
+    full = (1 << graph.n) - 1
+    for x in range(graph.n) if vertices is None else vertices:
         nb = graph.neighborhood(x)
         rest = nb
         while rest:
             start = (rest & -rest).bit_length() - 1
-            comp = graph.reach_mask(start, deleted=graph.alive & ~nb)
+            comp = graph.reach_mask(start, deleted=full & ~nb)
             comp &= nb
             for y in bits(comp):
                 missing = comp & ~(1 << y) & ~graph.rows[y]
@@ -416,7 +410,12 @@ def k211_free(graph: Graph, vertices=None) -> tuple[bool, Optional[tuple]]:
     return True, None
 
 
-def maximal_cliques(graph: Graph, cap: int = 100_000) -> tuple[list[int], bool]:
+# the most cliques maximal_cliques lists by default
+CLIQUE_CAP = 100_000
+
+
+def maximal_cliques(graph: Graph,
+                    cap: int = CLIQUE_CAP) -> tuple[list[int], bool]:
     """Bron-Kerbosch with pivoting; returns (clique masks, capped flag).
     Deterministic: candidates expanded in ascending vertex order."""
     out: list[int] = []
@@ -440,14 +439,13 @@ def maximal_cliques(graph: Graph, cap: int = 100_000) -> tuple[list[int], bool]:
                 pivot = u
         for v in bits(p & ~graph.rows[pivot]):
             bv = 1 << v
-            if not expand(r | bv, p & graph.rows[v] & graph.alive,
-                          x & graph.rows[v] & graph.alive):
+            if not expand(r | bv, p & graph.rows[v], x & graph.rows[v]):
                 return False
             p &= ~bv
             x |= bv
         return True
 
-    expand(0, graph.alive, 0)
+    expand(0, (1 << graph.n) - 1, 0)
     # expand refers to itself through its closure; breaking that cycle lets
     # reference counting free the clique list as soon as the caller drops it
     # instead of at the next cyclic collection, which may land mid-sweep
@@ -460,13 +458,11 @@ def maximal_cliques(graph: Graph, cap: int = 100_000) -> tuple[list[int], bool]:
 def is_isomorphic(g1: Graph, g2: Graph) -> bool:
     """Backtracking isomorphism test for small graphs (targets here have at
     most 10 vertices)."""
-    v1 = list(bits(g1.alive))
-    v2 = list(bits(g2.alive))
-    if len(v1) != len(v2):
+    if g1.n != g2.n:
         return False
     if sorted(g1.degrees()) != sorted(g2.degrees()):
         return False
-    order = sorted(v1, key=lambda v: (-g1.degree(v), v))
+    order = sorted(range(g1.n), key=lambda v: (-g1.degree(v), v))
     used = set()
     mapping: dict[int, int] = {}
 
@@ -474,7 +470,7 @@ def is_isomorphic(g1: Graph, g2: Graph) -> bool:
         if i == len(order):
             return True
         a = order[i]
-        for b in v2:
+        for b in range(g2.n):
             if b in used or g1.degree(a) != g2.degree(b):
                 continue
             ok = True

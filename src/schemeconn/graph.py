@@ -1,15 +1,17 @@
 """Undirected graphs on {0..n-1} backed by bitset adjacency rows.
 
 Rows are Python ints, one bit per vertex, which keeps BFS sweeps at a few
-machine words per step even at the v <= 4096 desk cap.  Vertex deletion is a
-mask argument; graphs themselves are immutable.  One layered BFS,
-`Graph.layers`, yields the frontier at each distance; reach masks,
-components, balls and distances are all read off it.
+machine words per step even at the v <= 4096 desk cap.  A graph has every
+vertex of {0..n-1}: rows are checked to hold no loop and no bit at or
+above n.  Vertex deletion is only ever a `deleted` mask argument; graphs
+themselves are immutable.  One layered BFS, `Graph.layers`, yields the
+frontier at each distance; reach masks, components, balls and distances
+are all read off it.
 """
 from __future__ import annotations
 
 from itertools import islice
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -30,22 +32,23 @@ def mask_of(vertices: Iterable[int]) -> int:
 
 
 class Graph:
-    __slots__ = ("n", "rows", "alive", "_dist")
+    __slots__ = ("n", "rows")
 
-    def __init__(self, n: int, rows, alive: Optional[int] = None):
+    def __init__(self, n: int, rows):
         self.n = n
         self.rows = tuple(rows)
-        self.alive = (1 << n) - 1 if alive is None else alive
-        self._dist = None
         if len(self.rows) != n:
             raise ValueError("row count != n")
+        for v, row in enumerate(self.rows):
+            if row >> n:
+                raise ValueError(f"row {v} has a bit at or above n = {n}")
+            if row >> v & 1:
+                raise ValueError(f"row {v} has a loop")
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
         rows = [0] * n
         for u, w in edges:
-            if u == w:
-                raise ValueError("loops not supported")
             rows[u] |= 1 << w
             rows[w] |= 1 << u
         return cls(n, rows)
@@ -53,42 +56,36 @@ class Graph:
     # -- basic accessors -------------------------------------------------
 
     def neighborhood(self, v: int) -> int:
-        return self.rows[v] & self.alive
+        return self.rows[v]
 
     def closed_neighborhood(self, v: int) -> int:
-        return (self.rows[v] & self.alive) | (1 << v)
+        return self.rows[v] | (1 << v)
 
     def has_edge(self, u: int, w: int) -> bool:
         return bool(self.rows[u] >> w & 1)
 
     def degree(self, v: int) -> int:
-        return (self.rows[v] & self.alive).bit_count()
+        return self.rows[v].bit_count()
 
     def degrees(self) -> list[int]:
-        return [self.degree(v) for v in bits(self.alive)]
-
-    def vertex_count(self) -> int:
-        return self.alive.bit_count()
+        return [row.bit_count() for row in self.rows]
 
     def edge_count(self) -> int:
         return sum(self.degrees()) // 2
 
-    def vertices(self) -> Iterator[int]:
-        return bits(self.alive)
-
     def is_complete(self) -> bool:
-        live = self.alive
-        return all((self.rows[v] & live) == live & ~(1 << v) for v in bits(live))
+        full = (1 << self.n) - 1
+        return all(row == full & ~(1 << v) for v, row in enumerate(self.rows))
 
     # -- traversal -------------------------------------------------------
 
     def layers(self, start: int, deleted: int = 0) -> Iterator[int]:
-        """The BFS frontiers from start in the live graph minus deleted: the
+        """The BFS frontiers from start in the graph minus deleted: the
         masks of the vertices at distance 0, 1, 2, ... in turn.  Every other
         traversal here is read off this one loop."""
-        live = self.alive & ~deleted
         rows = self.rows
-        seen = frontier = 1 << start
+        frontier = 1 << start
+        seen = frontier | deleted
         while frontier:
             yield frontier
             new = 0
@@ -97,29 +94,28 @@ class Graph:
                 b = m & -m
                 new |= rows[b.bit_length() - 1]
                 m ^= b
-            frontier = new & live & ~seen
+            frontier = new & ~seen
             seen |= frontier
 
     def reach_mask(self, start: int, deleted: int = 0) -> int:
-        """All vertices reachable from start in the live graph minus deleted."""
+        """All vertices reachable from start in the graph minus deleted."""
         seen = 0
         for frontier in self.layers(start, deleted):
             seen |= frontier
         return seen
 
     def ball(self, start: int, radius: int) -> int:
-        """The live vertices within distance radius of start, start included."""
+        """The vertices within distance radius of start, start included."""
         out = 0
         for frontier in islice(self.layers(start), radius + 1):
             out |= frontier
         return out
 
     def component_masks(self, deleted: int = 0) -> list[int]:
-        """Connected components of the live graph minus deleted, as bit
-        masks ordered by least vertex."""
-        live = self.alive & ~deleted
+        """Connected components of the graph minus deleted, as bit masks
+        ordered by least vertex."""
         out = []
-        rest = live
+        rest = ((1 << self.n) - 1) & ~deleted
         while rest:
             start = (rest & -rest).bit_length() - 1
             comp = self.reach_mask(start, deleted)
@@ -129,14 +125,14 @@ class Graph:
 
     def is_connected(self, deleted: int = 0) -> bool:
         """Empty graphs count as connected."""
-        live = self.alive & ~deleted
-        if live == 0:
+        keep = ((1 << self.n) - 1) & ~deleted
+        if keep == 0:
             return True
-        start = (live & -live).bit_length() - 1
-        return self.reach_mask(start, deleted) == live
+        start = (keep & -keep).bit_length() - 1
+        return self.reach_mask(start, deleted) == keep
 
     def distances_from(self, start: int) -> list[int]:
-        """BFS distances; -1 for unreachable or dead vertices."""
+        """BFS distances; -1 for unreachable vertices."""
         dist = [-1] * self.n
         for d, frontier in enumerate(self.layers(start)):
             for v in bits(frontier):
@@ -144,28 +140,23 @@ class Graph:
         return dist
 
     def distance_matrix(self) -> np.ndarray:
-        """All-pairs BFS distances on the live graph (int16, -1 unreachable).
-        Cached; rows/cols of dead vertices are -1."""
-        if self._dist is None:
-            d = np.full((self.n, self.n), -1, dtype=np.int16)
-            for v in bits(self.alive):
-                d[v] = self.distances_from(v)
-            d.setflags(write=False)
-            self._dist = d
-        return self._dist
+        """All-pairs BFS distances (int16, -1 unreachable)."""
+        d = np.empty((self.n, self.n), dtype=np.int16)
+        for v in range(self.n):
+            d[v] = self.distances_from(v)
+        return d
 
     # -- derived graphs --------------------------------------------------
 
     def complement(self) -> "Graph":
-        live = self.alive
-        rows = [(live & ~self.rows[v] & ~(1 << v)) if live >> v & 1 else 0
-                for v in range(self.n)]
-        return Graph(self.n, rows, live)
+        full = (1 << self.n) - 1
+        return Graph(self.n, [full & ~row & ~(1 << v)
+                              for v, row in enumerate(self.rows)])
 
     # -- small structural tests ------------------------------------------
 
     def is_cycle_graph(self) -> bool:
-        return (self.vertex_count() >= 3 and self.is_connected()
+        return (self.n >= 3 and self.is_connected()
                 and all(d == 2 for d in self.degrees()))
 
     def __repr__(self):

@@ -24,8 +24,8 @@ from .diagram import p_polynomial_generator
 from .errors import (CapExceeded, DetectorDisagreement, Disconnected,
                      HypothesisNotMet, HypothesisViolation)
 from .scheme import SchemeDescriptor, symmetrized_scheme
-from .spectral import (SpectralData, compute_spectral, primitivity,
-                       second_eigenvalue)
+from .spectral import (COLUMN_TOL, GROUPING_TOL, SpectralData,
+                       compute_spectral, primitivity, second_eigenvalue)
 
 TOOL_VERSION = "0.3.0"
 
@@ -33,9 +33,9 @@ TOOL_VERSION = "0.3.0"
 @dataclass(frozen=True)
 class AnalysisConfig:
     seed: int = 0x5EED          # accepted for compatibility; no audit reads it
-    grouping_tol: float = 1e-9
+    grouping_tol: float = GROUPING_TOL
     qp_tol: float = 1e-8
-    column_tol: float = 1e-8
+    column_tol: float = COLUMN_TOL
     multiplicity_tol: float = 1e-6
     cut_enum_budget: int = 200_000
 

@@ -314,8 +314,7 @@ def relation_graph(scheme: SchemeDescriptor, i: int) -> Graph:
 def is_complete_multipartite(graph: Graph) -> bool:
     """True iff the complement is a disjoint union of complete graphs,
     i.e. non-adjacency-or-equality is transitive."""
-    live = graph.alive
-    if live == 0:
+    if graph.n == 0:
         raise ValueError("empty graph")
     comp = graph.complement()
     for part in comp.component_masks():

@@ -100,9 +100,8 @@ def test_03_w_part_empty_on_connected(catalog_pairs):
 def _brute_min_vertex_cut(g: Graph, upper: int):
     """Smallest s < upper such that deleting some s vertices disconnects
     the graph; None when no such subset exists."""
-    verts = list(bits(g.alive))
     for size in range(upper):
-        for combo in combinations(verts, size):
+        for combo in combinations(range(g.n), size):
             deleted = 0
             for x in combo:
                 deleted |= 1 << x
@@ -116,7 +115,7 @@ def _brute_edge_connectivity(g: Graph, n: int) -> int:
     for mask in range(1, 1 << (n - 1)):
         cross = 0
         for u in bits(mask):
-            cross += (g.rows[u] & ~mask & g.alive).bit_count()
+            cross += (g.rows[u] & ~mask).bit_count()
         if best is None or cross < best:
             best = cross
     return best

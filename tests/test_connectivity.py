@@ -21,13 +21,13 @@ from schemeconn.graph import (Graph, bits, complete_bipartite, cycle_graph,
                               mask_of, petersen)
 from schemeconn.report import AnalysisConfig, analyze_relation
 from schemeconn.scheme import relation_graph
-from small_graphs import complete_graph
+from small_graphs import complete_graph, induced_subgraph
 
 
 def brute_kappa(graph):
     """Minimum vertex deletion that disconnects; n-1 for complete graphs."""
-    verts = list(graph.vertices())
-    n = len(verts)
+    n = graph.n
+    verts = range(n)
     for size in range(n - 1):
         for sub in itertools.combinations(verts, size):
             if not graph.is_connected(deleted=mask_of(sub)):
@@ -37,14 +37,13 @@ def brute_kappa(graph):
 
 def brute_lambda(graph):
     """Global min cut by vertex bipartition; equals edge connectivity."""
-    verts = list(graph.vertices())
-    n = len(verts)
+    n = graph.n
+    verts = range(n)
     best = None
     for r in range(1, n // 2 + 1):
         for side in itertools.combinations(verts, r):
             m = mask_of(side)
-            cross = sum((graph.rows[v] & graph.alive & ~m).bit_count()
-                        for v in side)
+            cross = sum((graph.rows[v] & ~m).bit_count() for v in side)
             if best is None or cross < best:
                 best = cross
     return best
@@ -53,13 +52,12 @@ def brute_lambda(graph):
 def ref_min_cuts(graph, kappa):
     """enumerate_min_cuts as one bitset BFS per subset: the reference for
     the batched BFS."""
-    live = list(graph.vertices())
-    if kappa >= len(live) - 1:
+    if kappa >= graph.n - 1:
         return MinCutData(cuts=(), neighborhood_flags=())
-    nbhds = {graph.neighborhood(v) for v in live}
+    nbhds = set(graph.rows)
     cuts = []
     flags = []
-    for subset in itertools.combinations(live, kappa):
+    for subset in itertools.combinations(range(graph.n), kappa):
         m = mask_of(subset)
         if not graph.is_connected(deleted=m):
             cuts.append(subset)
@@ -111,50 +109,55 @@ def test_local_vertex_connectivity():
     g = cycle_graph(5)
     assert local_vertex_connectivity(g, 0, 2) == 2
     p = petersen()
-    for t in bits(p.alive & ~p.rows[0] & ~1):
-        assert local_vertex_connectivity(p, 0, t) == 3
+    for t in range(1, p.n):
+        if not p.has_edge(0, t):
+            assert local_vertex_connectivity(p, 0, t) == 3
     with pytest.raises(ValueError):
         local_vertex_connectivity(g, 0, 1)   # adjacent
     with pytest.raises(ValueError):
         local_vertex_connectivity(g, 3, 3)
-    c4 = cycle_graph(4)
-    for alive, s, t in ((0b1110, 0, 2),     # deleted source
-                        (0b1011, 0, 2),     # deleted target
-                        (0b1111, 0, 7),     # out of range
-                        (0b1111, -1, 2)):
+    # C4 minus vertex 0, relabelled, is the path 0 - 1 - 2
+    path = induced_subgraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)], [1, 2, 3])[0]
+    assert local_vertex_connectivity(path, 0, 2) == 1
+    for s, t in ((3, 1),                # source past the end
+                 (0, 3),                # target past the end
+                 (0, 7),
+                 (-1, 2)):
         with pytest.raises(ValueError):
-            local_vertex_connectivity(Graph(4, c4.rows, alive), s, t)
+            local_vertex_connectivity(path, s, t)
 
 
 def test_flow_matches_networkx_digraphs():
-    """The shared Dinic on random digraphs with deleted vertices and
-    antiparallel arcs, at limits below, at and above the true value,
-    against networkx with unit capacities on the live subdigraph."""
+    """The shared Dinic on random digraphs with antiparallel arcs, induced
+    on a random subset of their states and relabelled, at limits below, at
+    and above the true value, against networkx with unit capacities."""
     nx = pytest.importorskip("networkx")
     rng = random.Random(2024)
     for trial in range(1000):
         n = rng.randint(2, 10)
         p = rng.uniform(0.15, 0.7)
-        rows = [sum(1 << w for w in range(n) if w != v and rng.random() < p)
+        full = [sum(1 << w for w in range(n) if w != v and rng.random() < p)
                 for v in range(n)]
-        alive = mask_of(v for v in range(n) if rng.random() < 0.85)
-        live = list(bits(alive))
-        if len(live) < 2:
+        keep = [v for v in range(n) if rng.random() < 0.85]
+        if len(keep) < 2:
             continue
-        s, t = rng.sample(live, 2)
+        rows = [sum(1 << i for i, w in enumerate(keep) if full[v] >> w & 1)
+                for v in keep]
+        s, t = rng.sample(range(len(keep)), 2)
         d = nx.DiGraph()
-        d.add_nodes_from(live)
-        d.add_edges_from((v, w) for v in live for w in bits(rows[v] & alive))
+        d.add_nodes_from(range(len(keep)))
+        d.add_edges_from((v, w) for v, row in enumerate(rows)
+                         for w in bits(row))
         nx.set_edge_attributes(d, 1, "capacity")
         true = nx.maximum_flow_value(d, s, t)
         for limit in {max(true - 1, 0), true, true + 1, n}:
-            assert connectivity._edge_flow(rows, alive, s, t, limit) == \
-                min(limit, true), (trial, rows, alive, s, t, limit)
+            assert connectivity._edge_flow(rows, s, t, limit) == \
+                min(limit, true), (trial, rows, s, t, limit)
 
 
 def test_local_vertex_connectivity_matches_networkx():
-    """Every non-adjacent live pair of random graphs with deleted vertices
-    against networkx on the induced subgraph."""
+    """Every non-adjacent pair of random graphs, induced on a random subset
+    of their vertices and relabelled, against networkx."""
     nx = pytest.importorskip("networkx")
     from networkx.algorithms.connectivity import local_node_connectivity
     rng = random.Random(612)
@@ -164,20 +167,17 @@ def test_local_vertex_connectivity_matches_networkx():
         p = rng.uniform(0.2, 0.8)
         edges = [(i, j) for i in range(n) for j in range(i + 1, n)
                  if rng.random() < p]
-        full = Graph.from_edges(n, edges)
-        alive = mask_of(v for v in range(n) if rng.random() < 0.8)
-        g = Graph(n, full.rows, alive)
-        live = list(bits(alive))
+        keep = [v for v in range(n) if rng.random() < 0.8]
+        g, sub = induced_subgraph(n, edges, keep)
         h = nx.Graph()
-        h.add_nodes_from(live)
-        h.add_edges_from((u, w) for u, w in edges
-                         if alive >> u & 1 and alive >> w & 1)
-        for s, t in itertools.combinations(live, 2):
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(sub)
+        for s, t in itertools.combinations(range(g.n), 2):
             if g.has_edge(s, t):
                 continue
             pairs += 1
             assert local_vertex_connectivity(g, s, t) == \
-                local_node_connectivity(h, s, t), (trial, edges, alive, s, t)
+                local_node_connectivity(h, s, t), (trial, sub, s, t)
     assert pairs > 1000
 
 
@@ -186,13 +186,13 @@ def test_vertex_connectivity_edge_cases():
     with pytest.raises(Disconnected):
         vertex_connectivity(Graph(4, [2, 1, 8, 4]))
     with pytest.raises(ValueError):
-        vertex_connectivity(Graph(3, [0, 0, 0], alive=0))
+        vertex_connectivity(Graph(0, []))
 
 
 def test_deleted_vertices_respected():
-    # C6 minus one vertex is a path: kappa = 1
-    g = cycle_graph(6)
-    punct = Graph(6, g.rows, alive=g.alive & ~(1 << 3))
+    # C6 minus vertex 3, relabelled, is the path P5: kappa = lambda = 1
+    c6 = [(i, (i + 1) % 6) for i in range(6)]
+    punct = induced_subgraph(6, c6, [0, 1, 2, 4, 5])[0]
     assert vertex_connectivity(punct) == 1
     assert edge_connectivity(punct) == 1
 
@@ -297,25 +297,24 @@ def test_min_cuts_match_reference_on_catalog(catalog_pairs):
 
 
 def test_min_cuts_match_reference_random():
-    """Random graphs with deleted vertices, connected or not, at every
-    subset size, against one BFS per subset."""
+    """Random graphs induced on a random subset of their vertices and
+    relabelled, connected or not, at every subset size, against one BFS
+    per subset."""
     rng = random.Random(909)
     disconnected = 0
     for trial in range(600):
         n = rng.randint(1, 12)
         p = rng.uniform(0.1, 0.8)
-        full = Graph.from_edges(n, [(i, j) for i in range(n)
-                                    for j in range(i + 1, n)
-                                    if rng.random() < p])
-        g = Graph(n, full.rows,
-                  mask_of(v for v in range(n) if rng.random() < 0.85))
-        nv = g.vertex_count()
-        if not g.is_connected() and nv >= 2:
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < p]
+        keep = [v for v in range(n) if rng.random() < 0.85]
+        g = induced_subgraph(n, edges, keep)[0]
+        if not g.is_connected() and g.n >= 2:
             disconnected += 1
             assert enumerate_min_cuts(g, 0).cuts == ((),)
-        for kappa in range(nv + 1):
+        for kappa in range(g.n + 1):
             assert enumerate_min_cuts(g, kappa) == ref_min_cuts(g, kappa), \
-                (trial, g.rows, g.alive, kappa)
+                (trial, g.rows, kappa)
     assert disconnected > 50
 
 
@@ -324,8 +323,8 @@ def test_min_cuts_match_networkx():
     for g in (petersen(), cycle_graph(7), complete_bipartite(3, 3),
               relation_graph(build_family("hamming", (2, 3)), 1)):
         h = nx.Graph()
-        h.add_nodes_from(g.vertices())
-        h.add_edges_from((u, w) for u in g.vertices()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from((u, w) for u in range(g.n)
                          for w in bits(g.neighborhood(u)) if u < w)
         want = {frozenset(c) for c in nx.all_node_cuts(h)}
         data = enumerate_min_cuts(g, vertex_connectivity(g))

@@ -1,18 +1,20 @@
 """The layered BFS of `Graph` and the traversals read off it, against
-networkx shortest-path lengths on random graphs with dead vertices."""
+networkx shortest-path lengths on random graphs, and the rows `Graph`
+accepts."""
 
 import random
 
 import pytest
 
-from schemeconn.graph import Graph, bits
+from schemeconn.graph import Graph
+from small_graphs import induced_subgraph
 
 nx = pytest.importorskip("networkx")
 
 
 def _random_graphs(count, seed):
-    """(graph, networkx copy of its live part) pairs, n <= 12, some
-    vertices dead."""
+    """(graph, networkx copy) pairs, n <= 12: random graphs induced on a
+    random subset of their vertices and relabelled."""
     rng = random.Random(seed)
     out = []
     for _ in range(count):
@@ -20,13 +22,11 @@ def _random_graphs(count, seed):
         p = rng.uniform(0.1, 0.7)
         edges = [(i, j) for i in range(n) for j in range(i + 1, n)
                  if rng.random() < p]
-        alive = sum(1 << v for v in range(n) if rng.random() < 0.8)
-        full = Graph.from_edges(n, edges)
-        graph = Graph(n, full.rows, alive)
-        live = set(bits(alive))
+        keep = [v for v in range(n) if rng.random() < 0.8]
+        graph, sub = induced_subgraph(n, edges, keep)
         nxg = nx.Graph()
-        nxg.add_nodes_from(live)
-        nxg.add_edges_from((u, w) for u, w in edges if u in live and w in live)
+        nxg.add_nodes_from(range(graph.n))
+        nxg.add_edges_from(sub)
         out.append((graph, nxg))
     return out
 
@@ -53,11 +53,23 @@ def test_traversals_match_networkx():
 def test_reach_mask_respects_deleted():
     rng = random.Random(3801)
     for graph, nxg in _random_graphs(300, 3801):
-        live = list(nxg.nodes)
-        if not live:
+        nodes = list(nxg.nodes)
+        if not nodes:
             continue
-        deleted = sum(1 << v for v in live if rng.random() < 0.3)
-        rest = nxg.subgraph(v for v in live if not deleted >> v & 1)
+        deleted = sum(1 << v for v in nodes if rng.random() < 0.3)
+        rest = nxg.subgraph(v for v in nodes if not deleted >> v & 1)
         for start in rest.nodes:
             comp = nx.node_connected_component(rest, start)
             assert graph.reach_mask(start, deleted) == sum(1 << v for v in comp)
+
+
+@pytest.mark.parametrize("rows,message", [
+    ([0b1000, 0, 0], "row 0 has a bit at or above n = 3"),
+    ([0, 0, 1 << 70], "row 2 has a bit at or above n = 3"),
+    ([-1, 0, 0], "row 0 has a bit at or above n = 3"),
+    ([0b100, 0b010, 0b001], "row 1 has a loop"),
+], ids=["stray-bit", "far-stray-bit", "negative", "loop"])
+def test_rows_are_checked(rows, message):
+    # no vertex mask hides a stray bit, and twins assumes loop-free rows
+    with pytest.raises(ValueError, match=message):
+        Graph(3, rows)
