@@ -203,7 +203,8 @@ def cmd_cuts(args) -> int:
         if kappa > args.max_size:
             raise CapExceeded(f"kappa = {kappa} exceeds "
                               f"--max-size {args.max_size}")
-        data = enumerate_min_cuts(graph, kappa)
+        data = enumerate_min_cuts(graph, kappa, stabiliser=scheme.stabiliser,
+                                  transitive=scheme.transitive)
     except Disconnected as e:
         print(f"Disconnected: {e}", file=sys.stderr)
         return EXIT_INVALID

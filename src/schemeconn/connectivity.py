@@ -64,10 +64,11 @@ def twins(graph: Graph) -> TwinData:
 
 # -- unit-capacity max-flow -----------------------------------------------
 
-def _edge_flow(rows, s: int, t: int, limit: int) -> int:
-    """Number of arc-disjoint s-t paths, Dinic, capped at limit.  rows are
-    the out-rows of a digraph (rows[v] has bit w for each arc v -> w), an
-    undirected graph being the symmetric case."""
+def _dinic(rows, s: int, t: int, limit: int) -> tuple[int, list, list]:
+    """Arc-disjoint s-t paths, Dinic, capped at limit: (flow, used, rused).
+    rows are the out-rows of a digraph (rows[v] has bit w for each arc
+    v -> w), an undirected graph being the symmetric case; used[v] has bit
+    w for each arc v -> w carrying flow and rused[w] bit v for it."""
     n = len(rows)
     used = [0] * n                  # used[v]: targets carrying flow v -> w
     rused = [0] * n                 # rused[v]: sources w with flow w -> v
@@ -89,7 +90,7 @@ def _edge_flow(rows, s: int, t: int, limit: int) -> int:
                 t_found = True
             frontier = new
         if not t_found:
-            return flow
+            return flow, used, rused
         dead = 0
         cur: dict[int, int] = {}
         stack = [s]
@@ -105,7 +106,7 @@ def _edge_flow(rows, s: int, t: int, limit: int) -> int:
                         rused[w] |= 1 << u
                 flow += 1
                 if flow >= limit:
-                    return flow
+                    return flow, used, rused
                 stack = [s]
                 cur.pop(s, None)
                 continue
@@ -132,21 +133,27 @@ def _edge_flow(rows, s: int, t: int, limit: int) -> int:
             dead |= 1 << v
             stack.pop()
             cur.pop(v, None)
-    return flow
+    return flow, used, rused
 
 
-# _vertex_flow runs the flow under this second name, so that rebinding
-# _edge_flow (to count or time it) sees edge-connectivity flows only
-_dinic = _edge_flow
+def _edge_flow(rows, s: int, t: int, limit: int) -> int:
+    """Number of arc-disjoint s-t paths in the digraph of out-rows rows,
+    capped at limit."""
+    return _dinic(rows, s, t, limit)[0]
+
+
+def _split(rows) -> list[int]:
+    """Out-rows of the split digraph: in-node v (< n) has the one arc to
+    its out-node v + n, whose arcs go to the in-nodes of v's neighbours."""
+    n = len(rows)
+    return [1 << v + n for v in range(n)] + list(rows)
 
 
 def _vertex_flow(rows, s: int, t: int, limit: int) -> int:
     """Number of internally vertex-disjoint s-t paths (s, t distinct and
     non-adjacent), capped at limit: the arc-disjoint paths from the
     out-node of s to the in-node of t on the split digraph."""
-    n = len(rows)
-    split = [1 << v + n for v in range(n)] + list(rows)
-    return _dinic(split, s + n, t, limit)
+    return _dinic(_split(rows), s + len(rows), t, limit)[0]
 
 
 def local_vertex_connectivity(graph: Graph, s: int, t: int,
@@ -328,13 +335,80 @@ def _lex_subset_batches(n: int, k: int, size: int) -> Iterator[np.ndarray]:
         yield out
 
 
-def enumerate_min_cuts(graph: Graph, kappa: int,
-                       budget: int = 5_000_000) -> MinCutData:
+def _cuts_are_neighborhoods(rows, kappa: int, stabiliser) -> bool:
+    """Whether a max flow of kappa passes from the contracted edge {0, s2}
+    to each t outside N[0] | N[s2], for s2 one neighbour of 0 per orbit of
+    the group stabiliser generates, with only t past the cut closest to
+    the source.  That cut is read off one BFS of the residual split
+    digraph in which the arcs of edges never saturate (Even-Tarjan's
+    infinite arcs; Picard and Queyranne, Math. Prog. Study 13, 1980): it
+    must reach the in-node of every vertex but t, 0 and s2.  The flows
+    call _dinic, not _vertex_flow, so that a count of _vertex_flow calls
+    counts vertex_connectivity's flows only."""
+    n = len(rows)
+    _check_fixes_source(stabiliser)
+    full = (1 << n) - 1
+    split = _split(rows)
+    nbrs = list(bits(rows[0]))
+    for i in _orbit_representatives(_rows(nbrs, 1), stabiliser):
+        s2 = nbrs[i]
+        ends = 1 | 1 << s2
+        split[n] = (rows[0] | rows[s2]) & ~ends      # the source, 0's out-node
+        for t in bits(full & ~(rows[0] | rows[s2] | ends)):
+            flow, used, rused = _dinic(split, n, t, kappa)
+            if flow < kappa:
+                return False
+            seen = frontier = 1 << n
+            while frontier:
+                new = 0
+                for u in bits(frontier):
+                    # an out-node's arcs are edges, which never saturate;
+                    # an in-node's one arc is its vertex, which does
+                    arcs = split[u] if u >= n else split[u] & ~used[u]
+                    new |= arcs | rused[u]
+                frontier = new & ~seen
+                seen |= frontier
+            if full & ~seen & ~ends & ~(1 << t):
+                return False
+    return True
+
+
+def enumerate_min_cuts(graph: Graph, kappa: int, budget: int = 5_000_000,
+                       stabiliser=(), transitive=()) -> MinCutData:
     """Every vertex subset of size kappa, the graph's vertex connectivity,
-    whose deletion disconnects the graph, by exhaustive enumeration, with
-    each cut flagged when it equals some open neighborhood.  Cuts come in
+    whose deletion disconnects the graph, with each cut flagged when it
+    equals some open neighborhood.  Cuts come in
     combinations(range(n), kappa) order; CapExceeded when there are more
-    than budget subsets.
+    than budget subsets, however the cuts are then found.
+
+    Two kinds of graph are decided without trying the subsets.  A
+    connected 2-regular graph is the polygon C_n, and with kappa = 2 its
+    cuts are its n(n-3)/2 non-adjacent pairs: deleting two non-adjacent
+    vertices leaves two paths, deleting an edge leaves one.
+
+    The other needs stabiliser and transitive, a scheme's verified
+    generators (see scheme.validate_scheme) of automorphisms fixing vertex
+    0 and of a group moving 0 to every vertex.  On such a graph, twin-free
+    and regular of degree kappa (so not complete, as kappa < n - 1), the
+    cuts are exactly the n neighbourhoods when _cuts_are_neighborhoods
+    holds.  Each N(y) is a cut, since G - N(y) isolates y and keeps a
+    vertex outside N[y], and no two are equal, since there are no twins.
+    Let S be any cut.  If G - S leaves a singleton {y}, then N(y) lies
+    inside S and is as large, so S = N(y).  Otherwise every component of
+    G - S has an edge: take one, {a, b}, and a vertex t of another
+    component.  An automorphism maps a to 0, and then one fixing 0 maps
+    the image of b to s2, the first of its orbit in N(0); the images of S
+    and t form the same picture, so take a = 0, b = s2 and t outside N[0]
+    | N[s2].  S separates {0, s2} from t with kappa vertices, so the flow
+    from {0, s2} to t is at most kappa; it is kappa by the check, and then
+    S gives a minimum cut of the split digraph whose source side holds
+    the nodes of the component of {0, s2} and the in-nodes of S.  The
+    residual reach lies inside every minimum cut's source side, and the
+    check has it hold the in-node of every vertex but t, 0 and s2, so t's
+    component is {t}, against the choice of S.  When a flow falls below
+    kappa (the connectivity is then below kappa) or a check fails (as on
+    the circulant C_10(1, 2), whose 4-cut {0, 1, 5, 6} is no
+    neighbourhood), the subsets are enumerated.
 
     The subsets are decided CUT_BATCH_CELLS // n at a time by one BFS for
     the whole batch: row r of the (B, n) bool matrix keep marks the
@@ -349,28 +423,40 @@ def enumerate_min_cuts(graph: Graph, kappa: int,
     kappa) is.  Each BFS level costs a B x n by n x n product, so the time
     grows with the diameter of what is left: quick on the dense relation
     graphs the reports enumerate, slower than one bitset BFS per subset on
-    long cycles.
+    sparse graphs of long diameter, the worst of them polygons, which are
+    listed directly.
     """
-    n = graph.n
+    n, rows = graph.n, graph.rows
     if kappa >= n - 1:
         return MinCutData(cuts=(), neighborhood_flags=())
     total = comb(n, kappa)
     if total > budget:
         raise CapExceeded(
             f"C({n},{kappa}) = {total} subsets exceeds budget {budget}")
+    nbhds = set(rows)
+    regular = all(row.bit_count() == kappa for row in rows)
+    if kappa == 2 and regular and graph.is_connected():
+        full = (1 << n) - 1
+        cuts = tuple((u, w) for u in range(n)
+                     for w in bits(full & ~rows[u] & ~((2 << u) - 1)))
+        return MinCutData(cuts=cuts, neighborhood_flags=tuple(
+            mask_of(cut) in nbhds for cut in cuts))
+    if (transitive and regular and len(nbhds) == n
+            and _cuts_are_neighborhoods(rows, kappa, stabiliser)):
+        return MinCutData(cuts=tuple(sorted(tuple(bits(r)) for r in rows)),
+                          neighborhood_flags=(True,) * n)
     adj = np.eye(n, dtype=np.float32)
-    for v, row in enumerate(graph.rows):
+    for v, row in enumerate(rows):
         adj[v, list(bits(row))] = 1
-    nbhds = set(graph.rows)
     cuts = []
     flags = []
     for subsets in _lex_subset_batches(n, kappa,
                                        max(1, CUT_BATCH_CELLS // n)):
-        rows = np.arange(len(subsets))
+        batch = np.arange(len(subsets))
         keep = np.ones((len(subsets), n), dtype=bool)
-        keep[rows[:, None], subsets] = False
+        keep[batch[:, None], subsets] = False
         reach = np.zeros_like(keep)
-        reach[rows, keep.argmax(axis=1)] = True
+        reach[batch, keep.argmax(axis=1)] = True
         while True:
             grown = (reach.astype(np.float32) @ adj > 0) & keep
             if np.array_equal(grown, reach):

@@ -49,6 +49,9 @@ class Graph:
     def from_edges(cls, n: int, edges) -> "Graph":
         rows = [0] * n
         for u, w in edges:
+            if not (0 <= u < n and 0 <= w < n):
+                raise ValueError(f"edge {(u, w)} has an endpoint outside "
+                                 f"0..{n - 1} (n = {n})")
             rows[u] |= 1 << w
             rows[w] |= 1 << u
         return cls(n, rows)

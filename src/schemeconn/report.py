@@ -231,7 +231,9 @@ def analyze_relation(scheme: SchemeDescriptor, i: int,
     if connected and not complete:
         try:
             mc = enumerate_min_cuts(ctx.graph, kappa,
-                                    budget=config.cut_enum_budget)
+                                    budget=config.cut_enum_budget,
+                                    stabiliser=scheme.stabiliser,
+                                    transitive=scheme.transitive)
         except CapExceeded:
             skipped.append("min cut enumeration: over budget")
         else:

@@ -278,22 +278,168 @@ def test_lex_subset_batches_match_combinations():
     assert batch[:, 0].tolist() == list(range(4096))
 
 
-def test_min_cuts_match_reference_on_catalog(catalog_pairs):
+@pytest.fixture
+def enumerations(monkeypatch):
+    """The arguments of every _lex_subset_batches call: empty while the
+    minimum cuts were found without trying the subsets."""
+    calls = []
+    real = connectivity._lex_subset_batches
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(connectivity, "_lex_subset_batches", spy)
+    return calls
+
+
+def test_min_cuts_match_reference_on_catalog(catalog_pairs, enumerations):
     """Every connected, non-complete catalog relation whose enumeration
-    the reports run, against one BFS per subset; the Johnson members span
-    many batches."""
+    the reports run, with the scheme's generators and without, against
+    one BFS per subset; the Johnson members span many batches.  No subset
+    is tried on polygons, nor, with the generators, on the twin-free
+    relations regular of degree kappa: every one of them is decided by
+    the flows or the closed form."""
     budget = AnalysisConfig().cut_enum_budget
-    checked = 0
+    checked = decided = polygons = 0
     for p in catalog_pairs:
         if not p.connected or p.graph.is_complete():
             continue
         kappa = vertex_connectivity(p.graph, p.scheme.stabiliser)
         if math.comb(p.scheme.v, kappa) > budget:
             continue
-        assert enumerate_min_cuts(p.graph, kappa, budget) == \
-            ref_min_cuts(p.graph, kappa), (p.scheme.name, p.relation)
+        want = ref_min_cuts(p.graph, kappa)
+        rows = p.graph.rows
+        regular = all(row.bit_count() == kappa for row in rows)
+        polygon = regular and kappa == 2
+        flows = (bool(p.scheme.transitive) and regular
+                 and len(set(rows)) == len(rows))
+        for generators, fast in (({}, polygon),
+                                 ({"stabiliser": p.scheme.stabiliser,
+                                   "transitive": p.scheme.transitive},
+                                  polygon or flows)):
+            enumerations.clear()
+            assert enumerate_min_cuts(p.graph, kappa, budget,
+                                      **generators) == want, \
+                (p.scheme.name, p.relation, generators)
+            assert bool(enumerations) != fast, \
+                (p.scheme.name, p.relation, generators)
         checked += 1
-    assert checked == 46
+        decided += flows
+        polygons += polygon
+    assert (checked, decided, polygons) == (46, 39, 27)
+
+
+@pytest.mark.parametrize("kind,params,relation", [
+    ("johnson", (7, 2), 1), ("hamming", (2, 5), 1)])
+def test_min_cuts_over_budget_match_networkx(enumerations, kind, params,
+                                            relation):
+    """Relations the reports leave over budget, decided by the flows with
+    the budget raised to their C(v, kappa), against Kanevsky's
+    all_node_cuts (about 20 s and 5 s; on J(8,2) relation 2 it takes over
+    ten minutes, so that one is left out)."""
+    nx = pytest.importorskip("networkx")
+    scheme = build_family(kind, params)
+    g = relation_graph(scheme, relation)
+    kappa = vertex_connectivity(g, scheme.stabiliser)
+    total = math.comb(g.n, kappa)
+    assert total > AnalysisConfig().cut_enum_budget
+    data = enumerate_min_cuts(g, kappa, total, stabiliser=scheme.stabiliser,
+                              transitive=scheme.transitive)
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from((u, w) for u in range(g.n)
+                     for w in bits(g.neighborhood(u)) if u < w)
+    want = sorted(tuple(sorted(c)) for c in nx.all_node_cuts(h))
+    assert data.cuts == tuple(want) and not enumerations
+    assert data.all_neighborhoods and len(want) == g.n
+
+
+def _automorphism(g, p):
+    return all(g.has_edge(p[u], p[w]) for u in range(g.n)
+               for w in bits(g.rows[u]))
+
+
+def test_min_cuts_kappa_above_connectivity(enumerations):
+    """C_6[K_2] (vertex 2i + a is (i, a); (i, a) ~ (j, b) when i = j or
+    i ~ j in C_6) is vertex-transitive, 5-regular and twin-free, with
+    connectivity 4.  Asked for its 5-cuts with its rotation, reflection
+    and swap, it has a flow of 4, so the subsets are enumerated."""
+    g = Graph.from_edges(12, [(2 * i, 2 * i + 1) for i in range(6)]
+                         + [(2 * i + a, 2 * ((i + 1) % 6) + b)
+                            for i in range(6) for a in (0, 1)
+                            for b in (0, 1)])
+    rotation = [(v + 2) % 12 for v in range(12)]
+    reflection = [-(v // 2) % 6 * 2 + v % 2 for v in range(12)]
+    swap = [v ^ 1 for v in range(12)]
+    assert all(_automorphism(g, p) for p in (rotation, reflection, swap))
+    assert twins(g).pairs == () and set(g.degrees()) == {5}
+    assert vertex_connectivity(g) == 4
+    data = enumerate_min_cuts(g, 5, stabiliser=(reflection,),
+                              transitive=(rotation, swap))
+    assert data == ref_min_cuts(g, 5) and enumerations
+    assert not data.all_neighborhoods
+
+
+def test_min_cuts_circulants(enumerations):
+    """Every twin-free circulant of Z_5 .. Z_12 of valency k, 2 <= k <
+    n - 1, connected or not, asked for its k-cuts with the rotation and
+    the reflection.  No subset is tried exactly on the polygons and on
+    the graphs of connectivity k whose k-cuts are all neighbourhoods, so
+    the flows decide every such graph; the others, such as C_10(1, 2)
+    with its 4-cut {0, 1, 5, 6}, are enumerated."""
+    checked = decided = 0
+    for n in range(5, 13):
+        rotation = [(v + 1) % n for v in range(n)]
+        reflection = [-v % n for v in range(n)]
+        for r in range(1, n // 2 + 1):
+            for steps in itertools.combinations(range(1, n // 2 + 1), r):
+                g = Graph.from_edges(n, [(i, (i + d) % n) for i in range(n)
+                                         for d in steps])
+                k = g.degree(0)
+                if not 2 <= k < n - 1 or twins(g).pairs:
+                    continue
+                want = ref_min_cuts(g, k)
+                polygon = k == 2 and g.is_connected()
+                exact = (g.is_connected() and brute_kappa(g) == k
+                         and want.all_neighborhoods)
+                enumerations.clear()
+                assert enumerate_min_cuts(
+                    g, k, stabiliser=(reflection,),
+                    transitive=(rotation,)) == want, (n, steps)
+                assert bool(enumerations) != (exact or polygon), (n, steps)
+                checked += 1
+                decided += exact and not polygon
+    assert (checked, decided) == (141, 68)
+
+
+def test_min_cuts_flow_count(monkeypatch):
+    """The flows cost one per t outside N[0] | N[s2] for one s2 per
+    orbit: on J(6,3) relation 1, whose stabiliser of 0 is transitive on
+    the 9 neighbours, 20 - (9 + 9 - 4 common) = 6."""
+    calls = []
+    real = connectivity._dinic
+    monkeypatch.setattr(connectivity, "_dinic",
+                        lambda *args: calls.append(args) or real(*args))
+    scheme = build_family("johnson", (6, 3))
+    g = relation_graph(scheme, 1)
+    data = enumerate_min_cuts(g, 9, stabiliser=scheme.stabiliser,
+                              transitive=scheme.transitive)
+    assert len(data.cuts) == 20 and data.all_neighborhoods
+    assert len(calls) == 6
+
+
+def test_min_cuts_polygons(enumerations):
+    """C_n's 2-cuts are its n(n-3)/2 non-adjacent pairs, listed without
+    trying the subsets; all of them are neighbourhoods only on C_4 and
+    C_5."""
+    for n in range(4, 41):
+        g = cycle_graph(n)
+        assert enumerate_min_cuts(g, 2) == ref_min_cuts(g, 2), n
+    data = enumerate_min_cuts(cycle_graph(400), 2)
+    assert len(data.cuts) == 79_400 == 400 * 397 // 2
+    assert sum(data.neighborhood_flags) == 400
+    assert not enumerations
 
 
 def test_min_cuts_match_reference_random():

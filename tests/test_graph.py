@@ -1,8 +1,9 @@
 """The layered BFS of `Graph` and the traversals read off it, against
-networkx shortest-path lengths on random graphs, and the rows `Graph`
-accepts."""
+networkx shortest-path lengths on random graphs, and the rows `Graph` and
+the edges `Graph.from_edges` accept."""
 
 import random
+import re
 
 import pytest
 
@@ -73,3 +74,12 @@ def test_rows_are_checked(rows, message):
     # no vertex mask hides a stray bit, and twins assumes loop-free rows
     with pytest.raises(ValueError, match=message):
         Graph(3, rows)
+
+
+@pytest.mark.parametrize("edge", [(0, 5), (0, -1)],
+                         ids=["past-the-end", "negative"])
+def test_edge_endpoints_are_checked(edge):
+    # -1 would index the last row before the shift failed
+    with pytest.raises(ValueError, match=re.escape(
+            f"edge {edge} has an endpoint outside 0..2 (n = 3)")):
+        Graph.from_edges(3, [edge])
