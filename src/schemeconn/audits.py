@@ -61,7 +61,9 @@ class RelationContext:
     """What the audits of relation g read, each computed at most once: the
     graph (built here), the scheme's diagram and distances read off it,
     twins, connectivity and the per-basepoint component sweeps.
-    kappa and lam sweep one flow per orbit of the scheme's stabiliser of
+    kappa and lam are the valency by theorem when the scheme's transitive
+    group decides them (see the connectivity module docstring), and
+    otherwise sweep one flow per orbit of the scheme's stabiliser of
     vertex 0, the source of both sweeps.  The basepoint audits sweep
     `basepoints`: vertex 0 alone when the scheme carries a verified
     transitive group, every vertex when it does not; each basepoint
@@ -146,11 +148,13 @@ class RelationContext:
 
     @cached_property
     def kappa(self) -> int:
-        return vertex_connectivity(self.graph, self.scheme.stabiliser)
+        return vertex_connectivity(self.graph, self.scheme.stabiliser,
+                                   self.scheme.transitive)
 
     @cached_property
     def lam(self) -> int:
-        return edge_connectivity(self.graph, self.scheme.stabiliser)
+        return edge_connectivity(self.graph, self.scheme.stabiliser,
+                                 self.scheme.transitive)
 
 
 # -- The four-way equivalence audit --------------------------------------

@@ -199,7 +199,8 @@ def cmd_cuts(args) -> int:
             raise CapExceeded(
                 f"cut enumeration needs max-size <= 3 or v <= 64 "
                 f"(got {args.max_size} on v={scheme.v})")
-        kappa = vertex_connectivity(graph, scheme.stabiliser)
+        kappa = vertex_connectivity(graph, scheme.stabiliser,
+                                    scheme.transitive)
         if kappa > args.max_size:
             raise CapExceeded(f"kappa = {kappa} exceeds "
                               f"--max-size {args.max_size}")

@@ -28,6 +28,28 @@ same local connectivity, and one flow per orbit gives the same minimum as
 the full sweep.  Orbits come from numpy min-label propagation under the
 generators; with no generators every target and pair is its own orbit and
 the sweep runs in full, in the same order.
+
+With generators T of a group of automorphisms moving vertex 0 to every
+vertex, two classical theorems decide a connected graph without any
+flow.  Its edge connectivity is its valency (Mader, Math. Ann. 191,
+1971): every connected vertex-transitive graph has lambda equal to its
+degree.  If the automorphisms S fixing 0 also make N(0) one orbit, the
+group G = <T u S> is transitive on arcs: for an arc (x, y) some g in G
+maps x to 0 and y into N(0), and <S> then maps g(y) to every neighbour
+of 0.  A connected graph that is vertex- and edge-transitive has vertex
+connectivity equal to its valency (Watkins, J. Combin. Theory 8, 1970;
+Godsil and Royle, Algebraic Graph Theory, 2001, 3.3-3.4).  The argument
+goes through atoms.  In a graph that is not complete, an atom is a
+least set A of vertices whose neighbours outside A form a minimum cut
+that leaves some vertex outside both.  Two distinct atoms are disjoint,
+an atom induces a connected subgraph, and automorphisms map atoms to
+atoms, so on a vertex-transitive graph the atoms partition V.  An atom
+with two or more vertices holds an edge, and edge-transitivity then puts
+every edge inside an atom; as the atoms are disjoint, each component of
+the graph lies inside one atom, so a connected graph would be a single
+atom, which misses its own cut.  So every atom is one vertex y, its cut
+is N(y), and kappa is the valency.  Complete graphs have no cut and are
+answered first.  Without these hypotheses the orbit-reduced sweeps run.
 """
 from __future__ import annotations
 
@@ -247,27 +269,46 @@ def _check_fixes_source(automorphisms) -> None:
             raise ValueError(f"automorphism {k} maps the source 0 to {p[0]}")
 
 
-def vertex_connectivity(graph: Graph, automorphisms=()) -> int:
+def _is_transitive(n: int, transitive) -> bool:
+    """Whether the group generated by transitive (image sequences of n
+    vertices) moves vertex 0 to every vertex: a single orbit on range(n)."""
+    for k, p in enumerate(transitive):
+        if len(p) != n:
+            raise ValueError(f"transitive generator {k} has {len(p)} "
+                             f"images, not {n}")
+    return bool(transitive) and len(_orbit_representatives(
+        _rows(list(range(n)), 1), transitive)) == 1
+
+
+def vertex_connectivity(graph: Graph, automorphisms=(), transitive=()) -> int:
     """Global vertex connectivity; n-1 for complete graphs.  automorphisms
     (image sequences of graph automorphisms fixing vertex 0) shrink the
-    sweep to one flow per orbit; the value is the same."""
+    sweep to one flow per orbit; the value is the same.  transitive holds
+    generators of a group of automorphisms, verified by the caller; when
+    its orbit of 0 is every vertex and N(0) is one orbit of automorphisms,
+    the graph is arc-transitive and the valency is returned with no flow
+    (Watkins' theorem, see the module docstring)."""
     n, rows = graph.n, graph.rows
     if n == 0:
         raise ValueError("empty graph")
+    _check_fixes_source(automorphisms)
+    vertex_transitive = _is_transitive(n, transitive)
     if n == 1:
         return 0
     if not graph.is_connected():
         raise Disconnected("graph is disconnected")
     if graph.is_complete():
         return n - 1
+    nb = rows[0]
+    if vertex_transitive and len(_orbit_representatives(
+            _rows(list(bits(nb)), 1), automorphisms)) == 1:
+        return graph.degree(0)
     best = min(graph.degrees())
-    _check_fixes_source(automorphisms)
     targets = list(bits(((1 << n) - 1) & ~graph.closed_neighborhood(0)))
     for i in _orbit_representatives(_rows(targets, 1), automorphisms):
         f = _vertex_flow(rows, 0, targets[i], best)
         if f < best:
             best = f
-    nb = rows[0]
     # for each neighbour u of 0, the later neighbours w > u that u misses
     pairs = [(u, w) for u in bits(nb)
              for w in bits(nb & ~rows[u] & ~((2 << u) - 1))]
@@ -279,14 +320,19 @@ def vertex_connectivity(graph: Graph, automorphisms=()) -> int:
     return best
 
 
-def edge_connectivity(graph: Graph, automorphisms=()) -> int:
-    """Global edge connectivity; automorphisms as for vertex_connectivity."""
+def edge_connectivity(graph: Graph, automorphisms=(), transitive=()) -> int:
+    """Global edge connectivity; automorphisms and transitive as for
+    vertex_connectivity.  When the orbit of 0 under transitive is every
+    vertex, the valency is returned with no flow (Mader's theorem)."""
     if graph.n < 2:
         raise ValueError("need at least two vertices")
+    _check_fixes_source(automorphisms)
+    vertex_transitive = _is_transitive(graph.n, transitive)
     if not graph.is_connected():
         raise Disconnected("graph is disconnected")
+    if vertex_transitive:
+        return graph.degree(0)
     best = min(graph.degrees())
-    _check_fixes_source(automorphisms)
     targets = list(range(1, graph.n))
     for i in _orbit_representatives(_rows(targets, 1), automorphisms):
         f = _edge_flow(graph.rows, 0, targets[i], best)

@@ -1,13 +1,15 @@
-"""Catalog fixtures shared by the acceptance and symmetry suites.
+"""Fixtures shared by the test suites.
 
 `flow_values` runs the full, unreduced kappa and lambda sweeps on every
-connected catalog relation once per session; the reduced sweeps are
-checked against it."""
+connected catalog relation once per session; the reduced sweeps and the
+theorems are checked against it.  `flow_calls` counts the flows the
+kappa and lambda sweeps run."""
 
 from dataclasses import dataclass
 
 import pytest
 
+from schemeconn import connectivity
 from schemeconn.catalog import BUILTIN_FAMILIES, build_family
 from schemeconn.connectivity import edge_connectivity, vertex_connectivity
 from schemeconn.graph import Graph
@@ -48,3 +50,20 @@ def flow_values(catalog_pairs):
     return {(p.scheme.name, p.relation):
             (vertex_connectivity(p.graph), edge_connectivity(p.graph))
             for p in catalog_pairs if p.connected}
+
+
+@pytest.fixture
+def flow_calls(monkeypatch):
+    """The (s, t) of every _vertex_flow ("vertex") and _edge_flow ("edge")
+    call: empty while kappa, respectively lambda, was decided without a
+    flow."""
+    calls = {"vertex": [], "edge": []}
+    for kind in calls:
+        real = getattr(connectivity, f"_{kind}_flow")
+
+        def spy(rows, s, t, limit, real=real, seen=calls[kind]):
+            seen.append((s, t))
+            return real(rows, s, t, limit)
+
+        monkeypatch.setattr(connectivity, f"_{kind}_flow", spy)
+    return calls

@@ -6,6 +6,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from schemeconn import connectivity
@@ -20,7 +21,7 @@ from schemeconn.errors import CapExceeded, Disconnected
 from schemeconn.graph import (Graph, bits, complete_bipartite, cycle_graph,
                               mask_of, petersen)
 from schemeconn.report import AnalysisConfig, analyze_relation
-from schemeconn.scheme import relation_graph
+from schemeconn.scheme import RelationTable, relation_graph, validate_scheme
 from small_graphs import complete_graph, induced_subgraph
 
 
@@ -103,6 +104,110 @@ def test_flow_catalog_relations():
     assert vertex_connectivity(rook) == 4
     j = relation_graph(build_family("johnson", (6, 2)), 1)
     assert vertex_connectivity(j) == 8 == edge_connectivity(j)
+
+
+def _rotation(n):
+    return tuple((x + 1) % n for x in range(n))
+
+
+def _reflection(n):
+    return tuple(-x % n for x in range(n))
+
+
+def circulant(n, jumps):
+    """Cay(Z_n, {+-a : a in jumps})."""
+    return Graph.from_edges(n, [(x, (x + a) % n) for x in range(n)
+                                for a in jumps])
+
+
+def test_generators_are_checked_before_early_returns():
+    k4 = complete_graph(4)
+    for connectivity_of in (vertex_connectivity, edge_connectivity):
+        with pytest.raises(ValueError, match="maps the source 0 to 1"):
+            connectivity_of(k4, [(1, 0, 2, 3)])
+        with pytest.raises(ValueError, match="generator 0 has 3 images, "
+                                             "not 4"):
+            connectivity_of(k4, transitive=[(1, 2, 0)])
+    with pytest.raises(ValueError, match="maps the source 0 to 1"):
+        vertex_connectivity(Graph.from_edges(1, []), [(1,)])
+
+
+def test_theorems_decide_polygons_without_flows(flow_calls):
+    for n in range(4, 13):
+        gens = {"automorphisms": [_reflection(n)],
+                "transitive": [_rotation(n), _reflection(n)]}
+        assert vertex_connectivity(cycle_graph(n), **gens) == 2
+        assert edge_connectivity(cycle_graph(n), **gens) == 2
+    assert flow_calls == {"vertex": [], "edge": []}
+
+
+@pytest.mark.parametrize("n", range(7, 13))
+def test_split_neighbourhood_keeps_flows_on_circulants(n, flow_calls):
+    """C_n(1, 2) with its rotation and reflection: N(0) = {+-1, +-2} is two
+    orbits of the reflection, so kappa runs flows; lambda is Mader's."""
+    g = circulant(n, (1, 2))
+    gens = {"automorphisms": [_reflection(n)],
+            "transitive": [_rotation(n), _reflection(n)]}
+    assert vertex_connectivity(g, **gens) == brute_kappa(g)
+    assert flow_calls["vertex"]
+    assert edge_connectivity(g, **gens) == brute_lambda(g)
+    assert not flow_calls["edge"]
+
+
+def test_split_neighbourhood_keeps_flows_on_lexicographic_product(
+        flow_calls):
+    """C_5[K_2] as Cay(Z_10, {+-1, +-4, 5}): x stands for (x mod 5, x mod 2)
+    and x + 5 is its twin.  Stab(0) is generated by the reflection and the
+    twin swaps of the other fibres; N(0) splits into the twin 5 and
+    {1, 4, 6, 9}, and kappa = 4 is below the valency 5."""
+    g = circulant(10, (1, 4, 5))
+    swaps = [tuple((x + 5) % 10 if x % 5 == i else x for x in range(10))
+             for i in range(1, 5)]
+    gens = {"automorphisms": [_reflection(10)] + swaps,
+            "transitive": [_rotation(10), _reflection(10)]}
+    assert vertex_connectivity(g, **gens) == brute_kappa(g) == 4
+    assert flow_calls["vertex"]
+    assert edge_connectivity(g, **gens) == brute_lambda(g) == 5
+
+
+def test_intransitive_generators_keep_flows(flow_calls):
+    """P_3 with centre 0: the end swap makes N(0) one orbit but fixes 0,
+    so neither theorem applies."""
+    path = Graph.from_edges(3, [(0, 1), (0, 2)])
+    swap = [(0, 2, 1)]
+    assert vertex_connectivity(path, swap, swap) == brute_kappa(path) == 1
+    assert edge_connectivity(path, swap, swap) == brute_lambda(path) == 1
+    assert flow_calls["vertex"] and flow_calls["edge"]
+
+
+def test_shrikhande_scheme_non_neighbours_keep_flows(flow_calls):
+    """Cay(Z_4^2, {+-(0,1), +-(1,0), +-(1,1)}) and its complement, with the
+    translations as the transitive group and, as Stab(0), the order-6 map
+    (a, b) -> (a - b, a) and the swap (a, b) -> (b, a).  They are
+    transitive on the 6 neighbours of 0 but split its 9 non-neighbours."""
+    pts = [(a, b) for a in range(4) for b in range(4)]
+    conn = {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)}
+
+    def perm(f):
+        return tuple(4 * (f(a, b)[0] % 4) + f(a, b)[1] % 4 for a, b in pts)
+
+    classes = np.array([[0 if x == y else
+                         1 if ((y[0] - x[0]) % 4, (y[1] - x[1]) % 4) in conn
+                         else 2 for y in pts] for x in pts])
+    scheme = validate_scheme(
+        RelationTable.from_classes(classes), name="shrikhande",
+        stabiliser=(perm(lambda a, b: (a - b, a)),
+                    perm(lambda a, b: (b, a))),
+        transitive=(perm(lambda a, b: (a + 1, b)),
+                    perm(lambda a, b: (a, b + 1))))
+    ctx = RelationContext(scheme, 1)
+    assert (ctx.kappa, ctx.lam) == (6, 6)
+    assert flow_calls == {"vertex": [], "edge": []}
+    ctx = RelationContext(scheme, 2)
+    assert ctx.kappa == brute_kappa(ctx.graph)
+    assert flow_calls["vertex"]
+    assert ctx.lam == brute_lambda(ctx.graph) == 9
+    assert not flow_calls["edge"]
 
 
 def test_local_vertex_connectivity():

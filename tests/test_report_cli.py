@@ -499,6 +499,17 @@ def test_cli_cuts_cap(capsys):
     assert "CapExceeded" in capsys.readouterr().err
 
 
+def test_cli_cuts_kappa_by_theorem(capsys, flow_calls):
+    # J(11,3) r1 is arc-transitive under the scheme's generators, so its
+    # kappa = 24 needs no flow before the cap refuses it
+    code = main(["cuts", "--family", "johnson", "11", "3", "--relation", "1",
+                 "--max-size", "3"])
+    assert code == 4
+    assert capsys.readouterr().err.splitlines() == [
+        "CapExceeded: kappa = 24 exceeds --max-size 3"]
+    assert flow_calls["vertex"] == []
+
+
 def test_cli_survey_manifest(tmp_path, capsys):
     out = tmp_path / "sv"
     manifest = tmp_path / "manifest.json"

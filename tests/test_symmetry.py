@@ -1,11 +1,12 @@
-"""Stabiliser and transitive generators and the orbit-reduced kappa/lambda
-sweeps.
+"""Stabiliser and transitive generators, the orbit-reduced kappa/lambda
+sweeps, and the theorems that decide kappa and lambda without them.
 
-The reduced sweeps are checked against the full sweeps of the shared
-`flow_values` fixture on every connected catalog relation, and against
-networkx on the small ones; the generators are checked independently of
-validate_scheme, and mutated generators must be refused.  The numpy orbit
-finder is checked against the per-item union-find it replaced."""
+The reduced sweeps and the theorems are checked against the full sweeps
+of the shared `flow_values` fixture on every connected catalog relation,
+and against networkx on the small ones; the generators are checked
+independently of validate_scheme, and mutated generators must be
+refused.  The numpy orbit finder is checked against the per-item
+union-find it replaced."""
 
 import random
 from operator import getitem
@@ -21,8 +22,8 @@ from schemeconn.cli import EXIT_INVALID, _exit_code
 from schemeconn.connectivity import edge_connectivity, vertex_connectivity
 from schemeconn.errors import NotAnAutomorphism
 from schemeconn.graph import bits, cycle_graph
-from schemeconn.scheme import (RelationTable, symmetrized_scheme,
-                               validate_scheme)
+from schemeconn.scheme import (RelationTable, relation_graph,
+                               symmetrized_scheme, validate_scheme)
 
 GROUP_FAMILIES = [(kind, params) for kind, params in BUILTIN_FAMILIES
                   if kind in ("johnson", "hamming", "cyclic")]
@@ -151,30 +152,59 @@ def test_file_and_group_schemes_carry_no_generators(tmp_path):
 
 
 def test_reduced_sweeps_match_full_sweeps(catalog_pairs, flow_values):
+    """The orbit-reduced sweeps, given the stabiliser alone (so no theorem
+    applies), against the unreduced ones."""
     reduced = 0
     for p in catalog_pairs:
         if not p.connected:
             continue
-        ctx = RelationContext(p.scheme, p.relation)
-        assert (ctx.kappa, ctx.lam) == flow_values[(p.scheme.name,
-                                                    p.relation)], \
+        stabiliser = p.scheme.stabiliser
+        assert (vertex_connectivity(p.graph, stabiliser),
+                edge_connectivity(p.graph, stabiliser)) == \
+            flow_values[(p.scheme.name, p.relation)], \
             (p.scheme.name, p.relation)
-        reduced += bool(p.scheme.stabiliser)
+        reduced += bool(stabiliser)
     assert len(flow_values) == 104
     assert reduced >= 80
 
 
-def test_johnson_10_4_r2_runs_one_flow_per_orbit(monkeypatch):
-    calls = []
-    flow = connectivity._vertex_flow
+# the connected catalog relations no theorem decides: N(0) splits (the
+# conjugacy members carry no stabiliser) or there is no transitive group
+# (drg); only the latter keep their lambda flows
+KAPPA_BY_FLOWS = {("conj-S3", 2), ("conj-Z5", 1), ("conj-Z5", 2),
+                  ("conj-Z7", 1), ("conj-Z7", 2), ("conj-Z7", 3),
+                  ("drg-petersen", 1), ("drg-petersen", 2), ("drg-k33", 1)}
+LAMBDA_BY_FLOWS = {("drg-petersen", 1), ("drg-petersen", 2),
+                   ("drg-k33", 1)}
 
-    def counted(rows, s, t, limit):
-        calls.append((s, t))
-        return flow(rows, s, t, limit)
 
-    monkeypatch.setattr(connectivity, "_vertex_flow", counted)
-    ctx = RelationContext(build_family("johnson", (10, 4)), 2)
-    assert ctx.kappa == 90
+def test_theorems_decide_transitive_relations(catalog_pairs, flow_values,
+                                              flow_calls):
+    """RelationContext.kappa and .lam against the unreduced sweeps, with
+    no flow wherever Watkins' theorem (kappa) or Mader's (lambda) applies."""
+    kappa_flows, lambda_flows = set(), set()
+    for p in catalog_pairs:
+        if not p.connected:
+            continue
+        key = (p.scheme.name, p.relation)
+        flow_calls["vertex"].clear()
+        flow_calls["edge"].clear()
+        ctx = RelationContext(p.scheme, p.relation)
+        assert (ctx.kappa, ctx.lam) == flow_values[key], key
+        if flow_calls["vertex"]:
+            kappa_flows.add(key)
+        if flow_calls["edge"]:
+            lambda_flows.add(key)
+    assert kappa_flows == KAPPA_BY_FLOWS
+    assert lambda_flows == LAMBDA_BY_FLOWS
+    assert len(flow_values) - len(kappa_flows) == 95
+    assert len(flow_values) - len(lambda_flows) == 101
+
+
+def test_johnson_10_4_r2_runs_one_flow_per_orbit(flow_calls):
+    s = build_family("johnson", (10, 4))
+    assert vertex_connectivity(relation_graph(s, 2), s.stabiliser) == 90
+    calls = flow_calls["vertex"]
     # 3 target orbits (classes 1, 3, 4 from vertex 0) plus 5 orbits of
     # non-adjacent pairs inside the neighbourhood of vertex 0
     assert len(calls) == 8
