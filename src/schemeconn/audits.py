@@ -47,7 +47,8 @@ from typing import Optional
 
 import numpy as np
 
-from .connectivity import (CLIQUE_CAP, TwinData, edge_connectivity,
+from .connectivity import (CLIQUE_CAP, MinCutData, TwinData,
+                           edge_connectivity, enumerate_min_cuts,
                            is_isomorphic, k211_free, maximal_cliques, twins,
                            vertex_connectivity)
 from .diagram import Diagram, h_prime_connected
@@ -60,14 +61,15 @@ from .scheme import SchemeDescriptor, is_complete_multipartite, relation_graph
 class RelationContext:
     """What the audits of relation g read, each computed at most once: the
     graph (built here), the scheme's diagram and distances read off it,
-    twins, connectivity and the per-basepoint component sweeps.
-    kappa and lam are the valency by theorem when the scheme's transitive
-    group decides them (see the connectivity module docstring), and
-    otherwise sweep one flow per orbit of the scheme's stabiliser of
-    vertex 0, the source of both sweeps.  The basepoint audits sweep
-    `basepoints`: vertex 0 alone when the scheme carries a verified
-    transitive group, every vertex when it does not; each basepoint
-    stands for `weight` of them."""
+    twins, connectivity and the per-basepoint component sweeps.  It alone
+    decides kappa, lambda and the minimum cuts: kappa by Watkins' theorem
+    where the scheme's generators make the graph arc-transitive (see the
+    connectivity module docstring), else by one flow per orbit of the
+    stabiliser of vertex 0; lam as kappa where that is the valency
+    (Whitney's chain), else by edge flows likewise; min_cuts under the
+    scheme's generators.  The basepoint audits sweep `basepoints`: vertex
+    0 alone when the scheme carries a verified transitive group, every
+    vertex when it does not; each stands for `weight` of them."""
 
     def __init__(self, scheme: SchemeDescriptor, g: int):
         self.scheme = scheme
@@ -153,8 +155,22 @@ class RelationContext:
 
     @cached_property
     def lam(self) -> int:
-        return edge_connectivity(self.graph, self.scheme.stabiliser,
-                                 self.scheme.transitive)
+        """Whitney's chain kappa <= lambda <= minimum degree (Amer. J. Math.
+        54, 1932): the edges at a vertex are an edge cut, and a minimum edge
+        cut F from S to the rest gives a vertex cut no larger.  If all of S
+        is adjacent to all the rest, |F| >= n - 1 >= kappa; else take x in
+        S and y outside, not adjacent, and of each edge of F its end other
+        than x, which misses x and y and meets every x-y path.  A relation
+        graph is regular, so kappa = valency gives lambda with no flow."""
+        if self.kappa == self.graph.degree(0):
+            return self.kappa
+        return edge_connectivity(self.graph, self.scheme.stabiliser)
+
+    def min_cuts(self, budget: int = 5_000_000) -> MinCutData:
+        """enumerate_min_cuts under the scheme's generators."""
+        return enumerate_min_cuts(self.graph, self.kappa, budget=budget,
+                                  stabiliser=self.scheme.stabiliser,
+                                  transitive=self.scheme.transitive)
 
 
 # -- The four-way equivalence audit --------------------------------------

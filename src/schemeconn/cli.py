@@ -11,13 +11,12 @@ import os
 import sys
 from typing import Optional
 
+from .audits import RelationContext
 from .catalog import build_family, check_family, load_scheme
-from .connectivity import enumerate_min_cuts, vertex_connectivity
-from .errors import (CapExceeded, Disconnected, ParseError, SchemeError,
-                     SizeCap)
+from .errors import CapExceeded, ParseError, SchemeError, SizeCap
 from .report import (DEFAULT_CONFIG, AnalysisConfig, analyze_scheme,
                      builtin_entries, run_survey)
-from .scheme import SchemeDescriptor, relation_graph, symmetrized_scheme
+from .scheme import SchemeDescriptor, symmetrized_scheme
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -194,21 +193,11 @@ def cmd_cuts(args) -> int:
         scheme = _load_source(args)
         if not scheme.symmetric:
             scheme = symmetrized_scheme(scheme)
-        graph = relation_graph(scheme, args.relation)
-        if not (args.max_size <= 3 or scheme.v <= 64):
-            raise CapExceeded(
-                f"cut enumeration needs max-size <= 3 or v <= 64 "
-                f"(got {args.max_size} on v={scheme.v})")
-        kappa = vertex_connectivity(graph, scheme.stabiliser,
-                                    scheme.transitive)
-        if kappa > args.max_size:
-            raise CapExceeded(f"kappa = {kappa} exceeds "
+        ctx = RelationContext(scheme, args.relation)
+        if ctx.kappa > args.max_size:
+            raise CapExceeded(f"kappa = {ctx.kappa} exceeds "
                               f"--max-size {args.max_size}")
-        data = enumerate_min_cuts(graph, kappa, stabiliser=scheme.stabiliser,
-                                  transitive=scheme.transitive)
-    except Disconnected as e:
-        print(f"Disconnected: {e}", file=sys.stderr)
-        return EXIT_INVALID
+        data = ctx.min_cuts()
     except SchemeError as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return _exit_code(e)
@@ -217,7 +206,7 @@ def cmd_cuts(args) -> int:
         return EXIT_INVALID
     for cut, flag in zip(data.cuts, data.neighborhood_flags):
         print(f"{','.join(str(x) for x in cut)} neighborhood={flag}")
-    print(f"{len(data.cuts)} minimum cuts of size {kappa}; "
+    print(f"{len(data.cuts)} minimum cuts of size {ctx.kappa}; "
           f"all_neighborhoods={data.all_neighborhoods}")
     return EXIT_OK
 

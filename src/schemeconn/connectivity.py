@@ -30,12 +30,10 @@ generators; with no generators every target and pair is its own orbit and
 the sweep runs in full, in the same order.
 
 With generators T of a group of automorphisms moving vertex 0 to every
-vertex, two classical theorems decide a connected graph without any
-flow.  Its edge connectivity is its valency (Mader, Math. Ann. 191,
-1971): every connected vertex-transitive graph has lambda equal to its
-degree.  If the automorphisms S fixing 0 also make N(0) one orbit, the
-group G = <T u S> is transitive on arcs: for an arc (x, y) some g in G
-maps x to 0 and y into N(0), and <S> then maps g(y) to every neighbour
+vertex, a theorem decides the vertex connectivity of a connected graph
+without any flow.  If the automorphisms S fixing 0 make N(0) one orbit,
+the group G = <T u S> is transitive on arcs: for an arc (x, y) some g in
+G maps x to 0 and y into N(0), and <S> then maps g(y) to every neighbour
 of 0.  A connected graph that is vertex- and edge-transitive has vertex
 connectivity equal to its valency (Watkins, J. Combin. Theory 8, 1970;
 Godsil and Royle, Algebraic Graph Theory, 2001, 3.3-3.4).  The argument
@@ -49,7 +47,9 @@ every edge inside an atom; as the atoms are disjoint, each component of
 the graph lies inside one atom, so a connected graph would be a single
 atom, which misses its own cut.  So every atom is one vertex y, its cut
 is N(y), and kappa is the valency.  Complete graphs have no cut and are
-answered first.  Without these hypotheses the orbit-reduced sweeps run.
+answered first.  Without these hypotheses the orbit-reduced sweep runs.
+Edge connectivity always sweeps: audits.RelationContext asks for it only
+where Whitney's chain kappa <= lambda <= valency leaves it open.
 """
 from __future__ import annotations
 
@@ -271,7 +271,7 @@ def _check_fixes_source(automorphisms) -> None:
 
 def _is_transitive(n: int, transitive) -> bool:
     """Whether the group generated by transitive (image sequences of n
-    vertices) moves vertex 0 to every vertex: a single orbit on range(n)."""
+    vertices) is one orbit on range(n); only vertex_connectivity asks."""
     for k, p in enumerate(transitive):
         if len(p) != n:
             raise ValueError(f"transitive generator {k} has {len(p)} "
@@ -320,18 +320,14 @@ def vertex_connectivity(graph: Graph, automorphisms=(), transitive=()) -> int:
     return best
 
 
-def edge_connectivity(graph: Graph, automorphisms=(), transitive=()) -> int:
-    """Global edge connectivity; automorphisms and transitive as for
-    vertex_connectivity.  When the orbit of 0 under transitive is every
-    vertex, the valency is returned with no flow (Mader's theorem)."""
+def edge_connectivity(graph: Graph, automorphisms=()) -> int:
+    """Global edge connectivity: the least flow from vertex 0 to another
+    vertex, one flow per orbit of automorphisms fixing 0."""
     if graph.n < 2:
         raise ValueError("need at least two vertices")
     _check_fixes_source(automorphisms)
-    vertex_transitive = _is_transitive(graph.n, transitive)
     if not graph.is_connected():
         raise Disconnected("graph is disconnected")
-    if vertex_transitive:
-        return graph.degree(0)
     best = min(graph.degrees())
     targets = list(range(1, graph.n))
     for i in _orbit_representatives(_rows(targets, 1), automorphisms):

@@ -19,7 +19,6 @@ from typing import Optional
 import numpy as np
 
 from . import audits
-from .connectivity import enumerate_min_cuts
 from .diagram import p_polynomial_generator
 from .errors import (CapExceeded, DetectorDisagreement, Disconnected,
                      HypothesisNotMet, HypothesisViolation)
@@ -106,7 +105,8 @@ def analyze_relation(scheme: SchemeDescriptor, i: int,
                      spectral_block: Optional[dict] = None,
                      symmetrized: bool = False) -> dict:
     """Full audit report for one basis relation.  `spectral`/
-    `spectral_block` can be shared across the relations of one scheme."""
+    `spectral_block` can be shared across the relations of one scheme;
+    each is computed when absent, the block from `spectral`."""
     ctx = audits.RelationContext(scheme, i)
     v = scheme.v
     v1 = int(scheme.valencies[i])
@@ -230,10 +230,7 @@ def analyze_relation(scheme: SchemeDescriptor, i: int,
     min_cuts_are_neighborhoods = None
     if connected and not complete:
         try:
-            mc = enumerate_min_cuts(ctx.graph, kappa,
-                                    budget=config.cut_enum_budget,
-                                    stabiliser=scheme.stabiliser,
-                                    transitive=scheme.transitive)
+            mc = ctx.min_cuts(config.cut_enum_budget)
         except CapExceeded:
             skipped.append("min cut enumeration: over budget")
         else:
@@ -255,16 +252,16 @@ def analyze_relation(scheme: SchemeDescriptor, i: int,
     else:
         ball = {"status": "skipped", "reason": "disconnected"}
 
+    if spectral is None:
+        spectral = compute_spectral(scheme, grouping_tol=config.grouping_tol)
     if spectral_block is None:
-        if spectral is None:
-            spectral = compute_spectral(scheme, grouping_tol=config.grouping_tol)
         spectral_block = spectral_section(scheme, spectral, config)
     spec = dict(spectral_block)
     findings.extend(spec.pop("findings"))
     prim = spec.get("primitivity", {})
     if twin_count > 0 and prim.get("primitive") is True:
         findings.append("twins present but scheme judged primitive")
-    if connected and spectral is not None:
+    if connected:
         theta = second_eigenvalue(ctx, spectral)
         spec["second_eigenvalue"] = _fmt(theta)
         spec["second_eigenvalue_positive"] = bool(theta > 1e-6)

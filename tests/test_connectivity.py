@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -120,14 +121,25 @@ def circulant(n, jumps):
                                 for a in jumps])
 
 
+def graph_context(graph, automorphisms, transitive):
+    """A RelationContext on a graph that is no relation of any scheme at
+    hand, with automorphisms as the stabiliser: kappa, lam and min_cuts
+    read only the graph and the scheme's generators."""
+    ctx = object.__new__(RelationContext)
+    ctx.scheme = SimpleNamespace(stabiliser=tuple(automorphisms),
+                                 transitive=tuple(transitive))
+    ctx.g = 1
+    ctx.graph = graph
+    return ctx
+
+
 def test_generators_are_checked_before_early_returns():
     k4 = complete_graph(4)
     for connectivity_of in (vertex_connectivity, edge_connectivity):
         with pytest.raises(ValueError, match="maps the source 0 to 1"):
             connectivity_of(k4, [(1, 0, 2, 3)])
-        with pytest.raises(ValueError, match="generator 0 has 3 images, "
-                                             "not 4"):
-            connectivity_of(k4, transitive=[(1, 2, 0)])
+    with pytest.raises(ValueError, match="generator 0 has 3 images, not 4"):
+        vertex_connectivity(k4, transitive=[(1, 2, 0)])
     with pytest.raises(ValueError, match="maps the source 0 to 1"):
         vertex_connectivity(Graph.from_edges(1, []), [(1,)])
 
@@ -137,20 +149,29 @@ def test_theorems_decide_polygons_without_flows(flow_calls):
         gens = {"automorphisms": [_reflection(n)],
                 "transitive": [_rotation(n), _reflection(n)]}
         assert vertex_connectivity(cycle_graph(n), **gens) == 2
-        assert edge_connectivity(cycle_graph(n), **gens) == 2
+        # relation 1 of the cyclic scheme is the polygon
+        ctx = RelationContext(gen_cyclic(n), 1)
+        assert ctx.graph.rows == cycle_graph(n).rows
+        assert (ctx.kappa, ctx.lam) == (2, 2)
     assert flow_calls == {"vertex": [], "edge": []}
+    for n in range(4, 13):
+        assert edge_connectivity(cycle_graph(n), [_reflection(n)]) == 2
 
 
 @pytest.mark.parametrize("n", range(7, 13))
 def test_split_neighbourhood_keeps_flows_on_circulants(n, flow_calls):
     """C_n(1, 2) with its rotation and reflection: N(0) = {+-1, +-2} is two
-    orbits of the reflection, so kappa runs flows; lambda is Mader's."""
+    orbits of the reflection, so kappa runs flows; they give the valency,
+    so the context reads lambda off Whitney's chain."""
     g = circulant(n, (1, 2))
     gens = {"automorphisms": [_reflection(n)],
             "transitive": [_rotation(n), _reflection(n)]}
     assert vertex_connectivity(g, **gens) == brute_kappa(g)
     assert flow_calls["vertex"]
-    assert edge_connectivity(g, **gens) == brute_lambda(g)
+    assert edge_connectivity(g, [_reflection(n)]) == brute_lambda(g)
+    flow_calls["edge"].clear()
+    ctx = graph_context(g, **gens)
+    assert ctx.kappa == ctx.lam == brute_lambda(g) == 4
     assert not flow_calls["edge"]
 
 
@@ -159,7 +180,8 @@ def test_split_neighbourhood_keeps_flows_on_lexicographic_product(
     """C_5[K_2] as Cay(Z_10, {+-1, +-4, 5}): x stands for (x mod 5, x mod 2)
     and x + 5 is its twin.  Stab(0) is generated by the reflection and the
     twin swaps of the other fibres; N(0) splits into the twin 5 and
-    {1, 4, 6, 9}, and kappa = 4 is below the valency 5."""
+    {1, 4, 6, 9}, and kappa = 4 is below the valency 5, so the context
+    runs edge flows for lambda."""
     g = circulant(10, (1, 4, 5))
     swaps = [tuple((x + 5) % 10 if x % 5 == i else x for x in range(10))
              for i in range(1, 5)]
@@ -167,17 +189,33 @@ def test_split_neighbourhood_keeps_flows_on_lexicographic_product(
             "transitive": [_rotation(10), _reflection(10)]}
     assert vertex_connectivity(g, **gens) == brute_kappa(g) == 4
     assert flow_calls["vertex"]
-    assert edge_connectivity(g, **gens) == brute_lambda(g) == 5
+    assert edge_connectivity(g, gens["automorphisms"]) == \
+        brute_lambda(g) == 5
+    flow_calls["edge"].clear()
+    ctx = graph_context(g, **gens)
+    assert (ctx.kappa, ctx.lam) == (4, 5)
+    assert flow_calls["edge"]
 
 
 def test_intransitive_generators_keep_flows(flow_calls):
     """P_3 with centre 0: the end swap makes N(0) one orbit but fixes 0,
-    so neither theorem applies."""
+    so Watkins' theorem does not apply."""
     path = Graph.from_edges(3, [(0, 1), (0, 2)])
     swap = [(0, 2, 1)]
     assert vertex_connectivity(path, swap, swap) == brute_kappa(path) == 1
-    assert edge_connectivity(path, swap, swap) == brute_lambda(path) == 1
+    assert edge_connectivity(path, swap) == brute_lambda(path) == 1
     assert flow_calls["vertex"] and flow_calls["edge"]
+
+
+def test_lam_runs_edge_flows_below_the_valency(flow_calls):
+    """No catalog relation has kappa below its valency, so set J(6,2) r1's
+    cached kappa to 7: lam must then sweep one edge flow per orbit of the
+    stabiliser (the neighbours and the non-neighbours of 0) and return the
+    flow value, 8."""
+    ctx = RelationContext(build_family("johnson", (6, 2)), 1)
+    ctx.kappa = 7
+    assert ctx.lam == brute_lambda(ctx.graph) == 8
+    assert len(flow_calls["edge"]) == 2
 
 
 def test_shrikhande_scheme_non_neighbours_keep_flows(flow_calls):

@@ -216,6 +216,17 @@ def test_analyze_relation_builds_shared_objects_once(monkeypatch, family,
                      "vertex_connectivity": connected}
 
 
+def test_analyze_relation_given_only_the_block_computes_spectral():
+    # the second eigenvalue needs the spectral data, not just the block
+    s = build_family("johnson", (5, 2))
+    block = spectral_section(s, compute_spectral(s))
+    rep = analyze_relation(s, 1, spectral_block=block)
+    want = analyze_scheme(s, relations=[1])[0]
+    assert rep["spectral"]["second_eigenvalue"] == "1"
+    assert rep["spectral"]["second_eigenvalue_positive"] is True
+    assert rep == want
+
+
 def test_builtin_entries_cover_catalog():
     entries = builtin_entries()
     assert len(entries) >= 40
@@ -508,6 +519,26 @@ def test_cli_cuts_kappa_by_theorem(capsys, flow_calls):
     assert capsys.readouterr().err.splitlines() == [
         "CapExceeded: kappa = 24 exceeds --max-size 3"]
     assert flow_calls["vertex"] == []
+
+
+def test_cli_cuts_lists_a_large_polygon(capsys):
+    # the 100-gon's 4,850 cuts are its non-adjacent pairs, listed directly;
+    # only enumerate_min_cuts's subset budget bounds --max-size
+    code = main(["cuts", "--family", "cyclic", "100", "--relation", "1",
+                 "--max-size", "5"])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        "4850 minimum cuts of size 2; all_neighborhoods=False"
+
+
+def test_cli_cuts_over_budget(capsys):
+    code = main(["cuts", "--family", "johnson", "11", "3", "--relation", "1",
+                 "--max-size", "30"])
+    assert code == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert re.fullmatch(r"CapExceeded: C\(165,24\) = \d+ subsets exceeds "
+                        r"budget 5000000", err[0])
 
 
 def test_cli_survey_manifest(tmp_path, capsys):

@@ -168,20 +168,21 @@ def test_reduced_sweeps_match_full_sweeps(catalog_pairs, flow_values):
     assert reduced >= 80
 
 
-# the connected catalog relations no theorem decides: N(0) splits (the
-# conjugacy members carry no stabiliser) or there is no transitive group
-# (drg); only the latter keep their lambda flows
+# the connected catalog relations Watkins' theorem does not decide: N(0)
+# splits (the conjugacy members carry no stabiliser) or there is no
+# transitive group (drg); their flows still give kappa = valency, so
+# Whitney's chain decides lambda on every relation
 KAPPA_BY_FLOWS = {("conj-S3", 2), ("conj-Z5", 1), ("conj-Z5", 2),
                   ("conj-Z7", 1), ("conj-Z7", 2), ("conj-Z7", 3),
                   ("drg-petersen", 1), ("drg-petersen", 2), ("drg-k33", 1)}
-LAMBDA_BY_FLOWS = {("drg-petersen", 1), ("drg-petersen", 2),
-                   ("drg-k33", 1)}
+LAMBDA_BY_FLOWS = set()
 
 
 def test_theorems_decide_transitive_relations(catalog_pairs, flow_values,
                                               flow_calls):
     """RelationContext.kappa and .lam against the unreduced sweeps, with
-    no flow wherever Watkins' theorem (kappa) or Mader's (lambda) applies."""
+    no flow wherever Watkins' theorem (kappa) or Whitney's chain (lambda)
+    applies."""
     kappa_flows, lambda_flows = set(), set()
     for p in catalog_pairs:
         if not p.connected:
@@ -198,7 +199,7 @@ def test_theorems_decide_transitive_relations(catalog_pairs, flow_values,
     assert kappa_flows == KAPPA_BY_FLOWS
     assert lambda_flows == LAMBDA_BY_FLOWS
     assert len(flow_values) - len(kappa_flows) == 95
-    assert len(flow_values) - len(lambda_flows) == 101
+    assert len(flow_values) - len(lambda_flows) == 104
 
 
 def test_johnson_10_4_r2_runs_one_flow_per_orbit(flow_calls):
