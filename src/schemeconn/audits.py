@@ -47,10 +47,10 @@ from typing import Optional
 
 import numpy as np
 
-from .connectivity import (CLIQUE_CAP, MinCutData, TwinData,
-                           edge_connectivity, enumerate_min_cuts,
-                           is_isomorphic, k211_free, maximal_cliques, twins,
-                           vertex_connectivity)
+from .connectivity import (CLIQUE_CAP, MIN_CUT_BUDGET, MinCutData, TwinData,
+                           _orbit_representatives, _rows, edge_connectivity,
+                           enumerate_min_cuts, is_isomorphic, k211_free,
+                           maximal_cliques, twins, vertex_connectivity)
 from .diagram import Diagram, h_prime_connected
 from .errors import Disconnected, HypothesisNotMet, HypothesisViolation
 from .graph import (Graph, bits, complete_bipartite, cycle_graph, mask_of,
@@ -63,13 +63,13 @@ class RelationContext:
     graph (built here), the scheme's diagram and distances read off it,
     twins, connectivity and the per-basepoint component sweeps.  It alone
     decides kappa, lambda and the minimum cuts: kappa by Watkins' theorem
-    where the scheme's generators make the graph arc-transitive (see the
-    connectivity module docstring), else by one flow per orbit of the
-    stabiliser of vertex 0; lam as kappa where that is the valency
-    (Whitney's chain), else by edge flows likewise; min_cuts under the
-    scheme's generators.  The basepoint audits sweep `basepoints`: vertex
-    0 alone when the scheme carries a verified transitive group, every
-    vertex when it does not; each stands for `weight` of them."""
+    where the scheme's generators make the graph arc-transitive, else by
+    one flow per orbit of the stabiliser of vertex 0; lam as kappa where
+    that is the valency (Whitney's chain), else by edge flows likewise;
+    min_cuts under the scheme's generators.  The basepoint audits sweep
+    `basepoints`: vertex 0 alone when the scheme carries a verified
+    transitive group, every vertex when it does not; each stands for
+    `weight` of them."""
 
     def __init__(self, scheme: SchemeDescriptor, g: int):
         self.scheme = scheme
@@ -116,42 +116,61 @@ class RelationContext:
         return h_prime_connected(self.diagram)
 
     @cached_property
-    def _ball_sweeps(self) -> dict[tuple, tuple[list[int], ...]]:
+    def _ball_sweeps(self) -> dict[int, tuple[list[int], ...]]:
         return {}
 
-    def _components(self, t: int, basepoints) -> tuple[list[int], ...]:
-        """The components of G - B_t(a) for each a in basepoints (a range or
-        a tuple), computed once per radius and set of basepoints."""
-        sweeps = self._ball_sweeps
-        key = (t, basepoints)
-        if key not in sweeps:
-            graph = self.graph
-            sweeps[key] = tuple(
-                graph.component_masks(deleted=graph.ball(a, t))
-                for a in basepoints)
-        return sweeps[key]
-
-    def ball_components(self, t: int) -> tuple[list[int], ...]:
-        """For every basepoint a, the components of G - B_t(a) as bit masks
-        by least vertex, where B_t(a) is the ball of radius t; computed once
-        per radius.  B_1(a) = N[a]."""
-        return self._components(t, range(self.scheme.v))
-
     def swept_components(self, t: int) -> tuple[list[int], ...]:
-        """ball_components(t) at `basepoints` only: the sweep theorem 1,
-        C1/C2 (t = 1) and ball deletion read."""
-        return self._components(t, self.basepoints)
+        """For each a in `basepoints`, the components of G - B_t(a) as bit
+        masks by least vertex, where B_t(a) is the ball of radius t and
+        B_1(a) = N[a]; computed once per radius.  Theorem 1, C1/C2 (t = 1)
+        and ball deletion read it."""
+        sweeps = self._ball_sweeps
+        if t not in sweeps:
+            graph = self.graph
+            sweeps[t] = tuple(graph.component_masks(deleted=graph.ball(a, t))
+                              for a in self.basepoints)
+        return sweeps[t]
 
     @cached_property
     def iuw(self) -> IUWDecomposition:
         """The I/U/W decomposition at basepoint 0, shared by the report and
         the W-empty audit."""
-        return iuw_decompose(self, 0)
+        return iuw_decompose(self)
 
     @cached_property
     def kappa(self) -> int:
-        return vertex_connectivity(self.graph, self.scheme.stabiliser,
-                                   self.scheme.transitive)
+        """The valency when the scheme's generators make the graph
+        arc-transitive, else one vertex flow per orbit of the stabiliser.
+
+        validate_scheme has checked that the group T generated by
+        scheme.transitive moves vertex 0 to every vertex, and that the
+        stabiliser generators S fix 0; both preserve every class, so they
+        are automorphisms of the graph.  If S makes N(0) one orbit, the
+        group G = <T u S> is transitive on arcs: for an arc (x, y) some g
+        in G maps x to 0 and y into N(0), and <S> then maps g(y) to every
+        neighbour of 0.  A connected graph that is vertex- and
+        edge-transitive has vertex connectivity equal to its valency
+        (Watkins, J. Combin. Theory 8, 1970; Godsil and Royle, Algebraic
+        Graph Theory, 2001, 3.3-3.4).  The argument goes through atoms.
+        In a graph that is not complete, an atom is a least set A of
+        vertices whose neighbours outside A form a minimum cut that leaves
+        some vertex outside both.  Two distinct atoms are disjoint, an
+        atom induces a connected subgraph, and automorphisms map atoms to
+        atoms, so on a vertex-transitive graph the atoms partition V.  An
+        atom with two or more vertices holds an edge, and
+        edge-transitivity then puts every edge inside an atom; as the
+        atoms are disjoint, each component of the graph lies inside one
+        atom, so a connected graph would be a single atom, which misses
+        its own cut.  So every atom is one vertex y, its cut is N(y), and
+        kappa is the valency.  Complete graphs have no cut and are left to
+        vertex_connectivity, as are disconnected ones."""
+        graph, scheme = self.graph, self.scheme
+        if (scheme.transitive and self.connected and not self.complete
+                and len(_orbit_representatives(
+                    _rows(list(bits(graph.rows[0])), 1),
+                    scheme.stabiliser)) == 1):
+            return graph.degree(0)
+        return vertex_connectivity(graph, scheme.stabiliser)
 
     @cached_property
     def lam(self) -> int:
@@ -166,7 +185,7 @@ class RelationContext:
             return self.kappa
         return edge_connectivity(self.graph, self.scheme.stabiliser)
 
-    def min_cuts(self, budget: int = 5_000_000) -> MinCutData:
+    def min_cuts(self, budget: int = MIN_CUT_BUDGET) -> MinCutData:
         """enumerate_min_cuts under the scheme's generators."""
         return enumerate_min_cuts(self.graph, self.kappa, budget=budget,
                                   stabiliser=self.scheme.stabiliser,
@@ -288,7 +307,6 @@ def corollary_audits(ctx: RelationContext) -> CorollaryAudits:
 
 @dataclass(frozen=True)
 class IUWDecomposition:
-    basepoint: int
     h_prime_connected: bool
     i_classes: tuple[int, ...]
     u_classes: tuple[int, ...]
@@ -296,30 +314,18 @@ class IUWDecomposition:
     i_vertices: tuple[int, ...]
     u_vertices: tuple[int, ...]
     w_vertices: tuple[int, ...]
-    component_map: tuple[tuple[int, ...], ...]   # components of graph minus a's closed nbhd
 
 
-def iuw_decompose(ctx: RelationContext, a: int = 0) -> IUWDecomposition:
+def iuw_decompose(ctx: RelationContext) -> IUWDecomposition:
     """Partition the non-{0,g} classes into twin classes (I), a
     minimum-weight non-singleton diagram component (U), and the rest (W);
-    pull each back to a vertex set at the given basepoint.  When the
-    punctured diagram is connected the decomposition is all-empty by
-    convention.  A connected relation reads the components of G - N[a]
-    off the context's shared sweep when a is one of its basepoints;
-    otherwise (a disconnected relation, which no audit sweeps, or a
-    basepoint outside the sweep) they are grown at a only."""
+    pull each back to a vertex set at basepoint 0.  When the punctured
+    diagram is connected the decomposition is all-empty by convention."""
     scheme, g = ctx.scheme, ctx.g
-    graph = ctx.graph
-    if ctx.connected and a in ctx.basepoints:
-        masks = ctx.swept_components(1)[ctx.basepoints.index(a)]
-    else:
-        masks = graph.component_masks(deleted=graph.closed_neighborhood(a))
-    comp_map = tuple(tuple(bits(m)) for m in masks)
     if ctx.h_prime_connected:
-        return IUWDecomposition(basepoint=a, h_prime_connected=True,
+        return IUWDecomposition(h_prime_connected=True,
                                 i_classes=(), u_classes=(), w_classes=(),
-                                i_vertices=(), u_vertices=(), w_vertices=(),
-                                component_map=comp_map)
+                                i_vertices=(), u_vertices=(), w_vertices=())
     p = scheme.tensor.p
     vg = scheme.valencies[g]
     nodes = [i for i in range(1, scheme.d + 1) if i != g]
@@ -335,7 +341,7 @@ def iuw_decompose(ctx: RelationContext, a: int = 0) -> IUWDecomposition:
         u_classes = ()
     w_classes = tuple(i for i in nodes
                       if i not in i_classes and i not in u_classes)
-    row = scheme.table.classes[a]
+    row = scheme.table.classes[0]
 
     def pullback(cls_set):
         if not cls_set:
@@ -343,13 +349,12 @@ def iuw_decompose(ctx: RelationContext, a: int = 0) -> IUWDecomposition:
         sel = np.isin(row, np.array(cls_set, dtype=row.dtype))
         return tuple(int(x) for x in np.nonzero(sel)[0])
 
-    return IUWDecomposition(basepoint=a, h_prime_connected=False,
+    return IUWDecomposition(h_prime_connected=False,
                             i_classes=i_classes, u_classes=tuple(u_classes),
                             w_classes=w_classes,
                             i_vertices=pullback(i_classes),
                             u_vertices=pullback(tuple(u_classes)),
-                            w_vertices=pullback(w_classes),
-                            component_map=comp_map)
+                            w_vertices=pullback(w_classes))
 
 
 @dataclass(frozen=True)

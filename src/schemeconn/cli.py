@@ -106,7 +106,8 @@ def _manifest_entries(path: str) -> tuple[list, dict]:
             payload = json.load(fh)
     except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    if not isinstance(payload, dict) or "entries" not in payload:
+    if not isinstance(payload, dict) or not isinstance(
+            payload.get("entries"), list):
         raise ParseError(f"{path}: manifest needs an 'entries' list")
     entries = []
     for k, ent in enumerate(payload["entries"]):
@@ -120,6 +121,10 @@ def _manifest_entries(path: str) -> tuple[list, dict]:
                                 or not all(type(x) is int for x in rel)):
             raise ParseError(f"{path}: entry {k} has bad 'relations'")
         if "file" in ent:
+            # an int would name a file descriptor, which load_scheme would
+            # open and close
+            if not isinstance(ent["file"], str):
+                raise ParseError(f"{path}: entry {k} has bad 'file'")
             # resolvability is checked up front; content errors are isolated
             if not os.path.exists(ent["file"]):
                 raise ParseError(f"{path}: entry {k}: no such file "

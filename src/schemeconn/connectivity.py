@@ -29,27 +29,9 @@ the full sweep.  Orbits come from numpy min-label propagation under the
 generators; with no generators every target and pair is its own orbit and
 the sweep runs in full, in the same order.
 
-With generators T of a group of automorphisms moving vertex 0 to every
-vertex, a theorem decides the vertex connectivity of a connected graph
-without any flow.  If the automorphisms S fixing 0 make N(0) one orbit,
-the group G = <T u S> is transitive on arcs: for an arc (x, y) some g in
-G maps x to 0 and y into N(0), and <S> then maps g(y) to every neighbour
-of 0.  A connected graph that is vertex- and edge-transitive has vertex
-connectivity equal to its valency (Watkins, J. Combin. Theory 8, 1970;
-Godsil and Royle, Algebraic Graph Theory, 2001, 3.3-3.4).  The argument
-goes through atoms.  In a graph that is not complete, an atom is a
-least set A of vertices whose neighbours outside A form a minimum cut
-that leaves some vertex outside both.  Two distinct atoms are disjoint,
-an atom induces a connected subgraph, and automorphisms map atoms to
-atoms, so on a vertex-transitive graph the atoms partition V.  An atom
-with two or more vertices holds an edge, and edge-transitivity then puts
-every edge inside an atom; as the atoms are disjoint, each component of
-the graph lies inside one atom, so a connected graph would be a single
-atom, which misses its own cut.  So every atom is one vertex y, its cut
-is N(y), and kappa is the valency.  Complete graphs have no cut and are
-answered first.  Without these hypotheses the orbit-reduced sweep runs.
-Edge connectivity always sweeps: audits.RelationContext asks for it only
-where Whitney's chain kappa <= lambda <= valency leaves it open.
+The theorems that decide kappa and lambda without a flow (Watkins' and
+Whitney's) are applied in audits.RelationContext, which runs the sweeps
+here only where they leave a value open.
 """
 from __future__ import annotations
 
@@ -178,21 +160,6 @@ def _vertex_flow(rows, s: int, t: int, limit: int) -> int:
     return _dinic(_split(rows), s + len(rows), t, limit)[0]
 
 
-def local_vertex_connectivity(graph: Graph, s: int, t: int,
-                              limit: Optional[int] = None) -> int:
-    """Menger count of internally disjoint s-t paths (s, t distinct,
-    non-adjacent vertices)."""
-    for v in (s, t):
-        if not 0 <= v < graph.n:
-            raise ValueError(f"endpoint {v} is not a vertex")
-    if s == t:
-        raise ValueError("endpoints must differ")
-    if graph.has_edge(s, t):
-        raise ValueError("local vertex connectivity needs non-adjacent endpoints")
-    cap = graph.n if limit is None else limit
-    return _vertex_flow(graph.rows, s, t, cap)
-
-
 def _orbit_representatives(items: np.ndarray, automorphisms) -> list[int]:
     """Positions of the rows of items that come first in their orbits
     under the group generated by automorphisms, ascending.  items is an
@@ -269,30 +236,14 @@ def _check_fixes_source(automorphisms) -> None:
             raise ValueError(f"automorphism {k} maps the source 0 to {p[0]}")
 
 
-def _is_transitive(n: int, transitive) -> bool:
-    """Whether the group generated by transitive (image sequences of n
-    vertices) is one orbit on range(n); only vertex_connectivity asks."""
-    for k, p in enumerate(transitive):
-        if len(p) != n:
-            raise ValueError(f"transitive generator {k} has {len(p)} "
-                             f"images, not {n}")
-    return bool(transitive) and len(_orbit_representatives(
-        _rows(list(range(n)), 1), transitive)) == 1
-
-
-def vertex_connectivity(graph: Graph, automorphisms=(), transitive=()) -> int:
+def vertex_connectivity(graph: Graph, automorphisms=()) -> int:
     """Global vertex connectivity; n-1 for complete graphs.  automorphisms
     (image sequences of graph automorphisms fixing vertex 0) shrink the
-    sweep to one flow per orbit; the value is the same.  transitive holds
-    generators of a group of automorphisms, verified by the caller; when
-    its orbit of 0 is every vertex and N(0) is one orbit of automorphisms,
-    the graph is arc-transitive and the valency is returned with no flow
-    (Watkins' theorem, see the module docstring)."""
+    sweep to one flow per orbit; the value is the same."""
     n, rows = graph.n, graph.rows
     if n == 0:
         raise ValueError("empty graph")
     _check_fixes_source(automorphisms)
-    vertex_transitive = _is_transitive(n, transitive)
     if n == 1:
         return 0
     if not graph.is_connected():
@@ -300,9 +251,6 @@ def vertex_connectivity(graph: Graph, automorphisms=(), transitive=()) -> int:
     if graph.is_complete():
         return n - 1
     nb = rows[0]
-    if vertex_transitive and len(_orbit_representatives(
-            _rows(list(bits(nb)), 1), automorphisms)) == 1:
-        return graph.degree(0)
     best = min(graph.degrees())
     targets = list(bits(((1 << n) - 1) & ~graph.closed_neighborhood(0)))
     for i in _orbit_representatives(_rows(targets, 1), automorphisms):
@@ -348,6 +296,9 @@ class MinCutData:
     def all_neighborhoods(self) -> bool:
         return all(self.neighborhood_flags)
 
+
+# the most subsets enumerate_min_cuts tries by default
+MIN_CUT_BUDGET = 5_000_000
 
 # subsets x vertices in one batch of enumerate_min_cuts: 2**16 cells
 # is 2,048 subsets at n = 32, and keeps a batch's arrays to about 1 MB in
@@ -415,7 +366,7 @@ def _cuts_are_neighborhoods(rows, kappa: int, stabiliser) -> bool:
     return True
 
 
-def enumerate_min_cuts(graph: Graph, kappa: int, budget: int = 5_000_000,
+def enumerate_min_cuts(graph: Graph, kappa: int, budget: int = MIN_CUT_BUDGET,
                        stabiliser=(), transitive=()) -> MinCutData:
     """Every vertex subset of size kappa, the graph's vertex connectivity,
     whose deletion disconnects the graph, with each cut flagged when it

@@ -88,7 +88,7 @@ def test_03_w_part_empty_on_connected(catalog_pairs):
             continue
         ctx = audits.RelationContext(p.scheme, p.relation)
         we = audits.w_empty_audit(ctx)
-        dec = audits.iuw_decompose(ctx, 0)
+        dec = audits.iuw_decompose(ctx)
         checked += 1
         if not we.ok or dec.w_classes:
             failures.append((p.scheme.name, p.relation, we.w_classes))

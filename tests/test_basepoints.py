@@ -111,9 +111,13 @@ def test_report_path_never_sweeps_every_basepoint(monkeypatch, kind, params):
     scheme = build_family(kind, params)
     assert scheme.transitive
 
-    def refuse(self, t):
-        raise AssertionError(f"every-basepoint sweep at radius {t}")
-    monkeypatch.setattr(RelationContext, "ball_components", refuse)
+    ball = Graph.ball
+
+    def refuse_other_basepoints(self, start, radius):
+        if start != 0:
+            raise AssertionError(f"ball of radius {radius} at {start}")
+        return ball(self, start, radius)
+    monkeypatch.setattr(Graph, "ball", refuse_other_basepoints)
     assert all(rep["ok"] for rep in analyze_scheme(scheme))
 
 

@@ -15,8 +15,7 @@ from schemeconn.audits import RelationContext
 from schemeconn.catalog import build_family, gen_cyclic, gen_hamming
 from schemeconn.connectivity import (MinCutData, edge_connectivity,
                                      enumerate_min_cuts, is_isomorphic,
-                                     k211_free, local_vertex_connectivity,
-                                     maximal_cliques, twins,
+                                     k211_free, maximal_cliques, twins,
                                      vertex_connectivity)
 from schemeconn.errors import CapExceeded, Disconnected
 from schemeconn.graph import (Graph, bits, complete_bipartite, cycle_graph,
@@ -138,8 +137,6 @@ def test_generators_are_checked_before_early_returns():
     for connectivity_of in (vertex_connectivity, edge_connectivity):
         with pytest.raises(ValueError, match="maps the source 0 to 1"):
             connectivity_of(k4, [(1, 0, 2, 3)])
-    with pytest.raises(ValueError, match="generator 0 has 3 images, not 4"):
-        vertex_connectivity(k4, transitive=[(1, 2, 0)])
     with pytest.raises(ValueError, match="maps the source 0 to 1"):
         vertex_connectivity(Graph.from_edges(1, []), [(1,)])
 
@@ -148,7 +145,7 @@ def test_theorems_decide_polygons_without_flows(flow_calls):
     for n in range(4, 13):
         gens = {"automorphisms": [_reflection(n)],
                 "transitive": [_rotation(n), _reflection(n)]}
-        assert vertex_connectivity(cycle_graph(n), **gens) == 2
+        assert graph_context(cycle_graph(n), **gens).kappa == 2
         # relation 1 of the cyclic scheme is the polygon
         ctx = RelationContext(gen_cyclic(n), 1)
         assert ctx.graph.rows == cycle_graph(n).rows
@@ -164,13 +161,11 @@ def test_split_neighbourhood_keeps_flows_on_circulants(n, flow_calls):
     orbits of the reflection, so kappa runs flows; they give the valency,
     so the context reads lambda off Whitney's chain."""
     g = circulant(n, (1, 2))
-    gens = {"automorphisms": [_reflection(n)],
-            "transitive": [_rotation(n), _reflection(n)]}
-    assert vertex_connectivity(g, **gens) == brute_kappa(g)
+    ctx = graph_context(g, [_reflection(n)], [_rotation(n), _reflection(n)])
+    assert ctx.kappa == brute_kappa(g)
     assert flow_calls["vertex"]
     assert edge_connectivity(g, [_reflection(n)]) == brute_lambda(g)
     flow_calls["edge"].clear()
-    ctx = graph_context(g, **gens)
     assert ctx.kappa == ctx.lam == brute_lambda(g) == 4
     assert not flow_calls["edge"]
 
@@ -185,26 +180,14 @@ def test_split_neighbourhood_keeps_flows_on_lexicographic_product(
     g = circulant(10, (1, 4, 5))
     swaps = [tuple((x + 5) % 10 if x % 5 == i else x for x in range(10))
              for i in range(1, 5)]
-    gens = {"automorphisms": [_reflection(10)] + swaps,
-            "transitive": [_rotation(10), _reflection(10)]}
-    assert vertex_connectivity(g, **gens) == brute_kappa(g) == 4
+    stabiliser = [_reflection(10)] + swaps
+    ctx = graph_context(g, stabiliser, [_rotation(10), _reflection(10)])
+    assert ctx.kappa == brute_kappa(g) == 4
     assert flow_calls["vertex"]
-    assert edge_connectivity(g, gens["automorphisms"]) == \
-        brute_lambda(g) == 5
+    assert edge_connectivity(g, stabiliser) == brute_lambda(g) == 5
     flow_calls["edge"].clear()
-    ctx = graph_context(g, **gens)
     assert (ctx.kappa, ctx.lam) == (4, 5)
     assert flow_calls["edge"]
-
-
-def test_intransitive_generators_keep_flows(flow_calls):
-    """P_3 with centre 0: the end swap makes N(0) one orbit but fixes 0,
-    so Watkins' theorem does not apply."""
-    path = Graph.from_edges(3, [(0, 1), (0, 2)])
-    swap = [(0, 2, 1)]
-    assert vertex_connectivity(path, swap, swap) == brute_kappa(path) == 1
-    assert edge_connectivity(path, swap) == brute_lambda(path) == 1
-    assert flow_calls["vertex"] and flow_calls["edge"]
 
 
 def test_lam_runs_edge_flows_below_the_valency(flow_calls):
@@ -248,28 +231,6 @@ def test_shrikhande_scheme_non_neighbours_keep_flows(flow_calls):
     assert not flow_calls["edge"]
 
 
-def test_local_vertex_connectivity():
-    g = cycle_graph(5)
-    assert local_vertex_connectivity(g, 0, 2) == 2
-    p = petersen()
-    for t in range(1, p.n):
-        if not p.has_edge(0, t):
-            assert local_vertex_connectivity(p, 0, t) == 3
-    with pytest.raises(ValueError):
-        local_vertex_connectivity(g, 0, 1)   # adjacent
-    with pytest.raises(ValueError):
-        local_vertex_connectivity(g, 3, 3)
-    # C4 minus vertex 0, relabelled, is the path 0 - 1 - 2
-    path = induced_subgraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)], [1, 2, 3])[0]
-    assert local_vertex_connectivity(path, 0, 2) == 1
-    for s, t in ((3, 1),                # source past the end
-                 (0, 3),                # target past the end
-                 (0, 7),
-                 (-1, 2)):
-        with pytest.raises(ValueError):
-            local_vertex_connectivity(path, s, t)
-
-
 def test_flow_matches_networkx_digraphs():
     """The shared Dinic on random digraphs with antiparallel arcs, induced
     on a random subset of their states and relabelled, at limits below, at
@@ -299,8 +260,8 @@ def test_flow_matches_networkx_digraphs():
 
 
 def test_local_vertex_connectivity_matches_networkx():
-    """Every non-adjacent pair of random graphs, induced on a random subset
-    of their vertices and relabelled, against networkx."""
+    """_vertex_flow on every non-adjacent pair of random graphs, induced on
+    a random subset of their vertices and relabelled, against networkx."""
     nx = pytest.importorskip("networkx")
     from networkx.algorithms.connectivity import local_node_connectivity
     rng = random.Random(612)
@@ -319,7 +280,7 @@ def test_local_vertex_connectivity_matches_networkx():
             if g.has_edge(s, t):
                 continue
             pairs += 1
-            assert local_vertex_connectivity(g, s, t) == \
+            assert connectivity._vertex_flow(g.rows, s, t, g.n) == \
                 local_node_connectivity(h, s, t), (trial, sub, s, t)
     assert pairs > 1000
 

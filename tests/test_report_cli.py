@@ -190,15 +190,18 @@ def _count_calls(monkeypatch, owner, name, calls):
             monkeypatch.setattr(holder, name, wrapper)
 
 
-@pytest.mark.parametrize("family,connected", [
-    (("johnson", (7, 3)), 3),       # r2 has valency 18
-    (("hamming", (4, 2)), 2),
-], ids=["johnson-7-3", "hamming-4-2"])
+@pytest.mark.parametrize("family,flowed", [
+    (("johnson", (7, 3)), 0),
+    (("hamming", (4, 2)), 0),
+    # no stabiliser generators, so kappa of r2 (K_{3,3}) runs flows
+    (("conjugacy", ("S3",)), 1),
+], ids=["johnson-7-3", "hamming-4-2", "conjugacy-S3"])
 def test_analyze_relation_builds_shared_objects_once(monkeypatch, family,
-                                                     connected):
+                                                     flowed):
     # the scheme's spectral block and its relations' reports together build
     # each diagram once and read every distance off the diagrams: no
-    # distance_matrix call is counted
+    # distance_matrix call is counted; vertex_connectivity runs only on the
+    # connected relations that Watkins' theorem leaves open
     from schemeconn import connectivity, diagram, scheme as scheme_mod
     from schemeconn.graph import Graph
     # a fresh descriptor: build_family's is cached and may hold its diagrams
@@ -212,8 +215,8 @@ def test_analyze_relation_builds_shared_objects_once(monkeypatch, family,
     block = spectral_section(s, spec)
     for i in range(1, s.d + 1):
         analyze_relation(s, i, spectral=spec, spectral_block=block)
-    assert calls == {"relation_graph": s.d, "distribution_diagram": s.d,
-                     "vertex_connectivity": connected}
+    assert calls == Counter(relation_graph=s.d, distribution_diagram=s.d,
+                            vertex_connectivity=flowed)
 
 
 def test_analyze_relation_given_only_the_block_computes_spectral():
@@ -485,6 +488,30 @@ def test_cli_survey_manifest_bool_relations(tmp_path, capsys, relations):
     }))
     assert main(["survey", "--manifest", str(manifest)]) == 1
     assert "ParseError" in capsys.readouterr().err
+    assert not (tmp_path / "never").exists()
+
+
+@pytest.mark.parametrize("payload,message", [
+    ({"entries": 5}, "manifest needs an 'entries' list"),
+    ({"entries": None}, "manifest needs an 'entries' list"),
+    ({"entries": [{"file": [1]}]}, "entry 0 has bad 'file'"),
+    # an int file would name file descriptor 1, the survey's own stdout
+    ({"entries": [{"file": 1}, {"family": ["cyclic", 5]}]},
+     "entry 0 has bad 'file'"),
+], ids=["entries-int", "entries-null", "file-list", "file-int"])
+def test_cli_survey_manifest_bad_entry_types(tmp_path, payload, message):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({**payload,
+                                    "out": str(tmp_path / "never")}))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(report.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "schemeconn.cli", "survey", "--manifest",
+         str(manifest)], capture_output=True, text=True, env=env,
+        timeout=120)
+    assert done.returncode == 1
+    assert f"ParseError: {manifest}: {message}" in done.stderr
+    assert "Traceback" not in done.stderr
     assert not (tmp_path / "never").exists()
 
 

@@ -340,6 +340,17 @@ def test_transitive_generator_moving_a_class_is_refused():
     assert (bad[a], bad[b]) == (pa, pb)
 
 
+def test_short_transitive_generator_is_refused():
+    s = gen_johnson(6, 2)
+    short = s.transitive[0][:-1]
+    with pytest.raises(NotAnAutomorphism) as info:
+        validate_scheme(s.table, name="short",
+                        transitive=s.transitive + (short,))
+    assert info.value.index == len(s.transitive)
+    assert f"not a sequence of {s.v}" in str(info.value)
+    assert _exit_code(info.value) == EXIT_INVALID
+
+
 @pytest.mark.parametrize("family", [lambda: gen_johnson(6, 2),
                                     lambda: gen_cyclic(7)],
                          ids=["johnson-6-2", "cyclic-7"])
