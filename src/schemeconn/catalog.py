@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 import numpy as np
@@ -272,10 +272,10 @@ def load_scheme(path) -> SchemeDescriptor:
         raise ParseError(
             f"{path}: v and d must be integers, got v={payload['v']!r}, "
             f"d={payload['d']!r}")
-    classes = payload["classes"]
+    classes = payload.pop("classes")
     if (not isinstance(classes, list)
-            or any(not isinstance(row, list) for row in classes)
-            or any(not all(type(x) is int for x in row) for row in classes)):
+            or not set(map(type, classes)) <= {list}
+            or not set(map(type, chain.from_iterable(classes))) <= {int}):
         raise ParseError(f"{path}: classes must be a matrix of integers")
     try:
         matrix = np.asarray(classes, dtype=np.int64)
@@ -283,7 +283,11 @@ def load_scheme(path) -> SchemeDescriptor:
         raise ParseError(f"{path}: classes rows differ in length") from exc
     except OverflowError as exc:    # an entry outside int64
         raise ParseError(f"{path}: class index out of range") from exc
+    # the parsed list (popped from payload) and the int64 matrix are both
+    # dropped before validation, so neither is alive during its products
+    del classes
     table = RelationTable.from_classes(matrix)
+    del matrix
     if table.v != payload["v"] or table.d != payload["d"]:
         raise ParseError(
             f"{path}: declared v={payload['v']}, d={payload['d']} but matrix "

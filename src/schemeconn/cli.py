@@ -63,7 +63,7 @@ def cmd_verify(args) -> int:
         scheme = load_scheme(args.path)
     except SchemeError as e:
         label = "parse error" if isinstance(e, ParseError) else "invalid scheme"
-        print(f"{label}: {e}", file=sys.stderr)
+        print(f"{label}: {type(e).__name__}: {e}", file=sys.stderr)
         return _exit_code(e)
     kind = "symmetric" if scheme.symmetric else "non-symmetric"
     print(f"{scheme.name}: valid {kind} scheme, v={scheme.v} d={scheme.d} "

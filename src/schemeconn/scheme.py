@@ -2,14 +2,33 @@
 
 A scheme on X = {0..v-1} is stored as a single v x v class matrix; everything
 else (transpose map, intersection numbers, valencies) is derived from it and
-re-derived on load.  Validation does the full triple count for every (i,j):
-the product A_i A_j is computed once as a float32 BLAS product and checked to
-be constant on every class, which is the definition of p_ij^k with no
-sampling involved.  The float arithmetic is exact: A_i and A_j are 0/1
-matrices, so every entry of the product and every partial sum BLAS forms on
-the way is an integer in [0, v], and v <= SIZE_CAP < 2**24 fits float32's
-24-bit significand whatever the summation order, thread count or FMA use.  A
-failure's witness is recounted in integers before it is reported.
+re-derived on load.
+
+Validation proves that the span V of A_0..A_d is closed under
+multiplication, row by row.  Row i computes the product A_i A_j for every j
+as a float32 BLAS product and checks that it is constant on every class,
+which is the definition of p_ij^k with no sampling involved.  The float
+arithmetic is exact: A_i and A_j are 0/1 matrices, so every entry of the
+product and every partial sum BLAS forms on the way is an integer in [0, v],
+and v <= SIZE_CAP < 2**24 fits float32's 24-bit significand whatever the
+summation order, thread count or FMA use.  A failure's witness is recounted
+in integers before it is reported.
+
+The loop stops early once one class generates the algebra.  After row i,
+A_i V lies in V, and multiplication by A_i acts on the basis A_0..A_d as the
+integer matrix B_i[k][j] = p_ij^k, so B_i^m e_0 holds the coordinates of
+A_i^m.  If e_0, B_i e_0, ..., B_i^d e_0 have rank d+1 over GF(P) for a
+prime P, some (d+1)-minor of that integer matrix is non-zero mod P, hence
+non-zero, so I, A_i, ..., A_i^d span V.  Then V = C[A_i], which is closed
+under multiplication and commutative: every remaining product would pass
+its check, and every p_jl^k is the count at the first pair of class k,
+read off in integers instead.  A_1 generates V in a P-polynomial scheme
+(Bannai-Ito, Algebraic Combinatorics I, 1984, sec. III.1), such as the
+Hamming, Johnson and cyclic schemes, so these stop after d products instead
+of d(d+1)/2.  Where no class generates, every row runs as before.  Rows run
+in the same order either way, so the tensor and the first failure, with its
+witness, do not depend on where the loop stops.
+
 Generators offered by a construction are checked just as exactly: each must
 permute X and map every pair to a pair of the same class, a stabiliser
 generator must fix vertex 0, and the transitive generators together must
@@ -39,6 +58,9 @@ from .graph import Graph, bits
 # validate_scheme's float32 products are exact only while every count, at
 # most v, is below 2**24 (float32 has a 24-bit significand)
 SIZE_CAP = 4096
+# validate_scheme's rank test works in GF(_PRIME); below 2**26, a sum of up
+# to 512 products of two residues stays below 2**63, past the 300-class cap
+_PRIME = 67108859
 
 
 @dataclass(frozen=True)
@@ -68,8 +90,12 @@ class RelationTable:
             raise NotAPartition("negative class index")
         d = int(c.max())
         # labels present, sorted, with the flat index of each one's first
-        # pair; no (d+1)-sized array, so a huge label costs nothing
-        uniq, first = np.unique(c.ravel(), return_index=True)
+        # pair.  A scheme's row 0 holds every class, and row 0 comes first
+        # in row-major order, so the whole matrix is sorted only when row 0
+        # misses a label; no (d+1)-sized array, so a huge label costs nothing
+        uniq, first = np.unique(c[0], return_index=True)
+        if len(uniq) != d + 1:
+            uniq, first = np.unique(c.ravel(), return_index=True)
         if len(uniq) != d + 1:
             missing = int(np.argmax(uniq != np.arange(len(uniq))))
             raise NotAPartition(f"class {missing} is empty")
@@ -211,18 +237,63 @@ def _pair_count(classes: np.ndarray, i: int, j: int, a: int, b: int) -> int:
     return int(np.count_nonzero((classes[a] == i) & (classes[:, b] == j)))
 
 
+def _checked_product(table: RelationTable, i: int, j: int, ai: np.ndarray,
+                     aj: np.ndarray) -> np.ndarray:
+    """p_ij^k for every k, read off the product A_i A_j of the float32
+    relation matrices ai and aj at each class's first pair, once the
+    product is shown constant on every class; otherwise raises
+    NonConstantIntersection with a witness recounted in integers."""
+    c, first = table.classes, table.first_pair
+    n = ai @ aj
+    pv = n.ravel()[first]
+    if not np.array_equal(n, pv[c]):
+        bad = np.argwhere(n != pv[c])[0]
+        a, b = int(bad[0]), int(bad[1])
+        k = int(c[a, b])
+        ra, rb = divmod(int(first[k]), table.v)
+        raise NonConstantIntersection(
+            i, j, k, ((ra, rb), _pair_count(c, i, j, ra, rb)),
+            ((a, b), _pair_count(c, i, j, a, b)))
+    return pv.astype(np.int64)
+
+
+def _generates(b: np.ndarray) -> bool:
+    """True iff e_0, b e_0, ..., b^(n-1) e_0 have rank n over GF(_PRIME),
+    for an n x n integer matrix b with entries in [0, SIZE_CAP].  Each new
+    Krylov vector is reduced against the ones before, kept in reduced row
+    echelon form; once one reduces to zero the span is b-invariant, so the
+    rank is final."""
+    n = b.shape[0]
+    basis = np.zeros((n, n), dtype=np.int64)
+    pivots: list[int] = []
+    w = np.zeros(n, dtype=np.int64)
+    w[0] = 1
+    for m in range(n):
+        w = (w - w[pivots] @ basis[:m]) % _PRIME
+        nonzero = np.flatnonzero(w)
+        if not len(nonzero):
+            return False
+        col = int(nonzero[0])
+        w = w * pow(int(w[col]), -1, _PRIME) % _PRIME
+        basis[:m] = (basis[:m] - np.outer(basis[:m, col], w)) % _PRIME
+        basis[m] = w
+        pivots.append(col)
+        w = b @ w % _PRIME
+    return True
+
+
 def validate_scheme(table: RelationTable, name: str = "scheme",
                     stabiliser=(), transitive=()) -> SchemeDescriptor:
-    """Full triple-count validation plus an exact check of each offered
-    stabiliser generator and transitive generator, and of the transitive
-    generators' orbit of 0; raises with a witness on failure."""
+    """Triple-count validation, row by row until one class is shown to
+    generate the algebra (see the module docstring), plus an exact check of
+    each offered stabiliser generator and transitive generator, and of the
+    transitive generators' orbit of 0; raises with a witness on failure."""
     c = table.classes
     v, d = table.v, table.d
     if d + 1 > 300:
         raise SizeCap(f"{d + 1} classes exceeds the tensor cap")
     gens = _checked_generators(c, stabiliser, "stabiliser")
     transitive = _checked_transitive(c, transitive)
-    first = table.first_pair
     p = np.zeros((d + 1, d + 1, d + 1), dtype=np.int64)
     # identity row/column is forced: p[0,j,k] = [j==k], p[i,0,k] = [i==k]
     for j in range(d + 1):
@@ -235,33 +306,23 @@ def validate_scheme(table: RelationTable, name: str = "scheme",
         # float32 runs on BLAS and holds every count exactly (see SIZE_CAP)
         return (c == i).astype(np.float32)
 
-    def check_pair(i: int, j: int, ai: np.ndarray, aj: np.ndarray) -> np.ndarray:
-        n = ai @ aj
-        pv = n.ravel()[first]
-        if not np.array_equal(n, pv[c]):
-            bad = np.argwhere(n != pv[c])[0]
-            a, b = int(bad[0]), int(bad[1])
-            k = int(c[a, b])
-            ra, rb = divmod(int(first[k]), v)
-            raise NonConstantIntersection(
-                i, j, k, ((ra, rb), _pair_count(c, i, j, ra, rb)),
-                ((a, b), _pair_count(c, i, j, a, b)))
-        return pv.astype(np.int64)
-
-    if table.symmetric:
-        for i in range(1, d + 1):
-            ai = mat(i)
-            for j in range(i, d + 1):
-                pv = check_pair(i, j, ai, ai if j == i else mat(j))
-                p[i, j, :] = pv
-                # symmetric classes make A_i A_j and A_j A_i transposes of
-                # each other, so p_ji^k = p_ij^{k'} = p_ij^k
-                p[j, i, :] = pv
-    else:
-        for i in range(1, d + 1):
-            ai = mat(i)
-            for j in range(1, d + 1):
-                p[i, j, :] = check_pair(i, j, ai, ai if j == i else mat(j))
+    for i in range(1, d + 1):
+        ai = mat(i)
+        # symmetric classes make A_j A_i the transpose of A_i A_j, so rows
+        # before i already checked it, and p_ji^k = p_ij^{k'} = p_ij^k
+        for j in range(i if table.symmetric else 1, d + 1):
+            p[i, j, :] = _checked_product(table, i, j, ai,
+                                          ai if j == i else mat(j))
+            if table.symmetric:
+                p[j, i, :] = p[i, j, :]
+        if _generates(p[i].T):
+            for k in range(d + 1):
+                a, b = divmod(int(table.first_pair[k]), v)
+                p[:, :, k] = np.bincount(
+                    c[a] * (d + 1) + c[:, b],
+                    minlength=(d + 1) ** 2).reshape(d + 1, d + 1)
+            break
+    if not table.symmetric:
         mism = np.argwhere(p != p.transpose(1, 0, 2))
         if len(mism):
             i, j, k = (int(x) for x in mism[0])

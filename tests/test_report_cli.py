@@ -388,7 +388,7 @@ def test_cli_verify_parse_error(tmp_path, capsys):
     ({"name": "x", "v": "2", "d": 1, "classes": [[0, 1], [1, 0]]}, 1,
      "v and d must be integers"),
     ({"name": "x", "v": 2, "d": 1, "classes": [[0, 2**62], [2**62, 0]]}, 2,
-     "class 1 is empty"),
+     "NotAPartition: class 1 is empty"),
     # the cyclic scheme on Z_601: a valid partition with 301 classes
     ({"name": "cyclic-601", "v": 601, "d": 300,
       "classes": [[min((x - y) % 601, (y - x) % 601) for y in range(601)]
@@ -399,8 +399,10 @@ def test_cli_verify_parse_error(tmp_path, capsys):
      "classes must be a matrix of integers"),
     ({"name": "k2", "v": 2, "d": True, "classes": [[0, 1], [1, 0]]}, 1,
      "v and d must be integers"),
+    ({"name": "k2", "v": 2, "d": 1, "classes": [[0, 1.0], [1, 0]]}, 1,
+     "classes must be a matrix of integers"),
 ], ids=["ragged", "int-overflow", "v-string", "huge-label", "tensor-cap",
-        "bool-entry", "d-bool"])
+        "bool-entry", "d-bool", "float-entry"])
 def test_cli_verify_hostile_file(tmp_path, payload, code, message):
     path = tmp_path / "hostile.json"
     path.write_text(json.dumps(payload))

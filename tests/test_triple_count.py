@@ -1,12 +1,15 @@
 """Oracles for validate_scheme's float32 triple count: integer recounts of
-every tensor, and a seeded mutation sweep whose failures must match an
-int64 copy of the validation loop field for field."""
+every tensor, a seeded mutation sweep whose failures must match an int64
+copy of the full validation loop field for field, and checks that the loop
+stops exactly when one class generates the algebra."""
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from schemeconn import scheme
 from schemeconn.catalog import (build_family, builtin_catalog, gen_cyclic,
                                 gen_hamming, gen_johnson)
 from schemeconn.errors import (NonConstantIntersection, NotCommutative,
@@ -69,6 +72,23 @@ def reference_tensor(table: RelationTable) -> np.ndarray:
     return p
 
 
+def exact_rank(rows) -> int:
+    """Rank over Q, by Gaussian elimination in Fractions."""
+    m = [[Fraction(int(x)) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0])):
+        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for r in range(len(m)):
+            if r != rank and m[r][col]:
+                f = m[r][col] / m[rank][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
 def _fields(exc: SchemeError) -> tuple:
     return (type(exc), getattr(exc, "i", None), getattr(exc, "j", None),
             getattr(exc, "k", None), getattr(exc, "ref", None),
@@ -84,6 +104,34 @@ def _schemes():
     out += [gen_johnson(9, 4), gen_johnson(11, 2), gen_hamming(3, 4),
             gen_hamming(4, 3), gen_cyclic(13), gen_cyclic(20)]
     return out
+
+
+def _large():
+    """The schemes of the benchmark's ingest files, all P-polynomial."""
+    return [gen_cyclic(101), gen_johnson(16, 3), gen_johnson(12, 4),
+            gen_johnson(10, 5), gen_hamming(8, 2), gen_hamming(3, 7),
+            gen_hamming(5, 3)]
+
+
+def matching_by_path_classes() -> np.ndarray:
+    """{0,1} x P_4, vertex 4x + y: class 1 is the matching sigma (x) I,
+    classes 2..4 are I (x) R_t and 5..7 are sigma (x) R_t for the distance
+    classes R_1..R_3 of the path.  A_1 is a permutation matrix commuting
+    with every class, so row 1 passes, but A_1^2 = I generates nothing, and
+    the path's degrees 1, 2, 2, 1 make p_22^0 non-constant: no scheme."""
+    x, y = np.divmod(np.arange(8), 4)
+    flip = (x[:, None] != x[None, :]).astype(np.int64)
+    dist = np.abs(y[:, None] - y[None, :])
+    return np.where(dist == 0, flip, 1 + dist + 3 * flip)
+
+
+def k2_by_k3_classes() -> np.ndarray:
+    """The direct product of the schemes of K_2 and K_3 on 2 x 3 vertices:
+    class 1 differs in the first coordinate only, 2 in the second only, 3
+    in both.  A_1^2 = I, so class 1 does not generate."""
+    x, y = np.divmod(np.arange(6), 3)
+    return ((x[:, None] != x[None, :]).astype(np.int64)
+            + 2 * (y[:, None] != y[None, :]))
 
 
 def test_tensor_matches_integer_counts():
@@ -145,3 +193,105 @@ def test_mutations_raise_with_recounted_witness(family):
                 counts.append(n)
             assert counts[0] != counts[1]
     assert witnessed > 0
+
+
+def test_large_tensors_match_integer_counts():
+    # naive_tensor alone: the int64 product loop takes seconds at this size
+    for s in _large():
+        assert np.array_equal(s.tensor.p, naive_tensor(s.classes)), s.name
+
+
+def test_tensor_when_class_1_does_not_generate():
+    """Class 1 of conj-D4 and conj-Q8 is the centre's involution, and of
+    K_2 x K_3 a factor's; none generates, so later rows run and the tensor
+    must still be every triple count."""
+    schemes = [build_family("conjugacy", ("D4",)),
+               build_family("conjugacy", ("Q8",)),
+               validate_scheme(RelationTable.from_classes(k2_by_k3_classes()))]
+    for s in schemes:
+        assert not scheme._generates(s.tensor.p[1].T), s.name
+        assert np.array_equal(s.tensor.p, naive_tensor(s.classes)), s.name
+        assert np.array_equal(s.tensor.p, reference_tensor(s.table)), s.name
+
+
+def test_partition_passing_row_1_is_rejected():
+    """Row 1 of the matching-by-path partition passes and A_1 does not
+    generate, so the loop must go on to row 2 and fail where the full loop
+    does, at p_22^0."""
+    table = RelationTable.from_classes(matching_by_path_classes())
+    with pytest.raises(NonConstantIntersection) as got:
+        validate_scheme(table)
+    with pytest.raises(NonConstantIntersection) as want:
+        reference_tensor(table)
+    assert _fields(got.value) == _fields(want.value)
+    assert (got.value.i, got.value.j, got.value.k) == (2, 2, 0)
+
+
+def test_products_stop_once_one_class_generates(monkeypatch):
+    """A_1 generates a P-polynomial scheme, so row 1's d products are all
+    that run; conj-D4 has no generating class and runs every row."""
+    schemes = [gen_cyclic(101), gen_johnson(16, 3),
+               build_family("conjugacy", ("D4",))]
+    calls = []
+    checked_product = scheme._checked_product
+
+    def spy(table, i, j, ai, aj):
+        calls.append((i, j))
+        return checked_product(table, i, j, ai, aj)
+
+    monkeypatch.setattr(scheme, "_checked_product", spy)
+    counts = []
+    for s in schemes:
+        calls.clear()
+        assert np.array_equal(validate_scheme(s.table).tensor.p, s.tensor.p)
+        counts.append(len(calls))
+    assert counts[:2] == [50, 3]
+    assert counts[2] == 10 > schemes[2].d
+
+
+def test_first_pair_matches_full_sort():
+    """from_classes reads labels and first pairs off row 0 and sorts all v^2
+    labels only when row 0 misses one.  Both must give np.unique's first
+    pairs, on schemes and on copies with one pair of row 0 reassigned; C20's
+    class 10 has one pair in row 0, so moving it leaves row 0 short."""
+    mats = [np.asarray(s.classes) for s in _schemes() + _large()]
+    c20 = np.array(gen_cyclic(20).classes)
+    c20[0, 10] = c20[10, 0] = 1
+    mats.append(c20)
+    rng = random.Random("first-pair")
+    for c in list(mats):
+        d = int(c.max())
+        if not (c == c.T).all() or d < 2:
+            continue
+        c = c.copy()
+        b = rng.randrange(1, len(c))
+        c[0, b] = c[b, 0] = rng.choice(
+            [t for t in range(1, d + 1) if t != c[0, b]])
+        mats.append(c)
+    short = 0
+    for c in mats:
+        uniq, first = np.unique(c.ravel(), return_index=True)
+        assert np.array_equal(uniq, np.arange(len(uniq)))
+        table = RelationTable.from_classes(c)
+        assert np.array_equal(table.first_pair, first)
+        short += len(np.unique(c[0])) < len(uniq)
+    assert short > 0
+
+
+def test_generates_matches_exact_krylov_rank():
+    """_generates(B_i) works mod a prime; over Q, the Krylov vectors
+    e_0, B_i e_0, ..., B_i^d e_0 in Python integers must have full rank on
+    exactly the same classes."""
+    decided = set()
+    for s in _schemes():
+        for i in range(1, s.d + 1):
+            b = s.tensor.p[i].T.tolist()
+            vec = [1] + [0] * s.d
+            krylov = [vec]
+            for _ in range(s.d):
+                vec = [sum(x * y for x, y in zip(row, vec)) for row in b]
+                krylov.append(vec)
+            full = exact_rank(krylov) == s.d + 1
+            assert scheme._generates(s.tensor.p[i].T) == full, (s.name, i)
+            decided.add(full)
+    assert decided == {True, False}
