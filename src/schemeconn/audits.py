@@ -3,8 +3,10 @@
 Each audit checks a statement that is a theorem for valid symmetric
 association schemes, so on catalog input every non-skipped audit must pass;
 a failure is an implementation bug or a corrupted scheme, and the witness
-fields say where to look.  Audits whose hypotheses fail raise
-HypothesisViolation (the caller records a skip) rather than guessing.
+fields say where to look.  An audit whose hypothesis fails raises
+HypothesisNotMet with the reason (the caller records a skip) rather than
+guessing; every audit raises it with reason "disconnected" on a
+disconnected relation.
 
 Theorem 1, C1/C2 and the ball-deletion lemma all read the components of
 G - B_t(a) for every basepoint a, with N[a] = B_1(a).  The context sweeps
@@ -52,7 +54,7 @@ from .connectivity import (CLIQUE_CAP, MIN_CUT_BUDGET, MinCutData, TwinData,
                            enumerate_min_cuts, is_isomorphic, k211_free,
                            maximal_cliques, twins, vertex_connectivity)
 from .diagram import Diagram, h_prime_connected
-from .errors import Disconnected, HypothesisNotMet, HypothesisViolation
+from .errors import HypothesisNotMet
 from .graph import (Graph, bits, complete_bipartite, cycle_graph, mask_of,
                     petersen)
 from .scheme import SchemeDescriptor, is_complete_multipartite, relation_graph
@@ -210,9 +212,9 @@ def theorem1_audit(ctx: RelationContext) -> Theorem1Audit:
     connected / punctured diagram connected / twin-free.  Hypotheses (graph
     connected and not complete multipartite) are enforced."""
     if not ctx.connected:
-        raise HypothesisViolation("disconnected")
+        raise HypothesisNotMet("disconnected")
     if ctx.complete_multipartite:
-        raise HypothesisViolation("complete multipartite")
+        raise HypothesisNotMet("complete multipartite")
     flags = [len(comps) <= 1 for comps in ctx.swept_components(1)]
     hp = ctx.h_prime_connected
     tw = ctx.twins
@@ -277,7 +279,7 @@ def corollary_audits(ctx: RelationContext) -> CorollaryAudits:
     of G - N[a].  C3 holds whenever C1 does; only when C1 fails are the
     maximal cliques listed (at most CLIQUE_CAP) to find a C3 witness."""
     if not ctx.connected:
-        raise Disconnected("corollary audits need a connected relation")
+        raise HypothesisNotMet("disconnected")
     graph = ctx.graph
     checked, c1_wit, c2_wit = 0, None, None
     for a, comps in zip(ctx.basepoints, ctx.swept_components(1)):
@@ -311,21 +313,17 @@ class IUWDecomposition:
     i_classes: tuple[int, ...]
     u_classes: tuple[int, ...]
     w_classes: tuple[int, ...]
-    i_vertices: tuple[int, ...]
-    u_vertices: tuple[int, ...]
-    w_vertices: tuple[int, ...]
 
 
 def iuw_decompose(ctx: RelationContext) -> IUWDecomposition:
     """Partition the non-{0,g} classes into twin classes (I), a
-    minimum-weight non-singleton diagram component (U), and the rest (W);
-    pull each back to a vertex set at basepoint 0.  When the punctured
-    diagram is connected the decomposition is all-empty by convention."""
+    minimum-weight non-singleton diagram component (U), and the rest (W).
+    When the punctured diagram is connected the decomposition is all-empty
+    by convention."""
     scheme, g = ctx.scheme, ctx.g
     if ctx.h_prime_connected:
         return IUWDecomposition(h_prime_connected=True,
-                                i_classes=(), u_classes=(), w_classes=(),
-                                i_vertices=(), u_vertices=(), w_vertices=())
+                                i_classes=(), u_classes=(), w_classes=())
     p = scheme.tensor.p
     vg = scheme.valencies[g]
     nodes = [i for i in range(1, scheme.d + 1) if i != g]
@@ -341,20 +339,9 @@ def iuw_decompose(ctx: RelationContext) -> IUWDecomposition:
         u_classes = ()
     w_classes = tuple(i for i in nodes
                       if i not in i_classes and i not in u_classes)
-    row = scheme.table.classes[0]
-
-    def pullback(cls_set):
-        if not cls_set:
-            return ()
-        sel = np.isin(row, np.array(cls_set, dtype=row.dtype))
-        return tuple(int(x) for x in np.nonzero(sel)[0])
-
     return IUWDecomposition(h_prime_connected=False,
                             i_classes=i_classes, u_classes=tuple(u_classes),
-                            w_classes=w_classes,
-                            i_vertices=pullback(i_classes),
-                            u_vertices=pullback(tuple(u_classes)),
-                            w_vertices=pullback(w_classes))
+                            w_classes=w_classes)
 
 
 @dataclass(frozen=True)
@@ -373,7 +360,7 @@ def w_empty_audit(ctx: RelationContext) -> WEmptyAudit:
     the diagram levels.  The witness is (a, x, distance) for the first
     failing basepoint a and its least failing vertex x."""
     if not ctx.connected:
-        raise Disconnected("w-empty audit needs a connected relation")
+        raise HypothesisNotMet("disconnected")
     dec = ctx.iuw
     ok = not dec.w_classes
     d2_ok, d2_wit = True, None
@@ -420,7 +407,7 @@ def ball_deletion_audit(ctx: RelationContext, t: int) -> BallDeletionAudit:
     theorem 1 and C1/C2 read.  The diameter is the diagram's, and the
     distances from a are the levels of a's class row."""
     if not ctx.connected:
-        raise Disconnected("ball deletion audit needs a connected relation")
+        raise HypothesisNotMet("disconnected")
     diag, levels = ctx.diagram, ctx.levels
     diameter = diag.diameter
     if not 1 <= t <= diameter:
@@ -486,7 +473,7 @@ def small_cut_theorems_audit(ctx: RelationContext) -> SmallCutAudit:
     lower bound on kappa; diameter-2 with kappa <= 3 is one of four
     exceptional graphs."""
     if not ctx.connected:
-        raise Disconnected("small-cut audit needs a connected relation")
+        raise HypothesisNotMet("disconnected")
     graph, kappa = ctx.graph, ctx.kappa
     diam = ctx.diagram.diameter
     v1 = ctx.scheme.valencies[ctx.g]
@@ -533,7 +520,7 @@ def spec_cut_audit(ctx: RelationContext) -> SpecCutAudit:
     larger than p_11^1 (with 1 the designated class); every minimum
     disconnecting set has size kappa, so comparing kappa decides it."""
     if not ctx.connected:
-        raise Disconnected("cut-size audit needs a connected relation")
+        raise HypothesisNotMet("disconnected")
     free, wit = k211_free(ctx.graph, ctx.basepoints)
     if not free:
         raise HypothesisNotMet(f"not K_{{2,1,1}}-free: witness {wit}")

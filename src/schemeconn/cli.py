@@ -1,7 +1,7 @@
 """Command-line surface.
 
-Exit codes are a contract: 0 ok, 1 file parse error, 2 invalid scheme,
-3 audit finding, 4 cap exceeded.
+Exit codes are a contract: 0 ok, 1 file parse or I/O error, 2 invalid
+scheme, 3 audit finding, 4 cap exceeded.
 """
 from __future__ import annotations
 
@@ -85,8 +85,12 @@ def cmd_analyze(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(reports, indent=2) + "\n")
+        try:
+            with open(args.report, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(reports, indent=2) + "\n")
+        except OSError as e:
+            print(f"{type(e).__name__}: {e}", file=sys.stderr)
+            return EXIT_PARSE
     failed = False
     for rep in reports:
         line = (f"{rep['scheme']} r{rep['relation']}: v={rep['v']} "
@@ -179,7 +183,11 @@ def cmd_survey(args) -> int:
     except SchemeError as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return _exit_code(e)
-    summary = run_survey(entries, out_dir, jobs=jobs, config=config)
+    try:
+        summary = run_survey(entries, out_dir, jobs=jobs, config=config)
+    except OSError as e:
+        print(f"{type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_PARSE
     print(f"survey: {summary['reports']} reports, "
           f"{summary['audit_sections_run']} audit sections run, "
           f"{summary['audit_sections_skipped']} skipped, "

@@ -29,7 +29,6 @@ class Diagram:
     adj: tuple[int, ...]               # bitmasks over classes, loops excluded
     loops: int                         # bitmask of classes with p[g,j,j] > 0
     levels: tuple[Optional[int], ...]  # BFS distance from 0; None unreachable
-    level_sets: tuple[tuple[int, ...], ...]
     diameter: Optional[int]            # None when some class is unreachable
 
     def neighbors(self, j: int) -> tuple[int, ...]:
@@ -49,12 +48,9 @@ def distribution_diagram(scheme: SchemeDescriptor, g: int) -> Diagram:
     loops = int.from_bytes(np.packbits(np.diagonal(pg) > 0,
                                        bitorder="little").tobytes(), "little")
     dist = Graph(d + 1, adj).distances_from(0)
-    top = max(dist)
-    sets = tuple(tuple(j for j in range(d + 1) if dist[j] == lv)
-                 for lv in range(top + 1))
     return Diagram(source=g, size=d + 1, adj=tuple(adj), loops=loops,
                    levels=tuple(None if lv < 0 else lv for lv in dist),
-                   level_sets=sets, diameter=None if -1 in dist else top)
+                   diameter=None if -1 in dist else max(dist))
 
 
 def h_prime_connected(diagram: Diagram) -> bool:
@@ -85,9 +81,7 @@ def geodesic_correspondence_check(scheme: SchemeDescriptor, g: int,
 
 def p_polynomial_generator(ctx: RelationContext) -> bool:
     """True when H_g is a path covering all classes (one class per level),
-    i.e. relation g generates a metric ordering of the scheme."""
-    diag = ctx.diagram
-    if diag.diameter is None:
-        return False
-    return (diag.diameter == ctx.scheme.d
-            and all(len(s) == 1 for s in diag.level_sets))
+    i.e. relation g generates a metric ordering of the scheme.  The d + 1
+    classes fill the diameter + 1 non-empty BFS levels, so diameter d
+    leaves exactly one class on each."""
+    return ctx.diagram.diameter == ctx.scheme.d

@@ -77,14 +77,6 @@ class Disconnected(SchemeError):
     pass
 
 
-class HypothesisViolation(SchemeError):
-    """An audit's hypothesis fails; the audit is reported as skipped."""
-
-    def __init__(self, reason):
-        self.reason = reason
-        super().__init__(reason)
-
-
 class CapExceeded(SchemeError):
     pass
 
@@ -98,4 +90,10 @@ class DetectorDisagreement(SchemeError):
 
 
 class HypothesisNotMet(SchemeError):
-    """A conditional audit does not apply to this input (skipped, recorded)."""
+    """An audit's hypothesis fails on this input, so the audit does not
+    apply; `reason` (also str(e)) is what the report records as the skip,
+    e.g. "disconnected"."""
+
+    def __init__(self, reason: str):
+        self.reason = reason
+        super().__init__(reason)

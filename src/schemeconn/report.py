@@ -20,8 +20,7 @@ import numpy as np
 
 from . import audits
 from .diagram import p_polynomial_generator
-from .errors import (CapExceeded, DetectorDisagreement, Disconnected,
-                     HypothesisNotMet, HypothesisViolation)
+from .errors import CapExceeded, DetectorDisagreement, HypothesisNotMet
 from .scheme import SchemeDescriptor, symmetrized_scheme
 from .spectral import (COLUMN_TOL, GROUPING_TOL, SpectralData,
                        compute_spectral, primitivity, second_eigenvalue)
@@ -99,6 +98,100 @@ def spectral_section(scheme: SchemeDescriptor, spectral: SpectralData,
     }
 
 
+# -- audit sections ------------------------------------------------------
+# Each calls its audit through the module, so a wrapper installed on
+# audits.<name> sees the call, and returns (fields, findings); an audit
+# that does not apply raises HypothesisNotMet.
+
+def _theorem1(ctx: audits.RelationContext) -> tuple[dict, list[str]]:
+    t1 = audits.theorem1_audit(ctx)
+    fields = {
+        "exists_a_connected": t1.exists_a_connected,
+        "forall_a_connected": t1.forall_a_connected,
+        "h_prime_connected": t1.h_prime_connected,
+        "twin_free": t1.twin_free,
+        "equivalent": t1.equivalent,
+        "disconnected_basepoints": t1.disconnected_basepoints,
+    }
+    return fields, [] if t1.equivalent else ["theorem1 conditions disagree"]
+
+
+def _corollaries(ctx: audits.RelationContext) -> tuple[dict, list[str]]:
+    ca = audits.corollary_audits(ctx)
+    fields = {
+        "c1_ok": ca.c1_ok, "c2_ok": ca.c2_ok, "c3_ok": ca.c3_ok,
+        "c1_mode": "exact", "c1_checked": ca.c1_checked,
+        "c3_capped": ca.c3_capped,
+        "c1_witness": ca.c1_witness, "c2_witness": ca.c2_witness,
+        "c3_witness": ca.c3_witness,
+    }
+    return fields, [f"corollary {tag} fails: witness {wit}"
+                    for tag, ok, wit in (("C1", ca.c1_ok, ca.c1_witness),
+                                         ("C2", ca.c2_ok, ca.c2_witness),
+                                         ("C3", ca.c3_ok, ca.c3_witness))
+                    if not ok]
+
+
+def _w_empty(ctx: audits.RelationContext) -> tuple[dict, list[str]]:
+    we = audits.w_empty_audit(ctx)
+    fields = {
+        "ok": we.ok,
+        "w_classes": list(we.w_classes),
+        "distance2_ok": we.distance2_ok,
+        "distance2_vacuous": we.distance2_vacuous,
+    }
+    found = []
+    if not we.ok:
+        found.append(f"W classes nonempty on connected relation: "
+                     f"{we.w_classes}")
+    if not we.distance2_ok:
+        found.append(f"U_a vertex not at distance 2: {we.distance2_witness}")
+    return fields, found
+
+
+def _small_cut(ctx: audits.RelationContext) -> tuple[dict, list[str]]:
+    sc = audits.small_cut_theorems_audit(ctx)
+    fields = {
+        "tcut2_applicable": sc.tcut2_applicable, "tcut2_ok": sc.tcut2_ok,
+        "tdiam2_applicable": sc.tdiam2_applicable,
+        "tdiam2_ok": sc.tdiam2_ok,
+        "tdiam2_best_t": sc.tdiam2_best_t,
+        "tdiam2_t_equals_valency": sc.tdiam2_t_equals_valency,
+        "tcut3_applicable": sc.tcut3_applicable, "tcut3_ok": sc.tcut3_ok,
+        "tcut3_match": sc.tcut3_match,
+    }
+    return fields, [f"small-cut theorem fails: {tag}"
+                    for tag, app, ok in (
+                        ("size-2 cut", sc.tcut2_applicable, sc.tcut2_ok),
+                        ("diameter-2 bound", sc.tdiam2_applicable,
+                         sc.tdiam2_ok),
+                        ("size-3 classification", sc.tcut3_applicable,
+                         sc.tcut3_ok))
+                    if app and not ok]
+
+
+def _ball_deletion(ctx: audits.RelationContext) -> tuple[dict, list[str]]:
+    bd = audits.ball_deletion_audit(ctx, 1)
+    fields = {
+        "t": 1,
+        "h_minus_ball_connected": bd.h_minus_ball_connected,
+        "triggered_basepoints": bd.triggered_basepoints,
+        "part_a_ok": bd.part_a_ok, "part_b_ok": bd.part_b_ok,
+    }
+    found = []
+    if not bd.part_a_ok:
+        found.append(f"ball deletion part (a) fails: {bd.part_a_witness}")
+    if not bd.part_b_ok:
+        found.append(f"ball deletion part (b) fails: {bd.part_b_witness}")
+    return fields, found
+
+
+# The audit sections of a report, in report order.
+SECTIONS = (("theorem1", _theorem1), ("corollaries", _corollaries),
+            ("w_empty", _w_empty), ("small_cut", _small_cut),
+            ("ball_deletion", _ball_deletion))
+
+
 def analyze_relation(scheme: SchemeDescriptor, i: int,
                      config: AnalysisConfig = DEFAULT_CONFIG,
                      spectral: Optional[SpectralData] = None,
@@ -138,41 +231,18 @@ def analyze_relation(scheme: SchemeDescriptor, i: int,
     else:
         skipped.append("connectivity: disconnected relation")
 
-    try:
-        t1 = audits.theorem1_audit(ctx)
-        theorem1 = {
-            "status": "ok",
-            "exists_a_connected": t1.exists_a_connected,
-            "forall_a_connected": t1.forall_a_connected,
-            "h_prime_connected": t1.h_prime_connected,
-            "twin_free": t1.twin_free,
-            "equivalent": t1.equivalent,
-            "disconnected_basepoints": t1.disconnected_basepoints,
-        }
-        if not t1.equivalent:
-            findings.append("theorem1 conditions disagree")
-    except HypothesisViolation as e:
-        theorem1 = {"status": "skipped", "reason": e.reason}
-        skipped.append(f"theorem1: {e.reason}")
-
-    try:
-        ca = audits.corollary_audits(ctx)
-        corollaries = {
-            "status": "ok",
-            "c1_ok": ca.c1_ok, "c2_ok": ca.c2_ok, "c3_ok": ca.c3_ok,
-            "c1_mode": "exact", "c1_checked": ca.c1_checked,
-            "c3_capped": ca.c3_capped,
-            "c1_witness": ca.c1_witness, "c2_witness": ca.c2_witness,
-            "c3_witness": ca.c3_witness,
-        }
-        for tag, ok, wit in (("C1", ca.c1_ok, ca.c1_witness),
-                             ("C2", ca.c2_ok, ca.c2_witness),
-                             ("C3", ca.c3_ok, ca.c3_witness)):
-            if not ok:
-                findings.append(f"corollary {tag} fails: witness {wit}")
-    except Disconnected:
-        corollaries = {"status": "skipped", "reason": "disconnected"}
-        skipped.append("corollaries: disconnected")
+    sections: dict[str, dict] = {}
+    for name, section in SECTIONS:
+        try:
+            fields, found = section(ctx)
+        except HypothesisNotMet as e:
+            sections[name] = {"status": "skipped", "reason": e.reason}
+            # a skipped ball deletion shows in its own section only
+            if name != "ball_deletion":
+                skipped.append(f"{name}: {e.reason}")
+        else:
+            sections[name] = {"status": "ok", **fields}
+            findings.extend(found)
 
     dec = ctx.iuw
     iuw = {
@@ -180,51 +250,10 @@ def analyze_relation(scheme: SchemeDescriptor, i: int,
         "i_classes": list(dec.i_classes),
         "u_classes": list(dec.u_classes),
         "w_classes": list(dec.w_classes),
-        "sizes": [len(dec.i_vertices), len(dec.u_vertices),
-                  len(dec.w_vertices)],
+        # row 0 holds valency-many vertices of each class
+        "sizes": [sum(scheme.valencies[c] for c in cls)
+                  for cls in (dec.i_classes, dec.u_classes, dec.w_classes)],
     }
-
-    if connected:
-        we = audits.w_empty_audit(ctx)
-        w_empty = {
-            "status": "ok",
-            "ok": we.ok,
-            "w_classes": list(we.w_classes),
-            "distance2_ok": we.distance2_ok,
-            "distance2_vacuous": we.distance2_vacuous,
-        }
-        if not we.ok:
-            findings.append(f"W classes nonempty on connected relation: "
-                            f"{we.w_classes}")
-        if not we.distance2_ok:
-            findings.append(f"U_a vertex not at distance 2: "
-                            f"{we.distance2_witness}")
-    else:
-        w_empty = {"status": "skipped", "reason": "disconnected"}
-        skipped.append("w_empty: disconnected")
-
-    if connected:
-        sc = audits.small_cut_theorems_audit(ctx)
-        small_cut = {
-            "status": "ok",
-            "tcut2_applicable": sc.tcut2_applicable, "tcut2_ok": sc.tcut2_ok,
-            "tdiam2_applicable": sc.tdiam2_applicable,
-            "tdiam2_ok": sc.tdiam2_ok,
-            "tdiam2_best_t": sc.tdiam2_best_t,
-            "tdiam2_t_equals_valency": sc.tdiam2_t_equals_valency,
-            "tcut3_applicable": sc.tcut3_applicable, "tcut3_ok": sc.tcut3_ok,
-            "tcut3_match": sc.tcut3_match,
-        }
-        for tag, app, ok in (("size-2 cut", sc.tcut2_applicable, sc.tcut2_ok),
-                             ("diameter-2 bound", sc.tdiam2_applicable,
-                              sc.tdiam2_ok),
-                             ("size-3 classification", sc.tcut3_applicable,
-                              sc.tcut3_ok)):
-            if app and not ok:
-                findings.append(f"small-cut theorem fails: {tag}")
-    else:
-        small_cut = {"status": "skipped", "reason": "disconnected"}
-        skipped.append("small_cut: disconnected")
 
     min_cut_count = None
     min_cuts_are_neighborhoods = None
@@ -236,21 +265,6 @@ def analyze_relation(scheme: SchemeDescriptor, i: int,
         else:
             min_cut_count = len(mc.cuts)
             min_cuts_are_neighborhoods = mc.all_neighborhoods
-
-    if connected:
-        bd = audits.ball_deletion_audit(ctx, 1)
-        ball = {
-            "status": "ok", "t": 1,
-            "h_minus_ball_connected": bd.h_minus_ball_connected,
-            "triggered_basepoints": bd.triggered_basepoints,
-            "part_a_ok": bd.part_a_ok, "part_b_ok": bd.part_b_ok,
-        }
-        if not bd.part_a_ok:
-            findings.append(f"ball deletion part (a) fails: {bd.part_a_witness}")
-        if not bd.part_b_ok:
-            findings.append(f"ball deletion part (b) fails: {bd.part_b_witness}")
-    else:
-        ball = {"status": "skipped", "reason": "disconnected"}
 
     if spectral is None:
         spectral = compute_spectral(scheme, grouping_tol=config.grouping_tol)
@@ -272,23 +286,18 @@ def analyze_relation(scheme: SchemeDescriptor, i: int,
     else:
         spec["second_eigenvalue"] = None
         spec["second_eigenvalue_positive"] = None
-    if connected:
-        try:
-            sca = audits.spec_cut_audit(ctx)
-            spec["cut_size_lemma"] = {
-                "applicable": True, "ok": sca.ok,
-                "p_local": sca.p_local, "slack": sca.slack,
-            }
-            if not sca.ok:
-                findings.append(
-                    f"cut-size lemma fails: kappa {sca.kappa} <= "
-                    f"p_local {sca.p_local}")
-        except HypothesisNotMet as e:
-            spec["cut_size_lemma"] = {"applicable": False,
-                                      "reason": str(e)}
+    try:
+        sca = audits.spec_cut_audit(ctx)
+    except HypothesisNotMet as e:
+        spec["cut_size_lemma"] = {"applicable": False, "reason": e.reason}
     else:
-        spec["cut_size_lemma"] = {"applicable": False,
-                                  "reason": "disconnected"}
+        spec["cut_size_lemma"] = {
+            "applicable": True, "ok": sca.ok,
+            "p_local": sca.p_local, "slack": sca.slack,
+        }
+        if not sca.ok:
+            findings.append(f"cut-size lemma fails: kappa {sca.kappa} <= "
+                            f"p_local {sca.p_local}")
 
     return {
         "scheme": scheme.name,
@@ -309,14 +318,14 @@ def analyze_relation(scheme: SchemeDescriptor, i: int,
         "conjecture_ok": conjecture_ok,
         "twin_pairs": twin_count,
         "h_prime_connected": ctx.h_prime_connected,
-        "theorem1": theorem1,
-        "corollaries": corollaries,
+        "theorem1": sections["theorem1"],
+        "corollaries": sections["corollaries"],
         "iuw": iuw,
-        "w_empty": w_empty,
-        "small_cut": small_cut,
+        "w_empty": sections["w_empty"],
+        "small_cut": sections["small_cut"],
         "min_cut_count": min_cut_count,
         "min_cuts_are_neighborhoods": min_cuts_are_neighborhoods,
-        "ball_deletion": ball,
+        "ball_deletion": sections["ball_deletion"],
         "spectral": spec,
         "p_polynomial_generator": p_polynomial_generator(ctx),
         "findings": findings,
@@ -445,9 +454,8 @@ def run_survey(entries, out_dir: str, jobs: int = 1,
             with open(os.path.join(out_dir, fname), "w",
                       encoding="utf-8") as fh:
                 fh.write(_dump(rep))
-            for section in ("theorem1", "corollaries", "w_empty",
-                            "small_cut", "ball_deletion"):
-                st = rep[section].get("status")
+            for section, _ in SECTIONS:
+                st = rep[section]["status"]
                 if st == "ok":
                     audits_run += 1
                 elif st == "skipped":

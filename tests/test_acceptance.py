@@ -21,7 +21,7 @@ from schemeconn import audits
 from schemeconn.catalog import build_family
 from schemeconn.connectivity import enumerate_min_cuts, is_isomorphic, k211_free
 from schemeconn.diagram import geodesic_correspondence_check
-from schemeconn.errors import HypothesisViolation
+from schemeconn.errors import HypothesisNotMet
 from schemeconn.graph import (Graph, bits, complete_bipartite, cycle_graph,
                               petersen)
 from schemeconn.report import run_survey
@@ -42,7 +42,7 @@ def test_01_equivalence_audit_over_catalog(catalog_pairs):
         try:
             t1 = audits.theorem1_audit(
                 audits.RelationContext(p.scheme, p.relation))
-        except HypothesisViolation:
+        except HypothesisNotMet:
             skipped += 1
             continue
         checked += 1

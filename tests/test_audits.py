@@ -8,11 +8,12 @@ import pytest
 from schemeconn.audits import (RelationContext, _exceptional_match,
                                ball_deletion_audit, corollary_audits,
                                iuw_decompose, small_cut_theorems_audit,
-                               theorem1_audit, w_empty_audit)
+                               spec_cut_audit, theorem1_audit, w_empty_audit)
 from schemeconn.catalog import build_family, gen_cyclic, gen_hamming
-from schemeconn.errors import Disconnected, HypothesisViolation
+from schemeconn.errors import HypothesisNotMet
 from schemeconn.graph import (Graph, complete_bipartite, cycle_graph,
                               petersen)
+from schemeconn.report import analyze_relation
 
 
 def drg(name, g):
@@ -59,14 +60,25 @@ def test_theorem1_h62_r3_all_false():
 
 
 def test_theorem1_gates():
-    with pytest.raises(HypothesisViolation):
-        theorem1_audit(drg("k33", 1))      # complete multipartite
-    with pytest.raises(HypothesisViolation):
-        theorem1_audit(RelationContext(gen_cyclic(4), 1))  # C4 = K22
-    with pytest.raises(HypothesisViolation):
-        theorem1_audit(RelationContext(gen_cyclic(10), 2))  # disconnected
-    with pytest.raises(HypothesisViolation):
-        theorem1_audit(RelationContext(gen_cyclic(3), 1))  # complete
+    for ctx in (drg("k33", 1),
+                RelationContext(gen_cyclic(4), 1),   # C4 = K22
+                RelationContext(gen_cyclic(3), 1)):  # complete
+        with pytest.raises(HypothesisNotMet) as info:
+            theorem1_audit(ctx)
+        assert info.value.reason == "complete multipartite"
+
+
+@pytest.mark.parametrize("audit", [
+    theorem1_audit, corollary_audits, w_empty_audit,
+    lambda ctx: ball_deletion_audit(ctx, 1), small_cut_theorems_audit,
+    spec_cut_audit,
+], ids=["theorem1", "corollaries", "w_empty", "ball_deletion", "small_cut",
+        "spec_cut"])
+def test_audits_skip_disconnected_relation(audit):
+    # C10 r2 is two pentagons
+    with pytest.raises(HypothesisNotMet) as info:
+        audit(RelationContext(gen_cyclic(10), 2))
+    assert info.value.reason == str(info.value) == "disconnected"
 
 
 def test_corollaries_pentagon():
@@ -89,20 +101,19 @@ def test_corollaries_rook():
     assert audit.c1_checked == 36
 
 
-def test_corollaries_gate():
-    with pytest.raises(Disconnected):
-        corollary_audits(RelationContext(gen_cyclic(10), 2))
-
-
 def test_iuw_h42_r2():
-    dec = iuw_decompose(RelationContext(gen_hamming(4, 2), 2))
+    scheme = gen_hamming(4, 2)
+    dec = iuw_decompose(RelationContext(scheme, 2))
     assert not dec.h_prime_connected
     assert dec.i_classes == (4,)
     assert dec.u_classes == (1, 3)
     assert dec.w_classes == ()
-    assert dec.i_vertices == (15,)
-    assert len(dec.u_vertices) == 8
-    assert all(bin(x).count("1") % 2 == 1 for x in dec.u_vertices)
+    # the class of (0, x) is the weight of x: I is the antipode 15 and U
+    # the 8 odd-weight vertices, which the report's sizes count
+    row = scheme.classes[0]
+    counted = [int(np.isin(row, cls).sum())
+               for cls in (dec.i_classes, dec.u_classes, dec.w_classes)]
+    assert counted == analyze_relation(scheme, 2)["iuw"]["sizes"] == [1, 8, 0]
 
 
 def test_iuw_reads_its_own_basepoint_only(monkeypatch):
@@ -162,11 +173,6 @@ def test_w_empty_h62_r3_vacuous_distance2():
     assert audit.distance2_vacuous and audit.distance2_witness is None
 
 
-def test_w_empty_gate():
-    with pytest.raises(Disconnected):
-        w_empty_audit(RelationContext(gen_cyclic(10), 2))
-
-
 def ref_distance2(ctx):
     """The W-empty distance-2 check as a BFS from every basepoint, in
     order: (ok, first (a, x, distance) with x in U_a not at distance 2)."""
@@ -190,8 +196,9 @@ def test_w_empty_distance2_matches_bfs_when_w_nonempty(family, g):
     # decomposition is forced: U at level 2 only, then with a class at
     # level 1 or 3 mixed in, each against the every-basepoint BFS
     ctx = RelationContext(build_family(*family), g)
-    sets = ctx.diagram.level_sets
     assert ctx.connected and ctx.diagram.diameter >= 3
+    sets = [tuple(np.flatnonzero(ctx.levels == t).tolist())
+            for t in range(ctx.diagram.diameter + 1)]
     dec = ctx.iuw
     cases = [sets[2], sets[2] + sets[3][:1], sets[3][-1:] + sets[2],
              sets[1]]
@@ -229,8 +236,6 @@ def test_ball_deletion_untriggered():
 def test_ball_deletion_errors():
     with pytest.raises(ValueError):
         ball_deletion_audit(RelationContext(gen_cyclic(8), 1), 9)
-    with pytest.raises(Disconnected):
-        ball_deletion_audit(RelationContext(gen_cyclic(10), 2), 1)
 
 
 def test_small_cut_cycles():
@@ -282,8 +287,3 @@ def test_small_cut_rook():
     assert not audit.tcut2_applicable and not audit.tcut3_applicable
     assert audit.tdiam2_applicable and audit.tdiam2_ok
     assert audit.tcut3_match is None
-
-
-def test_small_cut_gate():
-    with pytest.raises(Disconnected):
-        small_cut_theorems_audit(RelationContext(gen_cyclic(10), 2))

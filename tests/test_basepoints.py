@@ -65,7 +65,8 @@ def test_reduced_audits_match_every_basepoint(catalog_schemes):
             for key, (_, bd) in want.items():
                 if key.startswith("ball-") and bd.triggered_basepoints:
                     scaled["triggered"] += 1
-            if want["spec_cut"][0] == "HypothesisNotMet":
+            kind, detail = want["spec_cut"]
+            if kind == "HypothesisNotMet" and detail != "disconnected":
                 scaled["not_k211_free"] += 1
     assert relations >= 130
     # C1 is a theorem on schemes, so its failure is exercised on circulants

@@ -43,7 +43,7 @@ def test_h62_relation3_diagram():
     s = gen_hamming(6, 2)
     diag = distribution_diagram(s, 3)
     assert diag.levels == (0, 3, 2, 1, 2, 3, 2)
-    assert diag.level_sets == ((0,), (3,), (2, 4, 6), (1, 5))
+    assert diag.diameter == 3
     assert diag.neighbors(6) == (3,)
     assert not h_prime_connected(diag)
 

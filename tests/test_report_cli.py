@@ -79,12 +79,34 @@ def test_cyclic5_small_cut_section():
     assert sc["tcut2_applicable"] and sc["tcut2_ok"]
 
 
+AUDIT_SECTIONS = ("theorem1", "corollaries", "w_empty", "small_cut",
+                  "ball_deletion")
+
+
 def test_disconnected_relation_sections_skipped():
     rep = analyze_relation(build_family("hamming", (4, 2)), 4)
     assert rep["connected"] is False
     assert rep["kappa"] is None and rep["lambda"] is None
-    for section in ("corollaries", "w_empty", "small_cut", "ball_deletion"):
-        assert rep[section]["status"] == "skipped"
+    for section in AUDIT_SECTIONS:
+        assert rep[section] == {"status": "skipped",
+                                "reason": "disconnected"}, section
+    # ball deletion's skip shows in its section, not in this list
+    assert rep["skipped"] == ["connectivity: disconnected relation",
+                              "theorem1: disconnected",
+                              "corollaries: disconnected",
+                              "w_empty: disconnected",
+                              "small_cut: disconnected"]
+    assert rep["spectral"]["cut_size_lemma"] == {"applicable": False,
+                                                 "reason": "disconnected"}
+    assert rep["ok"]
+
+
+def test_complete_multipartite_relation_skips_theorem1_only():
+    rep = analyze_relation(build_family("drg", ("k33",)), 1)
+    assert rep["theorem1"] == {"status": "skipped",
+                               "reason": "complete multipartite"}
+    assert [rep[s]["status"] for s in AUDIT_SECTIONS[1:]] == ["ok"] * 4
+    assert rep["skipped"] == ["theorem1: complete multipartite"]
     assert rep["ok"]
 
 
@@ -268,6 +290,23 @@ def test_survey_writes_reports_and_summary(tmp_path):
     assert rep["kappa"] == 2
 
 
+def test_survey_section_counts_match_written_reports(tmp_path):
+    out = tmp_path / "reports"
+    summary = run_survey(SMALL_ENTRIES, str(out))
+    assert tuple(name for name, _ in report.SECTIONS) == AUDIT_SECTIONS
+    statuses, clean = Counter(), 0
+    for name in os.listdir(out):
+        if name == "summary.json":
+            continue
+        with open(out / name, encoding="utf-8") as fh:
+            rep = json.load(fh)
+        statuses.update(rep[s]["status"] for s in AUDIT_SECTIONS)
+        clean += not rep["findings"]
+    assert summary["audit_sections_run"] == statuses["ok"] == 29
+    assert summary["audit_sections_skipped"] == statuses["skipped"] == 16
+    assert summary["reports_clean"] == clean == 9
+
+
 def test_survey_jobs_byte_identical(tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"
@@ -443,6 +482,14 @@ def test_cli_analyze_family(tmp_path, capsys):
         payload = json.load(fh)
     assert isinstance(payload, list) and len(payload) == 1
     assert payload[0]["scheme"] == "johnson-5-2"
+
+
+def test_cli_analyze_report_in_missing_directory(tmp_path, capsys):
+    report = tmp_path / "missing" / "r.json"
+    assert main(["analyze", "--family", "cyclic", "5",
+                 "--report", str(report)]) == 1
+    assert capsys.readouterr().err.startswith("FileNotFoundError: ")
+    assert not report.parent.exists()
 
 
 def test_cli_analyze_file_all_relations(tmp_path, capsys):
@@ -638,6 +685,14 @@ def test_cli_survey_bad_defaults(tmp_path, monkeypatch, capsys, defaults,
     assert main(["survey", "--manifest", str(manifest)]) == 1
     assert "ParseError" in capsys.readouterr().err
     assert not (tmp_path / "never").exists()
+
+
+def test_cli_survey_out_is_a_regular_file(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("keep")
+    assert main(["survey", "--builtin-catalog", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("FileExistsError: ")
+    assert out.read_text() == "keep"
 
 
 def test_cli_survey_jobs_env(tmp_path, monkeypatch, capsys):
