@@ -70,7 +70,10 @@ def gen_hamming(n: int, q: int) -> SchemeDescriptor:
     x = np.arange(v)
     for pos in range(n):
         digits[:, n - 1 - pos] = (x // q ** pos) % q
-    classes = (digits[:, None, :] != digits[None, :, :]).sum(axis=2)
+    # one coordinate at a time: no (v, v, n) temporary
+    classes = np.zeros((v, v), dtype=np.int8)
+    for pos in range(n):
+        classes += digits[:, None, pos] != digits[None, :, pos]
     weights = q ** np.arange(n - 1, -1, -1)
 
     def on_symbol_0(sigma: list[int]) -> np.ndarray:
@@ -240,25 +243,139 @@ def scheme_from_drg(graph: Graph, name: str = "drg") -> SchemeDescriptor:
 
 # -- persistence ---------------------------------------------------------
 
+# what json.dumps writes before a class matrix, and the longest label the
+# numpy reader takes (every 18-digit integer fits int64)
+_CLASSES_KEY = b'"classes": '
+_MAX_DIGITS = 18
+_DIGITS = b"0123456789"
+_NOT_DIGITS = bytes(sorted(set(range(256)) - set(_DIGITS)))
+
+
 def save_scheme(desc: SchemeDescriptor, path) -> None:
     payload = {
         "name": desc.name,
         "v": desc.v,
         "d": desc.d,
-        "classes": [[int(x) for x in row] for row in desc.classes],
+        "classes": desc.classes.tolist(),
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(payload) + "\n")
+
+
+def _dumped_matrix(text: bytes):
+    """text as an int64 matrix when it is what json.dumps writes for a
+    matrix of non-negative integers with at most _MAX_DIGITS digits and no
+    leading zero; None otherwise.  Works on bytes and on bool and uint8
+    masks over them."""
+    # with its digits deleted, the text is the skeleton of an r x n matrix:
+    # "[[", the n - 1 ", " of each row, "], [" between rows, "]]"
+    skeleton = text.translate(None, _DIGITS)
+    n = skeleton.find(b"]") // 2
+    if n < 1:
+        return None
+    r = len(skeleton) // (2 * n + 2)
+    if skeleton != b"[[" + b"], [".join([b", " * (n - 1)] * r) + b"]]":
+        return None
+    del skeleton
+    # so every byte that is no digit is "[", " ", "," or "]".  Each of the
+    # r * n gaps holds exactly one run of digits: a run starts after "["
+    # or " " and ends before "," or "]", so it sits in a label's gap, and
+    # there is one run per gap
+    u = np.frombuffer(text, dtype=np.uint8)
+    digit = u - np.uint8(ord("0")) < 10
+    opens = (u == ord("[")) | (u == ord(" "))
+    starts, ends = np.empty_like(digit), np.empty_like(digit)
+    starts[0], ends[-1] = digit[0], digit[-1]
+    np.greater(digit[1:], digit[:-1], out=starts[1:])
+    np.greater(digit[:-1], digit[1:], out=ends[:-1])
+    if (np.count_nonzero(starts) != r * n or (starts[1:] > opens[:-1]).any()
+            or (ends[:-1] & opens[1:]).any()):
+        return None
+    del opens
+    values = np.frombuffer(text.translate(None, _NOT_DIGITS),
+                           dtype=np.uint8) - np.uint8(ord("0"))
+    width = 1
+    if len(values) > r * n:
+        # some label has several digits: none may start with 0
+        if (starts & ~ends & (u == ord("0"))).any():
+            return None
+        # each label's number of digits; alive marks the last digit of
+        # the runs longer than `width`
+        lengths = np.ones(r * n, dtype=np.uint8)
+        alive = ends.copy()
+        while True:
+            alive[width:] &= digit[:-width]
+            if not alive.any():
+                break
+            if width == _MAX_DIGITS:
+                return None
+            lengths += alive[ends]
+            width += 1
+        del alive
+        # right-align every label's digits in a row of `width` columns
+        padded = np.zeros((r * n, width), dtype=np.uint8)
+        padded[np.arange(width) >= width - lengths[:, None]] = values
+        values = padded
+    del u, digit, starts, ends
+    # read each row of digits by Horner's rule
+    values = values.reshape(r * n, width)
+    matrix = values[:, 0].astype(np.int64)
+    for col in range(1, width):
+        matrix *= 10
+        matrix += values[:, col]
+    return matrix.reshape(r, n)
+
+
+def _dumped_payload(data: bytes):
+    """The payload of a scheme file whose `classes` value is byte for byte
+    what json.dumps writes for a matrix of non-negative integer labels,
+    with that value read by _dumped_matrix and the rest of the document by
+    json.loads; None for any other file.
+
+    The value is the first "[[" ... "]]" after the only '"classes"' in the
+    file.  The document is parsed with NaN in its place, and the payload is
+    taken only if that NaN, and no other constant, is the top-level
+    "classes" value, so a match inside a string or a nested object, or a
+    later duplicate key, leaves the file to the json route."""
+    start = data.find(_CLASSES_KEY + b"[[")
+    end = data.find(b"]]", start) + 2
+    if start < 0 or end < 2 or data.count(b'"classes"') != 1:
+        return None
+    marker, constants = object(), []
+
+    def constant(name):
+        constants.append(name)
+        return marker
+
+    header = data[:start] + _CLASSES_KEY + b"NaN" + data[end:]
+    try:
+        payload = json.loads(header.decode("utf-8"), parse_constant=constant)
+    except ValueError:
+        return None
+    if (len(constants) != 1 or not isinstance(payload, dict)
+            or payload.get("classes") is not marker):
+        return None
+    matrix = _dumped_matrix(data[start + len(_CLASSES_KEY):end])
+    if matrix is None:
+        return None
+    payload["classes"] = matrix
+    return payload
 
 
 def load_scheme(path) -> SchemeDescriptor:
-    """Parse and fully re-validate a stored scheme."""
+    """Parse and fully re-validate a stored scheme.  Files in json.dumps'
+    layout have their class matrix read in numpy (_dumped_payload); every
+    other file, and every error message, goes through json.loads."""
     try:
-        with open(path) as fh:
-            payload = json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        payload = _dumped_payload(data)
+        if payload is None:
+            # JSON is UTF-8 whatever the locale
+            payload = json.loads(data.decode("utf-8"))
     except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
+    del data
     if not isinstance(payload, dict):
         raise ParseError(f"{path}: top level must be an object")
     for key in ("name", "v", "d", "classes"):
@@ -273,17 +390,20 @@ def load_scheme(path) -> SchemeDescriptor:
             f"{path}: v and d must be integers, got v={payload['v']!r}, "
             f"d={payload['d']!r}")
     classes = payload.pop("classes")
-    if (not isinstance(classes, list)
+    if isinstance(classes, np.ndarray):
+        matrix = classes
+    elif (not isinstance(classes, list)
             or not set(map(type, classes)) <= {list}
             or not set(map(type, chain.from_iterable(classes))) <= {int}):
         raise ParseError(f"{path}: classes must be a matrix of integers")
-    try:
-        matrix = np.asarray(classes, dtype=np.int64)
-    except ValueError as exc:       # ragged rows
-        raise ParseError(f"{path}: classes rows differ in length") from exc
-    except OverflowError as exc:    # an entry outside int64
-        raise ParseError(f"{path}: class index out of range") from exc
-    # the parsed list (popped from payload) and the int64 matrix are both
+    else:
+        try:
+            matrix = np.asarray(classes, dtype=np.int64)
+        except ValueError as exc:       # ragged rows
+            raise ParseError(f"{path}: classes rows differ in length") from exc
+        except OverflowError as exc:    # an entry outside int64
+            raise ParseError(f"{path}: class index out of range") from exc
+    # the parsed value (popped from payload) and the int64 matrix are both
     # dropped before validation, so neither is alive during its products
     del classes
     table = RelationTable.from_classes(matrix)

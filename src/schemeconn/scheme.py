@@ -5,14 +5,27 @@ else (transpose map, intersection numbers, valencies) is derived from it and
 re-derived on load.
 
 Validation proves that the span V of A_0..A_d is closed under
-multiplication, row by row.  Row i computes the product A_i A_j for every j
-as a float32 BLAS product and checks that it is constant on every class,
-which is the definition of p_ij^k with no sampling involved.  The float
-arithmetic is exact: A_i and A_j are 0/1 matrices, so every entry of the
-product and every partial sum BLAS forms on the way is an integer in [0, v],
-and v <= SIZE_CAP < 2**24 fits float32's 24-bit significand whatever the
-summation order, thread count or FMA use.  A failure's witness is recounted
-in integers before it is reported.
+multiplication, row by row.  Row i checks that every product A_i A_j is
+constant on every class, which is the definition of p_ij^k with no
+sampling involved.  It packs runs of consecutive classes j into one
+float32 BLAS product.  Let b be the largest row sum of A_i plus one and m
+the largest power with b^m <= 2**24; for each run j_0..j_{m-1} row i
+forms A_i (sum_t b^t A_{j_t}).  Its entry at (x, y) is
+sum_t b^t N_t(x, y), where N_t(x, y) counts the z with (x, z) in R_i and
+(z, y) in R_{j_t}.  The classes partition the pairs, so each (x, z)
+counts towards at most one N_t and their sum is at most the row sum of
+A_i at x, below b, even on an input that is no scheme.  So the N_t are
+the base-b digits of the entry, and the entry is constant on a class iff
+every digit is: one comparison checks the m products at once, and
+p_{i j_t}^k is digit t at the first pair of class k.  The float
+arithmetic is exact: the packed matrix holds 0 or one power b^t per
+entry, every partial sum BLAS forms is a sum of non-negative integer
+terms of the entry, at most (b-1) b^(m-1) < 2**24, and float32's 24-bit
+significand holds every such integer whatever the summation order,
+thread count or FMA use.  A failure's witness is read off the digits of
+the mismatching entries: the first j of the run with a digit off, the
+first row-major pair where it is off, and both counts, the very fields
+one product per class would give.
 
 The loop stops early once one class generates the algebra.  After row i,
 A_i V lies in V, and multiplication by A_i acts on the basis A_0..A_d as the
@@ -24,8 +37,8 @@ under multiplication and commutative: every remaining product would pass
 its check, and every p_jl^k is the count at the first pair of class k,
 read off in integers instead.  A_1 generates V in a P-polynomial scheme
 (Bannai-Ito, Algebraic Combinatorics I, 1984, sec. III.1), such as the
-Hamming, Johnson and cyclic schemes, so these stop after d products instead
-of d(d+1)/2.  Where no class generates, every row runs as before.  Rows run
+Hamming, Johnson and cyclic schemes, so these stop after row 1 instead of
+running d rows.  Where no class generates, every row runs as before.  Rows run
 in the same order either way, so the tensor and the first failure, with its
 witness, do not depend on where the loop stops.
 
@@ -55,8 +68,9 @@ from .errors import (
 )
 from .graph import Graph, bits
 
-# validate_scheme's float32 products are exact only while every count, at
-# most v, is below 2**24 (float32 has a 24-bit significand)
+# validate_scheme's float32 products are exact only while every entry is
+# below 2**24 (float32 has a 24-bit significand); a count is below v, so
+# under the cap every product holds at least one base-v digit
 SIZE_CAP = 4096
 # validate_scheme's rank test works in GF(_PRIME); below 2**26, a sum of up
 # to 512 products of two residues stays below 2**63, past the 300-class cap
@@ -99,6 +113,8 @@ class RelationTable:
         if len(uniq) != d + 1:
             missing = int(np.argmax(uniq != np.arange(len(uniq))))
             raise NotAPartition(f"class {missing} is empty")
+        # every label is now below v * v <= SIZE_CAP**2 < 2**31
+        c = c.astype(np.int32)
         diag = np.diagonal(c)
         if (diag != 0).any():
             x = int(np.nonzero(diag != 0)[0][0])
@@ -118,11 +134,11 @@ class RelationTable:
                 f"{int(c[x, y])} transposes to {int(tmap[c[x, y]])} elsewhere")
         if not np.array_equal(tmap[tmap], np.arange(d + 1)):
             raise NotClosedUnderTranspose("transpose map is not an involution")
-        c32 = c.astype(np.int32)
-        c32.setflags(write=False)
+        c.setflags(write=False)
         first.setflags(write=False)
         tm = tuple(int(t) for t in tmap)
-        return cls(v=v, d=d, classes=c32, symmetric=all(t == i for i, t in enumerate(tm)),
+        return cls(v=v, d=d, classes=c,
+                   symmetric=all(t == i for i, t in enumerate(tm)),
                    transpose_map=tm, first_pair=first)
 
 
@@ -232,29 +248,39 @@ def _checked_transitive(classes: np.ndarray,
     return gens
 
 
-def _pair_count(classes: np.ndarray, i: int, j: int, a: int, b: int) -> int:
-    """Number of c with classes[a, c] = i and classes[c, b] = j, in integers."""
-    return int(np.count_nonzero((classes[a] == i) & (classes[:, b] == j)))
-
-
-def _checked_product(table: RelationTable, i: int, j: int, ai: np.ndarray,
-                     aj: np.ndarray) -> np.ndarray:
-    """p_ij^k for every k, read off the product A_i A_j of the float32
-    relation matrices ai and aj at each class's first pair, once the
-    product is shown constant on every class; otherwise raises
-    NonConstantIntersection with a witness recounted in integers."""
-    c, first = table.classes, table.first_pair
-    n = ai @ aj
+def _packed_products(table: RelationTable, i: int, js: list[int],
+                     ai: np.ndarray, base: int) -> np.ndarray:
+    """p_ij^k for each class j of the run js (one row per j, one column
+    per k), read off one float32 product of ai = A_i with
+    sum_t base**t A_{js[t]} (see the module docstring), once the product is
+    shown constant on every class; otherwise raises NonConstantIntersection
+    for the first j and first row-major pair whose digit is not."""
+    c, first, v = table.classes, table.first_pair, table.v
+    powers = base ** np.arange(len(js), dtype=np.int64)
+    weights = np.zeros(table.d + 1, dtype=np.float32)
+    weights[js] = powers
+    n = ai @ weights[c]
     pv = n.ravel()[first]
-    if not np.array_equal(n, pv[c]):
-        bad = np.argwhere(n != pv[c])[0]
-        a, b = int(bad[0]), int(bad[1])
-        k = int(c[a, b])
-        ra, rb = divmod(int(first[k]), table.v)
-        raise NonConstantIntersection(
-            i, j, k, ((ra, rb), _pair_count(c, i, j, ra, rb)),
-            ((a, b), _pair_count(c, i, j, a, b)))
-    return pv.astype(np.int64)
+    mism = np.flatnonzero(n != pv[c])
+    pv = pv.astype(np.int64)
+    if not len(mism):
+        return pv // powers[:, None] % base
+    got = n.ravel()[mism].astype(np.int64)
+    # a kept exception keeps the frames of its traceback alive
+    del n
+    want = pv[c.ravel()[mism]]
+    # a mismatching entry differs in some digit, so the loop breaks
+    for t in range(len(js)):
+        off = got // powers[t] % base != want // powers[t] % base
+        if off.any():
+            break
+    q = int(np.argmax(off))
+    a, b = divmod(int(mism[q]), v)
+    k = int(c[a, b])
+    ra, rb = divmod(int(first[k]), v)
+    raise NonConstantIntersection(
+        i, js[t], k, ((ra, rb), int(want[q] // powers[t] % base)),
+        ((a, b), int(got[q] // powers[t] % base)))
 
 
 def _generates(b: np.ndarray) -> bool:
@@ -302,19 +328,21 @@ def validate_scheme(table: RelationTable, name: str = "scheme",
     p[0, 0, :] = 0
     p[0, 0, 0] = 1
 
-    def mat(i: int) -> np.ndarray:
-        # float32 runs on BLAS and holds every count exactly (see SIZE_CAP)
-        return (c == i).astype(np.float32)
-
     for i in range(1, d + 1):
-        ai = mat(i)
+        # float32 runs on BLAS and holds every count exactly (see SIZE_CAP)
+        ai = (c == i).astype(np.float32)
+        base = int(ai.sum(axis=1).max()) + 1
+        per_product = 1
+        while base ** (per_product + 1) <= 2 ** 24:
+            per_product += 1
         # symmetric classes make A_j A_i the transpose of A_i A_j, so rows
         # before i already checked it, and p_ji^k = p_ij^{k'} = p_ij^k
-        for j in range(i if table.symmetric else 1, d + 1):
-            p[i, j, :] = _checked_product(table, i, j, ai,
-                                          ai if j == i else mat(j))
+        js = list(range(i if table.symmetric else 1, d + 1))
+        for start in range(0, len(js), per_product):
+            run = js[start:start + per_product]
+            p[i, run, :] = _packed_products(table, i, run, ai, base)
             if table.symmetric:
-                p[j, i, :] = p[i, j, :]
+                p[run, i, :] = p[i, run, :]
         if _generates(p[i].T):
             for k in range(d + 1):
                 a, b = divmod(int(table.first_pair[k]), v)

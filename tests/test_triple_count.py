@@ -195,6 +195,33 @@ def test_mutations_raise_with_recounted_witness(family):
     assert witnessed > 0
 
 
+def test_mutation_failing_in_a_later_packed_product():
+    """C101's row 1 packs its 50 classes into 4 products of 15 (see
+    test_products_stop_once_one_class_generates).  Moving a pair between
+    two classes of 17..50 leaves every A_1 A_j with j <= 15 constant, so
+    the first failure lies in a later product, and often at a digit past
+    its first; its fields must still match the one-product-per-class
+    loop's."""
+    s = gen_cyclic(101)
+    rng = random.Random("later-group")
+    failing = []
+    for _ in range(25):
+        c = np.array(s.classes, dtype=np.int64)
+        a, b = rng.sample(range(s.v), 2)
+        while c[a, b] < 17:
+            a, b = rng.sample(range(s.v), 2)
+        c[a, b] = c[b, a] = rng.choice(
+            [t for t in range(17, s.d + 1) if t != c[a, b]])
+        with pytest.raises(NonConstantIntersection) as got:
+            validate_scheme(RelationTable.from_classes(c))
+        with pytest.raises(NonConstantIntersection) as want:
+            reference_tensor(RelationTable.from_classes(c))
+        assert _fields(got.value) == _fields(want.value)
+        failing.append(got.value.j)
+    assert min(failing) > 15
+    assert any((j - 1) % 15 for j in failing)
+
+
 def test_large_tensors_match_integer_counts():
     # naive_tensor alone: the int64 product loop takes seconds at this size
     for s in _large():
@@ -228,25 +255,45 @@ def test_partition_passing_row_1_is_rejected():
 
 
 def test_products_stop_once_one_class_generates(monkeypatch):
-    """A_1 generates a P-polynomial scheme, so row 1's d products are all
-    that run; conj-D4 has no generating class and runs every row."""
-    schemes = [gen_cyclic(101), gen_johnson(16, 3),
+    """A_1 generates a P-polynomial scheme, so row 1 is all that runs; its
+    d classes share packed products.  C101's class 1 has valency 2, so a
+    product packs the 15 base-3 digits below 2**24 and row 1's 50 classes
+    take 4; J(16,3)'s valency 39 packs 4 base-40 digits, all 3 classes in
+    one; H(8,2)'s valency 8 packs 7 base-9 digits, 8 classes in 2.  conj-D4
+    has no generating class and runs every row, one product each, since
+    its valencies are at most 2."""
+    schemes = [gen_cyclic(101), gen_johnson(16, 3), gen_hamming(8, 2),
                build_family("conjugacy", ("D4",))]
     calls = []
-    checked_product = scheme._checked_product
+    packed_products = scheme._packed_products
 
-    def spy(table, i, j, ai, aj):
-        calls.append((i, j))
-        return checked_product(table, i, j, ai, aj)
+    def spy(table, i, js, ai, base):
+        calls.append((i, tuple(js)))
+        # base bounds every count of row i, and the run's base-`base`
+        # digits fit float32's 24-bit significand
+        valency = int(np.count_nonzero(table.classes == i, axis=1).max())
+        assert base == valency + 1
+        assert base ** len(js) <= 2 ** 24
+        return packed_products(table, i, js, ai, base)
 
-    monkeypatch.setattr(scheme, "_checked_product", spy)
-    counts = []
+    monkeypatch.setattr(scheme, "_packed_products", spy)
+    counts, rows = [], []
     for s in schemes:
         calls.clear()
         assert np.array_equal(validate_scheme(s.table).tensor.p, s.tensor.p)
         counts.append(len(calls))
-    assert counts[:2] == [50, 3]
-    assert counts[2] == 10 > schemes[2].d
+        rows.append({i for i, _ in calls})
+        # every class j of every row that ran is checked exactly once
+        checked = sorted((i, j) for i, js in calls for j in js)
+        assert checked == sorted(set(checked)), s.name
+        # a row's runs are as long as the digits allow, but for its last
+        for (i, js), (i2, _) in zip(calls, calls[1:]):
+            if i == i2:
+                base = int(np.count_nonzero(s.classes == i, axis=1).max()) + 1
+                assert base ** (len(js) + 1) > 2 ** 24, s.name
+    assert counts == [4, 1, 2, 4]
+    assert rows[:3] == [{1}] * 3
+    assert rows[3] == set(range(1, schemes[3].d + 1))
 
 
 def test_first_pair_matches_full_sort():
