@@ -50,7 +50,7 @@ from typing import Optional
 import numpy as np
 
 from .connectivity import (CLIQUE_CAP, MIN_CUT_BUDGET, MinCutData, TwinData,
-                           _orbit_representatives, _rows, edge_connectivity,
+                           _orbit_representatives, edge_connectivity,
                            enumerate_min_cuts, is_isomorphic, k211_free,
                            maximal_cliques, twins, vertex_connectivity)
 from .diagram import Diagram, h_prime_connected
@@ -169,8 +169,7 @@ class RelationContext:
         graph, scheme = self.graph, self.scheme
         if (scheme.transitive and self.connected and not self.complete
                 and len(_orbit_representatives(
-                    _rows(list(bits(graph.rows[0])), 1),
-                    scheme.stabiliser)) == 1):
+                    list(bits(graph.rows[0])), scheme.stabiliser)) == 1):
             return graph.degree(0)
         return vertex_connectivity(graph, scheme.stabiliser)
 

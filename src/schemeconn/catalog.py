@@ -373,7 +373,9 @@ def load_scheme(path) -> SchemeDescriptor:
         if payload is None:
             # JSON is UTF-8 whatever the locale
             payload = json.loads(data.decode("utf-8"))
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    # json's decoder recurses once per nesting level, on either route
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError,
+            RecursionError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     del data
     if not isinstance(payload, dict):

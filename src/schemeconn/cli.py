@@ -108,7 +108,9 @@ def _manifest_entries(path: str) -> tuple[list, dict]:
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    # json's decoder recurses once per nesting level
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError,
+            RecursionError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(payload, dict) or not isinstance(
             payload.get("entries"), list):
@@ -254,7 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", help="survey manifest JSON")
     p.add_argument("--builtin-catalog", action="store_true")
     p.add_argument("--jobs", type=int, default=None,
-                   help="parallel workers (default $SCHEME_CONN_JOBS or 1)")
+                   help="parallel workers, at most one per entry (default "
+                        "$SCHEME_CONN_JOBS or 1)")
     p.add_argument("--out", help="output directory")
     p.add_argument("--seed", type=int, default=None, help=seed_help)
     p.set_defaults(func=cmd_survey)

@@ -25,9 +25,9 @@ Since p fixes s, it permutes the targets t (the non-neighbours of s, for
 edges every other vertex) and the non-adjacent pairs inside Gamma(s).  So
 every member of an orbit of the group the automorphisms generate has the
 same local connectivity, and one flow per orbit gives the same minimum as
-the full sweep.  Orbits come from numpy min-label propagation under the
-generators; with no generators every target and pair is its own orbit and
-the sweep runs in full, in the same order.
+the full sweep.  Each orbit is found by a depth-first search over the
+generators' images from its first item; with no generators every target
+and pair is its own orbit and the sweep runs in full, in the same order.
 
 The theorems that decide kappa and lambda without a flow (Watkins' and
 Whitney's) are applied in audits.RelationContext, which runs the sweeps
@@ -36,14 +36,14 @@ here only where they leave a value open.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .errors import CapExceeded, Disconnected
-from .graph import Graph, bits, mask_of
+from .graph import Graph, bits, layers, mask_of
 
 
 # -- twins ---------------------------------------------------------------
@@ -69,32 +69,27 @@ def twins(graph: Graph) -> TwinData:
 # -- unit-capacity max-flow -----------------------------------------------
 
 def _dinic(rows, s: int, t: int, limit: int) -> tuple[int, list, list]:
-    """Arc-disjoint s-t paths, Dinic, capped at limit: (flow, used, rused).
-    rows are the out-rows of a digraph (rows[v] has bit w for each arc
-    v -> w), an undirected graph being the symmetric case; used[v] has bit
-    w for each arc v -> w carrying flow and rused[w] bit v for it."""
+    """Arc-disjoint s-t paths, Dinic, capped at limit: (flow, residual,
+    rused).  rows are the out-rows of a digraph (rows[v] has bit w for each
+    arc v -> w), an undirected graph being the symmetric case; residual[v]
+    has bit w for each arc v -> w without flow and each arc w -> v with
+    flow, and rused[v] only the latter.  An augment removes arcs from level
+    i to i + 1 and adds arcs back from i + 1 to i, which the level masks
+    never follow, so a phase's levels stay valid throughout."""
     n = len(rows)
     used = [0] * n                  # used[v]: targets carrying flow v -> w
     rused = [0] * n                 # rused[v]: sources w with flow w -> v
+    residual = list(rows)
     bt = 1 << t
     flow = 0
     while flow < limit:
-        seen = 1 << s
-        lmask = [1 << s]            # lmask[i]: states at BFS level i
-        frontier = 1 << s
-        t_found = False
-        while frontier and not t_found:
-            new = 0
-            for v in bits(frontier):
-                new |= (rows[v] & ~used[v]) | rused[v]
-            new &= ~seen
-            seen |= new
-            lmask.append(new)
-            if new & bt:
-                t_found = True
-            frontier = new
-        if not t_found:
-            return flow, used, rused
+        lmask = []                  # lmask[i]: states at BFS level i
+        for frontier in layers(residual, s):
+            lmask.append(frontier)
+            if frontier & bt:
+                break
+        else:
+            return flow, residual, rused
         dead = 0
         cur: dict[int, int] = {}
         stack = [s]
@@ -108,16 +103,17 @@ def _dinic(rows, s: int, t: int, limit: int) -> tuple[int, list, list]:
                     else:                       # add u -> w
                         used[u] |= 1 << w
                         rused[w] |= 1 << u
+                    for x in (u, w):
+                        residual[x] = (rows[x] & ~used[x]) | rused[x]
                 flow += 1
                 if flow >= limit:
-                    return flow, used, rused
+                    return flow, residual, rused
                 stack = [s]
                 cur.pop(s, None)
                 continue
             if v not in cur:            # the stack holds one state per level
                 lvl = len(stack)
-                cur[v] = (((rows[v] & ~used[v]) | rused[v])
-                          & (lmask[lvl] if lvl < len(lmask) else 0))
+                cur[v] = residual[v] & (lmask[lvl] if lvl < len(lmask) else 0)
             advanced = False
             pick = cur[v] & ~dead
             while pick:
@@ -126,7 +122,7 @@ def _dinic(rows, s: int, t: int, limit: int) -> tuple[int, list, list]:
                 cur[v] ^= b
                 pick ^= b
                 # revalidate: arcs may have been consumed by an augment
-                if (rows[v] >> w & 1 and not used[v] >> w & 1) or rused[v] >> w & 1:
+                if residual[v] >> w & 1:
                     stack.append(w)
                     advanced = True
                     break
@@ -137,7 +133,7 @@ def _dinic(rows, s: int, t: int, limit: int) -> tuple[int, list, list]:
             dead |= 1 << v
             stack.pop()
             cur.pop(v, None)
-    return flow, used, rused
+    return flow, residual, rused
 
 
 def _edge_flow(rows, s: int, t: int, limit: int) -> int:
@@ -160,73 +156,39 @@ def _vertex_flow(rows, s: int, t: int, limit: int) -> int:
     return _dinic(_split(rows), s + len(rows), t, limit)[0]
 
 
-def _orbit_representatives(items: np.ndarray, automorphisms) -> list[int]:
-    """Positions of the rows of items that come first in their orbits
-    under the group generated by automorphisms, ascending.  items is an
-    (m, r) array of distinct vertices (r = 1) or ascending vertex pairs
-    (r = 2); an automorphism p maps a row to the ascending row of its
-    images, which must be a row of items again.
-
-    The orbits are the components of the graph that joins each row to its
-    image under each generator, found by min-label propagation: label[i]
-    is always a row of i's orbit at or before i.  Each round hooks the
-    labels of the two ends of every edge onto the lesser of the two, then
-    pointer jumping (label = label[label] until it stops changing) leaves
-    every label a fixed point.  When a round changes nothing, the two ends
-    of every edge share a label, so each orbit carries one label, and it
-    is the orbit's first row: that row's own label is at or before it and
-    in its orbit.  Rows are found again through a table indexed by the
-    row's vertices renumbered within the vertices items use, so no sort
-    is needed."""
-    m, r = items.shape
-    if m == 0 or not automorphisms:
-        return list(range(m))
-    perms = np.asarray(automorphisms, dtype=np.int64)
-    used = np.zeros(perms.shape[1], dtype=bool)
-    used[items] = True
-    local = np.cumsum(used) - 1
-    width = int(local[-1]) + 1
-    table = np.full(width ** r, -1, dtype=np.int64)
-
-    def slot(rows: np.ndarray) -> np.ndarray:
-        return local[rows] @ width ** np.arange(r - 1, -1, -1)
-
-    table[slot(items)] = np.arange(m)
-    ends = []
-    for k, p in enumerate(perms):
-        image = p[items]
-        if r == 2:
-            image = np.stack((image.min(axis=1), image.max(axis=1)), axis=1)
-        inside = used[image].all(axis=1)
-        found = np.full(m, -1)
-        found[inside] = table[slot(image[inside])]
-        if (found < 0).any():
-            row = tuple(int(x) for x in items[np.argmax(found < 0)])
-            raise ValueError(f"automorphism {k} moves {row} out of the "
-                             f"swept set")
-        ends.append(found)
-    src = np.tile(np.arange(m), len(perms))
-    dst = np.concatenate(ends)
-    label = np.arange(m)
-    while True:
-        low = np.minimum(label[src], label[dst])
-        hooked = label.copy()
-        np.minimum.at(hooked, label[src], low)
-        np.minimum.at(hooked, label[dst], low)
-        while True:
-            jumped = hooked[hooked]
-            if np.array_equal(jumped, hooked):
-                break
-            hooked = jumped
-        if np.array_equal(hooked, label):
-            break
-        label = hooked
-    return np.flatnonzero(label == np.arange(m)).tolist()
-
-
-def _rows(items: list, r: int) -> np.ndarray:
-    """items (vertices, or ascending vertex pairs) as an (m, r) array."""
-    return np.array(items, dtype=np.int64).reshape(len(items), r)
+def _orbit_representatives(items: Sequence, automorphisms) -> list[int]:
+    """Positions of the items that come first in their orbits under the
+    group generated by automorphisms, ascending.  items are distinct
+    vertices or ascending vertex pairs; an automorphism p maps an item to
+    its image (for a pair, the ascending pair of the images), which must be
+    an item again.  Each orbit is found by a depth-first search from its
+    first item over the generators' images: a generator permutes the finite
+    set of items, so some power of it is its inverse, and forward images
+    alone reach the whole orbit."""
+    index = {item: i for i, item in enumerate(items)}
+    seen = [False] * len(items)
+    reps = []
+    for i in range(len(items)):
+        if seen[i]:
+            continue
+        reps.append(i)
+        seen[i] = True
+        stack = [i]
+        while stack:
+            item = items[stack.pop()]
+            for k, p in enumerate(automorphisms):
+                if isinstance(item, tuple):
+                    u, w = p[item[0]], p[item[1]]
+                    j = index.get((u, w) if u < w else (w, u))
+                else:
+                    j = index.get(p[item])
+                if j is None:
+                    raise ValueError(f"automorphism {k} moves {item} out of "
+                                     f"the swept set")
+                if not seen[j]:
+                    seen[j] = True
+                    stack.append(j)
+    return reps
 
 
 def _check_fixes_source(automorphisms) -> None:
@@ -253,14 +215,14 @@ def vertex_connectivity(graph: Graph, automorphisms=()) -> int:
     nb = rows[0]
     best = min(graph.degrees())
     targets = list(bits(((1 << n) - 1) & ~graph.closed_neighborhood(0)))
-    for i in _orbit_representatives(_rows(targets, 1), automorphisms):
+    for i in _orbit_representatives(targets, automorphisms):
         f = _vertex_flow(rows, 0, targets[i], best)
         if f < best:
             best = f
     # for each neighbour u of 0, the later neighbours w > u that u misses
     pairs = [(u, w) for u in bits(nb)
              for w in bits(nb & ~rows[u] & ~((2 << u) - 1))]
-    for i in _orbit_representatives(_rows(pairs, 2), automorphisms):
+    for i in _orbit_representatives(pairs, automorphisms):
         u, w = pairs[i]
         f = _vertex_flow(rows, u, w, best)
         if f < best:
@@ -278,7 +240,7 @@ def edge_connectivity(graph: Graph, automorphisms=()) -> int:
         raise Disconnected("graph is disconnected")
     best = min(graph.degrees())
     targets = list(range(1, graph.n))
-    for i in _orbit_representatives(_rows(targets, 1), automorphisms):
+    for i in _orbit_representatives(targets, automorphisms):
         f = _edge_flow(graph.rows, 0, targets[i], best)
         if f < best:
             best = f
@@ -308,24 +270,10 @@ CUT_BATCH_CELLS = 1 << 16
 
 def _lex_subset_batches(n: int, k: int, size: int) -> Iterator[np.ndarray]:
     """combinations(range(n), k) in order, as (size, k) arrays (the last
-    one shorter).  The subset of lexicographic rank r is {n-1-d_1, ..,
-    n-1-d_k} for the combinatorial-number-system digits d_1 > .. > d_k of
-    C(n,k)-1-r = C(d_1,k) + C(d_2,k-1) + .. + C(d_k,1), each digit being
-    the greatest d with C(d, j) within what is left of the sum."""
-    total = comb(n, k)
-    # capped at total, which the sum never reaches, so each table fits
-    # int64 and stays nondecreasing for searchsorted
-    tables = [np.array([min(comb(d, j), total) for d in range(n)],
-                       dtype=np.int64) for j in range(k, 0, -1)]
-    for start in range(0, total, size):
-        rem = total - 1 - np.arange(start, min(start + size, total),
-                                    dtype=np.int64)
-        out = np.empty((len(rem), k), dtype=np.intp)
-        for i, table in enumerate(tables):
-            digit = np.searchsorted(table, rem, side="right") - 1
-            out[:, i] = n - 1 - digit
-            rem -= table[digit]
-        yield out
+    one shorter)."""
+    subsets = combinations(range(n), k)
+    while batch := list(islice(subsets, size)):
+        yield np.array(batch, dtype=np.intp).reshape(len(batch), k)
 
 
 def _cuts_are_neighborhoods(rows, kappa: int, stabiliser) -> bool:
@@ -343,23 +291,20 @@ def _cuts_are_neighborhoods(rows, kappa: int, stabiliser) -> bool:
     full = (1 << n) - 1
     split = _split(rows)
     nbrs = list(bits(rows[0]))
-    for i in _orbit_representatives(_rows(nbrs, 1), stabiliser):
+    for i in _orbit_representatives(nbrs, stabiliser):
         s2 = nbrs[i]
         ends = 1 | 1 << s2
         split[n] = (rows[0] | rows[s2]) & ~ends      # the source, 0's out-node
         for t in bits(full & ~(rows[0] | rows[s2] | ends)):
-            flow, used, rused = _dinic(split, n, t, kappa)
+            flow, residual, rused = _dinic(split, n, t, kappa)
             if flow < kappa:
                 return False
-            seen = frontier = 1 << n
-            while frontier:
-                new = 0
-                for u in bits(frontier):
-                    # an out-node's arcs are edges, which never saturate;
-                    # an in-node's one arc is its vertex, which does
-                    arcs = split[u] if u >= n else split[u] & ~used[u]
-                    new |= arcs | rused[u]
-                frontier = new & ~seen
+            # an in-node's one arc is its vertex, which saturates; an
+            # out-node's arcs are edges, which never do
+            reach = residual[:n] + [row | back for row, back
+                                    in zip(split[n:], rused[n:])]
+            seen = 0
+            for frontier in layers(reach, n):
                 seen |= frontier
             if full & ~seen & ~ends & ~(1 << t):
                 return False
@@ -475,17 +420,12 @@ def k211_free(graph: Graph, vertices=None) -> tuple[bool, Optional[tuple]]:
     full = (1 << graph.n) - 1
     for x in range(graph.n) if vertices is None else vertices:
         nb = graph.neighborhood(x)
-        rest = nb
-        while rest:
-            start = (rest & -rest).bit_length() - 1
-            comp = graph.reach_mask(start, deleted=full & ~nb)
-            comp &= nb
+        for comp in graph.component_masks(deleted=full & ~nb):
             for y in bits(comp):
                 missing = comp & ~(1 << y) & ~graph.rows[y]
                 if missing:
                     w = (missing & -missing).bit_length() - 1
                     return False, (x, y, w)
-            rest &= ~comp
     return True, None
 
 

@@ -1,11 +1,11 @@
 """Distribution diagrams and the geometry they read off the tensor.
 
 For a symmetric scheme and a designated class g, the diagram H_g lives on
-the class indices {0..d}: j and k are adjacent when p[g,j,k] + p[g,k,j] > 0
-(loops tracked separately and ignored by BFS).  Levels are BFS distances
-from class 0.  A relation graph's distance from a to x is the level of the
-class of (a, x), and its diameter is the diagram's, None when it is
-disconnected (Brouwer-Cohen-Neumaier, Distance-Regular Graphs, sec. 2.2;
+the class indices {0..d}: distinct j and k are adjacent when p[g,j,k] +
+p[g,k,j] > 0.  Levels are BFS distances from class 0.  A relation graph's
+distance from a to x is the level of the class of (a, x), and its
+diameter is the diagram's, None when it is disconnected
+(Brouwer-Cohen-Neumaier, Distance-Regular Graphs, sec. 2.2;
 geodesic_correspondence_check is the BFS oracle), so no report runs a BFS.
 """
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .graph import Graph, bits
+from .graph import Graph
 
 if TYPE_CHECKING:
     from .audits import RelationContext
@@ -27,12 +27,8 @@ class Diagram:
     source: int
     size: int                          # d + 1 vertices
     adj: tuple[int, ...]               # bitmasks over classes, loops excluded
-    loops: int                         # bitmask of classes with p[g,j,j] > 0
     levels: tuple[Optional[int], ...]  # BFS distance from 0; None unreachable
     diameter: Optional[int]            # None when some class is unreachable
-
-    def neighbors(self, j: int) -> tuple[int, ...]:
-        return tuple(bits(self.adj[j]))
 
 
 def distribution_diagram(scheme: SchemeDescriptor, g: int) -> Diagram:
@@ -45,10 +41,8 @@ def distribution_diagram(scheme: SchemeDescriptor, g: int) -> Diagram:
     # bit k of row j is byte k // 8, bit k % 8 of the little-endian packing
     adj = [int.from_bytes(row.tobytes(), "little")
            for row in np.packbits(linked, axis=1, bitorder="little")]
-    loops = int.from_bytes(np.packbits(np.diagonal(pg) > 0,
-                                       bitorder="little").tobytes(), "little")
     dist = Graph(d + 1, adj).distances_from(0)
-    return Diagram(source=g, size=d + 1, adj=tuple(adj), loops=loops,
+    return Diagram(source=g, size=d + 1, adj=tuple(adj),
                    levels=tuple(None if lv < 0 else lv for lv in dist),
                    diameter=None if -1 in dist else max(dist))
 

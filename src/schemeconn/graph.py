@@ -4,9 +4,10 @@ Rows are Python ints, one bit per vertex, which keeps BFS sweeps at a few
 machine words per step even at the v <= 4096 desk cap.  A graph has every
 vertex of {0..n-1}: rows are checked to hold no loop and no bit at or
 above n.  Vertex deletion is only ever a `deleted` mask argument; graphs
-themselves are immutable.  One layered BFS, `Graph.layers`, yields the
-frontier at each distance; reach masks, components, balls and distances
-are all read off it.
+themselves are immutable.  One layered BFS, `layers`, yields the frontier
+at each distance on any out-rows; reach masks, components, balls and
+distances are read off it here, and the flows in connectivity read their
+residual levels and reach off it too.
 """
 from __future__ import annotations
 
@@ -22,6 +23,24 @@ def bits(mask: int) -> Iterator[int]:
         b = mask & -mask
         yield b.bit_length() - 1
         mask ^= b
+
+
+def layers(rows, start: int, deleted: int = 0) -> Iterator[int]:
+    """The BFS frontiers from start in the digraph of out-rows rows (rows[v]
+    has bit w for each arc v -> w) minus deleted: the masks of the states
+    at distance 0, 1, 2, ... in turn."""
+    frontier = 1 << start
+    seen = frontier | deleted
+    while frontier:
+        yield frontier
+        new = 0
+        m = frontier
+        while m:
+            b = m & -m
+            new |= rows[b.bit_length() - 1]
+            m ^= b
+        frontier = new & ~seen
+        seen |= frontier
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -82,35 +101,17 @@ class Graph:
 
     # -- traversal -------------------------------------------------------
 
-    def layers(self, start: int, deleted: int = 0) -> Iterator[int]:
-        """The BFS frontiers from start in the graph minus deleted: the
-        masks of the vertices at distance 0, 1, 2, ... in turn.  Every other
-        traversal here is read off this one loop."""
-        rows = self.rows
-        frontier = 1 << start
-        seen = frontier | deleted
-        while frontier:
-            yield frontier
-            new = 0
-            m = frontier
-            while m:
-                b = m & -m
-                new |= rows[b.bit_length() - 1]
-                m ^= b
-            frontier = new & ~seen
-            seen |= frontier
-
     def reach_mask(self, start: int, deleted: int = 0) -> int:
         """All vertices reachable from start in the graph minus deleted."""
         seen = 0
-        for frontier in self.layers(start, deleted):
+        for frontier in layers(self.rows, start, deleted):
             seen |= frontier
         return seen
 
     def ball(self, start: int, radius: int) -> int:
         """The vertices within distance radius of start, start included."""
         out = 0
-        for frontier in islice(self.layers(start), radius + 1):
+        for frontier in islice(layers(self.rows, start), radius + 1):
             out |= frontier
         return out
 
@@ -137,7 +138,7 @@ class Graph:
     def distances_from(self, start: int) -> list[int]:
         """BFS distances; -1 for unreachable vertices."""
         dist = [-1] * self.n
-        for d, frontier in enumerate(self.layers(start)):
+        for d, frontier in enumerate(layers(self.rows, start)):
             for v in bits(frontier):
                 dist[v] = d
         return dist

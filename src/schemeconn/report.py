@@ -381,9 +381,11 @@ def _pooled(tasks: list[tuple], jobs: int) -> list[tuple]:
     """_survey_task over a pool, one submission per entry.  A worker that
     dies breaks the pool and loses every unfinished entry; each of those is
     rerun in a one-worker pool of its own, so only an entry that kills its
-    own worker is recorded as failed."""
+    own worker is recorded as failed.  The pool has no more workers than
+    tasks: it starts all of them at the first submission."""
     results, lost = [], []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, max(1, len(tasks)))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [(t, pool.submit(_survey_task, t)) for t in tasks]
         for t, fut in futures:
             try:

@@ -239,7 +239,7 @@ def _checked_transitive(classes: np.ndarray,
     gens = _checked_generators(classes, generators, "transitive")
     if gens:
         v = classes.shape[0]
-        reps = _orbit_representatives(np.arange(v).reshape(v, 1), gens)
+        reps = _orbit_representatives(range(v), gens)
         if len(reps) > 1:
             x = reps[1]
             raise NotAnAutomorphism(

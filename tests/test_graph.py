@@ -1,13 +1,13 @@
-"""The layered BFS of `Graph` and the traversals read off it, against
-networkx shortest-path lengths on random graphs, and the rows `Graph` and
-the edges `Graph.from_edges` accept."""
+"""The layered BFS `layers` and the traversals `Graph` reads off it,
+against networkx shortest-path lengths on random graphs and digraphs, and
+the rows `Graph` and the edges `Graph.from_edges` accept."""
 
 import random
 import re
 
 import pytest
 
-from schemeconn.graph import Graph
+from schemeconn.graph import Graph, layers
 from small_graphs import induced_subgraph
 
 nx = pytest.importorskip("networkx")
@@ -43,12 +43,30 @@ def test_traversals_match_networkx():
             for radius in range(graph.n):
                 assert graph.ball(start, radius) == sum(
                     1 << v for v, d in lengths.items() if d <= radius)
-            frontiers = list(graph.layers(start))
+            frontiers = list(layers(graph.rows, start))
             assert frontiers == [sum(1 << v for v, d in lengths.items()
                                      if d == r)
                                  for r in range(len(frontiers))]
             checked += 1
     assert checked >= 1000
+
+
+def test_layers_follow_the_arcs_of_a_digraph():
+    rng = random.Random(2311)
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        arcs = [(u, w) for u in range(n) for w in range(n)
+                if u != w and rng.random() < 0.25]
+        rows = [0] * n
+        for u, w in arcs:
+            rows[u] |= 1 << w
+        dig = nx.DiGraph(arcs)
+        dig.add_nodes_from(range(n))
+        start = rng.randrange(n)
+        lengths = nx.single_source_shortest_path_length(dig, start)
+        frontiers = list(layers(rows, start))
+        assert frontiers == [sum(1 << v for v, d in lengths.items() if d == r)
+                             for r in range(max(lengths.values()) + 1)]
 
 
 def test_reach_mask_respects_deleted():

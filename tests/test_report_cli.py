@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 from collections import Counter
+from concurrent.futures import Future
 from dataclasses import replace
 
 import pytest
@@ -359,6 +360,39 @@ def test_survey_survives_worker_death(tmp_path, monkeypatch):
     assert got == want
 
 
+def test_survey_pool_has_no_more_workers_than_entries(tmp_path,
+                                                     monkeypatch):
+    """A pool starts all its workers at its first submission, so --jobs
+    above the entry count would start processes with nothing to do.  The
+    executor is replaced by one that records its size and runs each task
+    inline, so no process starts whatever the size asked for."""
+    sizes = []
+
+    class InlineExecutor:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    entries = [(("cyclic", (n,)), None) for n in (5, 6, 7)]
+    run_survey(entries, str(tmp_path / "serial"))
+    monkeypatch.setattr(report, "ProcessPoolExecutor", InlineExecutor)
+    for jobs in (2, 3, 100_000):
+        run_survey(entries, str(tmp_path / f"jobs-{jobs}"), jobs=jobs)
+        assert _tree(tmp_path / f"jobs-{jobs}") == _tree(tmp_path / "serial")
+    run_survey([], str(tmp_path / "none"), jobs=100_000)
+    assert sizes == [2, 3, 3, 1]
+
+
 def test_survey_relation_selection(tmp_path):
     out = tmp_path / "sel"
     summary = run_survey([(("hamming", (3, 2)), [1])], str(out))
@@ -453,6 +487,35 @@ def test_cli_verify_hostile_file(tmp_path, payload, code, message):
     assert done.returncode == code
     assert message in done.stderr
     assert "Traceback" not in done.stderr
+
+
+_DEEP = "[" * 100_000 + "]" * 100_000
+_DEEP_CLASSES = '{"name": "x", "v": 1, "d": 0, "classes": ' + _DEEP + "}"
+
+
+@pytest.mark.parametrize("command,text", [
+    ("verify", _DEEP_CLASSES),
+    ("analyze", _DEEP_CLASSES),
+    # a well-formed matrix after a deep value: the numpy reader's route
+    ("verify", '{"name": "x", "v": 1, "d": 0, "deep": ' + _DEEP
+     + ', "classes": [[0]]}'),
+    ("survey", '{"entries": ' + _DEEP + "}"),
+], ids=["verify", "analyze", "verify-reader-route", "survey-manifest"])
+def test_cli_deeply_nested_json_is_a_parse_error(tmp_path, command, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    argv = ([command, str(path)] if command != "survey" else
+            [command, "--manifest", str(path), "--out",
+             str(tmp_path / "never")])
+    src = os.path.dirname(os.path.dirname(os.path.abspath(report.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "schemeconn.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert done.returncode == 1
+    assert f"ParseError: {path}: maximum recursion depth" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not (tmp_path / "never").exists()
 
 
 def test_versions_agree():

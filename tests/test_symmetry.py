@@ -5,8 +5,7 @@ The reduced sweeps and the theorems are checked against the full sweeps
 of the shared `flow_values` fixture on every connected catalog relation,
 and against networkx on the small ones; the generators are checked
 independently of validate_scheme, and mutated generators must be
-refused.  The numpy orbit finder is checked against the per-item
-union-find it replaced."""
+refused.  The orbit search is checked against a per-item union-find."""
 
 import random
 from operator import getitem
@@ -64,9 +63,7 @@ def _pair_image(p, pair):
 def orbit_representatives(items: list, automorphisms) -> list:
     """connectivity._orbit_representatives on a list of vertices or of
     ascending pairs, mapped back to the items."""
-    r = 2 if items and isinstance(items[0], tuple) else 1
-    reps = connectivity._orbit_representatives(connectivity._rows(items, r),
-                                               automorphisms)
+    reps = connectivity._orbit_representatives(items, automorphisms)
     return [items[i] for i in reps]
 
 
@@ -280,6 +277,28 @@ def test_orbit_representatives_match_union_find_on_random_groups():
         assert orbit_representatives(every, gens) == \
             ref_orbit_representatives(every, gens, getitem)
         pairs = [(u, w) for u in range(n) for w in range(u + 1, n)]
+        assert orbit_representatives(pairs, gens) == \
+            ref_orbit_representatives(pairs, gens, _pair_image)
+
+
+def test_orbit_representatives_match_union_find_with_numpy_generators():
+    """Generators held as numpy integer arrays, as a caller may pass
+    them, on every vertex and on every ascending pair."""
+    rng = np.random.default_rng(29)
+    for v in (1, 2, 7, 16, 33):
+        # each generator permutes within the blocks of a random partition,
+        # so there are several orbits, some smaller than their blocks
+        blocks = np.array_split(rng.permutation(v), v // 4 + 1)
+        gens = []
+        for _ in range(rng.integers(1, 4)):
+            perm = np.arange(v)
+            for block in blocks:
+                perm[block] = rng.permutation(block)
+            gens.append(perm)
+        every = list(range(v))
+        pairs = [(u, w) for u in range(v) for w in range(u + 1, v)]
+        assert orbit_representatives(every, gens) == \
+            ref_orbit_representatives(every, gens, getitem)
         assert orbit_representatives(pairs, gens) == \
             ref_orbit_representatives(pairs, gens, _pair_image)
 
