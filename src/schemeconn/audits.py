@@ -51,13 +51,13 @@ import numpy as np
 
 from .connectivity import (CLIQUE_CAP, MIN_CUT_BUDGET, MinCutData, TwinData,
                            _orbit_representatives, edge_connectivity,
-                           enumerate_min_cuts, is_isomorphic, k211_free,
-                           maximal_cliques, twins, vertex_connectivity)
-from .diagram import Diagram, h_prime_connected
+                           enumerate_min_cuts, k211_free, maximal_cliques,
+                           twins, vertex_connectivity)
+from .diagram import (Diagram, complete_multipartite, exceptional_graph,
+                      h_prime_connected, is_polygon)
 from .errors import HypothesisNotMet
-from .graph import (Graph, bits, complete_bipartite, cycle_graph, mask_of,
-                    petersen)
-from .scheme import SchemeDescriptor, is_complete_multipartite, relation_graph
+from .graph import Graph, bits, mask_of
+from .scheme import SchemeDescriptor, relation_graph
 
 
 class RelationContext:
@@ -107,7 +107,7 @@ class RelationContext:
 
     @cached_property
     def complete_multipartite(self) -> bool:
-        return is_complete_multipartite(self.graph)
+        return complete_multipartite(self.scheme, self.g)
 
     @cached_property
     def twins(self) -> TwinData:
@@ -460,26 +460,20 @@ class SmallCutAudit:
     tcut3_match: Optional[str]
 
 
-def _exceptional_match(graph: Graph) -> Optional[str]:
-    targets = [("C4", cycle_graph(4)), ("C5", cycle_graph(5)),
-               ("K33", complete_bipartite(3, 3)), ("petersen", petersen())]
-    return next((name for name, tg in targets if is_isomorphic(graph, tg)),
-                None)
-
-
 def small_cut_theorems_audit(ctx: RelationContext) -> SmallCutAudit:
     """kappa = 2 forces a polygon; diameter-2 graphs obey the counting
     lower bound on kappa; diameter-2 with kappa <= 3 is one of four
-    exceptional graphs."""
+    exceptional graphs.  kappa comes from the graph, the shapes from the
+    tensor (see the diagram module)."""
     if not ctx.connected:
         raise HypothesisNotMet("disconnected")
-    graph, kappa = ctx.graph, ctx.kappa
+    scheme, g, kappa = ctx.scheme, ctx.g, ctx.kappa
     diam = ctx.diagram.diameter
-    v1 = ctx.scheme.valencies[ctx.g]
-    n = ctx.scheme.v
+    v1 = scheme.valencies[g]
+    n = scheme.v
 
     cut2_app = kappa == 2
-    cut2_ok = graph.is_cycle_graph() if cut2_app else True
+    cut2_ok = is_polygon(scheme, g) if cut2_app else True
 
     diam2_app = diam == 2
     diam2_ok = True
@@ -493,7 +487,7 @@ def small_cut_theorems_audit(ctx: RelationContext) -> SmallCutAudit:
     t_eq = diam2_app and n > v1 * (v1 - 1) + 2
 
     cut3_app = diam2_app and kappa <= 3
-    match = _exceptional_match(graph) if cut3_app else None
+    match = exceptional_graph(scheme, g) if cut3_app else None
     cut3_ok = (match is not None) if cut3_app else True
 
     return SmallCutAudit(kappa=kappa, diameter=diam,

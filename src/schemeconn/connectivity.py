@@ -471,39 +471,3 @@ def maximal_cliques(graph: Graph,
     del expand
     return out, capped
 
-
-# -- small-graph isomorphism --------------------------------------------
-
-def is_isomorphic(g1: Graph, g2: Graph) -> bool:
-    """Backtracking isomorphism test for small graphs (targets here have at
-    most 10 vertices)."""
-    if g1.n != g2.n:
-        return False
-    if sorted(g1.degrees()) != sorted(g2.degrees()):
-        return False
-    order = sorted(range(g1.n), key=lambda v: (-g1.degree(v), v))
-    used = set()
-    mapping: dict[int, int] = {}
-
-    def place(i: int) -> bool:
-        if i == len(order):
-            return True
-        a = order[i]
-        for b in range(g2.n):
-            if b in used or g1.degree(a) != g2.degree(b):
-                continue
-            ok = True
-            for c, bc in mapping.items():
-                if g1.has_edge(a, c) != g2.has_edge(b, bc):
-                    ok = False
-                    break
-            if ok:
-                used.add(b)
-                mapping[a] = b
-                if place(i + 1):
-                    return True
-                used.discard(b)
-                del mapping[a]
-        return False
-
-    return place(0)

@@ -7,6 +7,17 @@ distance from a to x is the level of the class of (a, x), and its
 diameter is the diagram's, None when it is disconnected
 (Brouwer-Cohen-Neumaier, Distance-Regular Graphs, sec. 2.2;
 geodesic_correspondence_check is the BFS oracle), so no report runs a BFS.
+
+Three shapes the audits test are read off the tensor as well, so no report
+builds a complement graph or runs an isomorphism search.  Relation g is
+complete multipartite iff no vertex outside an edge misses both its ends:
+p_ij^g = 0 for all i, j outside {0, g}.  A connected relation of valency
+2 is a polygon.  A relation whose p_gg^k is one value mu >= 1 on every
+class k outside {0, g}, of which there is one at least, is connected of
+diameter 2 and strongly regular with parameters (v, k_g, p_gg^g, mu), and
+each of the parameter sets of C4, C5, K_{3,3} and Petersen has exactly
+one graph (Brouwer-Cohen-Neumaier, sec. 1.3; Hoffman-Singleton, IBM J.
+Res. Dev. 4, 1960, for Petersen).
 """
 from __future__ import annotations
 
@@ -52,6 +63,38 @@ def h_prime_connected(diagram: Diagram) -> bool:
     connected."""
     return Graph(diagram.size, diagram.adj).is_connected(
         deleted=1 | 1 << diagram.source)
+
+
+# -- shapes -------------------------------------------------------------
+
+# (v, k, lambda, mu) of the four graphs the small-cut theorem names; every
+# mu is positive, so a match is connected of diameter 2
+_EXCEPTIONAL = {(4, 2, 0, 2): "C4", (5, 2, 0, 1): "C5",
+                (6, 3, 0, 3): "K33", (10, 3, 0, 1): "petersen"}
+
+
+def complete_multipartite(scheme: SchemeDescriptor, g: int) -> bool:
+    """True iff relation g's graph is complete multipartite (see the module
+    docstring); K_n counts, with n parts of size 1."""
+    rest = [i for i in range(1, scheme.d + 1) if i != g]
+    return not scheme.tensor.p[np.ix_(rest, rest, [g])].any()
+
+
+def is_polygon(scheme: SchemeDescriptor, g: int) -> bool:
+    """True iff relation g's graph is a cycle through all v vertices."""
+    return (scheme.diagrams[g].diameter is not None
+            and scheme.valencies[g] == 2)
+
+
+def exceptional_graph(scheme: SchemeDescriptor, g: int) -> Optional[str]:
+    """"C4", "C5", "K33" or "petersen" when relation g's graph is that
+    graph (see the module docstring), else None."""
+    pgg = scheme.tensor.p[g, g]
+    mu = {int(pgg[k]) for k in range(1, scheme.d + 1) if k != g}
+    if len(mu) != 1:
+        return None
+    return _EXCEPTIONAL.get((scheme.v, scheme.valencies[g], int(pgg[g]),
+                             mu.pop()))
 
 
 # -- geodesics ----------------------------------------------------------

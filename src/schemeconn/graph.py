@@ -150,28 +150,11 @@ class Graph:
             d[v] = self.distances_from(v)
         return d
 
-    # -- derived graphs --------------------------------------------------
-
-    def complement(self) -> "Graph":
-        full = (1 << self.n) - 1
-        return Graph(self.n, [full & ~row & ~(1 << v)
-                              for v, row in enumerate(self.rows)])
-
-    # -- small structural tests ------------------------------------------
-
-    def is_cycle_graph(self) -> bool:
-        return (self.n >= 3 and self.is_connected()
-                and all(d == 2 for d in self.degrees()))
-
     def __repr__(self):
         return f"Graph(n={self.n}, edges={self.edge_count()})"
 
 
-# -- named small graphs used by audits and tests -------------------------
-
-def cycle_graph(n: int) -> Graph:
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
+# -- named small graphs the catalog builds -------------------------------
 
 def complete_bipartite(a: int, b: int) -> Graph:
     return Graph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])

@@ -1,18 +1,20 @@
 """Per-relation analysis reports and the parallel survey harness.
 
 Reports are plain dicts with a stable field order so serialized output is
-byte-identical run to run.  The survey fans (scheme, relation) tasks over a
-process pool; workers return report dicts and the parent writes everything
-in canonical order, so the output does not depend on the schedule.
+byte-identical run to run.  The survey submits one task per entry, a whole
+scheme with the relations asked of it, to a process pool; workers return
+report dicts and the parent writes everything in canonical order, so the
+output does not depend on the schedule.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -38,7 +40,8 @@ class AnalysisConfig:
     cut_enum_budget: int = 200_000
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        # every field is a scalar: dataclasses.asdict would deep-copy each
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
 
 DEFAULT_CONFIG = AnalysisConfig()

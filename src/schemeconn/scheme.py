@@ -66,7 +66,7 @@ from .errors import (
     NotSymmetric,
     SizeCap,
 )
-from .graph import Graph, bits
+from .graph import Graph
 
 # validate_scheme's float32 products are exact only while every entry is
 # below 2**24 (float32 has a 24-bit significand); a count is below v, so
@@ -399,17 +399,3 @@ def relation_graph(scheme: SchemeDescriptor, i: int) -> Graph:
     return Graph(scheme.v, [int.from_bytes(row.tobytes(), "little")
                             for row in packed])
 
-
-def is_complete_multipartite(graph: Graph) -> bool:
-    """True iff the complement is a disjoint union of complete graphs,
-    i.e. non-adjacency-or-equality is transitive."""
-    if graph.n == 0:
-        raise ValueError("empty graph")
-    comp = graph.complement()
-    for part in comp.component_masks():
-        for x in bits(part):
-            if (part & ~(1 << x)) & ~comp.rows[x]:
-                return False
-    # a union of complete graphs with one part is a complete graph's
-    # complement: the empty graph; K_n itself counts (n parts of size 1)
-    return True

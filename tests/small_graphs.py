@@ -1,6 +1,10 @@
 """Small named graphs that only the tests build."""
 
-from schemeconn.graph import Graph
+from schemeconn.graph import Graph, bits
+
+
+def cycle_graph(n: int) -> Graph:
+    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete_graph(n: int) -> Graph:
@@ -14,3 +18,13 @@ def induced_subgraph(n: int, edges, keep) -> tuple[Graph, list]:
     pos = {v: i for i, v in enumerate(sorted(keep))}
     sub = [(pos[u], pos[w]) for u, w in edges if u in pos and w in pos]
     return Graph.from_edges(len(pos), sub), sub
+
+
+def networkx_graph(graph: Graph):
+    """graph as a networkx.Graph on the same vertices."""
+    import networkx as nx
+    out = nx.Graph()
+    out.add_nodes_from(range(graph.n))
+    out.add_edges_from((u, w) for u, row in enumerate(graph.rows)
+                       for w in bits(row) if u < w)
+    return out

@@ -19,13 +19,13 @@ import pytest
 
 from schemeconn import audits
 from schemeconn.catalog import build_family
-from schemeconn.connectivity import enumerate_min_cuts, is_isomorphic, k211_free
+from schemeconn.connectivity import enumerate_min_cuts, k211_free
 from schemeconn.diagram import geodesic_correspondence_check
 from schemeconn.errors import HypothesisNotMet
-from schemeconn.graph import (Graph, bits, complete_bipartite, cycle_graph,
-                              petersen)
+from schemeconn.graph import Graph, bits
 from schemeconn.report import run_survey
 from schemeconn.spectral import compute_spectral
+from small_graphs import networkx_graph
 from spectral_reference import idempotents_from_q
 
 
@@ -226,17 +226,20 @@ def test_07_graph_diagram_distance_correspondence(catalog_pairs):
 
 
 def test_08_small_cut_classification(catalog_pairs, flow_values):
+    nx = pytest.importorskip("networkx")
     kappa2 = {(p.scheme.name, p.relation) for p in catalog_pairs
               if p.connected and flow_values[(p.scheme.name, p.relation)][0] == 2}
     cycles = {(p.scheme.name, p.relation) for p in catalog_pairs
-              if p.connected and p.graph.is_cycle_graph()}
-    refs = [cycle_graph(4), cycle_graph(5), complete_bipartite(3, 3),
-            petersen()]
+              if p.scheme.v >= 3 and nx.is_isomorphic(
+                  networkx_graph(p.graph), nx.cycle_graph(p.scheme.v))}
+    refs = [nx.cycle_graph(4), nx.cycle_graph(5),
+            nx.complete_bipartite_graph(3, 3), nx.petersen_graph()]
     diam2 = [p for p in catalog_pairs
              if p.connected and int(p.graph.distance_matrix().max()) == 2
              and flow_values[(p.scheme.name, p.relation)][0] <= 3]
     unmatched = [(p.scheme.name, p.relation) for p in diam2
-                 if not any(is_isomorphic(p.graph, r) for r in refs)]
+                 if not any(nx.is_isomorphic(networkx_graph(p.graph), r)
+                            for r in refs)]
     by_key = {(p.scheme.name, p.relation): p for p in catalog_pairs}
     cut_counts = {}
     all_nbhd = True

@@ -14,15 +14,14 @@ from schemeconn import connectivity
 from schemeconn.audits import RelationContext
 from schemeconn.catalog import build_family, gen_cyclic, gen_hamming
 from schemeconn.connectivity import (MinCutData, edge_connectivity,
-                                     enumerate_min_cuts, is_isomorphic,
-                                     k211_free, maximal_cliques, twins,
+                                     enumerate_min_cuts, k211_free,
+                                     maximal_cliques, twins,
                                      vertex_connectivity)
 from schemeconn.errors import CapExceeded, Disconnected
-from schemeconn.graph import (Graph, bits, complete_bipartite, cycle_graph,
-                              mask_of, petersen)
+from schemeconn.graph import Graph, bits, complete_bipartite, mask_of, petersen
 from schemeconn.report import AnalysisConfig, analyze_relation
 from schemeconn.scheme import RelationTable, relation_graph, validate_scheme
-from small_graphs import complete_graph, induced_subgraph
+from small_graphs import complete_graph, cycle_graph, induced_subgraph
 
 
 def brute_kappa(graph):
@@ -624,18 +623,6 @@ def test_maximal_cliques_oracle_random():
                            for x in verts if not m >> x & 1):
                         want.add(m)
         assert set(masks) == want
-
-
-def test_is_isomorphic():
-    relabeled = Graph.from_edges(5, [(3, 1), (1, 4), (4, 0), (0, 2), (2, 3)])
-    assert is_isomorphic(cycle_graph(5), relabeled)
-    prism = Graph.from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5),
-                                 (5, 3), (0, 3), (1, 4), (2, 5)])
-    assert not is_isomorphic(prism, complete_bipartite(3, 3))
-    assert not is_isomorphic(cycle_graph(5), cycle_graph(6))
-    kneser = petersen()
-    drg = relation_graph(build_family("drg", ("petersen",)), 1)
-    assert is_isomorphic(kneser, drg)
 
 
 def test_cut_report_pentagon():

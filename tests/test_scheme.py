@@ -10,11 +10,9 @@ from schemeconn.catalog import (build_family, cyclic_group_table, gen_cyclic,
 from schemeconn.errors import (IdentityClassRequested, NonConstantIntersection,
                                NotAPartition, NotClosedUnderTranspose,
                                NotCommutative, NotSymmetric, SizeCap)
-from schemeconn.graph import Graph, complete_bipartite, cycle_graph, petersen
-from schemeconn.scheme import (SIZE_CAP, RelationTable,
-                               is_complete_multipartite, relation_graph,
+from schemeconn.diagram import complete_multipartite
+from schemeconn.scheme import (SIZE_CAP, RelationTable, relation_graph,
                                symmetrized_scheme, validate_scheme)
-from small_graphs import complete_graph
 
 
 def brute_intersection(classes, i, j, k):
@@ -181,7 +179,7 @@ def test_symmetrized_scheme_validates_once(monkeypatch):
 
 def test_relation_graph_pentagon():
     g = relation_graph(gen_cyclic(5), 1)
-    assert g.is_cycle_graph()
+    assert g.is_connected()
     assert g.degrees() == [2] * 5
 
 
@@ -251,11 +249,14 @@ def brute_multipartite(graph):
 
 
 def test_complete_multipartite_small_cases():
-    assert is_complete_multipartite(complete_bipartite(3, 3))
-    assert is_complete_multipartite(cycle_graph(4))
-    assert is_complete_multipartite(complete_graph(4))
-    assert not is_complete_multipartite(cycle_graph(5))
-    assert not is_complete_multipartite(petersen())
+    # K33, C4 = K22 and K3 are; C5, Petersen, 3K2 and C6 are not
+    assert complete_multipartite(build_family("drg", ("k33",)), 1)
+    assert complete_multipartite(gen_cyclic(4), 1)
+    assert complete_multipartite(gen_cyclic(3), 1)
+    assert not complete_multipartite(gen_cyclic(5), 1)
+    assert not complete_multipartite(build_family("drg", ("petersen",)), 1)
+    assert not complete_multipartite(gen_cyclic(6), 3)
+    assert not complete_multipartite(gen_cyclic(6), 1)
 
 
 def test_complete_multipartite_matches_brute_force():
@@ -265,7 +266,7 @@ def test_complete_multipartite_matches_brute_force():
         if s.v > 64 or not s.symmetric:
             continue
         for i in range(1, s.d + 1):
-            g = relation_graph(s, i)
-            assert is_complete_multipartite(g) == brute_multipartite(g)
+            want = brute_multipartite(relation_graph(s, i))
+            assert complete_multipartite(s, i) == want, (s.name, i)
             seen += 1
     assert seen >= 20

@@ -224,11 +224,11 @@ def test_theta_negative_on_complete_multipartite():
 
 
 def test_theta_positive_otherwise_catalog_slice():
-    from schemeconn.scheme import is_complete_multipartite
+    from schemeconn.diagram import complete_multipartite
     for fam, g in ((("drg", ("petersen",)), 1), (("cyclic", (6,)), 1),
                    (("hamming", (2, 3)), 1), (("johnson", (7, 2)), 1)):
         s = build_family(*fam)
         graph = relation_graph(s, g)
-        assert not is_complete_multipartite(graph)
+        assert not complete_multipartite(s, g)
         if not graph.is_complete():
             assert theta(s, g) > 1e-6, fam

@@ -20,9 +20,10 @@ from schemeconn.catalog import (BUILTIN_FAMILIES, build_family, gen_cyclic,
 from schemeconn.cli import EXIT_INVALID, _exit_code
 from schemeconn.connectivity import edge_connectivity, vertex_connectivity
 from schemeconn.errors import NotAnAutomorphism
-from schemeconn.graph import bits, cycle_graph
+from schemeconn.graph import bits
 from schemeconn.scheme import (RelationTable, relation_graph,
                                symmetrized_scheme, validate_scheme)
+from small_graphs import cycle_graph
 
 GROUP_FAMILIES = [(kind, params) for kind, params in BUILTIN_FAMILIES
                   if kind in ("johnson", "hamming", "cyclic")]
