@@ -49,12 +49,12 @@ from typing import Optional
 
 import numpy as np
 
-from .connectivity import (CLIQUE_CAP, MIN_CUT_BUDGET, MinCutData, TwinData,
+from .connectivity import (CLIQUE_CAP, MIN_CUT_BUDGET, MinCutData,
                            _orbit_representatives, edge_connectivity,
                            enumerate_min_cuts, k211_free, maximal_cliques,
-                           twins, vertex_connectivity)
+                           vertex_connectivity)
 from .diagram import (Diagram, complete_multipartite, exceptional_graph,
-                      h_prime_connected, is_polygon)
+                      is_polygon, punctured_components, twin_classes)
 from .errors import HypothesisNotMet
 from .graph import Graph, bits, mask_of
 from .scheme import SchemeDescriptor, relation_graph
@@ -62,8 +62,8 @@ from .scheme import SchemeDescriptor, relation_graph
 
 class RelationContext:
     """What the audits of relation g read, each computed at most once: the
-    graph (built here), the scheme's diagram and distances read off it,
-    twins, connectivity and the per-basepoint component sweeps.  It alone
+    graph (built here), the tensor reads (diagram, distances, connectivity,
+    completeness, twins) and the per-basepoint component sweeps.  It alone
     decides kappa, lambda and the minimum cuts: kappa by Watkins' theorem
     where the scheme's generators make the graph arc-transitive, else by
     one flow per orbit of the stabiliser of vertex 0; lam as kappa where
@@ -99,23 +99,27 @@ class RelationContext:
 
     @cached_property
     def connected(self) -> bool:
-        return self.graph.is_connected()
+        return self.diagram.diameter is not None
 
     @cached_property
     def complete(self) -> bool:
-        return self.graph.is_complete()
+        return self.scheme.valencies[self.g] == self.scheme.v - 1
 
     @cached_property
     def complete_multipartite(self) -> bool:
         return complete_multipartite(self.scheme, self.g)
 
     @cached_property
-    def twins(self) -> TwinData:
-        return twins(self.graph)
+    def twin_classes(self) -> tuple[int, ...]:
+        return twin_classes(self.scheme, self.g)
 
     @cached_property
+    def punctured_components(self) -> tuple[tuple[int, ...], ...]:
+        return punctured_components(self.diagram)
+
+    @property
     def h_prime_connected(self) -> bool:
-        return h_prime_connected(self.diagram)
+        return len(self.punctured_components) <= 1
 
     @cached_property
     def _ball_sweeps(self) -> dict[int, tuple[list[int], ...]]:
@@ -216,8 +220,10 @@ def theorem1_audit(ctx: RelationContext) -> Theorem1Audit:
         raise HypothesisNotMet("complete multipartite")
     flags = [len(comps) <= 1 for comps in ctx.swept_components(1)]
     hp = ctx.h_prime_connected
-    tw = ctx.twins
-    twin_free = not tw.pairs
+    twin_free = not ctx.twin_classes
+    # row 0 holds every class, so the least twin pair is 0 and its least twin
+    first_twin = None if twin_free else int(
+        np.argmax(np.isin(ctx.scheme.classes[0], ctx.twin_classes)))
     exists_a = any(flags)
     forall_a = all(flags)
     return Theorem1Audit(
@@ -227,7 +233,7 @@ def theorem1_audit(ctx: RelationContext) -> Theorem1Audit:
         twin_free=twin_free,
         equivalent=(exists_a == forall_a == hp == twin_free),
         disconnected_basepoints=flags.count(False) * ctx.weight,
-        first_twin_pair=tw.pairs[0] if tw.pairs else None,
+        first_twin_pair=None if twin_free else (0, first_twin),
     )
 
 
@@ -323,23 +329,14 @@ def iuw_decompose(ctx: RelationContext) -> IUWDecomposition:
     if ctx.h_prime_connected:
         return IUWDecomposition(h_prime_connected=True,
                                 i_classes=(), u_classes=(), w_classes=())
-    p = scheme.tensor.p
-    vg = scheme.valencies[g]
-    nodes = [i for i in range(1, scheme.d + 1) if i != g]
-    i_classes = tuple(i for i in nodes if p[g, g, i] == vg)
-    punctured = Graph(ctx.diagram.size, ctx.diagram.adj)
-    comps = [tuple(bits(m))
-             for m in punctured.component_masks(deleted=1 | 1 << g)]
-    non_singleton = [c for c in comps if len(c) >= 2]
-    if non_singleton:
-        u_classes = min(non_singleton,
-                        key=lambda c: (sum(scheme.valencies[i] for i in c), c))
-    else:
-        u_classes = ()
-    w_classes = tuple(i for i in nodes
-                      if i not in i_classes and i not in u_classes)
+    i_classes = ctx.twin_classes
+    non_singleton = [c for c in ctx.punctured_components if len(c) >= 2]
+    u_classes = min(non_singleton, default=(),
+                    key=lambda c: (sum(scheme.valencies[i] for i in c), c))
+    w_classes = tuple(i for i in range(1, scheme.d + 1) if i != g
+                      and i not in i_classes and i not in u_classes)
     return IUWDecomposition(h_prime_connected=False,
-                            i_classes=i_classes, u_classes=tuple(u_classes),
+                            i_classes=i_classes, u_classes=u_classes,
                             w_classes=w_classes)
 
 

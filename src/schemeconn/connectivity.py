@@ -1,4 +1,4 @@
-"""Vertex/edge connectivity, twins, minimum cuts, and clique machinery.
+"""Vertex/edge connectivity, minimum cuts, and clique machinery.
 
 Connectivity is computed by unit-capacity max-flow, with one Dinic for both
 kinds.  Vertex connectivity reduces to arc-disjoint paths on the split
@@ -44,26 +44,6 @@ import numpy as np
 
 from .errors import CapExceeded, Disconnected
 from .graph import Graph, bits, layers, mask_of
-
-
-# -- twins ---------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TwinData:
-    pairs: tuple[tuple[int, int], ...]
-    classes: tuple[tuple[int, ...], ...]
-
-
-def twins(graph: Graph) -> TwinData:
-    """Vertices with identical open neighborhoods, grouped into classes.
-    Twins are never adjacent (b in Gamma(a) = Gamma(b) would be a loop), so
-    comparing rows directly is enough."""
-    groups: dict[int, list[int]] = {}
-    for v, row in enumerate(graph.rows):
-        groups.setdefault(row, []).append(v)
-    classes = sorted(tuple(g) for g in groups.values() if len(g) > 1)
-    pairs = sorted((a, b) for g in classes for a, b in combinations(g, 2))
-    return TwinData(pairs=tuple(pairs), classes=tuple(classes))
 
 
 # -- unit-capacity max-flow -----------------------------------------------

@@ -8,6 +8,11 @@ diameter is the diagram's, None when it is disconnected
 (Brouwer-Cohen-Neumaier, Distance-Regular Graphs, sec. 2.2;
 geodesic_correspondence_check is the BFS oracle), so no report runs a BFS.
 
+A relation is connected iff its diameter is not None, and complete iff
+k_g = v - 1.  Vertices a and b in class i share p_gg^i of the k_g
+neighbours each has, so they are twins, Gamma(a) = Gamma(b), iff p_gg^i =
+k_g; no report compares neighbourhoods.
+
 Three shapes the audits test are read off the tensor as well, so no report
 builds a complement graph or runs an isomorphism search.  Relation g is
 complete multipartite iff no vertex outside an edge misses both its ends:
@@ -26,7 +31,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, bits
 
 if TYPE_CHECKING:
     from .audits import RelationContext
@@ -58,11 +63,17 @@ def distribution_diagram(scheme: SchemeDescriptor, g: int) -> Diagram:
                    diameter=None if -1 in dist else max(dist))
 
 
+def punctured_components(diagram: Diagram) -> tuple[tuple[int, ...], ...]:
+    """The components of H minus {0, g}, as ascending classes, by least
+    class."""
+    return tuple(tuple(bits(m)) for m in Graph(diagram.size, diagram.adj)
+                 .component_masks(deleted=1 | 1 << diagram.source))
+
+
 def h_prime_connected(diagram: Diagram) -> bool:
     """Connectivity of H minus {0, g}; the empty diagram counts as
     connected."""
-    return Graph(diagram.size, diagram.adj).is_connected(
-        deleted=1 | 1 << diagram.source)
+    return len(punctured_components(diagram)) <= 1
 
 
 # -- shapes -------------------------------------------------------------
@@ -78,6 +89,13 @@ def complete_multipartite(scheme: SchemeDescriptor, g: int) -> bool:
     docstring); K_n counts, with n parts of size 1."""
     rest = [i for i in range(1, scheme.d + 1) if i != g]
     return not scheme.tensor.p[np.ix_(rest, rest, [g])].any()
+
+
+def twin_classes(scheme: SchemeDescriptor, g: int) -> tuple[int, ...]:
+    """The classes i outside {0, g} with p_gg^i = k_g, whose pairs are the
+    twins of relation g's graph (see the module docstring)."""
+    pgg, k = scheme.tensor.p[g, g], scheme.valencies[g]
+    return tuple(i for i in range(1, scheme.d + 1) if i != g and pgg[i] == k)
 
 
 def is_polygon(scheme: SchemeDescriptor, g: int) -> bool:
@@ -103,7 +121,7 @@ def geodesic_correspondence_check(scheme: SchemeDescriptor, g: int,
                                   graph: Graph) -> tuple[bool, Optional[tuple]]:
     """d_Gamma(a,b) == level of class(a,b), for every pair.  Requires a
     connected relation graph."""
-    diag = distribution_diagram(scheme, g)
+    diag = scheme.diagrams[g]
     if any(lv is None for lv in diag.levels):
         return False, ("diagram", "unreachable class")
     lev = np.array([diag.levels[j] for j in range(diag.size)], dtype=np.int16)

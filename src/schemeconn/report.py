@@ -212,7 +212,8 @@ def analyze_relation(scheme: SchemeDescriptor, i: int,
     skipped: list[str] = []
 
     diameter = ctx.diagram.diameter
-    twin_count = len(ctx.twins.pairs)
+    # each vertex has the k_i vertices of each twin class i as its twins
+    twin_count = v * sum(scheme.valencies[c] for c in ctx.twin_classes) // 2
     bound = Fraction(v1 * v, 2 * (v - 1))
 
     kappa = lam = None

@@ -1,4 +1,8 @@
-"""Small named graphs that only the tests build."""
+"""Small named graphs that only the tests build, and graph-level oracles
+of what the package reads off the tensor."""
+
+from itertools import combinations
+from types import SimpleNamespace
 
 from schemeconn.graph import Graph, bits
 
@@ -18,6 +22,19 @@ def induced_subgraph(n: int, edges, keep) -> tuple[Graph, list]:
     pos = {v: i for i, v in enumerate(sorted(keep))}
     sub = [(pos[u], pos[w]) for u, w in edges if u in pos and w in pos]
     return Graph.from_edges(len(pos), sub), sub
+
+
+def twins(graph: Graph) -> SimpleNamespace:
+    """Vertices with identical open neighbourhoods: `classes`, the groups
+    of two or more, sorted, and `pairs`, the ascending pairs inside them,
+    sorted.  Twins are never adjacent (b in N(a) = N(b) would be a loop),
+    so comparing rows directly is enough."""
+    groups: dict[int, list[int]] = {}
+    for v, row in enumerate(graph.rows):
+        groups.setdefault(row, []).append(v)
+    classes = sorted(tuple(g) for g in groups.values() if len(g) > 1)
+    pairs = sorted(p for g in classes for p in combinations(g, 2))
+    return SimpleNamespace(pairs=tuple(pairs), classes=tuple(classes))
 
 
 def networkx_graph(graph: Graph):

@@ -78,12 +78,14 @@ def test_reduced_audits_match_every_basepoint(catalog_schemes):
 class CirculantContext(RelationContext):
     """A context over the circulant graph of Z_n with connection set S,
     whose rotation x -> x + 1 is a transitive automorphism; no scheme
-    carries it."""
+    carries it, so connectivity and completeness come from the graph."""
 
     def __init__(self, n, steps, transitive):
         self.graph = Graph.from_edges(n, {tuple(sorted((x, (x + s) % n)))
                                           for x in range(n) for s in steps})
         self.scheme = SimpleNamespace(v=n, transitive=transitive)
+        self.connected = self.graph.is_connected()
+        self.complete = self.graph.is_complete()
 
 
 def test_reduced_corollaries_match_every_basepoint_on_circulants():

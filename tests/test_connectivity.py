@@ -15,13 +15,12 @@ from schemeconn.audits import RelationContext
 from schemeconn.catalog import build_family, gen_cyclic, gen_hamming
 from schemeconn.connectivity import (MinCutData, edge_connectivity,
                                      enumerate_min_cuts, k211_free,
-                                     maximal_cliques, twins,
-                                     vertex_connectivity)
+                                     maximal_cliques, vertex_connectivity)
 from schemeconn.errors import CapExceeded, Disconnected
 from schemeconn.graph import Graph, bits, complete_bipartite, mask_of, petersen
 from schemeconn.report import AnalysisConfig, analyze_relation
 from schemeconn.scheme import RelationTable, relation_graph, validate_scheme
-from small_graphs import complete_graph, cycle_graph, induced_subgraph
+from small_graphs import complete_graph, cycle_graph, induced_subgraph, twins
 
 
 def brute_kappa(graph):
@@ -122,12 +121,15 @@ def circulant(n, jumps):
 def graph_context(graph, automorphisms, transitive):
     """A RelationContext on a graph that is no relation of any scheme at
     hand, with automorphisms as the stabiliser: kappa, lam and min_cuts
-    read only the graph and the scheme's generators."""
+    read only the graph, the scheme's generators, and connectivity and
+    completeness, which with no tensor at hand come from the graph."""
     ctx = object.__new__(RelationContext)
     ctx.scheme = SimpleNamespace(stabiliser=tuple(automorphisms),
                                  transitive=tuple(transitive))
     ctx.g = 1
     ctx.graph = graph
+    ctx.connected = graph.is_connected()
+    ctx.complete = graph.is_complete()
     return ctx
 
 

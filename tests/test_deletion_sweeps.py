@@ -26,11 +26,15 @@ from schemeconn.scheme import relation_graph, symmetrized_scheme
 
 
 class GraphContext(RelationContext):
-    """A context over a bare graph, for graphs that no scheme carries."""
+    """A context over a bare graph, for graphs that no scheme carries; with
+    no tensor at hand, connectivity and completeness come from the
+    graph."""
 
     def __init__(self, graph):
         self.graph = graph
         self.scheme = SimpleNamespace(v=graph.n, transitive=())
+        self.connected = graph.is_connected()
+        self.complete = graph.is_complete()
 
 
 # -- reference sweeps: one bitset BFS per deletion set -------------------

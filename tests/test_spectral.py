@@ -9,11 +9,11 @@ import pytest
 from schemeconn import report
 from schemeconn.audits import RelationContext, spec_cut_audit
 from schemeconn.catalog import build_family, gen_cyclic, gen_hamming
-from schemeconn.connectivity import twins
 from schemeconn.errors import (Disconnected, HypothesisNotMet, NotSymmetric)
 from schemeconn.scheme import relation_graph, validate_scheme, RelationTable
 from schemeconn.spectral import (compute_spectral, primitivity,
                                  second_eigenvalue)
+from small_graphs import twins
 from spectral_reference import (idempotents_from_q, reference_spectral,
                                 repeated_column_idempotents)
 

@@ -1,28 +1,45 @@
-"""The shapes read off the intersection tensor, and the paper's headline
-theorem, on every relation of the catalog and of fusion schemes.
+"""The shapes, connectivity, completeness and twins read off the
+intersection tensor, and the paper's headline theorem, on every relation
+of the catalog and of fusion schemes.
 
-A fusion merges one block of two or more classes of a scheme into one
-class; the partitions that validate_scheme accepts are schemes with
+A fusion merges blocks of two or more classes of a scheme into one class
+each; the partitions that validate_scheme accepts are schemes with
 relations that no catalog member has.  networkx is the oracle of the
-three tensor reads, and plain numpy component searches that of the
-theorem."""
+three shape reads, the graph's own BFS and row grouping that of the
+other reads, and plain numpy component searches that of the theorem."""
 
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+from schemeconn import audits
 from schemeconn.catalog import build_family
 from schemeconn.diagram import (complete_multipartite, exceptional_graph,
-                                is_polygon)
-from schemeconn.errors import SchemeError
+                                is_polygon, twin_classes)
+from schemeconn.errors import HypothesisNotMet, SchemeError
+from schemeconn.report import analyze_relation
 from schemeconn.scheme import RelationTable, relation_graph, validate_scheme
-from small_graphs import networkx_graph
+from small_graphs import networkx_graph, twins
 
 nx = pytest.importorskip("networkx")
 
 FUSED_FAMILIES = ([("cyclic", (n,)) for n in range(8, 13)]
                   + [("hamming", (4, 2)), ("johnson", (8, 4))])
+
+
+def fused(scheme, blocks):
+    """scheme with each block of classes merged into one class, the
+    classes renumbered in order; SchemeError when that is no scheme."""
+    label = np.arange(scheme.d + 1)
+    for block in blocks:
+        label[list(block)] = block[0]
+    # renumber the surviving labels 0..d' in order
+    label = np.unique(label, return_inverse=True)[1]
+    name = f"{scheme.name}-fused-" + "+".join("-".join(map(str, block))
+                                              for block in blocks)
+    return validate_scheme(RelationTable.from_classes(label[scheme.classes]),
+                           name)
 
 
 def fusions(scheme) -> list:
@@ -31,14 +48,8 @@ def fusions(scheme) -> list:
     out = []
     for size in range(2, scheme.d + 1):
         for block in combinations(range(1, scheme.d + 1), size):
-            label = np.arange(scheme.d + 1)
-            label[list(block)] = block[0]
-            # renumber the surviving labels 0..d' in order
-            label = np.unique(label, return_inverse=True)[1]
-            name = f"{scheme.name}-fused-" + "-".join(map(str, block))
             try:
-                out.append(validate_scheme(
-                    RelationTable.from_classes(label[scheme.classes]), name))
+                out.append(fused(scheme, [block]))
             except SchemeError:
                 pass
     return out
@@ -50,6 +61,9 @@ def fusion_schemes():
            for f in fusions(build_family(kind, params))]
     # seven of them merge every class, into K_v
     assert len(out) == 21
+    # relation 1 is C_5[2K_1], x and x + 5 twins, with a one-class
+    # component {2} in its punctured diagram
+    out.append(fused(build_family("cyclic", (10,)), [(1, 4), (2, 3), (5,)]))
     return out
 
 
@@ -102,6 +116,34 @@ def test_exceptional_read_matches_networkx(relations):
         named.add(want)
     assert named == set(refs) | {None}
     assert diameter2 >= 40
+
+
+def test_connectivity_completeness_and_twins_read_match_the_graph(
+        relations):
+    """connected, complete, the twin classes, the report's twin-pair count
+    and theorem 1's first twin pair against the graph's BFS, its rows and
+    its row grouping."""
+    with_twins = first_pairs = 0
+    for s, g, _ in relations:
+        ctx = audits.RelationContext(s, g)
+        graph = ctx.graph
+        assert ctx.connected == graph.is_connected(), (s.name, g)
+        assert ctx.complete == graph.is_complete(), (s.name, g)
+        oracle = twins(graph)
+        assert set(twin_classes(s, g)) == {
+            int(s.classes[a, b]) for a, b in oracle.pairs}, (s.name, g)
+        rep = analyze_relation(s, g)
+        assert (rep["connected"], rep["complete"], rep["twin_pairs"]) == (
+            ctx.connected, ctx.complete, len(oracle.pairs)), (s.name, g)
+        with_twins += bool(oracle.pairs)
+        try:
+            t1 = audits.theorem1_audit(ctx)
+        except HypothesisNotMet:
+            continue
+        want = oracle.pairs[0] if oracle.pairs else None
+        assert t1.first_twin_pair == want, (s.name, g)
+        first_pairs += want is not None
+    assert len(relations) >= 190 and with_twins >= 37 and first_pairs >= 7
 
 
 def _components(adj: np.ndarray) -> list[np.ndarray]:
