@@ -515,7 +515,7 @@ def spec_cut_audit(ctx: RelationContext) -> SpecCutAudit:
     if not free:
         raise HypothesisNotMet(f"not K_{{2,1,1}}-free: witness {wit}")
     g = ctx.g
-    p_local = ctx.scheme.p(g, g, g)
+    p_local = int(ctx.scheme.tensor.p[g, g, g])
     kappa = ctx.kappa
     return SpecCutAudit(ok=kappa > p_local, p_local=p_local, kappa=kappa,
                         slack=kappa - p_local)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import chain, combinations, permutations
 from math import comb
 
 import numpy as np
@@ -419,61 +419,49 @@ def load_scheme(path) -> SchemeDescriptor:
 
 # -- concrete small groups ----------------------------------------------
 
+def _cayley_table(elements, product) -> np.ndarray:
+    """mul[a, b] is the index of product(elements[a], elements[b])."""
+    index = {x: i for i, x in enumerate(elements)}
+    return np.array([[index[product(x, y)] for y in elements]
+                     for x in elements], dtype=np.int64)
+
+
+def _compose(p: tuple, q: tuple) -> tuple:
+    """The permutation x -> p[q[x]], as an image tuple."""
+    return tuple(p[x] for x in q)
+
+
+def _hamilton(p: tuple, q: tuple) -> tuple:
+    """Hamilton's product of quaternions given as (1, i, j, k) coordinates."""
+    a1, b1, c1, d1 = p
+    a2, b2, c2, d2 = q
+    return (a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2)
+
+
 def cyclic_group_table(n: int) -> np.ndarray:
-    x = np.arange(n)
-    return (x[:, None] + x[None, :]) % n
+    return _cayley_table(range(n), lambda x, y: (x + y) % n)
 
 
 def symmetric3_table() -> np.ndarray:
     """S_3 as permutations of {0,1,2} in lexicographic one-line order."""
-    perms = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
-    idx = {p: i for i, p in enumerate(perms)}
-    v = len(perms)
-    mul = np.zeros((v, v), dtype=np.int64)
-    for a, pa in enumerate(perms):
-        for b, pb in enumerate(perms):
-            mul[a, b] = idx[tuple(pa[pb[i]] for i in range(3))]
-    return mul
+    return _cayley_table(list(permutations(range(3))), _compose)
 
 
 def dihedral4_table() -> np.ndarray:
-    """D_4 of order 8; element a + 4b is r^a s^b."""
-    mul = np.zeros((8, 8), dtype=np.int64)
-    for a1 in range(4):
-        for b1 in range(2):
-            for a2 in range(4):
-                for b2 in range(2):
-                    a = (a1 + (a2 if b1 == 0 else -a2)) % 4
-                    b = (b1 + b2) % 2
-                    mul[a1 + 4 * b1, a2 + 4 * b2] = a + 4 * b
-    return mul
+    """D_4 of order 8 as the maps x -> a + (-1)^b x of Z_4; element a + 4b
+    is r^a s^b."""
+    return _cayley_table([tuple((a + (-1) ** b * x) % 4 for x in range(4))
+                          for b in range(2) for a in range(4)], _compose)
 
 
 def quaternion_table() -> np.ndarray:
     """Q_8 with elements 1,-1,i,-i,j,-j,k,-k in that order."""
-    names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-    idx = {s: t for t, s in enumerate(names)}
-
-    def mulq(x, y):
-        sx, ux = (-1 if x.startswith("-") else 1), x.lstrip("-")
-        sy, uy = (-1 if y.startswith("-") else 1), y.lstrip("-")
-        table = {
-            ("1", "1"): (1, "1"), ("1", "i"): (1, "i"), ("1", "j"): (1, "j"),
-            ("1", "k"): (1, "k"), ("i", "1"): (1, "i"), ("j", "1"): (1, "j"),
-            ("k", "1"): (1, "k"), ("i", "i"): (-1, "1"), ("j", "j"): (-1, "1"),
-            ("k", "k"): (-1, "1"), ("i", "j"): (1, "k"), ("j", "i"): (-1, "k"),
-            ("j", "k"): (1, "i"), ("k", "j"): (-1, "i"), ("k", "i"): (1, "j"),
-            ("i", "k"): (-1, "j"),
-        }
-        s, u = table[(ux, uy)]
-        s *= sx * sy
-        return ("" if s == 1 else "-") + u
-
-    mul = np.zeros((8, 8), dtype=np.int64)
-    for x in names:
-        for y in names:
-            mul[idx[x], idx[y]] = idx[mulq(x, y)]
-    return mul
+    units = [tuple(sign * (t == u) for t in range(4))
+             for u in range(4) for sign in (1, -1)]
+    return _cayley_table(units, _hamilton)
 
 
 # -- builtin catalog -----------------------------------------------------
@@ -546,12 +534,3 @@ def build_family(kind: str, params: tuple) -> SchemeDescriptor:
     if kind == "conjugacy":
         return gen_conjugacy(_GROUPS[params[0]](), name=f"conj-{params[0]}")
     return scheme_from_drg(_DRGS[params[0]](), name=f"drg-{params[0]}")
-
-
-def builtin_catalog() -> list[SchemeDescriptor]:
-    """All builtin schemes, sorted by name.  Conjugacy members of non-abelian
-    flavor and Z_n members may be non-symmetric; the analysis pipeline
-    symmetrizes them."""
-    out = [build_family(kind, params) for kind, params in BUILTIN_FAMILIES]
-    out.sort(key=lambda s: s.name)
-    return out

@@ -5,8 +5,8 @@ the class indices {0..d}: distinct j and k are adjacent when p[g,j,k] +
 p[g,k,j] > 0.  Levels are BFS distances from class 0.  A relation graph's
 distance from a to x is the level of the class of (a, x), and its
 diameter is the diagram's, None when it is disconnected
-(Brouwer-Cohen-Neumaier, Distance-Regular Graphs, sec. 2.2;
-geodesic_correspondence_check is the BFS oracle), so no report runs a BFS.
+(Brouwer-Cohen-Neumaier, Distance-Regular Graphs, sec. 2.2), so no
+report runs a BFS.
 
 A relation is connected iff its diameter is not None, and complete iff
 k_g = v - 1.  Vertices a and b in class i share p_gg^i of the k_g
@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .graph import Graph, bits
+from .graph import Graph, bit_rows, bits
 
 if TYPE_CHECKING:
     from .audits import RelationContext
@@ -54,9 +54,7 @@ def distribution_diagram(scheme: SchemeDescriptor, g: int) -> Diagram:
     pg = scheme.tensor.p[g]
     linked = pg + pg.T > 0
     np.fill_diagonal(linked, False)
-    # bit k of row j is byte k // 8, bit k % 8 of the little-endian packing
-    adj = [int.from_bytes(row.tobytes(), "little")
-           for row in np.packbits(linked, axis=1, bitorder="little")]
+    adj = bit_rows(linked)
     dist = Graph(d + 1, adj).distances_from(0)
     return Diagram(source=g, size=d + 1, adj=tuple(adj),
                    levels=tuple(None if lv < 0 else lv for lv in dist),
@@ -68,12 +66,6 @@ def punctured_components(diagram: Diagram) -> tuple[tuple[int, ...], ...]:
     class."""
     return tuple(tuple(bits(m)) for m in Graph(diagram.size, diagram.adj)
                  .component_masks(deleted=1 | 1 << diagram.source))
-
-
-def h_prime_connected(diagram: Diagram) -> bool:
-    """Connectivity of H minus {0, g}; the empty diagram counts as
-    connected."""
-    return len(punctured_components(diagram)) <= 1
 
 
 # -- shapes -------------------------------------------------------------
@@ -113,25 +105,6 @@ def exceptional_graph(scheme: SchemeDescriptor, g: int) -> Optional[str]:
         return None
     return _EXCEPTIONAL.get((scheme.v, scheme.valencies[g], int(pgg[g]),
                              mu.pop()))
-
-
-# -- geodesics ----------------------------------------------------------
-
-def geodesic_correspondence_check(scheme: SchemeDescriptor, g: int,
-                                  graph: Graph) -> tuple[bool, Optional[tuple]]:
-    """d_Gamma(a,b) == level of class(a,b), for every pair.  Requires a
-    connected relation graph."""
-    diag = scheme.diagrams[g]
-    if any(lv is None for lv in diag.levels):
-        return False, ("diagram", "unreachable class")
-    lev = np.array([diag.levels[j] for j in range(diag.size)], dtype=np.int16)
-    want = lev[scheme.classes.astype(np.int64)]
-    got = graph.distance_matrix()
-    if np.array_equal(got, want):
-        return True, None
-    bad = np.argwhere(got != want)[0]
-    a, b = int(bad[0]), int(bad[1])
-    return False, ((a, b), int(got[a, b]), int(want[a, b]))
 
 
 def p_polynomial_generator(ctx: RelationContext) -> bool:

@@ -43,6 +43,14 @@ def layers(rows, start: int, deleted: int = 0) -> Iterator[int]:
         seen |= frontier
 
 
+def bit_rows(mask: np.ndarray) -> list[int]:
+    """The rows of a 2-D bool array as ints, bit y of row x set where
+    mask[x, y]."""
+    # bit y of row x is byte y // 8, bit y % 8 of the little-endian packing
+    return [int.from_bytes(row.tobytes(), "little")
+            for row in np.packbits(mask, axis=1, bitorder="little")]
+
+
 def mask_of(vertices: Iterable[int]) -> int:
     m = 0
     for v in vertices:
@@ -83,17 +91,11 @@ class Graph:
     def closed_neighborhood(self, v: int) -> int:
         return self.rows[v] | (1 << v)
 
-    def has_edge(self, u: int, w: int) -> bool:
-        return bool(self.rows[u] >> w & 1)
-
     def degree(self, v: int) -> int:
         return self.rows[v].bit_count()
 
     def degrees(self) -> list[int]:
         return [row.bit_count() for row in self.rows]
-
-    def edge_count(self) -> int:
-        return sum(self.degrees()) // 2
 
     def is_complete(self) -> bool:
         full = (1 << self.n) - 1
@@ -151,7 +153,7 @@ class Graph:
         return d
 
     def __repr__(self):
-        return f"Graph(n={self.n}, edges={self.edge_count()})"
+        return f"Graph(n={self.n}, edges={sum(self.degrees()) // 2})"
 
 
 # -- named small graphs the catalog builds -------------------------------

@@ -66,7 +66,7 @@ from .errors import (
     NotSymmetric,
     SizeCap,
 )
-from .graph import Graph
+from .graph import Graph, bit_rows
 
 # validate_scheme's float32 products are exact only while every entry is
 # below 2**24 (float32 has a 24-bit significand); a count is below v, so
@@ -147,7 +147,6 @@ class IntersectionTensor:
     """p[i][j][k] counts c with (a,c) in R_i and (c,b) in R_j, for any
     (a,b) in R_k."""
 
-    d: int
     p: np.ndarray                 # (d+1, d+1, d+1) int64, read-only
     valencies: tuple[int, ...]
 
@@ -185,9 +184,6 @@ class SchemeDescriptor:
     @property
     def valencies(self) -> tuple[int, ...]:
         return self.tensor.valencies
-
-    def p(self, i: int, j: int, k: int) -> int:
-        return int(self.tensor.p[i, j, k])
 
     @cached_property
     def diagrams(self) -> dict[int, Diagram]:
@@ -359,7 +355,7 @@ def validate_scheme(table: RelationTable, name: str = "scheme",
     tm = table.transpose_map
     val = tuple(int(p[i, tm[i], 0]) for i in range(d + 1))
     p.setflags(write=False)
-    tensor = IntersectionTensor(d=d, p=p, valencies=val)
+    tensor = IntersectionTensor(p=p, valencies=val)
     return SchemeDescriptor(name=name, table=table, tensor=tensor,
                             stabiliser=gens, transitive=transitive)
 
@@ -394,8 +390,5 @@ def relation_graph(scheme: SchemeDescriptor, i: int) -> Graph:
         raise IdentityClassRequested("class 0 is the identity relation")
     if not 1 <= i <= scheme.d:
         raise ValueError(f"relation {i} out of range 1..{scheme.d}")
-    # bit y of row x is byte y // 8, bit y % 8 of the little-endian packing
-    packed = np.packbits(scheme.classes == i, axis=1, bitorder="little")
-    return Graph(scheme.v, [int.from_bytes(row.tobytes(), "little")
-                            for row in packed])
+    return Graph(scheme.v, bit_rows(scheme.classes == i))
 

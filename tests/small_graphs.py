@@ -1,10 +1,26 @@
-"""Small named graphs that only the tests build, and graph-level oracles
-of what the package reads off the tensor."""
+"""Small named graphs and the catalog list that only the tests build, and
+graph-level oracles of what the package reads off the tensor."""
 
 from itertools import combinations
 from types import SimpleNamespace
 
+import numpy as np
+
+from schemeconn.catalog import BUILTIN_FAMILIES, build_family
 from schemeconn.graph import Graph, bits
+
+
+def builtin_catalog() -> list:
+    """All builtin schemes as built, sorted by name.  Conjugacy members of
+    non-abelian flavor and Z_n members may be non-symmetric; the analysis
+    pipeline symmetrizes them."""
+    return sorted((build_family(kind, params)
+                   for kind, params in BUILTIN_FAMILIES),
+                  key=lambda s: s.name)
+
+
+def has_edge(graph: Graph, u: int, w: int) -> bool:
+    return bool(graph.rows[u] >> w & 1)
 
 
 def cycle_graph(n: int) -> Graph:
@@ -45,3 +61,21 @@ def networkx_graph(graph: Graph):
     out.add_edges_from((u, w) for u, row in enumerate(graph.rows)
                        for w in bits(row) if u < w)
     return out
+
+
+def geodesic_correspondence_check(scheme, g: int,
+                                  graph: Graph) -> tuple[bool, object]:
+    """d_Gamma(a,b) == level of class(a,b) in relation g's diagram, for
+    every pair, the distances by the graph's BFS.  Requires a connected
+    relation graph."""
+    diag = scheme.diagrams[g]
+    if any(lv is None for lv in diag.levels):
+        return False, ("diagram", "unreachable class")
+    lev = np.array(diag.levels, dtype=np.int16)
+    want = lev[scheme.classes.astype(np.int64)]
+    got = graph.distance_matrix()
+    if np.array_equal(got, want):
+        return True, None
+    bad = np.argwhere(got != want)[0]
+    a, b = int(bad[0]), int(bad[1])
+    return False, ((a, b), int(got[a, b]), int(want[a, b]))

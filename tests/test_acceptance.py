@@ -20,12 +20,11 @@ import pytest
 from schemeconn import audits
 from schemeconn.catalog import build_family
 from schemeconn.connectivity import enumerate_min_cuts, k211_free
-from schemeconn.diagram import geodesic_correspondence_check
 from schemeconn.errors import HypothesisNotMet
 from schemeconn.graph import Graph, bits
 from schemeconn.report import run_survey
 from schemeconn.spectral import compute_spectral
-from small_graphs import networkx_graph
+from small_graphs import geodesic_correspondence_check, networkx_graph
 from spectral_reference import idempotents_from_q
 
 

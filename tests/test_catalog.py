@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from schemeconn.catalog import (BUILTIN_FAMILIES, build_family, check_family,
-                                builtin_catalog, cyclic_group_table,
+from schemeconn.catalog import (BUILTIN_FAMILIES, _group_checks, build_family,
+                                check_family, cyclic_group_table,
                                 dihedral4_table, gen_conjugacy, gen_cyclic,
                                 gen_hamming, gen_johnson, load_scheme,
                                 quaternion_table, save_scheme,
@@ -15,6 +15,7 @@ from schemeconn.errors import (NotAGroup, NotDistanceRegular, ParseError,
                                SizeCap)
 from schemeconn.graph import Graph, complete_bipartite, petersen
 from schemeconn.scheme import relation_graph
+from small_graphs import builtin_catalog
 
 
 def test_hamming_valencies():
@@ -80,6 +81,37 @@ def test_d4_q8_conjugacy():
         assert s.v == 8 and s.d == 4
         assert s.valencies == (1, 1, 2, 2, 2)
         assert s.symmetric
+
+
+# Cayley tables pinned entry by entry: S_3 in lexicographic one-line order
+# under composition, D_4 with a + 4b = r^a s^b, Q_8 as 1,-1,i,-i,j,-j,k,-k
+GROUP_TABLES = {
+    "Z5": (lambda: cyclic_group_table(5),
+           [[0, 1, 2, 3, 4], [1, 2, 3, 4, 0], [2, 3, 4, 0, 1],
+            [3, 4, 0, 1, 2], [4, 0, 1, 2, 3]]),
+    "S3": (symmetric3_table,
+           [[0, 1, 2, 3, 4, 5], [1, 0, 4, 5, 2, 3], [2, 3, 0, 1, 5, 4],
+            [3, 2, 5, 4, 0, 1], [4, 5, 1, 0, 3, 2], [5, 4, 3, 2, 1, 0]]),
+    "D4": (dihedral4_table,
+           [[0, 1, 2, 3, 4, 5, 6, 7], [1, 2, 3, 0, 5, 6, 7, 4],
+            [2, 3, 0, 1, 6, 7, 4, 5], [3, 0, 1, 2, 7, 4, 5, 6],
+            [4, 7, 6, 5, 0, 3, 2, 1], [5, 4, 7, 6, 1, 0, 3, 2],
+            [6, 5, 4, 7, 2, 1, 0, 3], [7, 6, 5, 4, 3, 2, 1, 0]]),
+    "Q8": (quaternion_table,
+           [[0, 1, 2, 3, 4, 5, 6, 7], [1, 0, 3, 2, 5, 4, 7, 6],
+            [2, 3, 1, 0, 6, 7, 5, 4], [3, 2, 0, 1, 7, 6, 4, 5],
+            [4, 5, 7, 6, 1, 0, 2, 3], [5, 4, 6, 7, 0, 1, 3, 2],
+            [6, 7, 4, 5, 3, 2, 1, 0], [7, 6, 5, 4, 2, 3, 0, 1]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GROUP_TABLES))
+def test_group_tables_pinned(name):
+    build, want = GROUP_TABLES[name]
+    mul = build()
+    assert mul.dtype == np.int64
+    assert mul.tolist() == want
+    assert _group_checks(mul)[0] == 0
 
 
 def test_z5_conjugacy_directed():

@@ -20,7 +20,8 @@ from schemeconn.errors import CapExceeded, Disconnected
 from schemeconn.graph import Graph, bits, complete_bipartite, mask_of, petersen
 from schemeconn.report import AnalysisConfig, analyze_relation
 from schemeconn.scheme import RelationTable, relation_graph, validate_scheme
-from small_graphs import complete_graph, cycle_graph, induced_subgraph, twins
+from small_graphs import (builtin_catalog, complete_graph, cycle_graph,
+                          has_edge, induced_subgraph, twins)
 
 
 def brute_kappa(graph):
@@ -278,7 +279,7 @@ def test_local_vertex_connectivity_matches_networkx():
         h.add_nodes_from(range(g.n))
         h.add_edges_from(sub)
         for s, t in itertools.combinations(range(g.n), 2):
-            if g.has_edge(s, t):
+            if has_edge(g, s, t):
                 continue
             pairs += 1
             assert connectivity._vertex_flow(g.rows, s, t, g.n) == \
@@ -461,7 +462,7 @@ def test_min_cuts_over_budget_match_networkx(enumerations, kind, params,
 
 
 def _automorphism(g, p):
-    return all(g.has_edge(p[u], p[w]) for u in range(g.n)
+    return all(has_edge(g, p[u], p[w]) for u in range(g.n)
                for w in bits(g.rows[u]))
 
 
@@ -620,8 +621,8 @@ def test_maximal_cliques_oracle_random():
         for r in range(1, n + 1):
             for sub in itertools.combinations(verts, r):
                 m = mask_of(sub)
-                if all(g.has_edge(u, w) for u, w in itertools.combinations(sub, 2)):
-                    if all(any(not g.has_edge(x, u) for u in sub)
+                if all(has_edge(g, u, w) for u, w in itertools.combinations(sub, 2)):
+                    if all(any(not has_edge(g, x, u) for u in sub)
                            for x in verts if not m >> x & 1):
                         want.add(m)
         assert set(masks) == want
@@ -655,7 +656,6 @@ def test_cut_report_complete():
 
 
 def test_whitney_chain_catalog_slice():
-    from schemeconn.catalog import builtin_catalog
     for s in builtin_catalog():
         if s.v > 64 or not s.symmetric:
             continue

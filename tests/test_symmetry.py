@@ -23,7 +23,7 @@ from schemeconn.errors import NotAnAutomorphism
 from schemeconn.graph import bits
 from schemeconn.scheme import (RelationTable, relation_graph,
                                symmetrized_scheme, validate_scheme)
-from small_graphs import cycle_graph
+from small_graphs import cycle_graph, has_edge
 
 GROUP_FAMILIES = [(kind, params) for kind, params in BUILTIN_FAMILIES
                   if kind in ("johnson", "hamming", "cyclic")]
@@ -74,7 +74,7 @@ def _sweep_items(graph):
                if not graph.closed_neighborhood(0) >> t & 1]
     nbrs = list(bits(graph.neighborhood(0)))
     pairs = [(u, w) for i, u in enumerate(nbrs) for w in nbrs[i + 1:]
-             if not graph.has_edge(u, w)]
+             if not has_edge(graph, u, w)]
     return targets, pairs
 
 

@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 
 from schemeconn import scheme
-from schemeconn.catalog import (build_family, builtin_catalog, gen_cyclic,
-                                gen_hamming, gen_johnson)
+from schemeconn.catalog import build_family, gen_cyclic, gen_hamming, gen_johnson
 from schemeconn.errors import (NonConstantIntersection, NotCommutative,
                                SchemeError)
 from schemeconn.scheme import (RelationTable, symmetrized_scheme,
                                validate_scheme)
+from small_graphs import builtin_catalog
 
 
 def naive_tensor(classes) -> np.ndarray:
