@@ -11,7 +11,7 @@ from .report import AnalysisConfig, analyze_scheme, run_survey
 from .scheme import relation_graph
 from .spectral import compute_spectral
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "AnalysisConfig",

@@ -323,14 +323,18 @@ class IUWDecomposition:
 def iuw_decompose(ctx: RelationContext) -> IUWDecomposition:
     """Partition the non-{0,g} classes into twin classes (I), a
     minimum-weight non-singleton diagram component (U), and the rest (W).
-    When the punctured diagram is connected the decomposition is all-empty
-    by convention."""
+    The diagram has no loops, so a one-class component (i,) is
+    non-singleton in the graph when p_gi^i > 0: each vertex of class i
+    has that many neighbours in class i.  When the punctured diagram is
+    connected the decomposition is all-empty by convention."""
     scheme, g = ctx.scheme, ctx.g
     if ctx.h_prime_connected:
         return IUWDecomposition(h_prime_connected=True,
                                 i_classes=(), u_classes=(), w_classes=())
     i_classes = ctx.twin_classes
-    non_singleton = [c for c in ctx.punctured_components if len(c) >= 2]
+    p = scheme.tensor.p
+    non_singleton = [c for c in ctx.punctured_components
+                     if len(c) >= 2 or p[g, c[0], c[0]] > 0]
     u_classes = min(non_singleton, default=(),
                     key=lambda c: (sum(scheme.valencies[i] for i in c), c))
     w_classes = tuple(i for i in range(1, scheme.d + 1) if i != g

@@ -27,7 +27,7 @@ from .scheme import SchemeDescriptor, symmetrized_scheme
 from .spectral import (COLUMN_TOL, GROUPING_TOL, SpectralData,
                        compute_spectral, primitivity, second_eigenvalue)
 
-TOOL_VERSION = "0.3.0"
+TOOL_VERSION = "0.4.0"
 
 
 @dataclass(frozen=True)

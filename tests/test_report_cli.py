@@ -162,29 +162,29 @@ DIGEST_SLICE = [("cyclic", (5,)), ("cyclic", (12,)), ("hamming", (4, 2)),
                 ("johnson", (7, 3)), ("conjugacy", ("Q8",)),
                 ("drg", ("petersen",)), ("drg", ("k33",))]
 REPORT_DIGESTS = {
-    "cyclic-5-r1": "4b775c10dfa4eabf",
-    "cyclic-5-r2": "dd5f343b672f8bb1",
-    "cyclic-12-r1": "30b7c81358ab7ee9",
-    "cyclic-12-r2": "8403cc45d3f0e29f",
-    "cyclic-12-r3": "3e6a8adb9e0c7edd",
-    "cyclic-12-r4": "f3e0d587bcf877c4",
-    "cyclic-12-r5": "087ce683c0ea7a79",
-    "cyclic-12-r6": "e05dac2e98d79364",
-    "hamming-4-2-r1": "2e616988559d08f2",
-    "hamming-4-2-r2": "2b4f33e1a43d128c",
-    "hamming-4-2-r3": "51647619ea156908",
-    "hamming-4-2-r4": "9cf51b623cfecc5d",
-    "johnson-7-3-r1": "662e68311f6815a4",
-    "johnson-7-3-r2": "2825fbec39aa5804",
-    "johnson-7-3-r3": "c6db08ea9b8d0dad",
-    "conj-Q8-r1": "0d9e12635e53e6de",
-    "conj-Q8-r2": "cfc06859c736827a",
-    "conj-Q8-r3": "c66f9d7c6613a980",
-    "conj-Q8-r4": "7b72e97a8c3b75d8",
-    "drg-petersen-r1": "8eb87dd47b8200f8",
-    "drg-petersen-r2": "1f6dc17d9d6047c3",
-    "drg-k33-r1": "4389caa0c4ba32e0",
-    "drg-k33-r2": "ff87377eac8c2431",
+    "cyclic-5-r1": "fb082bb13e011084",
+    "cyclic-5-r2": "75cca86e33b70459",
+    "cyclic-12-r1": "87f24dbfc61b1a6c",
+    "cyclic-12-r2": "e9f48601e3467680",
+    "cyclic-12-r3": "b59e42bcc6dda67b",
+    "cyclic-12-r4": "1c020183aa678e6f",
+    "cyclic-12-r5": "9b21b70aba8ae470",
+    "cyclic-12-r6": "bae20c6836bf21ec",
+    "hamming-4-2-r1": "6af8547f011ee477",
+    "hamming-4-2-r2": "8318daf4d3f08fa3",
+    "hamming-4-2-r3": "44742f235f93017c",
+    "hamming-4-2-r4": "06164aadb093ff39",
+    "johnson-7-3-r1": "3a550dec65a3ca13",
+    "johnson-7-3-r2": "d2b704bef11426a9",
+    "johnson-7-3-r3": "25ba3970c14a4c2c",
+    "conj-Q8-r1": "33dc31b609c5e259",
+    "conj-Q8-r2": "c6a86de2a4a45a4b",
+    "conj-Q8-r3": "d1068ee74ebb6a97",
+    "conj-Q8-r4": "a2f3329a154fd2ad",
+    "drg-petersen-r1": "647bc5438829610a",
+    "drg-petersen-r2": "8cf33a7c3e603e29",
+    "drg-k33-r1": "37922448f0b41cbe",
+    "drg-k33-r2": "09cb79d03925994e",
 }
 
 

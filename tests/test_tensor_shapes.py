@@ -169,8 +169,10 @@ def test_deleting_a_closed_neighbourhood_leaves_one_component(
     """At every basepoint a of every connected relation, G - N[a] has at
     most one component of two or more vertices, and its vertices are
     those outside N[a] whose neighbourhood is not N(a); the rest are twins
-    of a, which G - N(a) leaves isolated."""
-    relations = basepoints = 0
+    of a, which G - N(a) leaves isolated.  Where the punctured diagram is
+    disconnected, the report's U classes are the classes that component
+    meets at basepoint 0, and W is empty."""
+    relations = basepoints = decomposed = 0
     for s in catalog_schemes + fusion_schemes:
         for g in range(1, s.d + 1):
             adj = s.classes == g
@@ -187,4 +189,12 @@ def test_deleting_a_closed_neighbourhood_leaves_one_component(
                 got = big[0] if big else np.zeros_like(non_twins)
                 assert np.array_equal(got, non_twins), (s.name, g, a)
                 basepoints += 1
-    assert relations >= 120 and basepoints >= 7000
+                if a == 0:
+                    met = tuple(np.unique(s.classes[0][outside][got]).tolist())
+            ctx = audits.RelationContext(s, g)
+            if ctx.h_prime_connected:
+                continue
+            dec = audits.iuw_decompose(ctx)
+            assert (dec.u_classes, dec.w_classes) == (met, ()), (s.name, g)
+            decomposed += 1
+    assert relations >= 120 and basepoints >= 7000 and decomposed >= 12
