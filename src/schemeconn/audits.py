@@ -91,13 +91,6 @@ class RelationContext:
         return self.scheme.v // len(self.basepoints)
 
     @cached_property
-    def levels(self) -> np.ndarray:
-        """Diagram level of each class (int16, -1 unreachable): the distances
-        from a are levels[scheme.classes[a]]."""
-        return np.array([-1 if lv is None else lv
-                         for lv in self.diagram.levels], dtype=np.int16)
-
-    @cached_property
     def connected(self) -> bool:
         return self.diagram.diameter is not None
 
@@ -332,7 +325,7 @@ def iuw_decompose(ctx: RelationContext) -> IUWDecomposition:
         return IUWDecomposition(h_prime_connected=True,
                                 i_classes=(), u_classes=(), w_classes=())
     i_classes = ctx.twin_classes
-    p = scheme.tensor.p
+    p = scheme.p
     non_singleton = [c for c in ctx.punctured_components
                      if len(c) >= 2 or p[g, c[0], c[0]] > 0]
     u_classes = min(non_singleton, default=(),
@@ -370,7 +363,7 @@ def w_empty_audit(ctx: RelationContext) -> WEmptyAudit:
         # distance depends only on the class and every class occurs in row
         # 0, so basepoint 0 holds the first failure of any basepoint
         row = ctx.scheme.classes[0]
-        dist = ctx.levels[row]
+        dist = ctx.diagram.levels[row]
         bad = np.isin(row, dec.u_classes) & (dist != 2)
         if bad.any():
             x = int(np.argmax(bad))
@@ -408,13 +401,12 @@ def ball_deletion_audit(ctx: RelationContext, t: int) -> BallDeletionAudit:
     distances from a are the levels of a's class row."""
     if not ctx.connected:
         raise HypothesisNotMet("disconnected")
-    diag, levels = ctx.diagram, ctx.levels
-    diameter = diag.diameter
+    diag = ctx.diagram
+    levels, diameter = diag.levels, diag.diameter
     if not 1 <= t <= diameter:
         raise ValueError(f"radius {t} outside 1..{diameter}")
     ball = tuple(int(i) for i in np.flatnonzero(levels <= t))
-    h_minus_conn = Graph(diag.size, diag.adj).is_connected(
-        deleted=mask_of(ball))
+    h_minus_conn = diag.graph.is_connected(deleted=mask_of(ball))
     triggered = 0
     a_ok = b_ok = True
     a_wit = b_wit = None
@@ -519,7 +511,7 @@ def spec_cut_audit(ctx: RelationContext) -> SpecCutAudit:
     if not free:
         raise HypothesisNotMet(f"not K_{{2,1,1}}-free: witness {wit}")
     g = ctx.g
-    p_local = int(ctx.scheme.tensor.p[g, g, g])
+    p_local = int(ctx.scheme.p[g, g, g])
     kappa = ctx.kappa
     return SpecCutAudit(ok=kappa > p_local, p_local=p_local, kappa=kappa,
                         slack=kappa - p_local)

@@ -76,8 +76,7 @@ def cmd_analyze(args) -> int:
         scheme = _load_source(args)
         config = AnalysisConfig(seed=args.seed)
         relations = [args.relation] if args.relation is not None else None
-        reports = analyze_scheme(scheme, relations=relations, config=config,
-                                 symmetrize=args.symmetrize)
+        reports = analyze_scheme(scheme, relations=relations, config=config)
     except SchemeError as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return _exit_code(e)
@@ -245,9 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--relation", type=int, default=None,
                    help="class index (after symmetrization); default all")
     p.add_argument("--report", help="write report JSON here")
-    p.add_argument("--symmetrize", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="merge transpose class pairs first (default on)")
     p.add_argument("--seed", type=int, default=DEFAULT_CONFIG.seed,
                    help=seed_help)
     p.set_defaults(func=cmd_analyze)

@@ -41,31 +41,32 @@ if TYPE_CHECKING:
 @dataclass(frozen=True)
 class Diagram:
     source: int
-    size: int                          # d + 1 vertices
-    adj: tuple[int, ...]               # bitmasks over classes, loops excluded
-    levels: tuple[Optional[int], ...]  # BFS distance from 0; None unreachable
-    diameter: Optional[int]            # None when some class is unreachable
+    graph: Graph                   # on the d + 1 classes, loops excluded
+    levels: np.ndarray             # (d+1,) int16 BFS distance from 0, -1
+                                   # unreachable, read-only
+    diameter: Optional[int]        # None when some class is unreachable
 
 
 def distribution_diagram(scheme: SchemeDescriptor, g: int) -> Diagram:
     if not 1 <= g <= scheme.d:
         raise ValueError(f"class {g} out of range 1..{scheme.d}")
     d = scheme.d
-    pg = scheme.tensor.p[g]
+    pg = scheme.p[g]
     linked = pg + pg.T > 0
     np.fill_diagonal(linked, False)
-    adj = bit_rows(linked)
-    dist = Graph(d + 1, adj).distances_from(0)
-    return Diagram(source=g, size=d + 1, adj=tuple(adj),
-                   levels=tuple(None if lv < 0 else lv for lv in dist),
+    graph = Graph(d + 1, bit_rows(linked))
+    dist = graph.distances_from(0)
+    levels = np.array(dist, dtype=np.int16)
+    levels.setflags(write=False)
+    return Diagram(source=g, graph=graph, levels=levels,
                    diameter=None if -1 in dist else max(dist))
 
 
 def punctured_components(diagram: Diagram) -> tuple[tuple[int, ...], ...]:
     """The components of H minus {0, g}, as ascending classes, by least
     class."""
-    return tuple(tuple(bits(m)) for m in Graph(diagram.size, diagram.adj)
-                 .component_masks(deleted=1 | 1 << diagram.source))
+    return tuple(tuple(bits(m)) for m in diagram.graph.component_masks(
+        deleted=1 | 1 << diagram.source))
 
 
 # -- shapes -------------------------------------------------------------
@@ -80,13 +81,13 @@ def complete_multipartite(scheme: SchemeDescriptor, g: int) -> bool:
     """True iff relation g's graph is complete multipartite (see the module
     docstring); K_n counts, with n parts of size 1."""
     rest = [i for i in range(1, scheme.d + 1) if i != g]
-    return not scheme.tensor.p[np.ix_(rest, rest, [g])].any()
+    return not scheme.p[np.ix_(rest, rest, [g])].any()
 
 
 def twin_classes(scheme: SchemeDescriptor, g: int) -> tuple[int, ...]:
     """The classes i outside {0, g} with p_gg^i = k_g, whose pairs are the
     twins of relation g's graph (see the module docstring)."""
-    pgg, k = scheme.tensor.p[g, g], scheme.valencies[g]
+    pgg, k = scheme.p[g, g], scheme.valencies[g]
     return tuple(i for i in range(1, scheme.d + 1) if i != g and pgg[i] == k)
 
 
@@ -99,7 +100,7 @@ def is_polygon(scheme: SchemeDescriptor, g: int) -> bool:
 def exceptional_graph(scheme: SchemeDescriptor, g: int) -> Optional[str]:
     """"C4", "C5", "K33" or "petersen" when relation g's graph is that
     graph (see the module docstring), else None."""
-    pgg = scheme.tensor.p[g, g]
+    pgg = scheme.p[g, g]
     mu = {int(pgg[k]) for k in range(1, scheme.d + 1) if k != g}
     if len(mu) != 1:
         return None

@@ -341,16 +341,12 @@ def analyze_relation(scheme: SchemeDescriptor, i: int,
 
 
 def analyze_scheme(scheme: SchemeDescriptor, relations=None,
-                   config: AnalysisConfig = DEFAULT_CONFIG,
-                   symmetrize: bool = True) -> list[dict]:
+                   config: AnalysisConfig = DEFAULT_CONFIG) -> list[dict]:
     """Reports for the chosen relations (default: all nontrivial ones).
-    Non-symmetric schemes are symmetrized first when allowed."""
-    symmetrized = False
-    if not scheme.symmetric:
-        if not symmetrize:
-            raise ValueError("scheme is not symmetric; enable symmetrization")
+    Non-symmetric schemes are symmetrized first."""
+    symmetrized = not scheme.symmetric
+    if symmetrized:
         scheme = symmetrized_scheme(scheme)
-        symmetrized = True
     if relations is None:
         relations = list(range(1, scheme.d + 1))
     spectral = compute_spectral(scheme, grouping_tol=config.grouping_tol)

@@ -49,7 +49,7 @@ carry 0 to every vertex.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -143,47 +143,23 @@ class RelationTable:
 
 
 @dataclass(frozen=True)
-class IntersectionTensor:
-    """p[i][j][k] counts c with (a,c) in R_i and (c,b) in R_j, for any
-    (a,b) in R_k."""
-
-    p: np.ndarray                 # (d+1, d+1, d+1) int64, read-only
-    valencies: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class SchemeDescriptor:
-    """A validated scheme.  `stabiliser` holds verified generators (one
-    image tuple each) of a group of permutations of X that fix vertex 0 and
-    preserve every class; `transitive` holds verified generators of a
-    group that preserves every class and whose orbit of 0 is X.  Each is
-    empty when the construction supplies none."""
+class SchemeDescriptor(RelationTable):
+    """A validated scheme: its relation table plus p[i][j][k], the count of
+    c with (a,c) in R_i and (c,b) in R_j for any (a,b) in R_k.
+    `stabiliser` holds verified generators (one image tuple each) of a
+    group of permutations of X that fix vertex 0 and preserve every class;
+    `transitive` holds verified generators of a group that preserves every
+    class and whose orbit of 0 is X.  Each is empty when the construction
+    supplies none."""
 
     name: str
-    table: RelationTable
-    tensor: IntersectionTensor
+    p: np.ndarray                  # (d+1, d+1, d+1) int64, read-only
+    valencies: tuple[int, ...]
     stabiliser: tuple[tuple[int, ...], ...] = ()
     transitive: tuple[tuple[int, ...], ...] = ()
 
-    @property
-    def v(self) -> int:
-        return self.table.v
-
-    @property
-    def d(self) -> int:
-        return self.table.d
-
-    @property
-    def classes(self) -> np.ndarray:
-        return self.table.classes
-
-    @property
-    def symmetric(self) -> bool:
-        return self.table.symmetric
-
-    @property
-    def valencies(self) -> tuple[int, ...]:
-        return self.tensor.valencies
+    # the benchmark's checks still read scheme.tensor.p
+    tensor = property(lambda self: self)
 
     @cached_property
     def diagrams(self) -> dict[int, Diagram]:
@@ -355,8 +331,11 @@ def validate_scheme(table: RelationTable, name: str = "scheme",
     tm = table.transpose_map
     val = tuple(int(p[i, tm[i], 0]) for i in range(d + 1))
     p.setflags(write=False)
-    tensor = IntersectionTensor(p=p, valencies=val)
-    return SchemeDescriptor(name=name, table=table, tensor=tensor,
+    # the table's own fields only: a descriptor passed in also carries p,
+    # its name and its cached diagrams
+    return SchemeDescriptor(**{f.name: getattr(table, f.name)
+                               for f in fields(RelationTable)},
+                            name=name, p=p, valencies=val,
                             stabiliser=gens, transitive=transitive)
 
 
@@ -377,7 +356,7 @@ def symmetrized_scheme(desc: SchemeDescriptor) -> SchemeDescriptor:
     carried over and checked again."""
     if desc.symmetric:
         return desc
-    return validate_scheme(_merged_table(desc.table), name=desc.name,
+    return validate_scheme(_merged_table(desc), name=desc.name,
                            stabiliser=desc.stabiliser,
                            transitive=desc.transitive)
 

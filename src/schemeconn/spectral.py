@@ -77,7 +77,7 @@ def compute_spectral(scheme: SchemeDescriptor,
     val = np.asarray(scheme.valencies, dtype=np.float64)
     root = np.sqrt(val)
     scale = root[:, None] / root[None, :]
-    p = scheme.tensor.p
+    p = scheme.p
 
     def sym(i: int) -> np.ndarray:
         # S_i[k][j] = sqrt(k_k / k_j) p_ij^k

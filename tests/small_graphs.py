@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from schemeconn.audits import RelationContext
 from schemeconn.catalog import BUILTIN_FAMILIES, build_family
 from schemeconn.graph import Graph, bits
 
@@ -19,12 +20,34 @@ def builtin_catalog() -> list:
                   key=lambda s: s.name)
 
 
+def graph_context(graph: Graph, stabiliser=(),
+                  transitive=()) -> RelationContext:
+    """A RelationContext over a bare graph that no scheme at hand carries,
+    with these generators as the scheme's: kappa, lam, min_cuts and the
+    basepoint sweeps read only the graph, the generators, and connectivity
+    and completeness, which with no tensor at hand come from the graph."""
+    ctx = object.__new__(RelationContext)
+    ctx.scheme = SimpleNamespace(v=graph.n, stabiliser=tuple(stabiliser),
+                                 transitive=tuple(transitive))
+    ctx.g = 1
+    ctx.graph = graph
+    ctx.connected = graph.is_connected()
+    ctx.complete = graph.is_complete()
+    return ctx
+
+
 def has_edge(graph: Graph, u: int, w: int) -> bool:
     return bool(graph.rows[u] >> w & 1)
 
 
 def cycle_graph(n: int) -> Graph:
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def circulant(n: int, jumps) -> Graph:
+    """Cay(Z_n, {+-a : a in jumps})."""
+    return Graph.from_edges(n, [(x, (x + a) % n) for x in range(n)
+                                for a in jumps])
 
 
 def complete_graph(n: int) -> Graph:
@@ -68,11 +91,10 @@ def geodesic_correspondence_check(scheme, g: int,
     """d_Gamma(a,b) == level of class(a,b) in relation g's diagram, for
     every pair, the distances by the graph's BFS.  Requires a connected
     relation graph."""
-    diag = scheme.diagrams[g]
-    if any(lv is None for lv in diag.levels):
+    levels = scheme.diagrams[g].levels
+    if (levels < 0).any():
         return False, ("diagram", "unreachable class")
-    lev = np.array(diag.levels, dtype=np.int16)
-    want = lev[scheme.classes.astype(np.int64)]
+    want = levels[scheme.classes]
     got = graph.distance_matrix()
     if np.array_equal(got, want):
         return True, None

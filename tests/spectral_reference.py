@@ -32,7 +32,7 @@ def _split_by_gaps(vals, tol):
 
 def reference_spectral(scheme, grouping_tol=1e-9) -> ReferenceSpectral:
     v, d = scheme.v, scheme.d
-    c = scheme.table.classes
+    c = scheme.classes
 
     def mat(i):
         return (c == i).astype(np.float64)
@@ -104,5 +104,5 @@ def repeated_column_idempotents(spec: ReferenceSpectral, tol=1e-8):
 
 def idempotents_from_q(scheme, q) -> list[np.ndarray]:
     """E_j = (1/v) sum_i Q_ij A_i, read off the class matrix."""
-    c = np.asarray(scheme.table.classes)
+    c = np.asarray(scheme.classes)
     return [q[:, j][c] / scheme.v for j in range(scheme.d + 1)]

@@ -270,7 +270,7 @@ def test_09_local_clique_cut_bound(catalog_pairs, flow_values):
             continue
         checked += 1
         kappa = flow_values[(p.scheme.name, p.relation)][0]
-        p_local = int(p.scheme.tensor.p[p.relation, p.relation, p.relation])
+        p_local = int(p.scheme.p[p.relation, p.relation, p.relation])
         if not kappa > p_local:
             failures.append((p.scheme.name, p.relation, kappa, p_local))
     _line(9, "kappa exceeds the local clique parameter", not failures,

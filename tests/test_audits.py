@@ -198,7 +198,7 @@ def test_w_empty_distance2_matches_bfs_when_w_nonempty(family, g):
     # level 1 or 3 mixed in, each against the every-basepoint BFS
     ctx = RelationContext(build_family(*family), g)
     assert ctx.connected and ctx.diagram.diameter >= 3
-    sets = [tuple(np.flatnonzero(ctx.levels == t).tolist())
+    sets = [tuple(np.flatnonzero(ctx.diagram.levels == t).tolist())
             for t in range(ctx.diagram.diameter + 1)]
     dec = ctx.iuw
     cases = [sets[2], sets[2] + sets[3][:1], sets[3][-1:] + sets[2],

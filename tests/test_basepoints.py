@@ -8,7 +8,6 @@ counts included."""
 
 from dataclasses import replace
 from itertools import combinations
-from types import SimpleNamespace
 
 import pytest
 
@@ -18,6 +17,7 @@ from schemeconn.audits import (RelationContext, ball_deletion_audit,
 from schemeconn.catalog import build_family, gen_hamming
 from schemeconn.graph import Graph
 from schemeconn.report import analyze_scheme
+from small_graphs import circulant, graph_context
 
 
 def _outcome(audit, *args):
@@ -75,29 +75,18 @@ def test_reduced_audits_match_every_basepoint(catalog_schemes):
     assert all(n >= 2 for n in scaled.values()), scaled
 
 
-class CirculantContext(RelationContext):
-    """A context over the circulant graph of Z_n with connection set S,
-    whose rotation x -> x + 1 is a transitive automorphism; no scheme
-    carries it, so connectivity and completeness come from the graph."""
-
-    def __init__(self, n, steps, transitive):
-        self.graph = Graph.from_edges(n, {tuple(sorted((x, (x + s) % n)))
-                                          for x in range(n) for s in steps})
-        self.scheme = SimpleNamespace(v=n, transitive=transitive)
-        self.connected = self.graph.is_connected()
-        self.complete = self.graph.is_complete()
-
-
 def test_reduced_corollaries_match_every_basepoint_on_circulants():
     failures = 0
     for n in range(5, 13):
         rotation = tuple((x + 1) % n for x in range(n))
         for r in (1, 2, 3):
             for steps in combinations(range(1, n // 2 + 1), r):
-                full = CirculantContext(n, steps, ())
+                # the rotation is a transitive automorphism no scheme carries
+                graph = circulant(n, steps)
+                full = graph_context(graph)
                 if not full.connected or full.complete:
                     continue
-                reduced = CirculantContext(n, steps, (rotation,))
+                reduced = graph_context(graph, transitive=(rotation,))
                 want = corollary_audits(full)
                 assert corollary_audits(reduced) == want, (n, steps)
                 failures += not want.c1_ok

@@ -59,6 +59,18 @@ def test_every_family_validates():
         assert sum(s.valencies) == s.v
 
 
+def test_descriptor_arrays_are_read_only(catalog_schemes):
+    # every reader shares these arrays (the audits index the diagrams'
+    # levels in place), so none may be written through
+    for s in builtin_catalog() + catalog_schemes:
+        arrays = {"classes": s.classes, "first_pair": s.first_pair, "p": s.p}
+        if s.symmetric:
+            arrays.update((f"levels[{g}]", diag.levels)
+                          for g, diag in s.diagrams.items())
+        for field, array in arrays.items():
+            assert not array.flags.writeable, (s.name, field)
+
+
 def test_catalog_size_and_order():
     cat = builtin_catalog()
     names = [s.name for s in cat]
@@ -175,7 +187,7 @@ def test_save_load_roundtrip(tmp_path):
         assert loaded.name == s.name
         assert loaded.classes.dtype == s.classes.dtype
         assert np.array_equal(loaded.classes, s.classes), s.name
-        assert np.array_equal(loaded.tensor.p, s.tensor.p), s.name
+        assert np.array_equal(loaded.p, s.p), s.name
         assert loaded.valencies == s.valencies
 
 

@@ -5,7 +5,6 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,8 +19,9 @@ from schemeconn.errors import CapExceeded, Disconnected
 from schemeconn.graph import Graph, bits, complete_bipartite, mask_of, petersen
 from schemeconn.report import AnalysisConfig, analyze_relation
 from schemeconn.scheme import RelationTable, relation_graph, validate_scheme
-from small_graphs import (builtin_catalog, complete_graph, cycle_graph,
-                          has_edge, induced_subgraph, twins)
+from small_graphs import (builtin_catalog, circulant, complete_graph,
+                          cycle_graph, graph_context, has_edge,
+                          induced_subgraph, twins)
 
 
 def brute_kappa(graph):
@@ -113,27 +113,6 @@ def _reflection(n):
     return tuple(-x % n for x in range(n))
 
 
-def circulant(n, jumps):
-    """Cay(Z_n, {+-a : a in jumps})."""
-    return Graph.from_edges(n, [(x, (x + a) % n) for x in range(n)
-                                for a in jumps])
-
-
-def graph_context(graph, automorphisms, transitive):
-    """A RelationContext on a graph that is no relation of any scheme at
-    hand, with automorphisms as the stabiliser: kappa, lam and min_cuts
-    read only the graph, the scheme's generators, and connectivity and
-    completeness, which with no tensor at hand come from the graph."""
-    ctx = object.__new__(RelationContext)
-    ctx.scheme = SimpleNamespace(stabiliser=tuple(automorphisms),
-                                 transitive=tuple(transitive))
-    ctx.g = 1
-    ctx.graph = graph
-    ctx.connected = graph.is_connected()
-    ctx.complete = graph.is_complete()
-    return ctx
-
-
 def test_generators_are_checked_before_early_returns():
     k4 = complete_graph(4)
     for connectivity_of in (vertex_connectivity, edge_connectivity):
@@ -145,7 +124,7 @@ def test_generators_are_checked_before_early_returns():
 
 def test_theorems_decide_polygons_without_flows(flow_calls):
     for n in range(4, 13):
-        gens = {"automorphisms": [_reflection(n)],
+        gens = {"stabiliser": [_reflection(n)],
                 "transitive": [_rotation(n), _reflection(n)]}
         assert graph_context(cycle_graph(n), **gens).kappa == 2
         # relation 1 of the cyclic scheme is the polygon

@@ -13,7 +13,6 @@ BFS behind the context's shared per-radius sweep.
 
 import random
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,18 +22,7 @@ from schemeconn.catalog import BUILTIN_FAMILIES, build_family
 from schemeconn.connectivity import maximal_cliques
 from schemeconn.graph import Graph, bits, mask_of
 from schemeconn.scheme import relation_graph, symmetrized_scheme
-
-
-class GraphContext(RelationContext):
-    """A context over a bare graph, for graphs that no scheme carries; with
-    no tensor at hand, connectivity and completeness come from the
-    graph."""
-
-    def __init__(self, graph):
-        self.graph = graph
-        self.scheme = SimpleNamespace(v=graph.n, transitive=())
-        self.connected = graph.is_connected()
-        self.complete = graph.is_complete()
+from small_graphs import graph_context
 
 
 # -- reference sweeps: one bitset BFS per deletion set -------------------
@@ -110,7 +98,7 @@ def assert_witnesses_cut(graph, audit):
 
 def assert_matches_reference(graph):
     """The audit against every reference; returns the audit."""
-    audit = corollary_audits(GraphContext(graph))
+    audit = corollary_audits(graph_context(graph))
     ok, checked = ref_c1_pairs(graph)
     assert (audit.c1_ok, audit.c1_checked) == (ok, checked)
     ex_ok, _, ex_wit = ref_c1_exhaustive(graph)
@@ -163,8 +151,7 @@ def ref_ball_components(s, g, graph, t):
     """Components of G minus the class ball: for each basepoint a, delete
     the vertices whose class from a sits at diagram level at most t."""
     levels = RelationContext(s, g).diagram.levels
-    ball = [i for i in range(s.d + 1)
-            if levels[i] is not None and levels[i] <= t]
+    ball = [i for i in range(s.d + 1) if 0 <= levels[i] <= t]
     out = []
     for a in range(s.v):
         row = np.isin(s.classes[a], ball)
@@ -228,7 +215,7 @@ def test_hub_with_pendant_exhaustive_failures():
 def test_large_valency_failures(graph, c3_ok):
     # valency above 12: too many subsets for the reference sweeps, so the
     # witnesses are checked as cuts instead
-    audit = corollary_audits(GraphContext(graph))
+    audit = corollary_audits(graph_context(graph))
     assert not audit.c1_ok and audit.c1_checked == 1
     assert audit.c3_ok == c3_ok and not audit.c3_capped
     assert_witnesses_cut(graph, audit)
@@ -266,5 +253,5 @@ def test_c3_fallback_stops_at_clique_cap(monkeypatch):
     from schemeconn import audits
     monkeypatch.setattr(audits, "CLIQUE_CAP", 1)
     graph = _cliques_sharing_vertex(3)
-    audit = corollary_audits(GraphContext(graph))
+    audit = corollary_audits(graph_context(graph))
     assert not audit.c1_ok and audit.c3_ok and audit.c3_capped

@@ -11,9 +11,9 @@ from small_graphs import geodesic_correspondence_check
 
 def test_pentagon_diagram_is_path():
     diag = distribution_diagram(gen_cyclic(5), 1)
-    assert diag.levels == (0, 1, 2)
-    assert tuple(bits(diag.adj[0])) == (1,)
-    assert tuple(bits(diag.adj[1])) == (0, 2)
+    assert diag.levels.tolist() == [0, 1, 2]
+    assert tuple(bits(diag.graph.rows[0])) == (1,)
+    assert tuple(bits(diag.graph.rows[1])) == (0, 2)
     assert diag.diameter == 2
     assert len(punctured_components(diag)) <= 1
 
@@ -21,7 +21,7 @@ def test_pentagon_diagram_is_path():
 def test_petersen_diagram():
     s = build_family("drg", ("petersen",))
     diag = distribution_diagram(s, 1)
-    assert diag.levels == (0, 1, 2)
+    assert diag.levels.tolist() == [0, 1, 2]
     assert len(punctured_components(diag)) <= 1
 
 
@@ -29,25 +29,25 @@ def test_h42_relation2_isolated_antipode():
     s = gen_hamming(4, 2)
     diag = distribution_diagram(s, 2)
     # antipodal class 4: a 2-step from distance 4 lands only on distance 2
-    assert tuple(bits(diag.adj[4])) == (2,)
+    assert tuple(bits(diag.graph.rows[4])) == (2,)
     assert len(punctured_components(diag)) > 1
-    assert diag.levels[1] is None and diag.levels[3] is None
+    assert diag.levels[1] == -1 and diag.levels[3] == -1
     assert diag.diameter is None
 
 
 def test_h62_relation3_diagram():
     s = gen_hamming(6, 2)
     diag = distribution_diagram(s, 3)
-    assert diag.levels == (0, 3, 2, 1, 2, 3, 2)
+    assert diag.levels.tolist() == [0, 3, 2, 1, 2, 3, 2]
     assert diag.diameter == 3
-    assert tuple(bits(diag.adj[6])) == (3,)
+    assert tuple(bits(diag.graph.rows[6])) == (3,)
     assert len(punctured_components(diag)) > 1
 
 
 def test_complete_graph_empty_h_prime():
     s = gen_cyclic(3)
     diag = distribution_diagram(s, 1)
-    assert diag.size == 2
+    assert diag.graph.n == 2
     assert len(punctured_components(diag)) <= 1   # empty by convention
 
 
@@ -56,9 +56,9 @@ def test_diagram_edge_symmetry():
         s = build_family(*fam)
         for g in range(1, s.d + 1):
             diag = distribution_diagram(s, g)
-            for j in range(diag.size):
-                for k in bits(diag.adj[j]):
-                    assert diag.adj[k] >> j & 1
+            for j in range(diag.graph.n):
+                for k in bits(diag.graph.rows[j]):
+                    assert diag.graph.rows[k] >> j & 1
 
 
 def test_geodesic_correspondence_samples():
@@ -85,8 +85,9 @@ def test_p_polynomial_tags():
 
 
 def _diagram_loop(scheme, g):
-    """adj as the pairwise loop over the tensor builds it."""
-    d, p = scheme.d, scheme.tensor.p
+    """The diagram's rows as the pairwise loop over the tensor builds
+    them."""
+    d, p = scheme.d, scheme.p
     adj = [0] * (d + 1)
     for j in range(d + 1):
         for k in range(j + 1, d + 1):
@@ -100,4 +101,4 @@ def test_diagram_matches_pairwise_loop(catalog_schemes):
     for s in list(catalog_schemes) + [gen_cyclic(101)]:
         for g in range(1, s.d + 1):
             diag = distribution_diagram(s, g)
-            assert diag.adj == _diagram_loop(s, g), (s.name, g)
+            assert diag.graph.rows == _diagram_loop(s, g), (s.name, g)

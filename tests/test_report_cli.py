@@ -127,8 +127,6 @@ def test_analyze_scheme_symmetrizes():
     assert len(reports) == 2
     assert all(rep["symmetrized"] for rep in reports)
     assert reports[0]["v"] == 5 and reports[0]["valency"] == 2
-    with pytest.raises(ValueError):
-        analyze_scheme(build_family("conjugacy", ("Z5",)), symmetrize=False)
 
 
 def test_config_threading():
@@ -625,12 +623,6 @@ def test_cli_survey_manifest_bad_entry_types(tmp_path, payload, message):
     assert f"ParseError: {manifest}: {message}" in done.stderr
     assert "Traceback" not in done.stderr
     assert not (tmp_path / "never").exists()
-
-
-def test_cli_analyze_refuse_symmetrize(capsys):
-    code = main(["analyze", "--family", "conjugacy", "Z5",
-                 "--no-symmetrize"])
-    assert code == 2
 
 
 def test_cli_cuts_pentagon(capsys):

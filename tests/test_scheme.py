@@ -49,7 +49,7 @@ def test_pentagon_triple_count_oracle():
     for i in range(3):
         for j in range(3):
             for k in range(3):
-                assert int(s.tensor.p[i, j, k]) == brute_intersection(s.classes, i, j, k)
+                assert int(s.p[i, j, k]) == brute_intersection(s.classes, i, j, k)
 
 
 def test_petersen_triple_count_oracle():
@@ -59,14 +59,14 @@ def test_petersen_triple_count_oracle():
     for i in range(3):
         for j in range(3):
             for k in range(3):
-                assert int(s.tensor.p[i, j, k]) == brute_intersection(s.classes, i, j, k)
+                assert int(s.p[i, j, k]) == brute_intersection(s.classes, i, j, k)
 
 
 def test_row_sum_identity():
     # sum_j p[i][j][k] = v_i exactly, all i, k
     for s in (gen_cyclic(7), build_family("hamming", (3, 2)),
               build_family("johnson", (5, 2))):
-        p = s.tensor.p
+        p = s.p
         for i in range(s.d + 1):
             for k in range(s.d + 1):
                 assert int(p[i, :, k].sum()) == s.valencies[i]
@@ -79,7 +79,7 @@ def test_symmetric_counting_identity():
         for i in range(s.d + 1):
             for j in range(s.d + 1):
                 for k in range(s.d + 1):
-                    assert val[k] * int(s.tensor.p[i, j, k]) == val[i] * int(s.tensor.p[k, j, i])
+                    assert val[k] * int(s.p[i, j, k]) == val[i] * int(s.p[k, j, i])
 
 
 def test_identity_diagonal_required():

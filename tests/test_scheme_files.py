@@ -159,7 +159,7 @@ def outcome(path):
         s = load_scheme(path)
     except SchemeError as exc:
         return type(exc).__name__, str(exc)
-    return s.name, s.v, s.d, s.tensor.p.tobytes()
+    return s.name, s.v, s.d, s.p.tobytes()
 
 
 @pytest.mark.parametrize("text", DECLINED.values(), ids=DECLINED.keys())
@@ -181,7 +181,7 @@ def test_escaped_name_holding_a_matrix(tmp_path):
     rows = [[0, 1], [1, 0]]
     path.write_bytes(dumped('"classes": [[0, 2], [2, 0]]', rows))
     assert assert_reader_agrees(path.read_bytes())
-    assert load_scheme(path).tensor.p.tolist() == [
+    assert load_scheme(path).p.tolist() == [
         [[1, 0], [0, 1]], [[0, 1], [1, 0]]]
 
 

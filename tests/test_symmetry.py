@@ -114,7 +114,7 @@ def test_mutated_generator_rejected(mutation):
     s = gen_johnson(6, 2)
     bad = _mutants(s.stabiliser[0])[mutation]
     with pytest.raises(NotAnAutomorphism) as info:
-        validate_scheme(s.table, name="mutant",
+        validate_scheme(s, name="mutant",
                         stabiliser=s.stabiliser + (tuple(bad),))
     assert info.value.index == len(s.stabiliser)
     assert _exit_code(info.value) == EXIT_INVALID
@@ -350,7 +350,7 @@ def test_transitive_generator_moving_a_class_is_refused():
     bad = list(s.transitive[0])
     bad[1], bad[-1] = bad[-1], bad[1]
     with pytest.raises(NotAnAutomorphism) as info:
-        validate_scheme(s.table, name="mutant",
+        validate_scheme(s, name="mutant",
                         transitive=s.transitive + (tuple(bad),))
     assert info.value.index == len(s.transitive)
     assert "transitive generator" in str(info.value)
@@ -364,7 +364,7 @@ def test_short_transitive_generator_is_refused():
     s = gen_johnson(6, 2)
     short = s.transitive[0][:-1]
     with pytest.raises(NotAnAutomorphism) as info:
-        validate_scheme(s.table, name="short",
+        validate_scheme(s, name="short",
                         transitive=s.transitive + (short,))
     assert info.value.index == len(s.transitive)
     assert f"not a sequence of {s.v}" in str(info.value)
@@ -378,7 +378,7 @@ def test_intransitive_generators_are_refused(family):
     # the stabiliser of 0 preserves every class, but its orbit of 0 is {0}
     s = family()
     with pytest.raises(NotAnAutomorphism) as info:
-        validate_scheme(s.table, name="stabiliser-only",
+        validate_scheme(s, name="stabiliser-only",
                         transitive=s.stabiliser)
     assert info.value.index is None
     assert info.value.witness == 1

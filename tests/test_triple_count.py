@@ -138,9 +138,9 @@ def test_tensor_matches_integer_counts():
     schemes = _schemes()
     assert len(schemes) > 50
     for s in schemes:
-        assert s.tensor.p.dtype == np.int64
-        assert np.array_equal(s.tensor.p, naive_tensor(s.classes)), s.name
-        assert np.array_equal(s.tensor.p, reference_tensor(s.table)), s.name
+        assert s.p.dtype == np.int64
+        assert np.array_equal(s.p, naive_tensor(s.classes)), s.name
+        assert np.array_equal(s.p, reference_tensor(s)), s.name
         assert s.valencies == tuple(
             int(n) for n in np.bincount(np.asarray(s.classes[0])))
 
@@ -151,7 +151,7 @@ def test_counts_beyond_half_precision_exact():
     v = 2100
     s = validate_scheme(RelationTable.from_classes(
         1 - np.eye(v, dtype=np.int64)))
-    assert s.tensor.p[1, 1].tolist() == [v - 1, v - 2]
+    assert s.p[1, 1].tolist() == [v - 1, v - 2]
     assert s.valencies == (1, v - 1)
 
 
@@ -169,7 +169,7 @@ def test_mutations_raise_with_recounted_witness(family):
     mutant is a scheme.  Every one must raise; a NonConstantIntersection
     witness must recount in integers and match the int64 loop's fields."""
     s = build_family(*family)
-    tm = s.table.transpose_map
+    tm = s.transpose_map
     rng = random.Random(f"mutate:{s.name}")
     witnessed = 0
     for _ in range(40):
@@ -225,7 +225,7 @@ def test_mutation_failing_in_a_later_packed_product():
 def test_large_tensors_match_integer_counts():
     # naive_tensor alone: the int64 product loop takes seconds at this size
     for s in _large():
-        assert np.array_equal(s.tensor.p, naive_tensor(s.classes)), s.name
+        assert np.array_equal(s.p, naive_tensor(s.classes)), s.name
 
 
 def test_tensor_when_class_1_does_not_generate():
@@ -236,9 +236,9 @@ def test_tensor_when_class_1_does_not_generate():
                build_family("conjugacy", ("Q8",)),
                validate_scheme(RelationTable.from_classes(k2_by_k3_classes()))]
     for s in schemes:
-        assert not scheme._generates(s.tensor.p[1].T), s.name
-        assert np.array_equal(s.tensor.p, naive_tensor(s.classes)), s.name
-        assert np.array_equal(s.tensor.p, reference_tensor(s.table)), s.name
+        assert not scheme._generates(s.p[1].T), s.name
+        assert np.array_equal(s.p, naive_tensor(s.classes)), s.name
+        assert np.array_equal(s.p, reference_tensor(s)), s.name
 
 
 def test_partition_passing_row_1_is_rejected():
@@ -280,7 +280,7 @@ def test_products_stop_once_one_class_generates(monkeypatch):
     counts, rows = [], []
     for s in schemes:
         calls.clear()
-        assert np.array_equal(validate_scheme(s.table).tensor.p, s.tensor.p)
+        assert np.array_equal(validate_scheme(s).p, s.p)
         counts.append(len(calls))
         rows.append({i for i, _ in calls})
         # every class j of every row that ran is checked exactly once
@@ -332,13 +332,13 @@ def test_generates_matches_exact_krylov_rank():
     decided = set()
     for s in _schemes():
         for i in range(1, s.d + 1):
-            b = s.tensor.p[i].T.tolist()
+            b = s.p[i].T.tolist()
             vec = [1] + [0] * s.d
             krylov = [vec]
             for _ in range(s.d):
                 vec = [sum(x * y for x, y in zip(row, vec)) for row in b]
                 krylov.append(vec)
             full = exact_rank(krylov) == s.d + 1
-            assert scheme._generates(s.tensor.p[i].T) == full, (s.name, i)
+            assert scheme._generates(s.p[i].T) == full, (s.name, i)
             decided.add(full)
     assert decided == {True, False}
