@@ -1,10 +1,13 @@
 """Per-relation analysis reports and the parallel survey harness.
 
 Reports are plain dicts with a stable field order so serialized output is
-byte-identical run to run.  The survey submits one task per entry, a whole
-scheme with the relations asked of it, to a process pool; workers return
-report dicts and the parent writes everything in canonical order, so the
-output does not depend on the schedule.
+byte-identical run to run.  A survey task is one entry, a whole scheme with
+the relations asked of it.  With jobs > 1 the parent forks a few workers
+and hands each idle one the next entry index over a pipe; a worker sends
+back its pickled report dicts, and the parent writes everything in
+canonical order, so the output does not depend on the schedule.  A worker
+that dies loses only the entry it was running.  Without os.fork the
+survey runs serially, which writes the same bytes.
 """
 from __future__ import annotations
 
@@ -12,8 +15,9 @@ import dataclasses
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+import pickle
+import selectors
+import signal
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -377,27 +381,106 @@ def _survey_task(arg):
         return idx, None, [], f"{type(e).__name__}: {e}"
 
 
+def _read_exact(fd: int, n: int) -> Optional[bytearray]:
+    """n bytes from fd, or None if the pipe closes first."""
+    buf = bytearray()
+    while len(buf) < n:
+        chunk = os.read(fd, n - len(buf))
+        if not chunk:
+            return None
+        buf += chunk
+    return buf
+
+
+def _serve(tasks: list[tuple], task_fd: int, result_fd: int) -> None:
+    """Worker loop: read an 8-byte entry index, run _survey_task on that
+    entry, send back the length-prefixed pickled result; stop when the
+    parent closes the task pipe.  The task is looked up in the module at
+    each call, so a wrapper installed on report._survey_task sees it."""
+    while (head := _read_exact(task_fd, 8)) is not None:
+        result = _survey_task(tasks[int.from_bytes(head, "little")])
+        data = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
+        data = len(data).to_bytes(8, "little") + data
+        while data:
+            data = data[os.write(result_fd, data):]
+
+
 def _pooled(tasks: list[tuple], jobs: int) -> list[tuple]:
-    """_survey_task over a pool, one submission per entry.  A worker that
-    dies breaks the pool and loses every unfinished entry; each of those is
-    rerun in a one-worker pool of its own, so only an entry that kills its
-    own worker is recorded as failed.  The pool has no more workers than
-    tasks: it starts all of them at the first submission."""
-    results, lost = [], []
-    workers = min(jobs, max(1, len(tasks)))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [(t, pool.submit(_survey_task, t)) for t in tasks]
-        for t, fut in futures:
+    """_survey_task on at most min(jobs, len(tasks)) forked workers at a
+    time.  Each idle worker is handed the next entry over its own pipe, so
+    the schedule is dynamic.  A worker that dies loses only the entry it
+    was running, recorded as "worker process died", and a fresh worker
+    takes over the entries left.  Workers leave only through os._exit, and
+    every child is killed and reaped before this returns or raises."""
+    results = []
+    sel = selectors.DefaultSelector()
+    workers: dict[int, list] = {}   # result fd -> [pid, task fd, position]
+    handed = 0
+
+    def start() -> int:
+        task_r, task_w = os.pipe()
+        result_r, result_w = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            code = 1
             try:
-                results.append(fut.result())
-            except BrokenProcessPool:
-                lost.append(t)
-    for t in lost:
-        with ProcessPoolExecutor(max_workers=1) as pool:
-            try:
-                results.append(pool.submit(_survey_task, t).result())
-            except BrokenProcessPool:
-                results.append((t[0], None, [], "worker process died"))
+                # other workers see EOF only once every copy of their
+                # task pipe's write end is closed
+                for fd in [task_w, result_r] + [
+                        f for r, w in workers.items() for f in (r, w[1])]:
+                    os.close(fd)
+                _serve(tasks, task_r, result_w)
+                code = 0
+            finally:
+                os._exit(code)
+        workers[result_r] = [pid, task_w, None]
+        sel.register(result_r, selectors.EVENT_READ)
+        os.close(task_r)
+        os.close(result_w)
+        return result_r
+
+    def retire(fd: int) -> None:
+        pid, task_w, _ = workers.pop(fd)
+        sel.unregister(fd)
+        os.close(fd)
+        os.close(task_w)            # an idle worker reads EOF and exits
+        os.waitpid(pid, 0)
+
+    def hand(fd: int) -> None:
+        nonlocal handed
+        if handed == len(tasks):
+            retire(fd)
+            return
+        workers[fd][2] = handed
+        try:
+            os.write(workers[fd][1], handed.to_bytes(8, "little"))
+        except BrokenPipeError:     # died idle: its result pipe reads EOF
+            pass
+        handed += 1
+
+    try:
+        for _ in range(min(jobs, len(tasks))):
+            hand(start())
+        while workers:
+            for key, _ in sel.select():
+                fd = key.fd
+                head = _read_exact(fd, 8)
+                data = None if head is None else \
+                    _read_exact(fd, int.from_bytes(head, "little"))
+                if data is None:
+                    results.append((tasks[workers[fd][2]][0], None, [],
+                                    "worker process died"))
+                    retire(fd)
+                    if handed < len(tasks):
+                        hand(start())
+                else:
+                    results.append(pickle.loads(data))
+                    hand(fd)
+    finally:
+        for fd, (pid, _, _) in list(workers.items()):
+            os.kill(pid, signal.SIGKILL)
+            retire(fd)
+        sel.close()
     return results
 
 
@@ -425,13 +508,16 @@ def run_survey(entries, out_dir: str, jobs: int = 1,
     """entries: list of (source, relations) where source is ("file", path)
     or (family_kind, params); relations is None for all.  Writes one JSON
     per (scheme, relation) plus summary.json; output is byte-identical for
-    any jobs value.  An entry whose reports cannot be written under a plain,
-    unused file name, or whose pool worker dies, is recorded as an error and
-    writes nothing."""
+    any jobs value.  jobs > 1 runs the entries on at most
+    min(jobs, len(entries)) forked workers at a time, all reaped before
+    this returns or raises; where os.fork is missing the survey runs
+    serially.  An entry whose reports cannot be written
+    under a plain, unused file name, or whose worker dies while running it,
+    is recorded as an error and writes nothing; the other entries go on."""
     os.makedirs(out_dir, exist_ok=True)
     tasks = [(idx, source, relations, config)
              for idx, (source, relations) in enumerate(entries)]
-    if jobs > 1:
+    if jobs > 1 and hasattr(os, "fork"):
         results = _pooled(tasks, jobs)
     else:
         results = [_survey_task(t) for t in tasks]

@@ -2,13 +2,13 @@
 
 import hashlib
 import json
-import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 from collections import Counter
-from concurrent.futures import Future
 from dataclasses import replace
 
 import pytest
@@ -306,7 +306,25 @@ def test_survey_section_counts_match_written_reports(tmp_path):
     assert summary["reports_clean"] == clean == 9
 
 
-def test_survey_jobs_byte_identical(tmp_path):
+@pytest.fixture
+def bounded():
+    """Fail a survey that hangs instead of hanging the test run: a fork
+    child that kept a copy of a sibling's pipe would block the parent's
+    wait for that sibling forever."""
+    if not hasattr(signal, "SIGALRM"):     # nor os.fork: surveys are serial
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError("the survey took over 120 s")
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(120)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, old)
+
+
+def test_survey_jobs_byte_identical(tmp_path, bounded):
     a = tmp_path / "a"
     b = tmp_path / "b"
     run_survey(SMALL_ENTRIES, str(a), jobs=1)
@@ -317,12 +335,13 @@ def test_survey_jobs_byte_identical(tmp_path):
         assert ta[name] == tb[name], name
 
 
-def test_survey_isolates_bad_entry(tmp_path):
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_survey_isolates_bad_entry(tmp_path, bounded, jobs):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     out = tmp_path / "out"
     entries = [(("cyclic", (5,)), None), (("file", str(bad)), None)]
-    summary = run_survey(entries, str(out))
+    summary = run_survey(entries, str(out), jobs=jobs)
     assert not summary["ok"]
     assert len(summary["errors"]) == 1
     assert summary["errors"][0]["entry"] == 1
@@ -332,63 +351,143 @@ def test_survey_isolates_bad_entry(tmp_path):
 
 
 _SURVEY_TASK = report._survey_task
+_FORKS = pytest.mark.skipif(not hasattr(os, "fork"),
+                            reason="a patched task reaches workers by fork")
 
 
-def _task_dying_on_entry_1(arg):
-    if arg[0] == 1:
-        os._exit(1)
-    return _SURVEY_TASK(arg)
+def _assert_no_children():
+    """Every child the survey forked has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                    reason="a patched task reaches pool workers only by fork")
-def test_survey_survives_worker_death(tmp_path, monkeypatch):
-    entries = [(("cyclic", (n,)), None) for n in (5, 6, 7)]
+def _exit_on_entry_1(tmp_path):
+    def task(arg):
+        if arg[0] == 1:
+            os._exit(1)
+        return _SURVEY_TASK(arg)
+    return task
+
+
+def _sigkill_on_entry_1(tmp_path):
+    def task(arg):
+        if arg[0] == 1:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return _SURVEY_TASK(arg)
+    return task
+
+
+def _exit_on_second_entry(tmp_path):
+    """The worker that ran entry 0 dies on its next entry, which is entry
+    2: entry 1 waits in the other worker until a replacement has finished
+    entry 3, so the replacement is needed and ran."""
+    done = tmp_path / "replacement-done"
+    ran = []
+
+    def task(arg):
+        if ran == [0]:
+            os._exit(1)
+        ran.append(arg[0])
+        if arg[0] == 1:
+            for _ in range(600):
+                if done.exists():
+                    break
+                time.sleep(0.1)
+            else:
+                os._exit(2)
+        result = _SURVEY_TASK(arg)
+        if arg[0] == 3:
+            done.touch()
+        return result
+    return task
+
+
+@_FORKS
+@pytest.mark.parametrize("make_task,lost", [
+    (_exit_on_entry_1, 1), (_sigkill_on_entry_1, 1),
+    (_exit_on_second_entry, 2),
+], ids=["exit", "sigkill", "second-entry"])
+def test_survey_survives_worker_death(tmp_path, monkeypatch, bounded,
+                                      make_task, lost):
+    entries = [(("cyclic", (n,)), None) for n in (5, 6, 7, 8)]
     run_survey(entries, str(tmp_path / "clean"), jobs=2)
-    monkeypatch.setattr(report, "_survey_task", _task_dying_on_entry_1)
+    monkeypatch.setattr(report, "_survey_task", make_task(tmp_path))
     summary = run_survey(entries, str(tmp_path / "crash"), jobs=2)
-    assert summary["errors"] == [{"entry": 1,
+    _assert_no_children()
+    assert summary["errors"] == [{"entry": lost,
                                   "error": "worker process died"}]
-    assert summary["reports"] == 2 + 3
     clean = _tree(tmp_path / "clean")
     want = {name: data for name, data in clean.items()
-            if name != "summary.json" and not name.startswith("cyclic-6-")}
+            if name != "summary.json"
+            and not name.startswith(f"cyclic-{5 + lost}-")}
     got = _tree(tmp_path / "crash")
     del got["summary.json"]
     assert got == want
+    assert summary["reports"] == len(want) == 12 - 3
 
 
-def test_survey_pool_has_no_more_workers_than_entries(tmp_path,
-                                                     monkeypatch):
-    """A pool starts all its workers at its first submission, so --jobs
-    above the entry count would start processes with nothing to do.  The
-    executor is replaced by one that records its size and runs each task
-    inline, so no process starts whatever the size asked for."""
-    sizes = []
-
-    class InlineExecutor:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            fut = Future()
-            fut.set_result(fn(*args))
-            return fut
+@_FORKS
+def test_survey_interrupt_reaps_workers(tmp_path, monkeypatch, bounded):
+    """An interrupt in the parent leaves no worker behind."""
+    def interrupted(data):
+        raise KeyboardInterrupt
 
     entries = [(("cyclic", (n,)), None) for n in (5, 6, 7)]
+    monkeypatch.setattr(report.pickle, "loads", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_survey(entries, str(tmp_path / "out"), jobs=2)
+    _assert_no_children()
+
+
+@_FORKS
+def test_survey_pool_has_no_more_workers_than_entries(tmp_path, monkeypatch,
+                                                     bounded):
+    """Each worker is forked before it has an entry, so --jobs above the
+    entry count would start processes with nothing to do.  The fork is
+    counted, and refused beyond the entry count, so a bug cannot start
+    one process per job asked for."""
+    entries = [(("cyclic", (n,)), None) for n in (5, 6, 7)]
     run_survey(entries, str(tmp_path / "serial"))
-    monkeypatch.setattr(report, "ProcessPoolExecutor", InlineExecutor)
+    forks = []
+
+    def counted_fork():
+        if len(forks) >= len(entries):
+            raise AssertionError("more forks than entries")
+        forks.append(1)
+        return real_fork()
+
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", counted_fork)
     for jobs in (2, 3, 100_000):
+        del forks[:]
         run_survey(entries, str(tmp_path / f"jobs-{jobs}"), jobs=jobs)
+        _assert_no_children()
+        assert len(forks) == min(jobs, len(entries))
         assert _tree(tmp_path / f"jobs-{jobs}") == _tree(tmp_path / "serial")
+    del forks[:]
     run_survey([], str(tmp_path / "none"), jobs=100_000)
-    assert sizes == [2, 3, 3, 1]
+    assert forks == []
+
+
+def test_survey_without_fork_runs_serially(tmp_path, monkeypatch):
+    entries = [(("cyclic", (n,)), None) for n in (5, 6)]
+    run_survey(entries, str(tmp_path / "serial"))
+    monkeypatch.delattr(os, "fork", raising=False)
+    run_survey(entries, str(tmp_path / "jobs"), jobs=2)
+    assert _tree(tmp_path / "jobs") == _tree(tmp_path / "serial")
+
+
+def test_import_loads_no_multiprocessing():
+    """Starting the CLI imports neither multiprocessing nor
+    concurrent.futures, which a serial run never uses."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(report.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, schemeconn.cli; print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_survey_relation_selection(tmp_path):
