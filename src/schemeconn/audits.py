@@ -9,14 +9,14 @@ guessing; every audit raises it with reason "disconnected" on a
 disconnected relation.
 
 Theorem 1, C1/C2 and the ball-deletion lemma all read the components of
-G - B_t(a) for every basepoint a, with N[a] = B_1(a).  The context sweeps
-them once per radius and every audit shares the sweep.
+G - N[a] for every basepoint a, with N[a] the ball of radius 1.  The
+context sweeps them once and every audit shares the sweep.
 
 On a scheme with a verified transitive group the sweep is basepoint 0
 alone (Brouwer-Cohen-Neumaier, Distance-Regular Graphs, 1989, §2.1).  An
 automorphism p of the scheme preserves every class, so it is an
-automorphism of G that maps B_t(a) onto B_t(p(a)) and the components of
-G - B_t(a) onto those of G - B_t(p(a)), with sizes, adjacency to N(b)
+automorphism of G that maps N[a] onto N[p(a)] and the components of
+G - N[a] onto those of G - N[p(a)], with sizes, adjacency to N(b)
 and distances kept.  Whether a basepoint is disconnected, triggers ball
 deletion, or fails C1, C2 or a ball-deletion part is therefore constant
 on each orbit, and the group's one orbit is X.  So a count of basepoints
@@ -115,20 +115,13 @@ class RelationContext:
         return len(self.punctured_components) <= 1
 
     @cached_property
-    def _ball_sweeps(self) -> dict[int, tuple[list[int], ...]]:
-        return {}
-
-    def swept_components(self, t: int) -> tuple[list[int], ...]:
-        """For each a in `basepoints`, the components of G - B_t(a) as bit
-        masks by least vertex, where B_t(a) is the ball of radius t and
-        B_1(a) = N[a]; computed once per radius.  Theorem 1, C1/C2 (t = 1)
-        and ball deletion read it."""
-        sweeps = self._ball_sweeps
-        if t not in sweeps:
-            graph = self.graph
-            sweeps[t] = tuple(graph.component_masks(deleted=graph.ball(a, t))
-                              for a in self.basepoints)
-        return sweeps[t]
+    def swept_components(self) -> tuple[list[int], ...]:
+        """For each a in `basepoints`, the components of G - N[a] as bit
+        masks by least vertex.  Theorem 1, C1/C2 and ball deletion read
+        it."""
+        graph = self.graph
+        return tuple(graph.component_masks(
+            deleted=graph.closed_neighborhood(a)) for a in self.basepoints)
 
     @cached_property
     def iuw(self) -> IUWDecomposition:
@@ -162,9 +155,12 @@ class RelationContext:
         atom, so a connected graph would be a single atom, which misses
         its own cut.  So every atom is one vertex y, its cut is N(y), and
         kappa is the valency.  Complete graphs have no cut and are left to
-        vertex_connectivity, as are disconnected ones."""
+        vertex_connectivity; a disconnected relation has kappa 0, its one
+        minimum cut the empty set, with no graph work."""
+        if not self.connected:
+            return 0
         graph, scheme = self.graph, self.scheme
-        if (scheme.transitive and self.connected and not self.complete
+        if (scheme.transitive and not self.complete
                 and len(_orbit_representatives(
                     list(bits(graph.rows[0])), scheme.stabiliser)) == 1):
             return graph.degree(0)
@@ -178,7 +174,10 @@ class RelationContext:
         is adjacent to all the rest, |F| >= n - 1 >= kappa; else take x in
         S and y outside, not adjacent, and of each edge of F its end other
         than x, which misses x and y and meets every x-y path.  A relation
-        graph is regular, so kappa = valency gives lambda with no flow."""
+        graph is regular, so kappa = valency gives lambda with no flow.  A
+        disconnected relation has lambda 0."""
+        if not self.connected:
+            return 0
         if self.kappa == self.graph.degree(0):
             return self.kappa
         return edge_connectivity(self.graph, self.scheme.stabiliser)
@@ -211,7 +210,7 @@ def theorem1_audit(ctx: RelationContext) -> Theorem1Audit:
         raise HypothesisNotMet("disconnected")
     if ctx.complete_multipartite:
         raise HypothesisNotMet("complete multipartite")
-    flags = [len(comps) <= 1 for comps in ctx.swept_components(1)]
+    flags = [len(comps) <= 1 for comps in ctx.swept_components]
     hp = ctx.h_prime_connected
     twin_free = not ctx.twin_classes
     # row 0 holds every class, so the least twin pair is 0 and its least twin
@@ -280,7 +279,7 @@ def corollary_audits(ctx: RelationContext) -> CorollaryAudits:
         raise HypothesisNotMet("disconnected")
     graph = ctx.graph
     checked, c1_wit, c2_wit = 0, None, None
-    for a, comps in zip(ctx.basepoints, ctx.swept_components(1)):
+    for a, comps in zip(ctx.basepoints, ctx.swept_components):
         if c2_wit is None:
             big = sum(1 for comp in comps if comp.bit_count() >= 2)
             if big > 1:
@@ -377,9 +376,7 @@ def w_empty_audit(ctx: RelationContext) -> WEmptyAudit:
 
 @dataclass(frozen=True)
 class BallDeletionAudit:
-    t: int
     diameter: int
-    ball_classes: tuple[int, ...]
     h_minus_ball_connected: bool
     triggered_basepoints: int
     part_a_ok: bool
@@ -388,33 +385,27 @@ class BallDeletionAudit:
     part_b_witness: Optional[tuple]
 
 
-def ball_deletion_audit(ctx: RelationContext, t: int) -> BallDeletionAudit:
-    """Delete the radius-t class ball around a basepoint.  If the diagram
-    minus its ball stays connected but the graph minus the vertex ball does
-    not, the graph diameter is at most 2t; and any vertex cut off from a
-    diameter-realizing vertex lies within distance 2t of the basepoint.
+def ball_deletion_audit(ctx: RelationContext) -> BallDeletionAudit:
+    """Delete the radius-1 ball N[a] around a basepoint a.  If the diagram
+    minus its ball {0, g} stays connected but G - N[a] does not, the graph
+    diameter is at most 2; and any vertex cut off from a
+    diameter-realizing vertex lies within distance 2 of a.
 
-    The vertex ball is the graph ball B_t(a): the classes at diagram level
-    at most t are the vertices within distance t of a, so the components
-    are read from the context's shared sweep, which for t = 1 is the one
-    theorem 1 and C1/C2 read.  The diameter is the diagram's, and the
-    distances from a are the levels of a's class row."""
+    The diagram minus {0, g} is the punctured diagram, and the components
+    of G - N[a] are the context's shared sweep, the one theorem 1 and
+    C1/C2 read.  The diameter is the diagram's, and the distances from a
+    are the levels of a's class row."""
     if not ctx.connected:
         raise HypothesisNotMet("disconnected")
-    diag = ctx.diagram
-    levels, diameter = diag.levels, diag.diameter
-    if not 1 <= t <= diameter:
-        raise ValueError(f"radius {t} outside 1..{diameter}")
-    ball = tuple(int(i) for i in np.flatnonzero(levels <= t))
-    h_minus_conn = diag.graph.is_connected(deleted=mask_of(ball))
+    levels, diameter = ctx.diagram.levels, ctx.diagram.diameter
     triggered = 0
     a_ok = b_ok = True
     a_wit = b_wit = None
-    for a, comp_masks in zip(ctx.basepoints, ctx.swept_components(t)):
+    for a, comp_masks in zip(ctx.basepoints, ctx.swept_components):
         if len(comp_masks) <= 1:
             continue
         triggered += ctx.weight
-        if h_minus_conn and b_ok and diameter > 2 * t:
+        if ctx.h_prime_connected and b_ok and diameter > 2:
             b_ok, b_wit = False, (a, diameter)
         if a_ok:
             rest = sum(comp_masks)   # disjoint masks: the sum is the union
@@ -424,13 +415,13 @@ def ball_deletion_audit(ctx: RelationContext, t: int) -> BallDeletionAudit:
                 if not far:
                     continue
                 for x in bits(rest & ~cm):
-                    if dist_row[x] > 2 * t:
+                    if dist_row[x] > 2:
                         a_ok, a_wit = False, (a, far[0], x, int(dist_row[x]))
                         break
                 if not a_ok:
                     break
-    return BallDeletionAudit(t=t, diameter=diameter, ball_classes=ball,
-                             h_minus_ball_connected=h_minus_conn,
+    return BallDeletionAudit(diameter=diameter,
+                             h_minus_ball_connected=ctx.h_prime_connected,
                              triggered_basepoints=triggered,
                              part_a_ok=a_ok, part_b_ok=b_ok,
                              part_a_witness=a_wit, part_b_witness=b_wit)

@@ -5,13 +5,12 @@ machine words per step even at the v <= 4096 desk cap.  A graph has every
 vertex of {0..n-1}: rows are checked to hold no loop and no bit at or
 above n.  Vertex deletion is only ever a `deleted` mask argument; graphs
 themselves are immutable.  One layered BFS, `layers`, yields the frontier
-at each distance on any out-rows; reach masks, components, balls and
-distances are read off it here, and the flows in connectivity read their
-residual levels and reach off it too.
+at each distance on any out-rows; reach masks, components and distances
+are read off it here, and connectivity's flows and scheme validation read
+their levels and reach off it too.
 """
 from __future__ import annotations
 
-from itertools import islice
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -109,13 +108,6 @@ class Graph:
         for frontier in layers(self.rows, start, deleted):
             seen |= frontier
         return seen
-
-    def ball(self, start: int, radius: int) -> int:
-        """The vertices within distance radius of start, start included."""
-        out = 0
-        for frontier in islice(layers(self.rows, start), radius + 1):
-            out |= frontier
-        return out
 
     def component_masks(self, deleted: int = 0) -> list[int]:
         """Connected components of the graph minus deleted, as bit masks

@@ -178,7 +178,7 @@ def _small_cut(ctx: audits.RelationContext) -> tuple[dict, list[str]]:
 
 
 def _ball_deletion(ctx: audits.RelationContext) -> tuple[dict, list[str]]:
-    bd = audits.ball_deletion_audit(ctx, 1)
+    bd = audits.ball_deletion_audit(ctx)
     fields = {
         "t": 1,
         "h_minus_ball_connected": bd.h_minus_ball_connected,

@@ -28,19 +28,20 @@ first row-major pair where it is off, and both counts, the very fields
 one product per class would give.
 
 The loop stops early once one class generates the algebra.  After row i,
-A_i V lies in V, and multiplication by A_i acts on the basis A_0..A_d as the
-integer matrix B_i[k][j] = p_ij^k, so B_i^m e_0 holds the coordinates of
-A_i^m.  If e_0, B_i e_0, ..., B_i^d e_0 have rank d+1 over GF(P) for a
-prime P, some (d+1)-minor of that integer matrix is non-zero mod P, hence
-non-zero, so I, A_i, ..., A_i^d span V.  Then V = C[A_i], which is closed
-under multiplication and commutative: every remaining product would pass
-its check, and every p_jl^k is the count at the first pair of class k,
-read off in integers instead.  A_1 generates V in a P-polynomial scheme
-(Bannai-Ito, Algebraic Combinatorics I, 1984, sec. III.1), such as the
-Hamming, Johnson and cyclic schemes, so these stop after row 1 instead of
-running d rows.  Where no class generates, every row runs as before.  Rows run
-in the same order either way, so the tensor and the first failure, with its
-witness, do not depend on where the loop stops.
+A_i A_j = sum_k p_ij^k A_k for every j.  If the arcs j -> k with p_ij^k > 0
+take d+1 BFS levels from class 0, each level holds one class c_m, and
+A_i^m, a non-negative combination of A_0..A_d, puts a positive coefficient
+on c_m and none deeper: no arc skips a level and no term cancels.  So I,
+A_i, ..., A_i^d are triangular in the basis A_0..A_d and span V.  Then
+V = C[A_i], which is closed under multiplication and commutative: every
+remaining product would pass its check, and every p_jl^k is the count at
+the first pair of class k, read off in integers instead.  There are d+1
+levels when class i's distribution diagram is a path from class 0, the
+P-polynomial case (Bannai-Ito, Algebraic Combinatorics I, 1984, sec.
+III.1): the Hamming, Johnson and cyclic schemes stop after row 1 instead of
+running d rows.  Where no class has such a diagram, every row runs.  Rows
+run in the same order either way, so the tensor and the first failure, with
+its witness, do not depend on where the loop stops.
 
 Generators offered by a construction are checked just as exactly: each must
 permute X and map every pair to a pair of the same class, a stabiliser
@@ -54,7 +55,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .connectivity import _orbit_representatives
 from .diagram import Diagram, distribution_diagram
 from .errors import (
     IdentityClassRequested,
@@ -66,15 +66,12 @@ from .errors import (
     NotSymmetric,
     SizeCap,
 )
-from .graph import Graph, bit_rows
+from .graph import Graph, bit_rows, layers, mask_of
 
 # validate_scheme's float32 products are exact only while every entry is
 # below 2**24 (float32 has a 24-bit significand); a count is below v, so
 # under the cap every product holds at least one base-v digit
 SIZE_CAP = 4096
-# validate_scheme's rank test works in GF(_PRIME); below 2**26, a sum of up
-# to 512 products of two residues stays below 2**63, past the 300-class cap
-_PRIME = 67108859
 
 
 @dataclass(frozen=True)
@@ -211,9 +208,13 @@ def _checked_transitive(classes: np.ndarray,
     gens = _checked_generators(classes, generators, "transitive")
     if gens:
         v = classes.shape[0]
-        reps = _orbit_representatives(range(v), gens)
-        if len(reps) > 1:
-            x = reps[1]
+        # forward images alone reach the orbit: some power of a permutation
+        # is its inverse
+        images = [mask_of(g[x] for g in gens) for x in range(v)]
+        orbit = sum(layers(images, 0))   # disjoint frontiers: sum is union
+        outside = ~orbit & ((1 << v) - 1)
+        if outside:
+            x = (outside & -outside).bit_length() - 1
             raise NotAnAutomorphism(
                 None, x, f"not transitive: the orbit of 0 misses {x}",
                 "transitive")
@@ -255,31 +256,6 @@ def _packed_products(table: RelationTable, i: int, js: list[int],
         ((a, b), int(got[q] // powers[t] % base)))
 
 
-def _generates(b: np.ndarray) -> bool:
-    """True iff e_0, b e_0, ..., b^(n-1) e_0 have rank n over GF(_PRIME),
-    for an n x n integer matrix b with entries in [0, SIZE_CAP].  Each new
-    Krylov vector is reduced against the ones before, kept in reduced row
-    echelon form; once one reduces to zero the span is b-invariant, so the
-    rank is final."""
-    n = b.shape[0]
-    basis = np.zeros((n, n), dtype=np.int64)
-    pivots: list[int] = []
-    w = np.zeros(n, dtype=np.int64)
-    w[0] = 1
-    for m in range(n):
-        w = (w - w[pivots] @ basis[:m]) % _PRIME
-        nonzero = np.flatnonzero(w)
-        if not len(nonzero):
-            return False
-        col = int(nonzero[0])
-        w = w * pow(int(w[col]), -1, _PRIME) % _PRIME
-        basis[:m] = (basis[:m] - np.outer(basis[:m, col], w)) % _PRIME
-        basis[m] = w
-        pivots.append(col)
-        w = b @ w % _PRIME
-    return True
-
-
 def validate_scheme(table: RelationTable, name: str = "scheme",
                     stabiliser=(), transitive=()) -> SchemeDescriptor:
     """Triple-count validation, row by row until one class is shown to
@@ -315,7 +291,7 @@ def validate_scheme(table: RelationTable, name: str = "scheme",
             p[i, run, :] = _packed_products(table, i, run, ai, base)
             if table.symmetric:
                 p[run, i, :] = p[i, run, :]
-        if _generates(p[i].T):
+        if sum(1 for _ in layers(bit_rows(p[i] > 0), 0)) == d + 1:
             for k in range(d + 1):
                 a, b = divmod(int(table.first_pair[k]), v)
                 p[:, :, k] = np.bincount(

@@ -1,5 +1,6 @@
-"""Small named graphs and the catalog list that only the tests build, and
-graph-level oracles of what the package reads off the tensor."""
+"""Small named graphs, the catalog list and the fusion schemes that only
+the tests build, and graph-level oracles of what the package reads off
+the tensor."""
 
 from itertools import combinations
 from types import SimpleNamespace
@@ -8,7 +9,9 @@ import numpy as np
 
 from schemeconn.audits import RelationContext
 from schemeconn.catalog import BUILTIN_FAMILIES, build_family
+from schemeconn.errors import SchemeError
 from schemeconn.graph import Graph, bits
+from schemeconn.scheme import RelationTable, validate_scheme
 
 
 def builtin_catalog() -> list:
@@ -18,6 +21,33 @@ def builtin_catalog() -> list:
     return sorted((build_family(kind, params)
                    for kind, params in BUILTIN_FAMILIES),
                   key=lambda s: s.name)
+
+
+def fused(scheme, blocks):
+    """scheme with each block of classes merged into one class, the
+    classes renumbered in order; SchemeError when that is no scheme."""
+    label = np.arange(scheme.d + 1)
+    for block in blocks:
+        label[list(block)] = block[0]
+    # renumber the surviving labels 0..d' in order
+    label = np.unique(label, return_inverse=True)[1]
+    name = f"{scheme.name}-fused-" + "+".join("-".join(map(str, block))
+                                              for block in blocks)
+    return validate_scheme(RelationTable.from_classes(label[scheme.classes]),
+                           name)
+
+
+def fusions(scheme) -> list:
+    """Every scheme obtained by merging one block of two or more of
+    scheme's classes into one."""
+    out = []
+    for size in range(2, scheme.d + 1):
+        for block in combinations(range(1, scheme.d + 1), size):
+            try:
+                out.append(fused(scheme, [block]))
+            except SchemeError:
+                pass
+    return out
 
 
 def graph_context(graph: Graph, stabiliser=(),

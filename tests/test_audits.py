@@ -69,7 +69,7 @@ def test_theorem1_gates():
 
 @pytest.mark.parametrize("audit", [
     theorem1_audit, corollary_audits, w_empty_audit,
-    lambda ctx: ball_deletion_audit(ctx, 1), small_cut_theorems_audit,
+    ball_deletion_audit, small_cut_theorems_audit,
     spec_cut_audit,
 ], ids=["theorem1", "corollaries", "w_empty", "ball_deletion", "small_cut",
         "spec_cut"])
@@ -216,27 +216,17 @@ def test_w_empty_distance2_matches_bfs_when_w_nonempty(family, g):
 
 
 def test_ball_deletion_h62_r3():
-    audit = ball_deletion_audit(h62_r3(), 1)
+    audit = ball_deletion_audit(h62_r3())
     assert audit.diameter == 3
-    assert audit.ball_classes == (0, 3)
     assert not audit.h_minus_ball_connected
     assert audit.triggered_basepoints == 64
     assert audit.part_a_ok and audit.part_b_ok
 
 
 def test_ball_deletion_untriggered():
-    audit = ball_deletion_audit(drg("petersen", 1), 1)
+    audit = ball_deletion_audit(drg("petersen", 1))
     assert audit.triggered_basepoints == 0
     assert audit.part_a_ok and audit.part_b_ok
-    audit = ball_deletion_audit(RelationContext(gen_cyclic(8), 1), 2)
-    assert audit.ball_classes == (0, 1, 2)
-    assert audit.h_minus_ball_connected
-    assert audit.triggered_basepoints == 0
-
-
-def test_ball_deletion_errors():
-    with pytest.raises(ValueError):
-        ball_deletion_audit(RelationContext(gen_cyclic(8), 1), 9)
 
 
 def test_small_cut_cycles():

@@ -33,10 +33,8 @@ def _results(ctx):
     out = {"theorem1": _outcome(theorem1_audit, ctx),
            "corollaries": _outcome(corollary_audits, ctx),
            "spec_cut": _outcome(spec_cut_audit, ctx),
+           "ball_deletion": _outcome(ball_deletion_audit, ctx),
            "iuw": ("ok", ctx.iuw)}
-    if ctx.connected:
-        for t in range(1, ctx.diagram.diameter + 1):
-            out[f"ball-{t}"] = _outcome(ball_deletion_audit, ctx, t)
     return out
 
 
@@ -62,9 +60,9 @@ def test_reduced_audits_match_every_basepoint(catalog_schemes):
                 scaled["disconnected"] += t1.disconnected_basepoints > 0
             if ca_status == "ok":
                 scaled["c1_held" if ca.c1_ok else "c1_failed"] += 1
-            for key, (_, bd) in want.items():
-                if key.startswith("ball-") and bd.triggered_basepoints:
-                    scaled["triggered"] += 1
+            bd_status, bd = want["ball_deletion"]
+            if bd_status == "ok":
+                scaled["triggered"] += bd.triggered_basepoints > 0
             kind, detail = want["spec_cut"]
             if kind == "HypothesisNotMet" and detail != "disconnected":
                 scaled["not_k211_free"] += 1
@@ -103,13 +101,13 @@ def test_report_path_never_sweeps_every_basepoint(monkeypatch, kind, params):
     scheme = build_family(kind, params)
     assert scheme.transitive
 
-    ball = Graph.ball
+    closed_neighborhood = Graph.closed_neighborhood
 
-    def refuse_other_basepoints(self, start, radius):
+    def refuse_other_basepoints(self, start):
         if start != 0:
-            raise AssertionError(f"ball of radius {radius} at {start}")
-        return ball(self, start, radius)
-    monkeypatch.setattr(Graph, "ball", refuse_other_basepoints)
+            raise AssertionError(f"closed neighbourhood of {start}")
+        return closed_neighborhood(self, start)
+    monkeypatch.setattr(Graph, "closed_neighborhood", refuse_other_basepoints)
     assert all(rep["ok"] for rep in analyze_scheme(scheme))
 
 

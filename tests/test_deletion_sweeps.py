@@ -8,7 +8,7 @@ basepoint by basepoint; `ref_c1_pairs` sweeps, for each pair (a, b) with b
 in N(a) in the audit's order, every T inside N[a] that misses b, so it
 fixes the pair count the audit reports.  `ref_ball_components` builds
 each ball from class rows by diagram level, independently of the graph
-BFS behind the context's shared per-radius sweep.
+BFS behind the context's shared sweep of G - N[a].
 """
 
 import random
@@ -162,15 +162,14 @@ def ref_ball_components(s, g, graph, t):
 
 def test_ball_components_match_class_row_sweep():
     # without a transitive group the context sweeps every basepoint
-    radii = 0
+    relations = 0
     for s, g, graph in _small_catalog_relations():
         ctx = RelationContext(replace(s, transitive=()), g)
-        for t in range(1, int(graph.distance_matrix().max()) + 1):
-            assert ctx.swept_components(t) == ref_ball_components(
-                s, g, graph, t), (s.name, g, t)
-            radii += 1
-        assert ctx.swept_components(1) is ctx.swept_components(1)
-    assert radii >= 100
+        assert ctx.swept_components == ref_ball_components(
+            s, g, graph, 1), (s.name, g)
+        assert ctx.swept_components is ctx.swept_components
+        relations += 1
+    assert relations >= 60
 
 
 # -- (b) failures on hand-built graphs -----------------------------------

@@ -761,6 +761,19 @@ def test_cli_cuts_lists_a_large_polygon(capsys):
         "4850 minimum cuts of size 2; all_neighborhoods=False"
 
 
+@pytest.mark.parametrize("family", [["hamming", "4", "2"],
+                                    ["johnson", "4", "2"], ["cyclic", "4"]])
+def test_cli_cuts_on_a_disconnected_relation(capsys, family):
+    # relation 2 of each is disconnected: kappa = 0, and the empty set is
+    # its one minimum cut
+    code = main(["cuts", "--family", *family, "--relation", "2",
+                 "--max-size", "3"])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines() == [
+        " neighborhood=False",
+        "1 minimum cuts of size 0; all_neighborhoods=False"]
+
+
 def test_cli_cuts_over_budget(capsys):
     code = main(["cuts", "--family", "johnson", "11", "3", "--relation", "1",
                  "--max-size", "30"])

@@ -8,8 +8,6 @@ relations that no catalog member has.  networkx is the oracle of the
 three shape reads, the graph's own BFS and row grouping that of the
 other reads, and plain numpy component searches that of the theorem."""
 
-from itertools import combinations
-
 import numpy as np
 import pytest
 
@@ -17,42 +15,15 @@ from schemeconn import audits
 from schemeconn.catalog import build_family
 from schemeconn.diagram import (complete_multipartite, exceptional_graph,
                                 is_polygon, twin_classes)
-from schemeconn.errors import HypothesisNotMet, SchemeError
+from schemeconn.errors import HypothesisNotMet
 from schemeconn.report import analyze_relation
-from schemeconn.scheme import RelationTable, relation_graph, validate_scheme
-from small_graphs import networkx_graph, twins
+from schemeconn.scheme import relation_graph
+from small_graphs import fused, fusions, networkx_graph, twins
 
 nx = pytest.importorskip("networkx")
 
 FUSED_FAMILIES = ([("cyclic", (n,)) for n in range(8, 13)]
                   + [("hamming", (4, 2)), ("johnson", (8, 4))])
-
-
-def fused(scheme, blocks):
-    """scheme with each block of classes merged into one class, the
-    classes renumbered in order; SchemeError when that is no scheme."""
-    label = np.arange(scheme.d + 1)
-    for block in blocks:
-        label[list(block)] = block[0]
-    # renumber the surviving labels 0..d' in order
-    label = np.unique(label, return_inverse=True)[1]
-    name = f"{scheme.name}-fused-" + "+".join("-".join(map(str, block))
-                                              for block in blocks)
-    return validate_scheme(RelationTable.from_classes(label[scheme.classes]),
-                           name)
-
-
-def fusions(scheme) -> list:
-    """Every scheme obtained by merging one block of two or more of
-    scheme's classes into one."""
-    out = []
-    for size in range(2, scheme.d + 1):
-        for block in combinations(range(1, scheme.d + 1), size):
-            try:
-                out.append(fused(scheme, [block]))
-            except SchemeError:
-                pass
-    return out
 
 
 @pytest.fixture(scope="module")

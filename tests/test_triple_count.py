@@ -1,10 +1,10 @@
 """Oracles for validate_scheme's float32 triple count: integer recounts of
 every tensor, a seeded mutation sweep whose failures must match an int64
 copy of the full validation loop field for field, and checks that the loop
-stops exactly when one class generates the algebra."""
+stops after the first class whose arcs take d+1 levels from class 0, each
+such class generating the algebra."""
 
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,9 +13,10 @@ from schemeconn import scheme
 from schemeconn.catalog import build_family, gen_cyclic, gen_hamming, gen_johnson
 from schemeconn.errors import (NonConstantIntersection, NotCommutative,
                                SchemeError)
+from schemeconn.graph import bit_rows, layers
 from schemeconn.scheme import (RelationTable, symmetrized_scheme,
                                validate_scheme)
-from small_graphs import builtin_catalog
+from small_graphs import builtin_catalog, fusions
 
 
 def naive_tensor(classes) -> np.ndarray:
@@ -73,20 +74,55 @@ def reference_tensor(table: RelationTable) -> np.ndarray:
 
 
 def exact_rank(rows) -> int:
-    """Rank over Q, by Gaussian elimination in Fractions."""
-    m = [[Fraction(int(x)) for x in row] for row in rows]
-    rank = 0
+    """Rank over Q, by fraction-free (Bareiss) elimination in Python
+    integers: after each pivot every entry of the rows below it is a minor
+    of the input, so each division by the previous pivot is exact, and is
+    checked to be."""
+    m = [[int(x) for x in row] for row in rows]
+    rank, prev = 0, 1
     for col in range(len(m[0])):
         piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
         if piv is None:
             continue
         m[rank], m[piv] = m[piv], m[rank]
-        for r in range(len(m)):
-            if r != rank and m[r][col]:
-                f = m[r][col] / m[rank][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
+        top = m[rank]
+        for r in range(rank + 1, len(m)):
+            lead = m[r][col]
+            row = []
+            for x, y in zip(m[r], top):
+                q, rem = divmod(top[col] * x - lead * y, prev)
+                assert rem == 0
+                row.append(q)
+            m[r] = row
+        prev = top[col]
         rank += 1
     return rank
+
+
+def krylov_rank(s, i: int) -> int:
+    """The rank over Q of e_0, B e_0, ..., B^d e_0 in Python integers, for
+    B[k][j] = p_ij^k: d+1 exactly when I, A_i, ..., A_i^d span the
+    algebra."""
+    b = s.p[i].T.tolist()
+    vec = [1] + [0] * s.d
+    krylov = [vec]
+    for _ in range(s.d):
+        vec = [sum(x * y for x, y in zip(row, vec)) for row in b]
+        krylov.append(vec)
+    return exact_rank(krylov)
+
+
+def level_count(s, i: int) -> int:
+    """The BFS levels from class 0 of the arcs j -> k with p_ij^k > 0,
+    found with sets."""
+    reached = frontier = {0}
+    count = 0
+    while frontier:
+        count += 1
+        frontier = {int(k) for j in frontier
+                    for k in np.flatnonzero(s.p[i, j])} - reached
+        reached = reached | frontier
+    return count
 
 
 def _fields(exc: SchemeError) -> tuple:
@@ -236,7 +272,8 @@ def test_tensor_when_class_1_does_not_generate():
                build_family("conjugacy", ("Q8",)),
                validate_scheme(RelationTable.from_classes(k2_by_k3_classes()))]
     for s in schemes:
-        assert not scheme._generates(s.p[1].T), s.name
+        assert sum(1 for _ in layers(bit_rows(s.p[1] > 0), 0)) < s.d + 1, \
+            s.name
         assert np.array_equal(s.p, naive_tensor(s.classes)), s.name
         assert np.array_equal(s.p, reference_tensor(s)), s.name
 
@@ -325,20 +362,50 @@ def test_first_pair_matches_full_sort():
     assert short > 0
 
 
-def test_generates_matches_exact_krylov_rank():
-    """_generates(B_i) works mod a prime; over Q, the Krylov vectors
-    e_0, B_i e_0, ..., B_i^d e_0 in Python integers must have full rank on
-    exactly the same classes."""
-    decided = set()
-    for s in _schemes():
+def test_stop_row_is_the_first_path_class(monkeypatch):
+    """The loop stops after the first row i whose arcs j -> k, p_ij^k > 0,
+    take d+1 levels from class 0, a path class: on a symmetric scheme,
+    one whose distribution diagram is a path.  Every path class must
+    generate over Q.  On the catalog, its symmetrizations and the ingest
+    schemes the first path class must also be the first class that
+    generates, so no row runs that a generation test would have skipped;
+    a fusion may have a generating class before its first path class, or
+    none at all, and then runs more rows."""
+    rows = []
+    packed_products = scheme._packed_products
+
+    def spy(table, i, js, ai, base):
+        rows.append(i)
+        return packed_products(table, i, js, ai, base)
+
+    monkeypatch.setattr(scheme, "_packed_products", spy)
+    plain = _schemes() + _large()
+    fused = [f for s in plain if 3 <= s.d <= 9 for f in fusions(s)]
+    assert len(plain) > 60 and len(fused) > 60
+    paths = non_paths = 0
+    late = []
+    for s, is_fusion in ([(s, False) for s in plain]
+                         + [(f, True) for f in fused]):
+        first_path = first_full = None
         for i in range(1, s.d + 1):
-            b = s.p[i].T.tolist()
-            vec = [1] + [0] * s.d
-            krylov = [vec]
-            for _ in range(s.d):
-                vec = [sum(x * y for x, y in zip(row, vec)) for row in b]
-                krylov.append(vec)
-            full = exact_rank(krylov) == s.d + 1
-            assert scheme._generates(s.p[i].T) == full, (s.name, i)
-            decided.add(full)
-    assert decided == {True, False}
+            path = level_count(s, i) == s.d + 1
+            if s.symmetric:
+                assert path == (s.diagrams[i].diameter == s.d), (s.name, i)
+            if path:
+                assert krylov_rank(s, i) == s.d + 1, (s.name, i)
+                first_path = first_path or i
+            if first_full is None and (path or krylov_rank(s, i) == s.d + 1):
+                first_full = i
+            paths += path
+            non_paths += not path
+        if is_fusion:
+            if first_path != first_full:
+                late.append(s.name)
+        else:
+            assert first_path == first_full, s.name
+        rows.clear()
+        validate_scheme(s)
+        assert set(rows) == set(range(1, (first_path or s.d) + 1)), s.name
+    assert paths and non_paths
+    # class 1 generates, and no diagram is a path: all 3 rows run
+    assert late == ["johnson-8-4-fused-1-3"]
