@@ -495,22 +495,23 @@ _DRGS = {
 }
 
 
-# parameter types of each family kind
-_FAMILY_PARAMS = {
-    "hamming": (int, int),
-    "johnson": (int, int),
-    "cyclic": (int,),
-    "conjugacy": (str,),
-    "drg": (str,),
+# each family kind's parameter types and builder
+_FAMILIES = {
+    "hamming": ((int, int), gen_hamming),
+    "johnson": ((int, int), gen_johnson),
+    "cyclic": ((int,), gen_cyclic),
+    "conjugacy": ((str,), lambda g: gen_conjugacy(_GROUPS[g](),
+                                                  name=f"conj-{g}")),
+    "drg": ((str,), lambda g: scheme_from_drg(_DRGS[g](), name=f"drg-{g}")),
 }
 
 
 def check_family(kind, params: tuple) -> None:
     """Raise ParseError unless kind is a known family and params has its
     arity and types (ints for sizes, a str for a group or graph name)."""
-    if not isinstance(kind, str) or kind not in _FAMILY_PARAMS:
+    if not isinstance(kind, str) or kind not in _FAMILIES:
         raise ParseError(f"unknown family kind {kind!r}")
-    types = _FAMILY_PARAMS[kind]
+    types = _FAMILIES[kind][0]
     if len(params) != len(types) or not all(
             isinstance(x, t) and not isinstance(x, bool)
             for x, t in zip(params, types)):
@@ -525,12 +526,4 @@ def check_family(kind, params: tuple) -> None:
 @lru_cache(maxsize=None)
 def build_family(kind: str, params: tuple) -> SchemeDescriptor:
     check_family(kind, params)
-    if kind == "hamming":
-        return gen_hamming(*params)
-    if kind == "johnson":
-        return gen_johnson(*params)
-    if kind == "cyclic":
-        return gen_cyclic(*params)
-    if kind == "conjugacy":
-        return gen_conjugacy(_GROUPS[params[0]](), name=f"conj-{params[0]}")
-    return scheme_from_drg(_DRGS[params[0]](), name=f"drg-{params[0]}")
+    return _FAMILIES[kind][1](*params)

@@ -1,7 +1,9 @@
 """Command-line surface.
 
 Exit codes are a contract: 0 ok, 1 file parse or I/O error, 2 invalid
-scheme, 3 audit finding, 4 cap exceeded.
+scheme, 3 audit finding, 4 cap exceeded.  Commands raise; `main` alone
+turns a SchemeError, ValueError or OSError into one stderr line and its
+code.
 """
 from __future__ import annotations
 
@@ -72,24 +74,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    try:
-        scheme = _load_source(args)
-        config = AnalysisConfig(seed=args.seed)
-        relations = [args.relation] if args.relation is not None else None
-        reports = analyze_scheme(scheme, relations=relations, config=config)
-    except SchemeError as e:
-        print(f"{type(e).__name__}: {e}", file=sys.stderr)
-        return _exit_code(e)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INVALID
+    scheme = _load_source(args)
+    config = AnalysisConfig(seed=args.seed)
+    relations = [args.relation] if args.relation is not None else None
+    reports = analyze_scheme(scheme, relations=relations, config=config)
     if args.report:
-        try:
-            with open(args.report, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(reports, indent=2) + "\n")
-        except OSError as e:
-            print(f"{type(e).__name__}: {e}", file=sys.stderr)
-            return EXIT_PARSE
+        with open(args.report, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(reports, indent=2) + "\n")
     failed = False
     for rep in reports:
         line = (f"{rep['scheme']} r{rep['relation']}: v={rep['v']} "
@@ -150,45 +141,37 @@ def _manifest_entries(path: str) -> tuple[list, dict]:
 
 
 def cmd_survey(args) -> int:
-    try:
-        if args.builtin_catalog:
-            entries = builtin_entries()
-            defaults: dict = {}
-        else:
-            if not args.manifest:
-                raise ParseError("survey needs --manifest or --builtin-catalog")
-            entries, defaults = _manifest_entries(args.manifest)
-        out_dir = args.out or defaults.get("out")
-        if not out_dir:
-            raise ParseError("no output directory (--out)")
-        jobs = args.jobs
-        if jobs is None:
-            jobs = defaults.get("jobs")
-        if jobs is None:
-            env = os.environ.get("SCHEME_CONN_JOBS", "1")
-            try:
-                jobs = int(env)
-            except ValueError:
-                raise ParseError(
-                    f"SCHEME_CONN_JOBS={env!r} is not an integer") from None
-        seed = args.seed if args.seed is not None else defaults.get(
-            "seed", DEFAULT_CONFIG.seed)
-        # manifest values arrive as any JSON type; bool is not a count
-        if not isinstance(out_dir, str):
-            raise ParseError(f"output directory {out_dir!r} is not a string")
-        if type(jobs) is not int or jobs < 1:
-            raise ParseError(f"jobs {jobs!r} is not an integer >= 1")
-        if type(seed) is not int:
-            raise ParseError(f"seed {seed!r} is not an integer")
-        config = AnalysisConfig(seed=seed)
-    except SchemeError as e:
-        print(f"{type(e).__name__}: {e}", file=sys.stderr)
-        return _exit_code(e)
-    try:
-        summary = run_survey(entries, out_dir, jobs=jobs, config=config)
-    except OSError as e:
-        print(f"{type(e).__name__}: {e}", file=sys.stderr)
-        return EXIT_PARSE
+    if args.builtin_catalog:
+        entries = builtin_entries()
+        defaults: dict = {}
+    else:
+        if not args.manifest:
+            raise ParseError("survey needs --manifest or --builtin-catalog")
+        entries, defaults = _manifest_entries(args.manifest)
+    out_dir = args.out or defaults.get("out")
+    if not out_dir:
+        raise ParseError("no output directory (--out)")
+    jobs = args.jobs
+    if jobs is None:
+        jobs = defaults.get("jobs")
+    if jobs is None:
+        env = os.environ.get("SCHEME_CONN_JOBS", "1")
+        try:
+            jobs = int(env)
+        except ValueError:
+            raise ParseError(
+                f"SCHEME_CONN_JOBS={env!r} is not an integer") from None
+    seed = args.seed if args.seed is not None else defaults.get(
+        "seed", DEFAULT_CONFIG.seed)
+    # manifest values arrive as any JSON type; bool is not a count
+    if not isinstance(out_dir, str):
+        raise ParseError(f"output directory {out_dir!r} is not a string")
+    if type(jobs) is not int or jobs < 1:
+        raise ParseError(f"jobs {jobs!r} is not an integer >= 1")
+    if type(seed) is not int:
+        raise ParseError(f"seed {seed!r} is not an integer")
+    config = AnalysisConfig(seed=seed)
+    summary = run_survey(entries, out_dir, jobs=jobs, config=config)
     print(f"survey: {summary['reports']} reports, "
           f"{summary['audit_sections_run']} audit sections run, "
           f"{summary['audit_sections_skipped']} skipped, "
@@ -203,21 +186,12 @@ def cmd_survey(args) -> int:
 
 
 def cmd_cuts(args) -> int:
-    try:
-        scheme = _load_source(args)
-        if not scheme.symmetric:
-            scheme = symmetrized_scheme(scheme)
-        ctx = RelationContext(scheme, args.relation)
-        if ctx.kappa > args.max_size:
-            raise CapExceeded(f"kappa = {ctx.kappa} exceeds "
-                              f"--max-size {args.max_size}")
-        data = ctx.min_cuts()
-    except SchemeError as e:
-        print(f"{type(e).__name__}: {e}", file=sys.stderr)
-        return _exit_code(e)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INVALID
+    scheme = symmetrized_scheme(_load_source(args))
+    ctx = RelationContext(scheme, args.relation)
+    if ctx.kappa > args.max_size:
+        raise CapExceeded(f"kappa = {ctx.kappa} exceeds "
+                          f"--max-size {args.max_size}")
+    data = ctx.min_cuts()
     for cut, flag in zip(data.cuts, data.neighborhood_flags):
         print(f"{','.join(str(x) for x in cut)} neighborhood={flag}")
     print(f"{len(data.cuts)} minimum cuts of size {ctx.kappa}; "
@@ -273,7 +247,17 @@ def main(argv: Optional[list[str]] = None) -> int:
         if hasattr(stream, "reconfigure"):
             stream.reconfigure(errors="backslashreplace")
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SchemeError as e:
+        print(f"{type(e).__name__}: {e}", file=sys.stderr)
+        return _exit_code(e)
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_INVALID
+    except OSError as e:
+        print(f"{type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -179,19 +179,17 @@ def _check_fixes_source(automorphisms) -> None:
 
 
 def vertex_connectivity(graph: Graph, automorphisms=()) -> int:
-    """Global vertex connectivity; n-1 for complete graphs.  automorphisms
-    (image sequences of graph automorphisms fixing vertex 0) shrink the
-    sweep to one flow per orbit; the value is the same."""
+    """Global vertex connectivity.  automorphisms (image sequences of
+    graph automorphisms fixing vertex 0) shrink the sweep to one flow per
+    orbit; the value is the same.  K_1 and K_n need no case of their own:
+    with no non-neighbour of 0 and no non-adjacent pair in N(0), no flow
+    runs and the least degree, 0 or n - 1, stands."""
     n, rows = graph.n, graph.rows
     if n == 0:
         raise ValueError("empty graph")
     _check_fixes_source(automorphisms)
-    if n == 1:
-        return 0
     if not graph.is_connected():
         raise Disconnected("graph is disconnected")
-    if graph.is_complete():
-        return n - 1
     nb = rows[0]
     best = min(graph.degrees())
     targets = list(bits(((1 << n) - 1) & ~graph.closed_neighborhood(0)))

@@ -96,10 +96,6 @@ class Graph:
     def degrees(self) -> list[int]:
         return [row.bit_count() for row in self.rows]
 
-    def is_complete(self) -> bool:
-        full = (1 << self.n) - 1
-        return all(row == full & ~(1 << v) for v, row in enumerate(self.rows))
-
     # -- traversal -------------------------------------------------------
 
     def reach_mask(self, start: int, deleted: int = 0) -> int:

@@ -270,11 +270,7 @@ def validate_scheme(table: RelationTable, name: str = "scheme",
     transitive = _checked_transitive(c, transitive)
     p = np.zeros((d + 1, d + 1, d + 1), dtype=np.int64)
     # identity row/column is forced: p[0,j,k] = [j==k], p[i,0,k] = [i==k]
-    for j in range(d + 1):
-        p[0, j, j] = 1
-        p[j, 0, j] = 1
-    p[0, 0, :] = 0
-    p[0, 0, 0] = 1
+    p[0] = p[:, 0] = np.eye(d + 1, dtype=np.int64)
 
     for i in range(1, d + 1):
         # float32 runs on BLAS and holds every count exactly (see SIZE_CAP)

@@ -124,14 +124,11 @@ def compute_spectral(scheme: SchemeDescriptor,
     j0 = int(np.argmax(np.abs(root @ u)))
     ranks = np.zeros((d + 1, d + 1), dtype=np.int64)
     for i in range(d + 1):
-        tol = 1e-6 * max(1.0, float(val[i]))
-        by_val = sorted(range(d + 1), key=lambda j: -scalars[j, i])
-        r = 0
-        ranks[by_val[0], i] = 0
-        for prev, j in zip(by_val, by_val[1:]):
-            if scalars[prev, i] - scalars[j, i] > tol:
-                r += 1
-            ranks[j, i] = r
+        by_val = np.argsort(-scalars[:, i], kind="stable")
+        runs = _split_by_gaps(-scalars[by_val, i],
+                              1e-6 * max(1.0, float(val[i])))
+        for r, (a, b) in enumerate(runs):
+            ranks[by_val[a:b], i] = r
     order = [j0] + sorted((j for j in range(d + 1) if j != j0),
                           key=lambda j: tuple(ranks[j]))
     eig = scalars[order, :]

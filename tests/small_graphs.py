@@ -62,12 +62,17 @@ def graph_context(graph: Graph, stabiliser=(),
     ctx.g = 1
     ctx.graph = graph
     ctx.connected = graph.is_connected()
-    ctx.complete = graph.is_complete()
+    ctx.complete = is_complete(graph)
     return ctx
 
 
 def has_edge(graph: Graph, u: int, w: int) -> bool:
     return bool(graph.rows[u] >> w & 1)
+
+
+def is_complete(graph: Graph) -> bool:
+    full = (1 << graph.n) - 1
+    return all(row == full & ~(1 << v) for v, row in enumerate(graph.rows))
 
 
 def cycle_graph(n: int) -> Graph:

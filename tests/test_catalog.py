@@ -15,7 +15,7 @@ from schemeconn.errors import (NotAGroup, NotDistanceRegular, ParseError,
                                SizeCap)
 from schemeconn.graph import Graph, complete_bipartite, petersen
 from schemeconn.scheme import relation_graph
-from small_graphs import builtin_catalog
+from small_graphs import builtin_catalog, is_complete
 
 
 def test_hamming_valencies():
@@ -137,7 +137,7 @@ def test_z5_conjugacy_directed():
 def test_z2_conjugacy_edge_case():
     s = gen_conjugacy(cyclic_group_table(2))
     assert s.v == 2 and s.d == 1
-    assert relation_graph(s, 1).is_complete()
+    assert is_complete(relation_graph(s, 1))
 
 
 def test_not_a_group():

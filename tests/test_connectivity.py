@@ -21,7 +21,7 @@ from schemeconn.report import AnalysisConfig, analyze_relation
 from schemeconn.scheme import RelationTable, relation_graph, validate_scheme
 from small_graphs import (builtin_catalog, circulant, complete_graph,
                           cycle_graph, graph_context, has_edge,
-                          induced_subgraph, twins)
+                          induced_subgraph, is_complete, twins)
 
 
 def brute_kappa(graph):
@@ -388,7 +388,7 @@ def test_min_cuts_match_reference_on_catalog(catalog_pairs, enumerations):
     budget = AnalysisConfig().cut_enum_budget
     checked = decided = polygons = 0
     for p in catalog_pairs:
-        if not p.connected or p.graph.is_complete():
+        if not p.connected or is_complete(p.graph):
             continue
         kappa = vertex_connectivity(p.graph, p.scheme.stabiliser)
         if math.comb(p.scheme.v, kappa) > budget:
@@ -627,7 +627,7 @@ def test_cut_report_petersen():
 
 def test_cut_report_complete():
     g = complete_graph(4)
-    assert g.is_complete()
+    assert is_complete(g)
     kappa, lam = vertex_connectivity(g), edge_connectivity(g)
     assert kappa == 3 and lam == 3
     assert kappa <= lam <= 3

@@ -14,9 +14,10 @@ from dataclasses import replace
 import pytest
 
 import schemeconn
-from schemeconn import report
+from schemeconn import cli, report
 from schemeconn.catalog import build_family, gen_cyclic, save_scheme
 from schemeconn.cli import main
+from schemeconn.errors import CapExceeded
 from schemeconn.report import (AnalysisConfig, analyze_relation,
                                analyze_scheme, builtin_entries, run_survey,
                                spectral_section)
@@ -333,6 +334,31 @@ def test_survey_jobs_byte_identical(tmp_path, bounded):
     assert list(ta) == list(tb)
     for name in ta:
         assert ta[name] == tb[name], name
+
+
+FILE_ROUTE_FAMILIES = [
+    ("conjugacy", ("S3",)), ("conjugacy", ("Z5",)), ("cyclic", (6,)),
+    ("cyclic", (8,)), ("hamming", (3, 2)), ("johnson", (5, 2)),
+    ("johnson", (6, 3)), ("drg", ("petersen",)),
+]
+
+
+def test_survey_from_files_matches_survey_from_families(tmp_path):
+    # a saved file carries no group, so its relations take every basepoint
+    # and enumerate their minimum cuts, where the family builds use their
+    # generators; the reports must not tell the routes apart
+    by_file = []
+    for kind, params in FILE_ROUTE_FAMILIES:
+        path = tmp_path / f"{kind}-{len(by_file)}.json"
+        save_scheme(build_family(kind, params), str(path))
+        by_file.append((("file", str(path)), None))
+    run_survey(by_file, str(tmp_path / "file"))
+    run_survey([(src, None) for src in FILE_ROUTE_FAMILIES],
+               str(tmp_path / "family"))
+    tf, tg = _tree(tmp_path / "file"), _tree(tmp_path / "family")
+    assert list(tf) == list(tg) and len(tf) == 1 + 2 + 2 + 3 + 4 + 3 + 2 + 3 + 2
+    for name in tf:
+        assert tf[name] == tg[name], name
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -870,3 +896,35 @@ def test_cli_survey_jobs_env(tmp_path, monkeypatch, capsys):
         {"entries": [{"family": ["cyclic", 6]}], "out": str(out)}))
     assert main(["survey", "--manifest", str(manifest)]) == 0
     assert len(os.listdir(out)) == 4  # r1 r2 r3 + summary
+
+
+# one package call inside each command, and an argv that reaches it; the
+# call is patched, so no file is read or written
+_CLI_CALLS = {
+    "verify": ("load_scheme", ["verify", "x.json"]),
+    "analyze": ("analyze_scheme", ["analyze", "--family", "cyclic", "5"]),
+    "survey": ("run_survey", ["survey", "--builtin-catalog", "--out", "x"]),
+    "cuts": ("RelationContext", ["cuts", "--family", "cyclic", "5",
+                                 "--relation", "1", "--max-size", "2"]),
+}
+
+
+@pytest.mark.parametrize("error,code,line", [
+    (ValueError("boom"), 2, "error: boom"),
+    (OSError("boom"), 1, "OSError: boom"),
+    (CapExceeded("boom"), 4, "CapExceeded: boom"),
+], ids=["ValueError", "OSError", "SchemeError"])
+@pytest.mark.parametrize("command", sorted(_CLI_CALLS))
+def test_cli_maps_every_error_in_main(monkeypatch, capsys, command, error,
+                                      code, line):
+    # every command's errors reach one handler in main, which prints one
+    # line and returns the error's exit code; verify labels a SchemeError
+    name, argv = _CLI_CALLS[command]
+
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, name, fail)
+    assert main(argv) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].endswith(line), err

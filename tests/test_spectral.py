@@ -13,7 +13,7 @@ from schemeconn.errors import (Disconnected, HypothesisNotMet, NotSymmetric)
 from schemeconn.scheme import relation_graph, validate_scheme, RelationTable
 from schemeconn.spectral import (compute_spectral, primitivity,
                                  second_eigenvalue)
-from small_graphs import twins
+from small_graphs import is_complete, twins
 from spectral_reference import (idempotents_from_q, reference_spectral,
                                 repeated_column_idempotents)
 
@@ -230,5 +230,5 @@ def test_theta_positive_otherwise_catalog_slice():
         s = build_family(*fam)
         graph = relation_graph(s, g)
         assert not complete_multipartite(s, g)
-        if not graph.is_complete():
+        if not is_complete(graph):
             assert theta(s, g) > 1e-6, fam
