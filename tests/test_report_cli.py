@@ -15,7 +15,8 @@ import pytest
 
 import schemeconn
 from schemeconn import cli, report
-from schemeconn.catalog import build_family, gen_cyclic, save_scheme
+from schemeconn.catalog import (BUILTIN_FAMILIES, build_family, gen_cyclic,
+                                save_scheme)
 from schemeconn.cli import main
 from schemeconn.errors import CapExceeded
 from schemeconn.report import (AnalysisConfig, analyze_relation,
@@ -154,47 +155,94 @@ def test_column_tol_from_config():
 # Leading 16 hex digits of the SHA-256 of each report's JSON, spectral
 # block included: its numbers are printed as integers when within 1e-9 of
 # one and with 10 significant digits otherwise, and its residuals as pass
-# flags, so no digit depends on BLAS or LAPACK rounding.  The slice has
-# relations of valency up to 18 (johnson-7-3 r2), min-cut enumeration over
-# budget and disconnected relations.
-DIGEST_SLICE = [("cyclic", (5,)), ("cyclic", (12,)), ("hamming", (4, 2)),
-                ("johnson", (7, 3)), ("conjugacy", ("Q8",)),
-                ("drg", ("petersen",)), ("drg", ("k33",))]
-REPORT_DIGESTS = {
-    "cyclic-5-r1": "fb082bb13e011084",
-    "cyclic-5-r2": "75cca86e33b70459",
-    "cyclic-12-r1": "87f24dbfc61b1a6c",
-    "cyclic-12-r2": "e9f48601e3467680",
-    "cyclic-12-r3": "b59e42bcc6dda67b",
-    "cyclic-12-r4": "1c020183aa678e6f",
-    "cyclic-12-r5": "9b21b70aba8ae470",
-    "cyclic-12-r6": "bae20c6836bf21ec",
-    "hamming-4-2-r1": "6af8547f011ee477",
-    "hamming-4-2-r2": "8318daf4d3f08fa3",
-    "hamming-4-2-r3": "44742f235f93017c",
-    "hamming-4-2-r4": "06164aadb093ff39",
-    "johnson-7-3-r1": "3a550dec65a3ca13",
-    "johnson-7-3-r2": "d2b704bef11426a9",
-    "johnson-7-3-r3": "25ba3970c14a4c2c",
-    "conj-Q8-r1": "33dc31b609c5e259",
-    "conj-Q8-r2": "c6a86de2a4a45a4b",
-    "conj-Q8-r3": "d1068ee74ebb6a97",
-    "conj-Q8-r4": "a2f3329a154fd2ad",
-    "drg-petersen-r1": "647bc5438829610a",
-    "drg-petersen-r2": "8cf33a7c3e603e29",
-    "drg-k33-r1": "37922448f0b41cbe",
-    "drg-k33-r2": "09cb79d03925994e",
-}
+# flags, so no digit depends on BLAS or LAPACK rounding.  The slice is the
+# whole built-in catalog, 142 reports: every family, relations of valency
+# up to 18 (johnson-7-3 r2), min-cut enumeration over budget, symmetrized
+# schemes and disconnected relations.  A report file of a survey is the
+# same JSON with a final newline, and CI checks the catalog survey's tree
+# against the same digests.
+DIGESTS_PATH = os.path.join(os.path.dirname(__file__), "data",
+                            "report_digests.json")
 
 
 def test_report_digests_unchanged():
+    with open(DIGESTS_PATH, encoding="utf-8") as fh:
+        want = json.load(fh)
     got = {}
-    for kind, params in DIGEST_SLICE:
+    for kind, params in BUILTIN_FAMILIES:
         for rep in analyze_scheme(build_family(kind, params)):
             digest = hashlib.sha256(json.dumps(rep, indent=2).encode())
             got[f"{rep['scheme']}-r{rep['relation']}"] = \
                 digest.hexdigest()[:16]
-    assert got == REPORT_DIGESTS
+    changed = sorted(name for name in want.keys() | got.keys()
+                     if got.get(name) != want.get(name))
+    assert not changed, f"{len(changed)} reports changed: {changed}"
+
+
+# Each audit's verdict flipped on cyclic-7 r1, where all five audit
+# sections run and the cut-size lemma applies, with the exact findings the
+# flipped verdicts must give, in report order.  No catalog relation yields
+# a finding, so these strings are pinned here alone.
+FLIPS = {
+    "theorem1_audit": dict(equivalent=False),
+    "corollary_audits": dict(
+        c1_ok=False, c1_witness={"basepoint": 0, "deleted": [0, 6]},
+        c2_ok=False, c2_witness={"basepoint": 0,
+                                 "non_singleton_components": 2},
+        c3_ok=False, c3_witness={"clique": [0, 1]}),
+    "w_empty_audit": dict(ok=False, w_classes=(2,), distance2_ok=False,
+                          distance2_witness=(0, 3, 3)),
+    "small_cut_theorems_audit": dict(
+        tcut2_ok=False, tdiam2_applicable=True, tdiam2_ok=False,
+        tcut3_applicable=True, tcut3_ok=False),
+    "ball_deletion_audit": dict(part_a_ok=False, part_a_witness=(0, 3, 5, 3),
+                                part_b_ok=False, part_b_witness=(0, 3)),
+    "spec_cut_audit": dict(ok=False, p_local=2, slack=0),
+}
+FLIPPED_FINDINGS = [
+    "theorem1 conditions disagree",
+    "corollary C1 fails: witness {'basepoint': 0, 'deleted': [0, 6]}",
+    "corollary C2 fails: witness {'basepoint': 0, "
+    "'non_singleton_components': 2}",
+    "corollary C3 fails: witness {'clique': [0, 1]}",
+    "W classes nonempty on connected relation: (2,)",
+    "U_a vertex not at distance 2: (0, 3, 3)",
+    "small-cut theorem fails: size-2 cut",
+    "small-cut theorem fails: diameter-2 bound",
+    "small-cut theorem fails: size-3 classification",
+    "ball deletion part (a) fails: (0, 3, 5, 3)",
+    "ball deletion part (b) fails: (0, 3)",
+    "cut-size lemma fails: kappa 2 <= p_local 2",
+]
+
+
+def test_flipped_verdicts_give_the_pinned_findings(monkeypatch, capsys):
+    from schemeconn import audits
+    for name, changes in FLIPS.items():
+        original = getattr(audits, name)
+        monkeypatch.setattr(
+            audits, name,
+            lambda ctx, original=original, changes=changes:
+                replace(original(ctx), **changes))
+    rep = analyze_relation(gen_cyclic(7), 1)
+    assert rep["findings"] == FLIPPED_FINDINGS
+    assert rep["ok"] is False
+    assert [rep[s]["status"] for s in AUDIT_SECTIONS] == ["ok"] * 5
+    assert rep["theorem1"]["equivalent"] is False
+    assert rep["corollaries"]["c1_witness"] == {"basepoint": 0,
+                                                "deleted": [0, 6]}
+    assert rep["corollaries"]["c1_mode"] == "exact"
+    assert rep["w_empty"]["w_classes"] == [2]
+    assert rep["w_empty"]["distance2_ok"] is False
+    assert rep["small_cut"]["tcut3_applicable"] is True
+    assert rep["ball_deletion"]["part_b_ok"] is False
+    assert rep["ball_deletion"]["t"] == 1
+    assert rep["spectral"]["cut_size_lemma"] == {
+        "applicable": True, "ok": False, "p_local": 2, "slack": 0}
+    assert main(["analyze", "--family", "cyclic", "7",
+                 "--relation", "1"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"  finding: {f}" for f in FLIPPED_FINDINGS]
 
 
 def _count_calls(monkeypatch, owner, name, calls):
