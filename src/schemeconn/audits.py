@@ -40,10 +40,16 @@ exactly, pair by pair, from the components of G - N[a].  C3 then follows:
 a maximal clique K lies in N[a] for each a in K, and misses part of N(a)
 unless K = N[a] for all its vertices, i.e. G = K is complete, where
 nothing is left to disconnect.
+
+Each audit returns a frozen record whose fields, in declaration order, are
+its report block as `record_fields` writes it, less the fields marked
+UNREPORTED: witnesses, which the record's `findings()` quote (theorem 1's
+`first_twin_pair` only library callers read), and values the report
+prints elsewhere.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Optional
 
@@ -58,6 +64,21 @@ from .diagram import (Diagram, complete_multipartite, exceptional_graph,
 from .errors import HypothesisNotMet
 from .graph import Graph, bits, mask_of
 from .scheme import SchemeDescriptor, relation_graph
+
+
+# field metadata: the field stays out of the record's report block
+UNREPORTED = {"unreported": True}
+
+
+def record_fields(record) -> dict:
+    """The report block of a dataclass record: its fields in declaration
+    order, less those marked UNREPORTED, top-level tuples as lists."""
+    block = {}
+    for f in fields(record):
+        if "unreported" not in f.metadata:
+            value = getattr(record, f.name)
+            block[f.name] = list(value) if isinstance(value, tuple) else value
+    return block
 
 
 class RelationContext:
@@ -199,7 +220,10 @@ class Theorem1Audit:
     twin_free: bool
     equivalent: bool
     disconnected_basepoints: int
-    first_twin_pair: Optional[tuple[int, int]]
+    first_twin_pair: Optional[tuple[int, int]] = field(metadata=UNREPORTED)
+
+    def findings(self) -> list[str]:
+        return [] if self.equivalent else ["theorem1 conditions disagree"]
 
 
 def theorem1_audit(ctx: RelationContext) -> Theorem1Audit:
@@ -236,11 +260,19 @@ class CorollaryAudits:
     c1_ok: bool
     c2_ok: bool
     c3_ok: bool
+    c1_mode: str = field(default="exact", init=False)
     c1_checked: int              # (a, b) pairs, up to the first failure
+    c3_capped: bool
     c1_witness: Optional[dict]   # None when the corollary holds
     c2_witness: Optional[dict]
     c3_witness: Optional[dict]
-    c3_capped: bool
+
+    def findings(self) -> list[str]:
+        return [f"corollary {tag} fails: witness {wit}"
+                for tag, ok, wit in (("C1", self.c1_ok, self.c1_witness),
+                                     ("C2", self.c2_ok, self.c2_witness),
+                                     ("C3", self.c3_ok, self.c3_witness))
+                if not ok]
 
 
 def _c1_cut(graph: Graph, a: int, comps: list[int]
@@ -310,6 +342,7 @@ class IUWDecomposition:
     i_classes: tuple[int, ...]
     u_classes: tuple[int, ...]
     w_classes: tuple[int, ...]
+    sizes: tuple[int, int, int]     # of I, U and W in row 0
 
 
 def iuw_decompose(ctx: RelationContext) -> IUWDecomposition:
@@ -321,8 +354,8 @@ def iuw_decompose(ctx: RelationContext) -> IUWDecomposition:
     connected the decomposition is all-empty by convention."""
     scheme, g = ctx.scheme, ctx.g
     if ctx.h_prime_connected:
-        return IUWDecomposition(h_prime_connected=True,
-                                i_classes=(), u_classes=(), w_classes=())
+        return IUWDecomposition(h_prime_connected=True, i_classes=(),
+                                u_classes=(), w_classes=(), sizes=(0, 0, 0))
     i_classes = ctx.twin_classes
     p = scheme.p
     non_singleton = [c for c in ctx.punctured_components
@@ -331,19 +364,33 @@ def iuw_decompose(ctx: RelationContext) -> IUWDecomposition:
                     key=lambda c: (sum(scheme.valencies[i] for i in c), c))
     w_classes = tuple(i for i in range(1, scheme.d + 1) if i != g
                       and i not in i_classes and i not in u_classes)
+    # row 0 holds valency-many vertices of each class
+    sizes = tuple(sum(scheme.valencies[c] for c in cls)
+                  for cls in (i_classes, u_classes, w_classes))
     return IUWDecomposition(h_prime_connected=False,
                             i_classes=i_classes, u_classes=u_classes,
-                            w_classes=w_classes)
+                            w_classes=w_classes, sizes=sizes)
 
 
 @dataclass(frozen=True)
 class WEmptyAudit:
     ok: bool
-    h_prime_connected: bool
     w_classes: tuple[int, ...]
     distance2_ok: bool           # every U_a vertex at distance exactly 2
     distance2_vacuous: bool
-    distance2_witness: Optional[tuple[int, int, int]]
+    h_prime_connected: bool = field(metadata=UNREPORTED)
+    distance2_witness: Optional[tuple[int, int, int]] = field(
+        metadata=UNREPORTED)
+
+    def findings(self) -> list[str]:
+        found = []
+        if not self.ok:
+            found.append(f"W classes nonempty on connected relation: "
+                         f"{self.w_classes}")
+        if not self.distance2_ok:
+            found.append(
+                f"U_a vertex not at distance 2: {self.distance2_witness}")
+        return found
 
 
 def w_empty_audit(ctx: RelationContext) -> WEmptyAudit:
@@ -376,13 +423,24 @@ def w_empty_audit(ctx: RelationContext) -> WEmptyAudit:
 
 @dataclass(frozen=True)
 class BallDeletionAudit:
-    diameter: int
+    t: int = field(default=1, init=False)    # the radius of the ball
     h_minus_ball_connected: bool
     triggered_basepoints: int
     part_a_ok: bool
     part_b_ok: bool
-    part_a_witness: Optional[tuple]
-    part_b_witness: Optional[tuple]
+    diameter: int = field(metadata=UNREPORTED)
+    part_a_witness: Optional[tuple] = field(metadata=UNREPORTED)
+    part_b_witness: Optional[tuple] = field(metadata=UNREPORTED)
+
+    def findings(self) -> list[str]:
+        found = []
+        if not self.part_a_ok:
+            found.append(
+                f"ball deletion part (a) fails: {self.part_a_witness}")
+        if not self.part_b_ok:
+            found.append(
+                f"ball deletion part (b) fails: {self.part_b_witness}")
+        return found
 
 
 def ball_deletion_audit(ctx: RelationContext) -> BallDeletionAudit:
@@ -431,8 +489,8 @@ def ball_deletion_audit(ctx: RelationContext) -> BallDeletionAudit:
 
 @dataclass(frozen=True)
 class SmallCutAudit:
-    kappa: int
-    diameter: Optional[int]
+    kappa: int = field(metadata=UNREPORTED)
+    diameter: Optional[int] = field(metadata=UNREPORTED)
     tcut2_applicable: bool
     tcut2_ok: bool
     tdiam2_applicable: bool
@@ -442,6 +500,16 @@ class SmallCutAudit:
     tcut3_applicable: bool
     tcut3_ok: bool
     tcut3_match: Optional[str]
+
+    def findings(self) -> list[str]:
+        return [f"small-cut theorem fails: {tag}"
+                for tag, app, ok in (
+                    ("size-2 cut", self.tcut2_applicable, self.tcut2_ok),
+                    ("diameter-2 bound", self.tdiam2_applicable,
+                     self.tdiam2_ok),
+                    ("size-3 classification", self.tcut3_applicable,
+                     self.tcut3_ok))
+                if app and not ok]
 
 
 def small_cut_theorems_audit(ctx: RelationContext) -> SmallCutAudit:
@@ -486,10 +554,15 @@ def small_cut_theorems_audit(ctx: RelationContext) -> SmallCutAudit:
 
 @dataclass(frozen=True)
 class SpecCutAudit:
+    applicable: bool = field(default=True, init=False)
     ok: bool
     p_local: int          # p_gg^g for the designated class
-    kappa: int
     slack: int
+    kappa: int = field(metadata=UNREPORTED)
+
+    def findings(self) -> list[str]:
+        return [] if self.ok else [f"cut-size lemma fails: kappa {self.kappa}"
+                                   f" <= p_local {self.p_local}"]
 
 
 def spec_cut_audit(ctx: RelationContext) -> SpecCutAudit:

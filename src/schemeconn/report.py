@@ -1,17 +1,21 @@
 """Per-relation analysis reports and the parallel survey harness.
 
 Reports are plain dicts with a stable field order so serialized output is
-byte-identical run to run.  A survey task is one entry, a whole scheme with
-the relations asked of it.  With jobs > 1 the parent forks a few workers
-and hands each idle one the next entry index over a pipe; a worker sends
-back its pickled report dicts, and the parent writes everything in
-canonical order, so the output does not depend on the schedule.  A worker
-that dies loses only the entry it was running.  Without os.fork the
-survey runs serially, which writes the same bytes.
+byte-identical run to run.  Every block built from a record (an audit
+section, the I/U/W decomposition, the cut-size lemma, the primitivity
+verdict and the config) is that record as audits.record_fields writes it,
+and an audit's findings are its record's own.
+
+A survey task is one entry, a whole scheme with the relations asked of
+it.  With jobs > 1 the parent forks a few workers and hands each idle one
+the next entry index over a pipe; a worker sends back its pickled report
+dicts, and the parent writes everything in canonical order, so the output
+does not depend on the schedule.  A worker that dies loses only the
+entry it was running.  Without os.fork the survey runs serially, which
+writes the same bytes.
 """
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import os
@@ -25,6 +29,7 @@ from typing import Optional
 import numpy as np
 
 from . import audits
+from .audits import record_fields
 from .diagram import p_polynomial_generator
 from .errors import CapExceeded, DetectorDisagreement, HypothesisNotMet
 from .scheme import SchemeDescriptor, symmetrized_scheme
@@ -42,10 +47,6 @@ class AnalysisConfig:
     column_tol: float = COLUMN_TOL
     multiplicity_tol: float = 1e-6
     cut_enum_budget: int = 200_000
-
-    def as_dict(self) -> dict:
-        # every field is a scalar: dataclasses.asdict would deep-copy each
-        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
 
 DEFAULT_CONFIG = AnalysisConfig()
@@ -84,13 +85,7 @@ def spectral_section(scheme: SchemeDescriptor, spectral: SpectralData,
     if sum(spectral.multiplicities) != v:
         findings.append("multiplicities do not sum to v")
     try:
-        verdict = primitivity(scheme, spectral, config.column_tol)
-        prim = {
-            "primitive": verdict.primitive,
-            "disconnected_relations": list(verdict.disconnected_relations),
-            "repeated_column_idempotents":
-                list(verdict.repeated_column_idempotents),
-        }
+        prim = record_fields(primitivity(scheme, spectral, config.column_tol))
     except DetectorDisagreement as e:
         prim = {"primitive": None, "error": str(e)}
         findings.append(f"primitivity detectors disagree: {e}")
@@ -105,98 +100,15 @@ def spectral_section(scheme: SchemeDescriptor, spectral: SpectralData,
     }
 
 
-# -- audit sections ------------------------------------------------------
-# Each calls its audit through the module, so a wrapper installed on
-# audits.<name> sees the call, and returns (fields, findings); an audit
-# that does not apply raises HypothesisNotMet.
-
-def _theorem1(ctx: audits.RelationContext) -> tuple[dict, list[str]]:
-    t1 = audits.theorem1_audit(ctx)
-    fields = {
-        "exists_a_connected": t1.exists_a_connected,
-        "forall_a_connected": t1.forall_a_connected,
-        "h_prime_connected": t1.h_prime_connected,
-        "twin_free": t1.twin_free,
-        "equivalent": t1.equivalent,
-        "disconnected_basepoints": t1.disconnected_basepoints,
-    }
-    return fields, [] if t1.equivalent else ["theorem1 conditions disagree"]
-
-
-def _corollaries(ctx: audits.RelationContext) -> tuple[dict, list[str]]:
-    ca = audits.corollary_audits(ctx)
-    fields = {
-        "c1_ok": ca.c1_ok, "c2_ok": ca.c2_ok, "c3_ok": ca.c3_ok,
-        "c1_mode": "exact", "c1_checked": ca.c1_checked,
-        "c3_capped": ca.c3_capped,
-        "c1_witness": ca.c1_witness, "c2_witness": ca.c2_witness,
-        "c3_witness": ca.c3_witness,
-    }
-    return fields, [f"corollary {tag} fails: witness {wit}"
-                    for tag, ok, wit in (("C1", ca.c1_ok, ca.c1_witness),
-                                         ("C2", ca.c2_ok, ca.c2_witness),
-                                         ("C3", ca.c3_ok, ca.c3_witness))
-                    if not ok]
-
-
-def _w_empty(ctx: audits.RelationContext) -> tuple[dict, list[str]]:
-    we = audits.w_empty_audit(ctx)
-    fields = {
-        "ok": we.ok,
-        "w_classes": list(we.w_classes),
-        "distance2_ok": we.distance2_ok,
-        "distance2_vacuous": we.distance2_vacuous,
-    }
-    found = []
-    if not we.ok:
-        found.append(f"W classes nonempty on connected relation: "
-                     f"{we.w_classes}")
-    if not we.distance2_ok:
-        found.append(f"U_a vertex not at distance 2: {we.distance2_witness}")
-    return fields, found
-
-
-def _small_cut(ctx: audits.RelationContext) -> tuple[dict, list[str]]:
-    sc = audits.small_cut_theorems_audit(ctx)
-    fields = {
-        "tcut2_applicable": sc.tcut2_applicable, "tcut2_ok": sc.tcut2_ok,
-        "tdiam2_applicable": sc.tdiam2_applicable,
-        "tdiam2_ok": sc.tdiam2_ok,
-        "tdiam2_best_t": sc.tdiam2_best_t,
-        "tdiam2_t_equals_valency": sc.tdiam2_t_equals_valency,
-        "tcut3_applicable": sc.tcut3_applicable, "tcut3_ok": sc.tcut3_ok,
-        "tcut3_match": sc.tcut3_match,
-    }
-    return fields, [f"small-cut theorem fails: {tag}"
-                    for tag, app, ok in (
-                        ("size-2 cut", sc.tcut2_applicable, sc.tcut2_ok),
-                        ("diameter-2 bound", sc.tdiam2_applicable,
-                         sc.tdiam2_ok),
-                        ("size-3 classification", sc.tcut3_applicable,
-                         sc.tcut3_ok))
-                    if app and not ok]
-
-
-def _ball_deletion(ctx: audits.RelationContext) -> tuple[dict, list[str]]:
-    bd = audits.ball_deletion_audit(ctx)
-    fields = {
-        "t": 1,
-        "h_minus_ball_connected": bd.h_minus_ball_connected,
-        "triggered_basepoints": bd.triggered_basepoints,
-        "part_a_ok": bd.part_a_ok, "part_b_ok": bd.part_b_ok,
-    }
-    found = []
-    if not bd.part_a_ok:
-        found.append(f"ball deletion part (a) fails: {bd.part_a_witness}")
-    if not bd.part_b_ok:
-        found.append(f"ball deletion part (b) fails: {bd.part_b_witness}")
-    return fields, found
-
-
-# The audit sections of a report, in report order.
-SECTIONS = (("theorem1", _theorem1), ("corollaries", _corollaries),
-            ("w_empty", _w_empty), ("small_cut", _small_cut),
-            ("ball_deletion", _ball_deletion))
+# The audit sections of a report, in report order, each with the name of its
+# audit.  The audit is looked up in the module at each call, so a wrapper
+# installed on audits.<name> sees the call; an audit that does not apply
+# raises HypothesisNotMet.
+SECTIONS = (("theorem1", "theorem1_audit"),
+            ("corollaries", "corollary_audits"),
+            ("w_empty", "w_empty_audit"),
+            ("small_cut", "small_cut_theorems_audit"),
+            ("ball_deletion", "ball_deletion_audit"))
 
 
 def analyze_relation(scheme: SchemeDescriptor, i: int,
@@ -240,28 +152,17 @@ def analyze_relation(scheme: SchemeDescriptor, i: int,
         skipped.append("connectivity: disconnected relation")
 
     sections: dict[str, dict] = {}
-    for name, section in SECTIONS:
+    for name, audit in SECTIONS:
         try:
-            fields, found = section(ctx)
+            rec = getattr(audits, audit)(ctx)
         except HypothesisNotMet as e:
             sections[name] = {"status": "skipped", "reason": e.reason}
             # a skipped ball deletion shows in its own section only
             if name != "ball_deletion":
                 skipped.append(f"{name}: {e.reason}")
         else:
-            sections[name] = {"status": "ok", **fields}
-            findings.extend(found)
-
-    dec = ctx.iuw
-    iuw = {
-        "h_prime_connected": dec.h_prime_connected,
-        "i_classes": list(dec.i_classes),
-        "u_classes": list(dec.u_classes),
-        "w_classes": list(dec.w_classes),
-        # row 0 holds valency-many vertices of each class
-        "sizes": [sum(scheme.valencies[c] for c in cls)
-                  for cls in (dec.i_classes, dec.u_classes, dec.w_classes)],
-    }
+            sections[name] = {"status": "ok", **record_fields(rec)}
+            findings.extend(rec.findings())
 
     min_cut_count = None
     min_cuts_are_neighborhoods = None
@@ -299,13 +200,8 @@ def analyze_relation(scheme: SchemeDescriptor, i: int,
     except HypothesisNotMet as e:
         spec["cut_size_lemma"] = {"applicable": False, "reason": e.reason}
     else:
-        spec["cut_size_lemma"] = {
-            "applicable": True, "ok": sca.ok,
-            "p_local": sca.p_local, "slack": sca.slack,
-        }
-        if not sca.ok:
-            findings.append(f"cut-size lemma fails: kappa {sca.kappa} <= "
-                            f"p_local {sca.p_local}")
+        spec["cut_size_lemma"] = record_fields(sca)
+        findings.extend(sca.findings())
 
     return {
         "scheme": scheme.name,
@@ -328,7 +224,7 @@ def analyze_relation(scheme: SchemeDescriptor, i: int,
         "h_prime_connected": ctx.h_prime_connected,
         "theorem1": sections["theorem1"],
         "corollaries": sections["corollaries"],
-        "iuw": iuw,
+        "iuw": record_fields(ctx.iuw),
         "w_empty": sections["w_empty"],
         "small_cut": sections["small_cut"],
         "min_cut_count": min_cut_count,
@@ -340,7 +236,7 @@ def analyze_relation(scheme: SchemeDescriptor, i: int,
         "skipped": skipped,
         "ok": not findings,
         "tool_version": TOOL_VERSION,
-        "config": config.as_dict(),
+        "config": record_fields(config),
     }
 
 
@@ -561,7 +457,7 @@ def run_survey(entries, out_dir: str, jobs: int = 1,
                 audits_passed += 1
     summary = {
         "tool_version": TOOL_VERSION,
-        "config": config.as_dict(),
+        "config": record_fields(config),
         "entries": len(tasks),
         "reports": n_reports,
         "audit_sections_run": audits_run,

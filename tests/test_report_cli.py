@@ -14,7 +14,7 @@ from dataclasses import replace
 import pytest
 
 import schemeconn
-from schemeconn import cli, report
+from schemeconn import audits, cli, report
 from schemeconn.catalog import (BUILTIN_FAMILIES, build_family, gen_cyclic,
                                 save_scheme)
 from schemeconn.cli import main
@@ -217,7 +217,6 @@ FLIPPED_FINDINGS = [
 
 
 def test_flipped_verdicts_give_the_pinned_findings(monkeypatch, capsys):
-    from schemeconn import audits
     for name, changes in FLIPS.items():
         original = getattr(audits, name)
         monkeypatch.setattr(
