@@ -7,6 +7,9 @@ and against networkx on the small ones; the generators are checked
 independently of validate_scheme, and mutated generators must be
 refused.  The orbit search is checked against a per-item union-find."""
 
+import hashlib
+import json
+import os
 import random
 from operator import getitem
 
@@ -15,8 +18,10 @@ import pytest
 
 from schemeconn import connectivity
 from schemeconn.audits import RelationContext
-from schemeconn.catalog import (BUILTIN_FAMILIES, build_family, gen_cyclic,
-                                gen_johnson, load_scheme, save_scheme)
+from schemeconn.catalog import (BUILTIN_FAMILIES, build_family,
+                                cyclic_group_table, gen_conjugacy, gen_cyclic,
+                                gen_hamming, gen_johnson, load_scheme,
+                                save_scheme)
 from schemeconn.cli import EXIT_INVALID, _exit_code
 from schemeconn.connectivity import edge_connectivity, vertex_connectivity
 from schemeconn.errors import NotAnAutomorphism
@@ -384,3 +389,38 @@ def test_intransitive_generators_are_refused(family):
     assert info.value.witness == 1
     assert "not transitive: the orbit of 0 misses 1" in str(info.value)
     assert _exit_code(info.value) == EXIT_INVALID
+
+
+# Leading 16 hex digits of the SHA-256 of the JSON list [stabiliser,
+# transitive] of each scheme below, recorded from the generators as first
+# built.  A rewrite of the family constructions must give the very same
+# image tuples in the same order, since the flows and the orbit
+# representatives they pick follow that order.
+GENERATOR_DIGESTS_PATH = os.path.join(os.path.dirname(__file__), "data",
+                                      "generator_digests.json")
+GENERATOR_EXTRAS = [
+    (gen_johnson, (14, 4)), (gen_hamming, (2, 7)), (gen_hamming, (3, 5)),
+    (gen_hamming, (4, 3)), (gen_cyclic, (2,)), (gen_cyclic, (3,)),
+    (gen_cyclic, (400,)), (gen_hamming, (1, 2)), (gen_hamming, (1, 3)),
+    (gen_johnson, (2, 1)), (gen_johnson, (3, 1))]
+
+
+def _generator_digests() -> dict:
+    schemes = [build_family(kind, params) for kind, params in BUILTIN_FAMILIES]
+    schemes += [gen(*params) for gen, params in GENERATOR_EXTRAS]
+    schemes += [gen_conjugacy(cyclic_group_table(n), name=f"conj-Z{n}")
+                for n in range(2, 31)]
+    return {s.name: hashlib.sha256(json.dumps(
+        [s.stabiliser, s.transitive]).encode()).hexdigest()[:16]
+        for s in schemes}
+
+
+def test_generators_unchanged():
+    """The catalog members, the family extremes above, and the conjugacy
+    schemes of Z_2 .. Z_30 against their recorded generator digests."""
+    with open(GENERATOR_DIGESTS_PATH, encoding="utf-8") as fh:
+        want = json.load(fh)
+    got = _generator_digests()
+    changed = sorted(name for name in want.keys() | got.keys()
+                     if got.get(name) != want.get(name))
+    assert not changed, f"{len(changed)} generator sets changed: {changed}"
