@@ -1,14 +1,17 @@
 """Scheme generators, JSON persistence, and the builtin survey catalog.
 
 Every generator routes its class matrix through validate_scheme, so a bug in
-a construction cannot silently ship an invalid tensor.  load_scheme trusts
-nothing: the stored class matrix is re-validated from scratch.
+a construction cannot silently ship an invalid tensor, nor an invalid
+automorphism: the Hamming, Johnson and cyclic families move their points
+(words, membership rows, Z_n as one column) and _images reads the vertex
+permutations off them.  load_scheme trusts nothing: the stored class
+matrix is re-validated from scratch.
 """
 from __future__ import annotations
 
 import json
 from functools import lru_cache
-from itertools import chain, combinations, permutations
+from itertools import chain, combinations, permutations, product
 from math import comb
 
 import numpy as np
@@ -21,7 +24,8 @@ from .errors import (
     ParseError,
     SizeCap,
 )
-from .graph import Graph, complete_bipartite, petersen
+from .graph import (Graph, _orbit_representatives, complete_bipartite,
+                    petersen)
 from .scheme import (
     SIZE_CAP,
     RelationTable,
@@ -32,29 +36,30 @@ from .scheme import (
 
 # -- families ------------------------------------------------------------
 
-def _cycle(n: int, points: list[int]) -> list[int]:
-    """The permutation of range(n) sending points[i] to points[i+1] and the
-    last point to the first."""
-    perm = list(range(n))
-    for a, b in zip(points, points[1:] + points[:1]):
-        perm[a] = b
-    return perm
-
-
-def _cycle_points(block) -> list[list[int]]:
-    """A transposition and a full cycle on block, which together generate
-    its symmetric group; none for a block of fewer than two points."""
+def _swap_and_cycle(n: int, block) -> list[np.ndarray]:
+    """Permutations of range(n): the swap of block's first two points and
+    the cycle sending each point of block to the next and the last to the
+    first.  They generate the symmetric group on block, and are identities
+    when block has fewer than two points."""
     pts = list(block)
-    return [pts[:2], pts] if len(pts) >= 2 else []
+    perms = []
+    for moved in (pts[:2], pts):
+        perm = np.arange(n)
+        perm[moved] = moved[1:] + moved[:1]
+        perms.append(perm)
+    return perms
 
 
-def _distinct_moving(perms) -> tuple[tuple[int, ...], ...]:
-    """The permutations as tuples, identities and repeats dropped."""
+def _images(points: np.ndarray, moves) -> tuple[tuple[int, ...], ...]:
+    """Vertex x is row x of points, and row x of each moved array is the
+    point x goes to: the permutations of the vertices this gives, as image
+    tuples, identities and repeats dropped."""
+    vertex = {row.tobytes(): x for x, row in enumerate(points)}
     out: list[tuple[int, ...]] = []
-    for perm in perms:
-        t = tuple(int(x) for x in perm)
-        if t != tuple(range(len(t))) and t not in out:
-            out.append(t)
+    for moved in moves:
+        perm = tuple(vertex[row.tobytes()] for row in moved)
+        if perm != tuple(range(len(perm))) and perm not in out:
+            out.append(perm)
     return tuple(out)
 
 
@@ -63,37 +68,31 @@ def gen_hamming(n: int, q: int) -> SchemeDescriptor:
     """Words of length n over q symbols, classes by Hamming distance."""
     if n < 1 or q < 2:
         raise ValueError("need n >= 1 and q >= 2")
-    v = q ** n
-    if v > SIZE_CAP:
-        raise SizeCap(f"q^n = {v} exceeds cap {SIZE_CAP}")
-    digits = np.zeros((v, n), dtype=np.int16)
-    x = np.arange(v)
+    if n > 12 or q > SIZE_CAP or q ** n > SIZE_CAP:     # n > 12: q^n > 2^12
+        raise SizeCap(f"q^n = {q}^{n} exceeds cap {SIZE_CAP}")
+    # vertex x is the x-th word in lexicographic order; one coordinate at
+    # a time, no (v, v, n) temporary
+    words = np.array(list(product(range(q), repeat=n)), dtype=np.int16)
+    classes = np.zeros((len(words),) * 2, dtype=np.int8)
     for pos in range(n):
-        digits[:, n - 1 - pos] = (x // q ** pos) % q
-    # one coordinate at a time: no (v, v, n) temporary
-    classes = np.zeros((v, v), dtype=np.int8)
-    for pos in range(n):
-        classes += digits[:, None, pos] != digits[None, :, pos]
-    weights = q ** np.arange(n - 1, -1, -1)
+        classes += words[:, None, pos] != words[None, :, pos]
 
-    def on_symbol_0(sigma: list[int]) -> np.ndarray:
-        moved = digits.copy()
-        moved[:, 0] = np.array(sigma)[digits[:, 0]]
-        return moved @ weights
+    def on_symbol_0(sigma: np.ndarray) -> np.ndarray:
+        moved = words.copy()
+        moved[:, 0] = sigma[words[:, 0]]
+        return moved
 
     # S_n on coordinates; with S_{q-1} on the nonzero symbols of coordinate
     # 0 (conjugated to every coordinate by S_n) it generates the stabiliser
     # of the zero word, and with x_0 -> x_0 + 1 mod q, which S_n conjugates
     # to a translation of every coordinate, a transitive group
-    coords = [digits[:, _cycle(n, pts)] @ weights
-              for pts in _cycle_points(range(n))]
-    symbols = [on_symbol_0(_cycle(q, pts))
-               for pts in _cycle_points(range(1, q))]
-    shift = on_symbol_0(_cycle(q, list(range(q))))
+    coords = [words[:, perm] for perm in _swap_and_cycle(n, range(n))]
+    symbols = [on_symbol_0(sigma) for sigma in _swap_and_cycle(q, range(1, q))]
+    shift = on_symbol_0(_swap_and_cycle(q, range(q))[1])
     return validate_scheme(RelationTable.from_classes(classes),
                            name=f"hamming-{n}-{q}",
-                           stabiliser=_distinct_moving(coords + symbols),
-                           transitive=_distinct_moving(coords + [shift]))
+                           stabiliser=_images(words, coords + symbols),
+                           transitive=_images(words, coords + [shift]))
 
 
 @lru_cache(maxsize=None)
@@ -101,31 +100,30 @@ def gen_johnson(vs: int, k: int) -> SchemeDescriptor:
     """k-subsets of a vs-set, classes by k - |intersection|."""
     if not 1 <= k <= vs // 2:
         raise ValueError("need 1 <= k <= vs/2")
-    v = comb(vs, k)
-    if v > SIZE_CAP:
-        raise SizeCap(f"C({vs},{k}) = {v} exceeds cap {SIZE_CAP}")
-    subsets = list(combinations(range(vs), k))
-    members = np.zeros((v, vs), dtype=np.int32)
-    for idx, subset in enumerate(subsets):
-        members[idx, list(subset)] = 1
-    inter = members @ members.T
-    classes = k - inter
-    # stabiliser of {0..k-1}: S_k x S_{vs-k}, lifted to k-subsets
-    index = {subset: idx for idx, subset in enumerate(subsets)}
+    if vs > SIZE_CAP or comb(vs, k) > SIZE_CAP:     # C(vs, k) >= vs
+        raise SizeCap(f"C({vs},{k}) exceeds cap {SIZE_CAP}")
+    # vertex x is the x-th k-subset in lexicographic order, as a row of
+    # memberships
+    subsets = np.array(list(combinations(range(vs), k))).reshape(-1, k)
+    members = np.zeros((len(subsets), vs), dtype=np.int32)
+    np.put_along_axis(members, subsets, 1, axis=1)
+    classes = k - members @ members.T
 
-    def lift(sigma: list[int]) -> list[int]:
-        return [index[tuple(sorted(sigma[x] for x in subset))]
-                for subset in subsets]
+    def on_members(sigma: np.ndarray) -> np.ndarray:
+        # y is in sigma(S) iff sigma^-1(y) is in S
+        inverse = np.empty_like(sigma)
+        inverse[sigma] = np.arange(vs)
+        return members[:, inverse]
 
-    gens = [lift(_cycle(vs, pts)) for block in (range(k), range(k, vs))
-            for pts in _cycle_points(block)]
-    # S_vs itself, by (0 1) and the full cycle, is transitive on k-subsets
+    # stabiliser of {0..k-1}: S_k x S_{vs-k}; S_vs itself, by (0 1) and the
+    # full cycle, is transitive on k-subsets
+    stabiliser = [on_members(sigma) for block in (range(k), range(k, vs))
+                  for sigma in _swap_and_cycle(vs, block)]
+    transitive = map(on_members, _swap_and_cycle(vs, range(vs)))
     return validate_scheme(RelationTable.from_classes(classes),
                            name=f"johnson-{vs}-{k}",
-                           stabiliser=_distinct_moving(gens),
-                           transitive=_distinct_moving(
-                               lift(_cycle(vs, pts))
-                               for pts in _cycle_points(range(vs))))
+                           stabiliser=_images(members, stabiliser),
+                           transitive=_images(members, transitive))
 
 
 @lru_cache(maxsize=None)
@@ -140,10 +138,11 @@ def gen_cyclic(n: int) -> SchemeDescriptor:
     classes = np.minimum(diff, n - diff)
     # the dihedral stabiliser of 0 is generated by x -> -x, and the
     # rotation x -> x + 1 is transitive
+    points = x[:, None]
     return validate_scheme(RelationTable.from_classes(classes),
                            name=f"cyclic-{n}",
-                           stabiliser=_distinct_moving([(-x) % n]),
-                           transitive=_distinct_moving([(x + 1) % n]))
+                           stabiliser=_images(points, [-points % n]),
+                           transitive=_images(points, [(points + 1) % n]))
 
 
 GROUP_CAP = 256
@@ -204,28 +203,26 @@ def gen_conjugacy(mul, name: str = "conjugacy") -> SchemeDescriptor:
     prod = mul[np.arange(v)[:, None], inv[np.arange(v)][None, :]]  # a b^{-1}
     classes = cls_of[prod]
     return validate_scheme(RelationTable.from_classes(classes), name=name,
-                           transitive=_right_multiplications(mul, e))
+                           transitive=_right_multiplications(mul))
 
 
-def _right_multiplications(mul: np.ndarray, e: int) -> tuple:
+def _right_multiplications(mul: np.ndarray) -> tuple:
     """Right multiplications x -> xg, which fix every a b^{-1}, for a
-    greedy generating set: g is taken, in element order, when it lies
-    outside the subgroup H the ones before it generate.  The orbits of
-    right multiplication by H are the cosets xH, so each g taken joins
-    orbits, and the last one leaves the one orbit X."""
-    v = mul.shape[0]
-    gens: list[int] = []
-    sub = {e}
+    greedy generating set: g is taken, in element order, when it lowers
+    the number of orbits of right multiplication by the ones before it,
+    until one orbit is left.  Those orbits are the cosets xH of the
+    subgroup H the ones before generate, so g is taken iff g is not in H."""
+    gens: list[tuple[int, ...]] = []
+    orbits = v = mul.shape[0]
     for g in range(v):
-        if g in sub:
-            continue
-        gens.append(g)
-        frontier = list(sub)
-        while frontier:
-            frontier = [y for y in {int(mul[x, s]) for x in frontier
-                                    for s in gens} if y not in sub]
-            sub.update(frontier)
-    return tuple(tuple(int(y) for y in mul[:, g]) for g in gens)
+        perm = tuple(int(y) for y in mul[:, g])
+        left = len(_orbit_representatives(range(v), gens + [perm]))
+        if left < orbits:
+            gens.append(perm)
+            orbits = left
+            if orbits == 1:
+                break
+    return tuple(gens)
 
 
 def scheme_from_drg(graph: Graph, name: str = "drg") -> SchemeDescriptor:

@@ -25,9 +25,9 @@ Since p fixes s, it permutes the targets t (the non-neighbours of s, for
 edges every other vertex) and the non-adjacent pairs inside Gamma(s).  So
 every member of an orbit of the group the automorphisms generate has the
 same local connectivity, and one flow per orbit gives the same minimum as
-the full sweep.  Each orbit is found by a depth-first search over the
-generators' images from its first item; with no generators every target
-and pair is its own orbit and the sweep runs in full, in the same order.
+the full sweep, and the minimum-cut criterion needs one flow per orbit of
+the pairs it checks.  With no generators every item is its own orbit
+(graph._orbit_representatives) and a sweep runs in full, in order.
 
 The theorems that decide kappa and lambda without a flow (Watkins' and
 Whitney's) are applied in audits.RelationContext, which runs the sweeps
@@ -38,12 +38,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, islice
 from math import comb
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 import numpy as np
 
 from .errors import CapExceeded, Disconnected
-from .graph import Graph, bits, layers, mask_of
+from .graph import Graph, _orbit_representatives, bits, layers, mask_of
 
 
 # -- unit-capacity max-flow -----------------------------------------------
@@ -136,41 +136,6 @@ def _vertex_flow(rows, s: int, t: int, limit: int) -> int:
     return _dinic(_split(rows), s + len(rows), t, limit)[0]
 
 
-def _orbit_representatives(items: Sequence, automorphisms) -> list[int]:
-    """Positions of the items that come first in their orbits under the
-    group generated by automorphisms, ascending.  items are distinct
-    vertices or ascending vertex pairs; an automorphism p maps an item to
-    its image (for a pair, the ascending pair of the images), which must be
-    an item again.  Each orbit is found by a depth-first search from its
-    first item over the generators' images: a generator permutes the finite
-    set of items, so some power of it is its inverse, and forward images
-    alone reach the whole orbit."""
-    index = {item: i for i, item in enumerate(items)}
-    seen = [False] * len(items)
-    reps = []
-    for i in range(len(items)):
-        if seen[i]:
-            continue
-        reps.append(i)
-        seen[i] = True
-        stack = [i]
-        while stack:
-            item = items[stack.pop()]
-            for k, p in enumerate(automorphisms):
-                if isinstance(item, tuple):
-                    u, w = p[item[0]], p[item[1]]
-                    j = index.get((u, w) if u < w else (w, u))
-                else:
-                    j = index.get(p[item])
-                if j is None:
-                    raise ValueError(f"automorphism {k} moves {item} out of "
-                                     f"the swept set")
-                if not seen[j]:
-                    seen[j] = True
-                    stack.append(j)
-    return reps
-
-
 def _check_fixes_source(automorphisms) -> None:
     """Every automorphism must fix the source, vertex 0."""
     for k, p in enumerate(automorphisms):
@@ -194,17 +159,12 @@ def vertex_connectivity(graph: Graph, automorphisms=()) -> int:
     best = min(graph.degrees())
     targets = list(bits(((1 << n) - 1) & ~graph.closed_neighborhood(0)))
     for i in _orbit_representatives(targets, automorphisms):
-        f = _vertex_flow(rows, 0, targets[i], best)
-        if f < best:
-            best = f
+        best = min(best, _vertex_flow(rows, 0, targets[i], best))
     # for each neighbour u of 0, the later neighbours w > u that u misses
     pairs = [(u, w) for u in bits(nb)
              for w in bits(nb & ~rows[u] & ~((2 << u) - 1))]
     for i in _orbit_representatives(pairs, automorphisms):
-        u, w = pairs[i]
-        f = _vertex_flow(rows, u, w, best)
-        if f < best:
-            best = f
+        best = min(best, _vertex_flow(rows, *pairs[i], best))
     return best
 
 
@@ -219,9 +179,7 @@ def edge_connectivity(graph: Graph, automorphisms=()) -> int:
     best = min(graph.degrees())
     targets = list(range(1, graph.n))
     for i in _orbit_representatives(targets, automorphisms):
-        f = _edge_flow(graph.rows, 0, targets[i], best)
-        if f < best:
-            best = f
+        best = min(best, _edge_flow(graph.rows, 0, targets[i], best))
     return best
 
 
@@ -256,36 +214,40 @@ def _lex_subset_batches(n: int, k: int, size: int) -> Iterator[np.ndarray]:
 
 def _cuts_are_neighborhoods(rows, kappa: int, stabiliser) -> bool:
     """Whether a max flow of kappa passes from the contracted edge {0, s2}
-    to each t outside N[0] | N[s2], for s2 one neighbour of 0 per orbit of
-    the group stabiliser generates, with only t past the cut closest to
-    the source.  That cut is read off one BFS of the residual split
-    digraph in which the arcs of edges never saturate (Even-Tarjan's
-    infinite arcs; Picard and Queyranne, Math. Prog. Study 13, 1980): it
-    must reach the in-node of every vertex but t, 0 and s2.  The flows
-    call _dinic, not _vertex_flow, so that a count of _vertex_flow calls
-    counts vertex_connectivity's flows only."""
+    to t, with only t past the cut closest to the source, for one pair
+    {s2, t} per orbit of the group stabiliser generates on the pairs with
+    s2 in N(0) and t outside N[0] | N[s2].  The group fixes 0, so it maps
+    N(0) and its complement onto themselves: s2 stays the pair's end in
+    N(0), and an automorphism maps the flow problem {0, s2} -> t and its
+    residual reach onto those of the image pair.  The cut is read off one
+    BFS of the residual split digraph in which the arcs of edges never
+    saturate (Even-Tarjan's infinite arcs; Picard and Queyranne, Math.
+    Prog. Study 13, 1980): it must reach the in-node of every vertex but
+    t, 0 and s2.  The flows call _dinic, not _vertex_flow, so that a count
+    of _vertex_flow calls counts vertex_connectivity's flows only."""
     n = len(rows)
     _check_fixes_source(stabiliser)
     full = (1 << n) - 1
     split = _split(rows)
-    nbrs = list(bits(rows[0]))
-    for i in _orbit_representatives(nbrs, stabiliser):
-        s2 = nbrs[i]
+    nb = rows[0]
+    pairs = [(s2, t) if s2 < t else (t, s2) for s2 in bits(nb)
+             for t in bits(full & ~(nb | rows[s2] | 1 | 1 << s2))]
+    for i in _orbit_representatives(pairs, stabiliser):
+        s2, t = pairs[i] if nb >> pairs[i][0] & 1 else pairs[i][::-1]
         ends = 1 | 1 << s2
-        split[n] = (rows[0] | rows[s2]) & ~ends      # the source, 0's out-node
-        for t in bits(full & ~(rows[0] | rows[s2] | ends)):
-            flow, residual, rused = _dinic(split, n, t, kappa)
-            if flow < kappa:
-                return False
-            # an in-node's one arc is its vertex, which saturates; an
-            # out-node's arcs are edges, which never do
-            reach = residual[:n] + [row | back for row, back
-                                    in zip(split[n:], rused[n:])]
-            seen = 0
-            for frontier in layers(reach, n):
-                seen |= frontier
-            if full & ~seen & ~ends & ~(1 << t):
-                return False
+        split[n] = (nb | rows[s2]) & ~ends      # the source, 0's out-node
+        flow, residual, rused = _dinic(split, n, t, kappa)
+        if flow < kappa:
+            return False
+        # an in-node's one arc is its vertex, which saturates; an
+        # out-node's arcs are edges, which never do
+        reach = residual[:n] + [row | back for row, back
+                                in zip(split[n:], rused[n:])]
+        seen = 0
+        for frontier in layers(reach, n):
+            seen |= frontier
+        if full & ~seen & ~ends & ~(1 << t):
+            return False
     return True
 
 
@@ -313,12 +275,13 @@ def enumerate_min_cuts(graph: Graph, kappa: int, budget: int = MIN_CUT_BUDGET,
     inside S and is as large, so S = N(y).  Otherwise every component of
     G - S has an edge: take one, {a, b}, and a vertex t of another
     component.  An automorphism maps a to 0, and then one fixing 0 maps
-    the image of b to s2, the first of its orbit in N(0); the images of S
-    and t form the same picture, so take a = 0, b = s2 and t outside N[0]
-    | N[s2].  S separates {0, s2} from t with kappa vertices, so the flow
-    from {0, s2} to t is at most kappa; it is kappa by the check, and then
-    S gives a minimum cut of the split digraph whose source side holds
-    the nodes of the component of {0, s2} and the in-nodes of S.  The
+    the pair of b, now in N(0), and t, outside N[0] | N[b], to the pair
+    {s2, t'} checked for their orbit; the images of S form the same
+    picture, so take a = 0, b = s2 and t = t'.  S separates {0, s2} from t
+    with kappa vertices, so the flow from {0, s2} to t is at most kappa;
+    it is kappa by the check, and then S gives a minimum cut of the split
+    digraph whose source side holds the nodes of the component of {0, s2}
+    and the in-nodes of S.  The
     residual reach lies inside every minimum cut's source side, and the
     check has it hold the in-node of every vertex but t, 0 and s2, so t's
     component is {t}, against the choice of S.  When a flow falls below

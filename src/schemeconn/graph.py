@@ -7,11 +7,12 @@ above n.  Vertex deletion is only ever a `deleted` mask argument; graphs
 themselves are immutable.  One layered BFS, `layers`, yields the frontier
 at each distance on any out-rows; reach masks, components and distances
 are read off it here, and connectivity's flows and scheme validation read
-their levels and reach off it too.
+their levels and reach off it too.  Every orbit of a group given by
+generators comes from the one orbit search, `_orbit_representatives`.
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -40,6 +41,41 @@ def layers(rows, start: int, deleted: int = 0) -> Iterator[int]:
             m ^= b
         frontier = new & ~seen
         seen |= frontier
+
+
+def _orbit_representatives(items: Sequence, automorphisms) -> list[int]:
+    """Positions of the items that come first in their orbits under the
+    group generated by automorphisms, ascending.  items are distinct
+    vertices or ascending vertex pairs; an automorphism p maps an item to
+    its image (for a pair, the ascending pair of the images), which must be
+    an item again.  Each orbit is found by a depth-first search from its
+    first item over the generators' images: a generator permutes the finite
+    set of items, so some power of it is its inverse, and forward images
+    alone reach the whole orbit."""
+    index = {item: i for i, item in enumerate(items)}
+    seen = [False] * len(items)
+    reps = []
+    for i in range(len(items)):
+        if seen[i]:
+            continue
+        reps.append(i)
+        seen[i] = True
+        stack = [i]
+        while stack:
+            item = items[stack.pop()]
+            for k, p in enumerate(automorphisms):
+                if isinstance(item, tuple):
+                    u, w = p[item[0]], p[item[1]]
+                    j = index.get((u, w) if u < w else (w, u))
+                else:
+                    j = index.get(p[item])
+                if j is None:
+                    raise ValueError(f"automorphism {k} moves {item} out of "
+                                     f"the swept set")
+                if not seen[j]:
+                    seen[j] = True
+                    stack.append(j)
+    return reps
 
 
 def bit_rows(mask: np.ndarray) -> list[int]:

@@ -46,7 +46,7 @@ its witness, do not depend on where the loop stops.
 Generators offered by a construction are checked just as exactly: each must
 permute X and map every pair to a pair of the same class, a stabiliser
 generator must fix vertex 0, and the transitive generators together must
-carry 0 to every vertex.
+carry 0 to every vertex, the one orbit graph._orbit_representatives finds.
 """
 from __future__ import annotations
 
@@ -66,7 +66,7 @@ from .errors import (
     NotSymmetric,
     SizeCap,
 )
-from .graph import Graph, bit_rows, layers, mask_of
+from .graph import Graph, _orbit_representatives, bit_rows, layers
 
 # validate_scheme's float32 products are exact only while every entry is
 # below 2**24 (float32 has a 24-bit significand); a count is below v, so
@@ -204,17 +204,13 @@ def _checked_generators(classes: np.ndarray, generators,
 def _checked_transitive(classes: np.ndarray,
                         generators) -> tuple[tuple[int, ...], ...]:
     """The generators, checked as for _checked_generators, once the orbit
-    of vertex 0 under the group they generate is shown to be all of X."""
+    of vertex 0 under the group they generate is shown to be all of X: the
+    least vertex outside it starts the second orbit the search finds."""
     gens = _checked_generators(classes, generators, "transitive")
     if gens:
-        v = classes.shape[0]
-        # forward images alone reach the orbit: some power of a permutation
-        # is its inverse
-        images = [mask_of(g[x] for g in gens) for x in range(v)]
-        orbit = sum(layers(images, 0))   # disjoint frontiers: sum is union
-        outside = ~orbit & ((1 << v) - 1)
-        if outside:
-            x = (outside & -outside).bit_length() - 1
+        reps = _orbit_representatives(range(classes.shape[0]), gens)
+        if len(reps) > 1:
+            x = reps[1]
             raise NotAnAutomorphism(
                 None, x, f"not transitive: the orbit of 0 misses {x}",
                 "transitive")

@@ -16,7 +16,8 @@ from schemeconn.connectivity import (MinCutData, edge_connectivity,
                                      enumerate_min_cuts, k211_free,
                                      maximal_cliques, vertex_connectivity)
 from schemeconn.errors import CapExceeded, Disconnected
-from schemeconn.graph import Graph, bits, complete_bipartite, mask_of, petersen
+from schemeconn.graph import (Graph, bits, complete_bipartite, layers,
+                              mask_of, petersen)
 from schemeconn.report import AnalysisConfig, analyze_relation
 from schemeconn.scheme import RelationTable, relation_graph, validate_scheme
 from small_graphs import (builtin_catalog, circulant, complete_graph,
@@ -499,9 +500,13 @@ def test_min_cuts_circulants(enumerations):
 
 
 def test_min_cuts_flow_count(monkeypatch):
-    """The flows cost one per t outside N[0] | N[s2] for one s2 per
-    orbit: on J(6,3) relation 1, whose stabiliser of 0 is transitive on
-    the 9 neighbours, 20 - (9 + 9 - 4 common) = 6."""
+    """The flows cost one per orbit of the stabiliser of 0 on the pairs
+    {s2, t}, s2 in N(0) and t outside N[0] | N[s2].  On J(6,3) relation 1,
+    with 0 = {0, 1, 2}, the stabiliser S_3 x S_3 is transitive on the 9
+    neighbours, so there is one orbit per orbit on the 20 - (9 + 9 - 4
+    common) = 6 t of s2 = {0, 1, 3} under the swaps (0 1) and (4 5) that
+    fix it: {3, 4, 5}; {2, 4, 5}; {2, 3, 4} and {2, 3, 5}; {0, 4, 5} and
+    {1, 4, 5}.  That is 4 flows."""
     calls = []
     real = connectivity._dinic
     monkeypatch.setattr(connectivity, "_dinic",
@@ -511,7 +516,117 @@ def test_min_cuts_flow_count(monkeypatch):
     data = enumerate_min_cuts(g, 9, stabiliser=scheme.stabiliser,
                               transitive=scheme.transitive)
     assert len(data.cuts) == 20 and data.all_neighborhoods
-    assert len(calls) == 6
+    assert len(calls) == 4
+
+
+def ref_cuts_are_neighborhoods(rows, kappa, stabiliser):
+    """connectivity._cuts_are_neighborhoods as one s2 per orbit of the
+    stabiliser on N(0) and one flow for every t outside N[0] | N[s2]: the
+    reference for the sweep over pair orbits."""
+    n = len(rows)
+    full = (1 << n) - 1
+    split = connectivity._split(rows)
+    nbrs = list(bits(rows[0]))
+    for i in connectivity._orbit_representatives(nbrs, stabiliser):
+        s2 = nbrs[i]
+        ends = 1 | 1 << s2
+        split[n] = (rows[0] | rows[s2]) & ~ends
+        for t in bits(full & ~(rows[0] | rows[s2] | ends)):
+            flow, residual, rused = connectivity._dinic(split, n, t, kappa)
+            if flow < kappa:
+                return False
+            reach = residual[:n] + [row | back for row, back
+                                    in zip(split[n:], rused[n:])]
+            seen = 0
+            for frontier in layers(reach, n):
+                seen |= frontier
+            if full & ~seen & ~ends & ~(1 << t):
+                return False
+    return True
+
+
+def test_pair_orbit_criterion_matches_reference_on_catalog(catalog_pairs,
+                                                           flow_values):
+    """Every connected, non-complete catalog relation that is twin-free and
+    regular of degree kappa, with the scheme's stabiliser; and with none
+    where the reports enumerate the cuts (C(v, kappa) within the budget):
+    unreduced, the criterion runs a flow for each of the up to 10,260
+    pairs of the larger Johnson members, 23 s on J(13,3) relation 2."""
+    budget = AnalysisConfig().cut_enum_budget
+    checked = unreduced = 0
+    for p in catalog_pairs:
+        if not p.connected or is_complete(p.graph):
+            continue
+        kappa = flow_values[(p.scheme.name, p.relation)][0]
+        rows = p.graph.rows
+        if (any(row.bit_count() != kappa for row in rows)
+                or len(set(rows)) < len(rows)):
+            continue
+        stabilisers = [p.scheme.stabiliser]
+        if math.comb(p.graph.n, kappa) <= budget:
+            stabilisers.append(())
+        for stabiliser in stabilisers:
+            assert connectivity._cuts_are_neighborhoods(
+                rows, kappa, stabiliser) == ref_cuts_are_neighborhoods(
+                rows, kappa, stabiliser), (p.scheme.name, p.relation)
+        checked += 1
+        unreduced += len(stabilisers) - 1
+    assert (checked, unreduced) == (95, 41)
+
+
+def test_pair_orbit_criterion_matches_reference_on_small_graphs():
+    """The 141 twin-free circulants of test_min_cuts_circulants, with the
+    reflection and with no stabiliser, and C_6[K_2] of
+    test_min_cuts_kappa_above_connectivity, whose flows fall to 4, asked
+    for 4 and 5 with its reflection and with none."""
+    cases = []
+    for n in range(5, 13):
+        reflection = [-v % n for v in range(n)]
+        for r in range(1, n // 2 + 1):
+            for steps in itertools.combinations(range(1, n // 2 + 1), r):
+                g = circulant(n, steps)
+                k = g.degree(0)
+                if 2 <= k < n - 1 and not twins(g).pairs:
+                    cases += [(g, k, (reflection,)), (g, k, ())]
+    assert len(cases) == 2 * 141
+    g = Graph.from_edges(12, [(2 * i, 2 * i + 1) for i in range(6)]
+                         + [(2 * i + a, 2 * ((i + 1) % 6) + b)
+                            for i in range(6) for a in (0, 1)
+                            for b in (0, 1)])
+    reflection = [-(v // 2) % 6 * 2 + v % 2 for v in range(12)]
+    cases += [(g, k, stab) for k in (4, 5) for stab in ((reflection,), ())]
+    verdicts = []
+    for g, k, stabiliser in cases:
+        got = connectivity._cuts_are_neighborhoods(g.rows, k, stabiliser)
+        assert got == ref_cuts_are_neighborhoods(g.rows, k, stabiliser), \
+            (g.n, g.rows, k, stabiliser)
+        verdicts.append(got)
+    assert sum(verdicts) == 140
+
+
+def test_pair_orbit_criterion_matches_reference_random():
+    """Random connected graphs asked for every kappa from 1 to n - 2, with
+    no stabiliser: most break the criterion's hypotheses (regular of
+    degree kappa), and some have no pair {s2, t} at all, so the pair
+    list must match the reference's exactly for the verdicts to agree."""
+    rng = random.Random(0)
+    for _ in range(300):
+        g = random_connected_graph(rng, rng.randint(5, 9),
+                                   rng.uniform(0.3, 0.8))
+        for k in range(1, g.n - 1):
+            assert connectivity._cuts_are_neighborhoods(g.rows, k, ()) == \
+                ref_cuts_are_neighborhoods(g.rows, k, ()), (g.rows, k)
+
+
+def test_min_cuts_generators_must_fix_source():
+    """A "stabiliser" that moves vertex 0 is refused before any pair is
+    checked: C_7(1, 2) is 4-regular, twin-free and 4-connected, so it
+    reaches the pair-orbit criterion."""
+    g = circulant(7, (1, 2))
+    rotation = tuple((v + 1) % 7 for v in range(7))
+    with pytest.raises(ValueError, match="maps the source 0 to 1"):
+        enumerate_min_cuts(g, 4, stabiliser=(rotation,),
+                           transitive=(rotation,))
 
 
 def test_min_cuts_polygons(enumerations):
