@@ -98,9 +98,9 @@ def _manifest_entries(path: str) -> tuple[list, dict]:
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-    # json's decoder recurses once per nesting level
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError,
-            RecursionError) as exc:
+    # json's decoder recurses once per nesting level, and a bare ValueError
+    # refuses an integer past Python's digit limit
+    except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(payload, dict) or not isinstance(
             payload.get("entries"), list):

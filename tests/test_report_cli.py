@@ -644,11 +644,17 @@ def test_cli_verify_parse_error(tmp_path, capsys):
      "v and d must be integers"),
     ({"name": "k2", "v": 2, "d": 1, "classes": [[0, 1.0], [1, 0]]}, 1,
      "classes must be a matrix of integers"),
+    # json refuses an integer literal past Python's 4,300-digit limit with
+    # a bare ValueError; given as text, since json.dumps refuses it too
+    ('{"name": "x", "v": ' + "1" * 5000
+     + ', "d": 1, "classes": [[0, 1], [1, 0]]}', 1,
+     "Exceeds the limit (4300 digits) for integer string conversion"),
 ], ids=["ragged", "int-overflow", "v-string", "huge-label", "tensor-cap",
-        "bool-entry", "d-bool", "float-entry"])
+        "bool-entry", "d-bool", "float-entry", "v-past-digit-limit"])
 def test_cli_verify_hostile_file(tmp_path, payload, code, message):
     path = tmp_path / "hostile.json"
-    path.write_text(json.dumps(payload))
+    path.write_text(payload if isinstance(payload, str)
+                    else json.dumps(payload))
     src = os.path.dirname(os.path.dirname(os.path.abspath(report.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run(
@@ -795,6 +801,69 @@ def test_cli_survey_manifest_bad_entry_types(tmp_path, payload, message):
     assert f"ParseError: {manifest}: {message}" in done.stderr
     assert "Traceback" not in done.stderr
     assert not (tmp_path / "never").exists()
+
+
+def _cli(argv, timeout):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(report.__file__)))
+    return subprocess.run([sys.executable, "-m", "schemeconn.cli", *argv],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src),
+                          timeout=timeout)
+
+
+def test_cli_survey_manifest_integer_past_digit_limit(tmp_path):
+    # json refuses the literal with a bare ValueError, not a
+    # JSONDecodeError; given as text, since json.dumps refuses it too
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text('{"entries": [{"family": ["cyclic", ' + "1" * 5000
+                        + ']}], "out": ' + json.dumps(str(tmp_path / "never"))
+                        + "}")
+    done = _cli(["survey", "--manifest", str(manifest)], timeout=120)
+    assert done.returncode == 1
+    assert done.stderr.startswith(
+        f"ParseError: {manifest}: Exceeds the limit (4300 digits)")
+    assert len(done.stderr.splitlines()) == 1
+    assert not (tmp_path / "never").exists()
+
+
+# Family parameters whose scheme size is far past SIZE_CAP: the cap is
+# decided before C(vs, k) or q^n is computed, so each exits 4 at once with
+# a message that names the parameters, not the size
+OVERSIZE_FAMILIES = [
+    (["johnson", "100000000", "50000000"],
+     "SizeCap: C(100000000,50000000) exceeds cap 4096"),
+    (["johnson", "1000000", "500000"],
+     "SizeCap: C(1000000,500000) exceeds cap 4096"),
+    (["johnson", "5000", "2500"], "SizeCap: C(5000,2500) exceeds cap 4096"),
+    (["hamming", "20000", "2"], "SizeCap: q^n = 2^20000 exceeds cap 4096"),
+]
+
+
+@pytest.mark.parametrize("family,message", OVERSIZE_FAMILIES,
+                         ids=["-".join(f) for f, _ in OVERSIZE_FAMILIES])
+def test_cli_oversize_family_exits_4_at_once(family, message):
+    done = _cli(["analyze", "--family", *family], timeout=2)
+    assert done.returncode == 4
+    assert done.stderr.splitlines() == [message]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_survey_isolates_an_oversize_family(tmp_path, jobs):
+    out = tmp_path / "out"
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"entries": [
+        {"family": ["cyclic", 5]},
+        {"family": ["johnson", 100000000, 50000000]},
+        {"family": ["johnson", 5, 2]}]}))
+    done = _cli(["survey", "--manifest", str(manifest), "--jobs", jobs,
+                 "--out", str(out)], timeout=10)
+    assert done.returncode == 3
+    assert done.stderr.splitlines() == [
+        "  entry 1: SizeCap: C(100000000,50000000) exceeds cap 4096"]
+    assert _report_files(out) == ["cyclic-5-r1.json", "cyclic-5-r2.json",
+                                  "johnson-5-2-r1.json", "johnson-5-2-r2.json"]
+    with open(out / "summary.json", encoding="utf-8") as fh:
+        assert [e["entry"] for e in json.load(fh)["errors"]] == [1]
 
 
 def test_cli_cuts_pentagon(capsys):
