@@ -25,8 +25,8 @@ Since p fixes s, it permutes the targets t (the non-neighbours of s, for
 edges every other vertex) and the non-adjacent pairs inside Gamma(s).  So
 every member of an orbit of the group the automorphisms generate has the
 same local connectivity, and one flow per orbit gives the same minimum as
-the full sweep, and the minimum-cut criterion needs one flow per orbit of
-the pairs it checks.  With no generators every item is its own orbit
+the full sweep, as one flow per orbit of pairs does for the minimum-cut
+criterion.  With no generators every item is its own orbit
 (graph._orbit_representatives) and a sweep runs in full, in order.
 
 The theorems that decide kappa and lambda without a flow (Watkins' and
