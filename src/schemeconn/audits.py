@@ -83,21 +83,25 @@ def record_fields(record) -> dict:
 
 class RelationContext:
     """What the audits of relation g read, each computed at most once: the
-    graph (built here), the tensor reads (diagram, distances, connectivity,
-    completeness, twins) and the per-basepoint component sweeps.  It alone
-    decides kappa, lambda and the minimum cuts: kappa by Watkins' theorem
-    where the scheme's generators make the graph arc-transitive, else by
-    one flow per orbit of the stabiliser of vertex 0; lam as kappa where
-    that is the valency (Whitney's chain), else by edge flows likewise;
-    min_cuts under the scheme's generators.  The basepoint audits sweep
-    `basepoints`: vertex 0 alone when the scheme carries a verified
-    transitive group, every vertex when it does not; each stands for
-    `weight` of them."""
+    graph (built when first read, so never for a relation every audit
+    skips as disconnected), the tensor reads (diagram, distances,
+    connectivity, completeness, twins) and the per-basepoint component
+    sweeps.  It alone decides kappa, lambda and the minimum cuts: kappa by
+    Watkins' theorem where the scheme's generators make the graph
+    arc-transitive, else by one flow per orbit of the stabiliser of vertex
+    0; lam as kappa where that is the valency (Whitney's chain), else by
+    edge flows likewise; min_cuts under the scheme's generators.  The
+    basepoint audits sweep `basepoints`: vertex 0 alone when the scheme
+    carries a verified transitive group, every vertex when it does not;
+    each stands for `weight` of them."""
 
     def __init__(self, scheme: SchemeDescriptor, g: int):
         self.scheme = scheme
         self.g = g
-        self.graph = relation_graph(scheme, g)
+
+    @cached_property
+    def graph(self) -> Graph:
+        return relation_graph(self.scheme, self.g)
 
     @property
     def diagram(self) -> Diagram:

@@ -11,8 +11,8 @@ it.  With jobs > 1 the parent forks a few workers and hands each idle one
 the next entry index over a pipe; a worker sends back its pickled report
 dicts, and the parent writes everything in canonical order, so the output
 does not depend on the schedule.  A worker that dies loses only the
-entry it was running.  Without os.fork the survey runs serially, which
-writes the same bytes.
+entry it was running, and a worker whose parent dies exits too.  Without
+os.fork the survey runs serially, which writes the same bytes.
 """
 from __future__ import annotations
 
@@ -22,6 +22,7 @@ import os
 import pickle
 import selectors
 import signal
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -301,17 +302,28 @@ def _serve(tasks: list[tuple], task_fd: int, result_fd: int) -> None:
             data = data[os.write(result_fd, data):]
 
 
+def _exit_on_eof(fd: int) -> None:
+    """Block on fd and end the process once it reads EOF."""
+    os.read(fd, 1)
+    os._exit(1)
+
+
 def _pooled(tasks: list[tuple], jobs: int) -> list[tuple]:
     """_survey_task on at most min(jobs, len(tasks)) forked workers at a
     time.  Each idle worker is handed the next entry over its own pipe, so
     the schedule is dynamic.  A worker that dies loses only the entry it
     was running, recorded as "worker process died", and a fresh worker
     takes over the entries left.  Workers leave only through os._exit, and
-    every child is killed and reaped before this returns or raises."""
+    every child is killed and reaped before this returns or raises.  A
+    worker busy in an entry reads no pipe, so each also watches a lifeline
+    pipe whose write end only the parent holds, on a daemon thread: when
+    the parent dies, even by SIGKILL, the lifeline reads EOF and the worker
+    exits."""
     results = []
     sel = selectors.DefaultSelector()
     workers: dict[int, list] = {}   # result fd -> [pid, task fd, position]
     handed = 0
+    life_r, life_w = os.pipe()
 
     def start() -> int:
         task_r, task_w = os.pipe()
@@ -321,10 +333,13 @@ def _pooled(tasks: list[tuple], jobs: int) -> list[tuple]:
             code = 1
             try:
                 # other workers see EOF only once every copy of their
-                # task pipe's write end is closed
-                for fd in [task_w, result_r] + [
+                # task pipe's write end is closed, and this one sees the
+                # lifeline's once the parent's is
+                for fd in [task_w, result_r, life_w] + [
                         f for r, w in workers.items() for f in (r, w[1])]:
                     os.close(fd)
+                threading.Thread(target=_exit_on_eof, args=(life_r,),
+                                 daemon=True).start()
                 _serve(tasks, task_r, result_w)
                 code = 0
             finally:
@@ -377,6 +392,8 @@ def _pooled(tasks: list[tuple], jobs: int) -> list[tuple]:
             os.kill(pid, signal.SIGKILL)
             retire(fd)
         sel.close()
+        os.close(life_r)
+        os.close(life_w)
     return results
 
 

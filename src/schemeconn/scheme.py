@@ -4,7 +4,11 @@ A scheme on X = {0..v-1} is stored as a single v x v class matrix; everything
 else (transpose map, intersection numbers, valencies) is derived from it and
 re-derived on load.
 
-Validation proves that the span V of A_0..A_d is closed under
+The intersection tensor is read one way: p_ij^k is the number of z with
+(a, z) in R_i and (z, b) in R_j at the first row-major pair (a, b) of
+class k, all read in one bincount of the triples (classes[a, z],
+classes[z, b], k) (_first_pair_scheme).  Validation proves these counts are the same
+at every pair of the class: that the span V of A_0..A_d is closed under
 multiplication, row by row.  Row i checks that every product A_i A_j is
 constant on every class, which is the definition of p_ij^k with no
 sampling involved.  It packs runs of consecutive classes j into one
@@ -16,8 +20,7 @@ sum_t b^t N_t(x, y), where N_t(x, y) counts the z with (x, z) in R_i and
 counts towards at most one N_t and their sum is at most the row sum of
 A_i at x, below b, even on an input that is no scheme.  So the N_t are
 the base-b digits of the entry, and the entry is constant on a class iff
-every digit is: one comparison checks the m products at once, and
-p_{i j_t}^k is digit t at the first pair of class k.  The float
+every digit is: one comparison checks the m products at once.  The float
 arithmetic is exact: the packed matrix holds 0 or one power b^t per
 entry, every partial sum BLAS forms is a sum of non-negative integer
 terms of the entry, at most (b-1) b^(m-1) < 2**24, and float32's 24-bit
@@ -34,14 +37,23 @@ A_i^m, a non-negative combination of A_0..A_d, puts a positive coefficient
 on c_m and none deeper: no arc skips a level and no term cancels.  So I,
 A_i, ..., A_i^d are triangular in the basis A_0..A_d and span V.  Then
 V = C[A_i], which is closed under multiplication and commutative: every
-remaining product would pass its check, and every p_jl^k is the count at
-the first pair of class k, read off in integers instead.  There are d+1
-levels when class i's distribution diagram is a path from class 0, the
-P-polynomial case (Bannai-Ito, Algebraic Combinatorics I, 1984, sec.
-III.1): the Hamming, Johnson and cyclic schemes stop after row 1 instead of
-running d rows.  Where no class has such a diagram, every row runs.  Rows
-run in the same order either way, so the tensor and the first failure, with
-its witness, do not depend on where the loop stops.
+remaining product would pass its check.  There are d+1 levels when class
+i's distribution diagram is a path from class 0, the P-polynomial case
+(Bannai-Ito, Algebraic Combinatorics I, 1984, sec. III.1): the Hamming,
+Johnson and cyclic schemes stop after row 1 instead of running d rows.
+Where no class has such a diagram, every row runs.  Rows run in the same
+order either way, so the first failure, with its witness, does not
+depend on where the loop stops.
+
+Symmetrization runs no product.  A validated scheme is commutative
+(validation checks p_ij^k = p_ji^k), and A_i^T = A_i' for the transpose
+class i'.  In a commutative algebra the product of two symmetric elements
+is symmetric, (XY)^T = Y^T X^T = YX = XY, so the span of the
+A_i + A_i^T, the symmetric elements of V, is closed under multiplication.
+It holds I and the 0/1 matrices of the merged classes, which partition
+the pairs, so it is the algebra of a symmetric scheme, and its tensor is
+again the first-pair counts.  A generator that preserves every class
+preserves every merged class, so the generators carry over unchecked.
 
 Generators offered by a construction are checked just as exactly: each must
 permute X and map every pair to a pair of the same class, a stabiliser
@@ -218,12 +230,12 @@ def _checked_transitive(classes: np.ndarray,
 
 
 def _packed_products(table: RelationTable, i: int, js: list[int],
-                     ai: np.ndarray, base: int) -> np.ndarray:
-    """p_ij^k for each class j of the run js (one row per j, one column
-    per k), read off one float32 product of ai = A_i with
-    sum_t base**t A_{js[t]} (see the module docstring), once the product is
-    shown constant on every class; otherwise raises NonConstantIntersection
-    for the first j and first row-major pair whose digit is not."""
+                     ai: np.ndarray, base: int) -> None:
+    """Prove A_i A_j constant on every class for each class j of the run
+    js, with one float32 product of ai = A_i and
+    sum_t base**t A_{js[t]} (see the module docstring); otherwise raise
+    NonConstantIntersection for the first j and first row-major pair
+    whose digit is not."""
     c, first, v = table.classes, table.first_pair, table.v
     powers = base ** np.arange(len(js), dtype=np.int64)
     weights = np.zeros(table.d + 1, dtype=np.float32)
@@ -231,13 +243,12 @@ def _packed_products(table: RelationTable, i: int, js: list[int],
     n = ai @ weights[c]
     pv = n.ravel()[first]
     mism = np.flatnonzero(n != pv[c])
-    pv = pv.astype(np.int64)
     if not len(mism):
-        return pv // powers[:, None] % base
+        return
     got = n.ravel()[mism].astype(np.int64)
     # a kept exception keeps the frames of its traceback alive
     del n
-    want = pv[c.ravel()[mism]]
+    want = pv.astype(np.int64)[c.ravel()[mism]]
     # a mismatching entry differs in some digit, so the loop breaks
     for t in range(len(js)):
         off = got // powers[t] % base != want // powers[t] % base
@@ -252,22 +263,41 @@ def _packed_products(table: RelationTable, i: int, js: list[int],
         ((a, b), int(got[q] // powers[t] % base)))
 
 
+def _first_pair_scheme(table: RelationTable, name: str, stabiliser,
+                       transitive) -> SchemeDescriptor:
+    """table as a SchemeDescriptor with these generators, p[i, j, k] read
+    as the count at the first pair of class k (see the module docstring);
+    nothing is checked here."""
+    c, n = table.classes, table.d + 1
+    a, b = np.divmod(table.first_pair, table.v)
+    # row k of keys codes (classes[a, z], classes[z, b], k) for every z
+    keys = (c[a] * n + c[:, b].T) * n + np.arange(n)[:, None]
+    p = np.bincount(keys.ravel(), minlength=n ** 3).reshape(n, n, n)
+    p.setflags(write=False)
+    tm = table.transpose_map
+    # the table's own fields only: a descriptor passed in also carries p,
+    # its name and its cached diagrams
+    return SchemeDescriptor(**{f.name: getattr(table, f.name)
+                               for f in fields(RelationTable)},
+                            name=name, p=p,
+                            valencies=tuple(int(p[i, tm[i], 0])
+                                            for i in range(n)),
+                            stabiliser=stabiliser, transitive=transitive)
+
+
 def validate_scheme(table: RelationTable, name: str = "scheme",
                     stabiliser=(), transitive=()) -> SchemeDescriptor:
     """Triple-count validation, row by row until one class is shown to
     generate the algebra (see the module docstring), plus an exact check of
     each offered stabiliser generator and transitive generator, and of the
     transitive generators' orbit of 0; raises with a witness on failure."""
-    c = table.classes
-    v, d = table.v, table.d
+    c, d = table.classes, table.d
     if d + 1 > 300:
         raise SizeCap(f"{d + 1} classes exceeds the tensor cap")
-    gens = _checked_generators(c, stabiliser, "stabiliser")
-    transitive = _checked_transitive(c, transitive)
-    p = np.zeros((d + 1, d + 1, d + 1), dtype=np.int64)
-    # identity row/column is forced: p[0,j,k] = [j==k], p[i,0,k] = [i==k]
-    p[0] = p[:, 0] = np.eye(d + 1, dtype=np.int64)
-
+    desc = _first_pair_scheme(table, name,
+                              _checked_generators(c, stabiliser, "stabiliser"),
+                              _checked_transitive(c, transitive))
+    p = desc.p
     for i in range(1, d + 1):
         # float32 runs on BLAS and holds every count exactly (see SIZE_CAP)
         ai = (c == i).astype(np.float32)
@@ -276,57 +306,34 @@ def validate_scheme(table: RelationTable, name: str = "scheme",
         while base ** (per_product + 1) <= 2 ** 24:
             per_product += 1
         # symmetric classes make A_j A_i the transpose of A_i A_j, so rows
-        # before i already checked it, and p_ji^k = p_ij^{k'} = p_ij^k
+        # before i already checked it
         js = list(range(i if table.symmetric else 1, d + 1))
         for start in range(0, len(js), per_product):
-            run = js[start:start + per_product]
-            p[i, run, :] = _packed_products(table, i, run, ai, base)
-            if table.symmetric:
-                p[run, i, :] = p[i, run, :]
+            _packed_products(table, i, js[start:start + per_product], ai,
+                             base)
         if sum(1 for _ in layers(bit_rows(p[i] > 0), 0)) == d + 1:
-            for k in range(d + 1):
-                a, b = divmod(int(table.first_pair[k]), v)
-                p[:, :, k] = np.bincount(
-                    c[a] * (d + 1) + c[:, b],
-                    minlength=(d + 1) ** 2).reshape(d + 1, d + 1)
             break
     if not table.symmetric:
         mism = np.argwhere(p != p.transpose(1, 0, 2))
         if len(mism):
             i, j, k = (int(x) for x in mism[0])
             raise NotCommutative(i, j, k, int(p[i, j, k]), int(p[j, i, k]))
-
-    tm = table.transpose_map
-    val = tuple(int(p[i, tm[i], 0]) for i in range(d + 1))
-    p.setflags(write=False)
-    # the table's own fields only: a descriptor passed in also carries p,
-    # its name and its cached diagrams
-    return SchemeDescriptor(**{f.name: getattr(table, f.name)
-                               for f in fields(RelationTable)},
-                            name=name, p=p, valencies=val,
-                            stabiliser=gens, transitive=transitive)
-
-
-def _merged_table(table: RelationTable) -> RelationTable:
-    """table with each class merged with its transpose (not validated)."""
-    tm = table.transpose_map
-    orbits = sorted({tuple(sorted((i, tm[i]))) for i in range(table.d + 1)})
-    relabel = np.zeros(table.d + 1, dtype=np.int64)
-    for new, orb in enumerate(orbits):
-        for i in orb:
-            relabel[i] = new
-    return RelationTable.from_classes(relabel[table.classes])
+    return desc
 
 
 def symmetrized_scheme(desc: SchemeDescriptor) -> SchemeDescriptor:
-    """The symmetrization of desc, validated once.  Its stabiliser and
-    transitive generators preserve the merged classes too; they are
-    carried over and checked again."""
+    """The symmetrization of desc: each class merged with its transpose,
+    numbered by the lesser of the two, with the tensor read off the merged
+    table and desc's generators, all with no further check (see the module
+    docstring)."""
     if desc.symmetric:
         return desc
-    return validate_scheme(_merged_table(desc), name=desc.name,
-                           stabiliser=desc.stabiliser,
-                           transitive=desc.transitive)
+    _, relabel = np.unique(np.minimum(np.arange(desc.d + 1),
+                                      desc.transpose_map),
+                           return_inverse=True)
+    return _first_pair_scheme(
+        RelationTable.from_classes(relabel[desc.classes]), desc.name,
+        desc.stabiliser, desc.transitive)
 
 
 def relation_graph(scheme: SchemeDescriptor, i: int) -> Graph:

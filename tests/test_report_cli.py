@@ -259,18 +259,22 @@ def _count_calls(monkeypatch, owner, name, calls):
             monkeypatch.setattr(holder, name, wrapper)
 
 
-@pytest.mark.parametrize("family,flowed", [
-    (("johnson", (7, 3)), 0),
-    (("hamming", (4, 2)), 0),
-    # no stabiliser generators, so kappa of r2 (K_{3,3}) runs flows
-    (("conjugacy", ("S3",)), 1),
+@pytest.mark.parametrize("family,connected,flowed", [
+    (("johnson", (7, 3)), 3, 0),
+    # r2 and r4 are disconnected
+    (("hamming", (4, 2)), 2, 0),
+    # r1 (2K_3) is disconnected; no stabiliser generators, so kappa of r2
+    # (K_{3,3}) runs flows
+    (("conjugacy", ("S3",)), 1, 1),
 ], ids=["johnson-7-3", "hamming-4-2", "conjugacy-S3"])
 def test_analyze_relation_builds_shared_objects_once(monkeypatch, family,
-                                                     flowed):
+                                                     connected, flowed):
     # the scheme's spectral block and its relations' reports together build
     # each diagram once and read every distance off the diagrams: no
-    # distance_matrix call is counted; vertex_connectivity runs only on the
-    # connected relations that Watkins' theorem leaves open
+    # distance_matrix call is counted; a relation graph is built only for
+    # a connected relation, since every audit skips a disconnected one
+    # first, and vertex_connectivity runs only on the connected relations
+    # that Watkins' theorem leaves open
     from schemeconn import connectivity, diagram, scheme as scheme_mod
     from schemeconn.graph import Graph
     # a fresh descriptor: build_family's is cached and may hold its diagrams
@@ -284,7 +288,8 @@ def test_analyze_relation_builds_shared_objects_once(monkeypatch, family,
     block = spectral_section(s, spec)
     for i in range(1, s.d + 1):
         analyze_relation(s, i, spectral=spec, spectral_block=block)
-    assert calls == Counter(relation_graph=s.d, distribution_diagram=s.d,
+    assert calls == Counter(relation_graph=connected,
+                            distribution_diagram=s.d,
                             vertex_connectivity=flowed)
 
 
@@ -510,6 +515,59 @@ def test_survey_interrupt_reaps_workers(tmp_path, monkeypatch, bounded):
     with pytest.raises(KeyboardInterrupt):
         run_survey(entries, str(tmp_path / "out"), jobs=2)
     _assert_no_children()
+
+
+def _gone(pid: int) -> bool:
+    """pid has exited: it has no /proc entry, or it is a zombie, since a
+    killed parent's orphans may wait for their new parent to reap them."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as fh:
+            stat = fh.read()
+    except (FileNotFoundError, ProcessLookupError):
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] == "Z"
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or not os.path.isdir("/proc"),
+                    reason="needs forked workers and /proc to watch them")
+def test_survey_workers_exit_when_the_parent_is_killed(tmp_path):
+    """A worker busy in an entry reads none of its pipes, yet SIGKILL to
+    the parent alone must end it: no worker outlives the survey."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(report.__file__)))
+    code = ("import os, sys, time\n"
+            "from schemeconn import report\n"
+            "def task(arg):\n"
+            "    open(os.path.join(sys.argv[1], str(os.getpid())), 'w').close()\n"
+            "    time.sleep(60)\n"
+            "report._survey_task = task\n"
+            "report.run_survey([(('cyclic', (5,)), None)] * 2, sys.argv[2],\n"
+            "                  jobs=2)\n")
+    pids = tmp_path / "pids"
+    pids.mkdir()
+    parent = subprocess.Popen([sys.executable, "-c", code, str(pids),
+                               str(tmp_path / "out")],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL)
+    workers = []
+    try:
+        deadline = time.monotonic() + 60
+        while len(workers) < 2 and time.monotonic() < deadline:
+            time.sleep(0.05)
+            workers = [int(name) for name in os.listdir(pids)]
+        assert len(workers) == 2
+        parent.kill()
+        parent.wait()
+        deadline = time.monotonic() + 10
+        while time.monotonic() < deadline and not all(map(_gone, workers)):
+            time.sleep(0.05)
+        assert [pid for pid in workers if not _gone(pid)] == []
+    finally:
+        parent.kill()
+        parent.wait()
+        for pid in workers:
+            if not _gone(pid):
+                os.kill(pid, signal.SIGKILL)
 
 
 @_FORKS

@@ -1,6 +1,8 @@
 """Validation, symmetrization, and relation graphs, checked against
 brute-force triple counting."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,9 @@ from schemeconn.errors import (IdentityClassRequested, NonConstantIntersection,
                                NotAPartition, NotClosedUnderTranspose,
                                NotCommutative, NotSymmetric, SizeCap)
 from schemeconn.diagram import complete_multipartite
-from schemeconn.scheme import (SIZE_CAP, RelationTable, relation_graph,
-                               symmetrized_scheme, validate_scheme)
+from schemeconn.scheme import (SIZE_CAP, RelationTable, SchemeDescriptor,
+                               relation_graph, symmetrized_scheme,
+                               validate_scheme)
 from small_graphs import builtin_catalog, has_edge
 
 
@@ -164,18 +167,120 @@ def test_symmetrize_idempotent():
     assert twice is once
 
 
-def test_symmetrized_scheme_validates_once(monkeypatch):
+def test_symmetrized_scheme_never_validates(monkeypatch):
+    # the merged classes of a commutative scheme form a scheme (see the
+    # scheme module docstring), so no product runs
     s = build_family("conjugacy", ("Z7",))
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return validate_scheme(*args, **kwargs)
-    monkeypatch.setattr(scheme_module, "validate_scheme", counting)
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return wrapper
+    for name in ("validate_scheme", "_packed_products"):
+        monkeypatch.setattr(scheme_module, name,
+                            counting(name, getattr(scheme_module, name)))
     merged = symmetrized_scheme(s)
-    assert len(calls) == 1
+    assert calls == []
     assert merged.symmetric and merged.d == 3
     assert np.array_equal(merged.classes, gen_cyclic(7).classes)
+
+
+def cyclotomic_scheme(p: int, e: int):
+    """The index-e cyclotomic scheme on Z_p, validated: (a, b) is in class
+    1 + (ind(b - a) mod e) for the discrete logarithm ind to the least
+    primitive root g.  Multiplication by g^e fixes 0 and preserves every
+    class, and x -> x + 1 carries 0 everywhere.  For e = 2 and
+    p = 3 mod 4 this is the quadratic-residue tournament, which
+    symmetrizes to K_p; for e = 4 and p = 5 mod 8 the transpose of class
+    i is i + 2, and it symmetrizes to the Paley scheme."""
+    g = next(g for g in range(2, p)
+             if len({pow(g, t, p) for t in range(p - 1)}) == p - 1)
+    ind = np.zeros(p, dtype=np.int64)
+    for t in range(p - 1):
+        ind[pow(g, t, p)] = t % e + 1
+    x = np.arange(p)
+    times = tuple(int(y) for y in x * pow(g, e, p) % p)
+    shift = tuple(int(y) for y in (x + 1) % p)
+    return validate_scheme(
+        RelationTable.from_classes(ind[(x[None, :] - x[:, None]) % p]),
+        name=f"cyclotomic-{p}-{e}", stabiliser=(times,), transitive=(shift,))
+
+
+def merged_by_transpose(s) -> RelationTable:
+    """s's classes with each merged with its transpose, the merged classes
+    numbered in the order of their least members."""
+    tm = s.transpose_map
+    least = sorted({min(i, tm[i]) for i in range(s.d + 1)})
+    label = np.array([least.index(min(i, tm[i])) for i in range(s.d + 1)])
+    return RelationTable.from_classes(label[s.classes])
+
+
+def test_symmetrized_scheme_matches_validated_merged_table():
+    """symmetrized_scheme reads the merged tensor without a product; the
+    full validation of the merged table must give every field it gives,
+    on every non-symmetric scheme the tests build: the thin schemes of
+    Z_3 .. Z_30, conj-Z5 and conj-Z7, and cyclotomic schemes whose
+    classes merge in pairs other than i, i + 1."""
+    schemes = [validate_scheme(RelationTable.from_classes(
+        thin_scheme_classes(cyclic_group_table(n))), name=f"thin-Z{n}")
+        for n in range(3, 31)]
+    schemes += [build_family("conjugacy", (g,)) for g in ("Z5", "Z7")]
+    qr = [cyclotomic_scheme(p, 2) for p in (7, 11, 19, 23, 31, 43)]
+    index4 = [cyclotomic_scheme(p, 4) for p in (13, 29, 37, 53)]
+    for s in schemes + qr + index4:
+        assert not s.symmetric, s.name
+        got = symmetrized_scheme(s)
+        want = validate_scheme(merged_by_transpose(s), name=s.name,
+                               stabiliser=s.stabiliser,
+                               transitive=s.transitive)
+        for f in fields(SchemeDescriptor):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            if isinstance(a, np.ndarray):
+                assert a.dtype == b.dtype, (s.name, f.name)
+                assert np.array_equal(a, b), (s.name, f.name)
+                assert not a.flags.writeable, (s.name, f.name)
+            else:
+                assert a == b, (s.name, f.name)
+        assert (got.stabiliser, got.transitive) == (s.stabiliser,
+                                                    s.transitive)
+    for s in qr:
+        assert symmetrized_scheme(s).d == 1
+    for s in index4:
+        paley = symmetrized_scheme(cyclotomic_scheme(s.v, 2))
+        assert np.array_equal(symmetrized_scheme(s).classes, paley.classes)
+        assert paley.d == 2 and paley.valencies == (1, (s.v - 1) // 2,
+                                                    (s.v - 1) // 2)
+
+
+def test_tensor_is_read_at_each_class_first_pair():
+    """p[i, j, k] is the count at the first row-major pair of class k, on
+    any table: on these tables, which are no schemes, the count changes
+    from pair to pair of a class, and the first pair's must be read."""
+    rng = np.random.default_rng(20)
+    tables = [[[abs(a - b) for b in range(4)] for a in range(4)]]
+    for v, pairs in ((7, (1, 2, 3)), (8, (2, 1, 3, 4))):
+        # class t transposes to pairs[t - 1]
+        tmap = np.array((0,) + pairs)
+        c = np.zeros((v, v), dtype=np.int64)
+        upper = np.triu_indices(v, 1)
+        c[upper] = rng.integers(1, len(pairs) + 1, len(upper[0]))
+        c.T[upper] = tmap[c[upper]]
+        tables.append(c)
+    for c in tables:
+        table = RelationTable.from_classes(c)
+        with pytest.raises(NonConstantIntersection):
+            validate_scheme(table)
+        p = scheme_module._first_pair_scheme(table, "t", (), ()).p
+        v, d = table.v, table.d
+        for k in range(d + 1):
+            a, b = next((a, b) for a in range(v) for b in range(v)
+                        if c[a][b] == k)
+            for i in range(d + 1):
+                for j in range(d + 1):
+                    assert p[i, j, k] == sum(
+                        1 for z in range(v) if c[a][z] == i and c[z][b] == j)
 
 
 def test_relation_graph_pentagon():
