@@ -565,9 +565,11 @@ def test_survey_workers_exit_when_the_parent_is_killed(tmp_path):
     finally:
         parent.kill()
         parent.wait()
-        for pid in workers:
-            if not _gone(pid):
+        for pid in filter(lambda pid: not _gone(pid), workers):
+            try:
                 os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:      # exited since it was read
+                pass
 
 
 @_FORKS
