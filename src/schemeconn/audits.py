@@ -63,7 +63,7 @@ from .diagram import (Diagram, complete_multipartite, exceptional_graph,
                       is_polygon, punctured_components, twin_classes)
 from .errors import HypothesisNotMet
 from .graph import Graph, bits, mask_of
-from .scheme import SchemeDescriptor, relation_graph
+from .scheme import SchemeDescriptor, _check_relation, relation_graph
 
 
 # field metadata: the field stays out of the record's report block
@@ -96,6 +96,7 @@ class RelationContext:
     each stands for `weight` of them."""
 
     def __init__(self, scheme: SchemeDescriptor, g: int):
+        _check_relation(scheme, g)
         self.scheme = scheme
         self.g = g
 

@@ -10,7 +10,6 @@ matrix is re-validated from scratch.
 from __future__ import annotations
 
 import json
-from functools import lru_cache
 from itertools import chain, combinations, permutations, product
 from math import comb
 
@@ -63,7 +62,6 @@ def _images(points: np.ndarray, moves) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def gen_hamming(n: int, q: int) -> SchemeDescriptor:
     """Words of length n over q symbols, classes by Hamming distance."""
     if n < 1 or q < 2:
@@ -95,7 +93,6 @@ def gen_hamming(n: int, q: int) -> SchemeDescriptor:
                            transitive=_images(words, coords + [shift]))
 
 
-@lru_cache(maxsize=None)
 def gen_johnson(vs: int, k: int) -> SchemeDescriptor:
     """k-subsets of a vs-set, classes by k - |intersection|."""
     if not 1 <= k <= vs // 2:
@@ -126,7 +123,6 @@ def gen_johnson(vs: int, k: int) -> SchemeDescriptor:
                            transitive=_images(members, transitive))
 
 
-@lru_cache(maxsize=None)
 def gen_cyclic(n: int) -> SchemeDescriptor:
     """Z_n with classes by circular distance min(|i-j|, n-|i-j|)."""
     if n < 2:
@@ -169,11 +165,11 @@ def _group_checks(mul: np.ndarray) -> tuple[int, np.ndarray]:
         if len(hits) != 1 or mul[hits[0], a] != e:
             raise NotAGroup(f"element {a} has no two-sided inverse")
         inv[a] = hits[0]
-    left = mul[mul, :]          # left[a,b,c] = (ab)c
-    right = mul[:, mul]         # right[a,b,c] = a(bc)
-    if not np.array_equal(left, right):
-        a, b, cc = (int(t) for t in np.argwhere(left != right)[0])
-        raise NotAGroup(f"associativity fails at ({a},{b},{cc})")
+    for a in range(v):      # (ab)c against a(bc) as [b, c], v^2 at a time
+        bad = np.argwhere(mul[mul[a]] != mul[a][mul])
+        if len(bad):
+            b, cc = (int(t) for t in bad[0])
+            raise NotAGroup(f"associativity fails at ({a},{b},{cc})")
     return e, inv
 
 
@@ -520,7 +516,6 @@ def check_family(kind, params: tuple) -> None:
                          f"have {sorted(known)}")
 
 
-@lru_cache(maxsize=None)
 def build_family(kind: str, params: tuple) -> SchemeDescriptor:
     check_family(kind, params)
     return _FAMILIES[kind][1](*params)

@@ -48,8 +48,6 @@ class Diagram:
 
 
 def distribution_diagram(scheme: SchemeDescriptor, g: int) -> Diagram:
-    if not 1 <= g <= scheme.d:
-        raise ValueError(f"class {g} out of range 1..{scheme.d}")
     d = scheme.d
     pg = scheme.p[g]
     linked = pg + pg.T > 0

@@ -23,7 +23,7 @@ import pickle
 import selectors
 import signal
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -42,12 +42,13 @@ TOOL_VERSION = "0.4.0"
 
 @dataclass(frozen=True)
 class AnalysisConfig:
+    # every report's `config` block; the fields after seed are fixed
     seed: int = 0x5EED          # accepted for compatibility; no audit reads it
-    grouping_tol: float = GROUPING_TOL
-    qp_tol: float = 1e-8
-    column_tol: float = COLUMN_TOL
-    multiplicity_tol: float = 1e-6
-    cut_enum_budget: int = 200_000
+    grouping_tol: float = field(default=GROUPING_TOL, init=False)
+    qp_tol: float = field(default=1e-8, init=False)
+    column_tol: float = field(default=COLUMN_TOL, init=False)
+    multiplicity_tol: float = field(default=1e-6, init=False)
+    cut_enum_budget: int = field(default=200_000, init=False)
 
 
 DEFAULT_CONFIG = AnalysisConfig()

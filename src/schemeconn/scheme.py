@@ -336,13 +336,18 @@ def symmetrized_scheme(desc: SchemeDescriptor) -> SchemeDescriptor:
         desc.stabiliser, desc.transitive)
 
 
-def relation_graph(scheme: SchemeDescriptor, i: int) -> Graph:
-    """Basis relation i as an undirected graph; requires a symmetric scheme."""
+def _check_relation(scheme: SchemeDescriptor, i: int) -> None:
+    """Raise unless scheme is symmetric and i is one of its classes 1..d."""
     if not scheme.symmetric:
         raise NotSymmetric("relation graphs need a symmetric scheme; symmetrize first")
     if i == 0:
         raise IdentityClassRequested("class 0 is the identity relation")
     if not 1 <= i <= scheme.d:
         raise ValueError(f"relation {i} out of range 1..{scheme.d}")
+
+
+def relation_graph(scheme: SchemeDescriptor, i: int) -> Graph:
+    """Basis relation i as an undirected graph; requires a symmetric scheme."""
+    _check_relation(scheme, i)
     return Graph(scheme.v, bit_rows(scheme.classes == i))
 

@@ -1,12 +1,14 @@
 """Builtin generators, group schemes, distance-regular import, persistence."""
 
 import json
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from schemeconn.catalog import (BUILTIN_FAMILIES, _group_checks, build_family,
-                                check_family, cyclic_group_table,
+from schemeconn.catalog import (BUILTIN_FAMILIES, GROUP_CAP, _group_checks,
+                                build_family, check_family, cyclic_group_table,
                                 dihedral4_table, gen_conjugacy, gen_cyclic,
                                 gen_hamming, gen_johnson, load_scheme,
                                 quaternion_table, save_scheme,
@@ -147,6 +149,35 @@ def test_not_a_group():
     bad = np.zeros((3, 3), dtype=int)
     with pytest.raises(NotAGroup):
         gen_conjugacy(bad)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_associativity_witness_is_the_first_failing_triple(seed):
+    # Z_30 with two entries of one row swapped keeps its identity and its
+    # inverses but is no group; the witness is the least (a, b, c) with
+    # (ab)c != a(bc), found here over the whole cube of triples
+    rng = np.random.default_rng(seed)
+    mul = cyclic_group_table(30)
+    a = int(rng.integers(1, 30))
+    # two columns other than the identity's and a's inverse's
+    cols = rng.choice(np.setdiff1d(range(1, 30), [30 - a]), 2, replace=False)
+    mul[a, cols] = mul[a, cols[::-1]]
+    want = np.argwhere(mul[mul, :] != mul[:, mul])[0]
+    with pytest.raises(NotAGroup, match=re.escape(
+            "associativity fails at ({},{},{})".format(*want))):
+        _group_checks(mul)
+
+
+def test_group_checks_hold_no_cubic_temporary():
+    # at GROUP_CAP a v^3 int64 temporary alone takes 134 MB
+    mul = cyclic_group_table(GROUP_CAP)
+    tracemalloc.start()
+    try:
+        _group_checks(mul)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, peak
 
 
 def test_drg_petersen_matches_johnson():

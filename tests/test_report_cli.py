@@ -1,5 +1,6 @@
 """Report JSON contract, the survey harness, and CLI exit codes."""
 
+import gc
 import hashlib
 import json
 import os
@@ -8,13 +9,15 @@ import signal
 import subprocess
 import sys
 import time
+import weakref
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
 import schemeconn
 from schemeconn import audits, cli, report
+from schemeconn.audits import record_fields
 from schemeconn.catalog import (BUILTIN_FAMILIES, build_family, gen_cyclic,
                                 save_scheme)
 from schemeconn.cli import main
@@ -142,13 +145,28 @@ def test_config_threading():
         "corollaries"]
 
 
-def test_column_tol_from_config():
-    # a tolerance this loose makes every idempotent column "repeated" on a
-    # primitive scheme, so the two primitivity detectors must disagree
+def test_config_sets_only_the_seed():
+    # the tolerances and the budget are fixed, and still recorded
+    assert [f.name for f in fields(AnalysisConfig) if f.init] == ["seed"]
+    with pytest.raises(TypeError):
+        AnalysisConfig(column_tol=10.0)
+    assert record_fields(AnalysisConfig()) == {
+        "seed": 0x5EED, "grouping_tol": 1e-9, "qp_tol": 1e-8,
+        "column_tol": 1e-8, "multiplicity_tol": 1e-6,
+        "cut_enum_budget": 200_000}
+
+
+def test_primitivity_disagreement_is_a_finding():
+    # a repeated column put into the primitive Petersen scheme's Q makes
+    # the two primitivity detectors disagree
     s = build_family("drg", ("petersen",))
-    block = spectral_section(s, compute_spectral(s),
-                             AnalysisConfig(column_tol=10.0))
-    assert block["primitivity"]["primitive"] is None
+    spec = compute_spectral(s)
+    q = spec.q.copy()
+    q[1, 1] = q[0, 1]
+    block = spectral_section(s, replace(spec, q=q))
+    assert block["primitivity"] == {
+        "primitive": None, "error": "disconnected relations [] vs "
+                                    "repeated-column idempotents [1]"}
     assert any("detectors disagree" in f for f in block["findings"])
 
 
@@ -277,8 +295,7 @@ def test_analyze_relation_builds_shared_objects_once(monkeypatch, family,
     # that Watkins' theorem leaves open
     from schemeconn import connectivity, diagram, scheme as scheme_mod
     from schemeconn.graph import Graph
-    # a fresh descriptor: build_family's is cached and may hold its diagrams
-    s = replace(build_family(*family))
+    s = build_family(*family)
     spec = compute_spectral(s)
     calls = Counter()
     _count_calls(monkeypatch, scheme_mod, "relation_graph", calls)
@@ -630,6 +647,36 @@ def test_survey_relation_selection(tmp_path):
     assert sorted(os.listdir(out)) == ["hamming-3-2-r1.json", "summary.json"]
 
 
+def test_survey_records_a_bad_relation_as_an_entry_error(tmp_path):
+    out = tmp_path / "bad"
+    entries = [(("cyclic", (5,)), [0]), (("cyclic", (6,)), [1, 4]),
+               (("johnson", (5, 2)), [1])]
+    summary = run_survey(entries, str(out))
+    assert summary["errors"] == [
+        {"entry": 0,
+         "error": "IdentityClassRequested: class 0 is the identity relation"},
+        {"entry": 1, "error": "ValueError: relation 4 out of range 1..3"}]
+    assert _report_files(out) == ["johnson-5-2-r1.json"]
+
+
+def test_survey_frees_each_scheme_when_its_entry_ends(tmp_path, monkeypatch):
+    # no process-wide cache keeps a built scheme: once the serial survey
+    # is done, nothing refers to the scheme of any entry
+    refs = []
+    real = report.analyze_scheme
+
+    def spy(scheme, *args, **kwargs):
+        refs.append(weakref.ref(scheme))
+        return real(scheme, *args, **kwargs)
+
+    monkeypatch.setattr(report, "analyze_scheme", spy)
+    run_survey(SMALL_ENTRIES[:3], str(tmp_path / "out"))
+    gc.collect()
+    assert len(refs) == 3
+    assert [ref() for ref in refs] == [None] * 3
+    assert build_family("cyclic", (5,)) is not build_family("cyclic", (5,))
+
+
 def _report_files(root):
     return sorted(n for n in os.listdir(root) if n != "summary.json")
 
@@ -924,6 +971,27 @@ def test_cli_survey_isolates_an_oversize_family(tmp_path, jobs):
                                   "johnson-5-2-r1.json", "johnson-5-2-r2.json"]
     with open(out / "summary.json", encoding="utf-8") as fh:
         assert [e["entry"] for e in json.load(fh)["errors"]] == [1]
+
+
+BAD_RELATIONS = [
+    ("0", "IdentityClassRequested: class 0 is the identity relation"),
+    ("-1", "error: relation -1 out of range 1..2"),
+    ("3", "error: relation 3 out of range 1..2"),
+    ("99", "error: relation 99 out of range 1..2"),
+]
+
+
+@pytest.mark.parametrize("command", ["analyze", "cuts"])
+@pytest.mark.parametrize("relation,message", BAD_RELATIONS)
+def test_cli_bad_relation_exits_2(capsys, command, relation, message):
+    # the relation context refuses the index before anything reads it
+    extra = ["--max-size", "3"] if command == "cuts" else []
+    code = main([command, "--family", "cyclic", "5", "--relation", relation,
+                 *extra])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [message]
 
 
 def test_cli_cuts_pentagon(capsys):
