@@ -325,14 +325,23 @@ def _dumped_payload(data: bytes):
     with that value read by _dumped_matrix and the rest of the document by
     json.loads; None for any other file.
 
-    The value is the first "[[" ... "]]" after the only '"classes"' in the
-    file.  The document is parsed with NaN in its place, and the payload is
-    taken only if that NaN, and no other constant, is the top-level
-    "classes" value, so a match inside a string or a nested object, or a
-    later duplicate key, leaves the file to the json route."""
+    The value is taken to run from the first '"classes": [[' to the last
+    "]]" of the file, and the document is parsed with NaN in its place.
+    The payload is taken only if '"classes"' occurs once in that parsed
+    text and the NaN, and no other constant, is the top-level "classes"
+    value; so a match inside a string or a nested object, or a duplicate
+    key, leaves the file to the json route.  Neither scan reads the matrix
+    text: a value the reader takes holds no quote, so the file holds no
+    other '"classes"', and it holds "]]" only as its last two bytes, so
+    any later "]]" fails the reader's check and leaves the file to the
+    json route too."""
     start = data.find(_CLASSES_KEY + b"[[")
-    end = data.find(b"]]", start) + 2
-    if start < 0 or end < 2 or data.count(b'"classes"') != 1:
+    last = data.rfind(b"]]")
+    if start < 0 or last < start:
+        return None
+    end = last + 2
+    header = data[:start] + _CLASSES_KEY + b"NaN" + data[end:]
+    if header.count(b'"classes"') != 1:
         return None
     marker, constants = object(), []
 
@@ -340,7 +349,6 @@ def _dumped_payload(data: bytes):
         constants.append(name)
         return marker
 
-    header = data[:start] + _CLASSES_KEY + b"NaN" + data[end:]
     try:
         payload = json.loads(header.decode("utf-8"), parse_constant=constant)
     except ValueError:

@@ -64,7 +64,17 @@ def _fmt(x: float) -> str:
 
 
 def _matrix_strings(m: np.ndarray) -> list[list[str]]:
-    return [[_fmt(float(x)) for x in row] for row in m]
+    """_fmt of every entry, with the integrality test made once for the
+    whole matrix.  np.rint rounds half to even as round does, and each
+    rounded value is converted by int, exact at any magnitude."""
+    x = np.asarray(m, dtype=np.float64)
+    rounded = np.rint(x)
+    with np.errstate(invalid="ignore"):     # inf - inf
+        whole = np.isfinite(x) & (np.abs(x - rounded) <= 1e-9)
+    out = np.empty(x.shape, dtype=object)
+    out[whole] = [str(int(r)) for r in rounded[whole].tolist()]
+    out[~whole] = [f"{y:.10g}" for y in x[~whole].tolist()]
+    return out.tolist()
 
 
 def spectral_section(scheme: SchemeDescriptor, spectral: SpectralData,

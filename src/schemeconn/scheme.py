@@ -132,17 +132,24 @@ class RelationTable:
             # some off-diagonal pair carries class 0
             bad = np.argwhere((c == 0) & ~np.eye(v, dtype=bool))[0]
             raise NotAPartition(f"classes[{bad[0]}][{bad[1]}] = 0 off the diagonal")
-        # transpose map: class of (y,x) must be a function of class of (x,y)
-        ct = np.ascontiguousarray(c.T)
-        tmap = ct.ravel()[first]
-        if not np.array_equal(tmap[c], ct):
-            bad = np.argwhere(tmap[c] != ct)[0]
-            x, y = int(bad[0]), int(bad[1])
-            raise NotClosedUnderTranspose(
-                f"class of ({y},{x}) is {int(c[y, x])} but class "
-                f"{int(c[x, y])} transposes to {int(tmap[c[x, y]])} elsewhere")
-        if not np.array_equal(tmap[tmap], np.arange(d + 1)):
-            raise NotClosedUnderTranspose("transpose map is not an involution")
+        # transpose map: class of (y,x) must be a function of class of
+        # (x,y); a symmetric matrix maps every class to itself.  np.take
+        # gathers with the int32 matrix as it is, where c-indexing would
+        # first copy it to a v x v intp array
+        tmap = np.arange(d + 1)
+        if not np.array_equal(c, c.T):
+            ct = np.ascontiguousarray(c.T)
+            tmap = ct.ravel()[first]
+            moved = np.take(tmap, c) != ct
+            if moved.any():
+                x, y = (int(t) for t in np.argwhere(moved)[0])
+                raise NotClosedUnderTranspose(
+                    f"class of ({y},{x}) is {int(c[y, x])} but class "
+                    f"{int(c[x, y])} transposes to {int(tmap[c[x, y]])} "
+                    f"elsewhere")
+            if not np.array_equal(tmap[tmap], np.arange(d + 1)):
+                raise NotClosedUnderTranspose(
+                    "transpose map is not an involution")
         c.setflags(write=False)
         first.setflags(write=False)
         tm = tuple(int(t) for t in tmap)
@@ -240,9 +247,10 @@ def _packed_products(table: RelationTable, i: int, js: list[int],
     powers = base ** np.arange(len(js), dtype=np.int64)
     weights = np.zeros(table.d + 1, dtype=np.float32)
     weights[js] = powers
-    n = ai @ weights[c]
+    # np.take, not c-indexing: no v x v intp copy of the index
+    n = ai @ np.take(weights, c)
     pv = n.ravel()[first]
-    mism = np.flatnonzero(n != pv[c])
+    mism = np.flatnonzero(n != np.take(pv, c))
     if not len(mism):
         return
     got = n.ravel()[mism].astype(np.int64)

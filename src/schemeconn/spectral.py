@@ -119,18 +119,21 @@ def compute_spectral(scheme: SchemeDescriptor,
 
     # all-ones eigenspace first, then rows in descending eigenvalue order.
     # Sort keys are integer ranks per column (rank 0 = largest), assigned by
-    # gap detection so float noise cannot flip ties.  The all-ones matrix
-    # sum_k A_k is the vector D^{1/2} 1 = root in these coordinates.
+    # gap detection so float noise cannot flip ties: in its column sorted
+    # descending, a value's rank is the number of gaps above tolerance
+    # before it.  The all-ones matrix sum_k A_k is the vector D^{1/2} 1 =
+    # root in these coordinates.
     j0 = int(np.argmax(np.abs(root @ u)))
-    ranks = np.zeros((d + 1, d + 1), dtype=np.int64)
-    for i in range(d + 1):
-        by_val = np.argsort(-scalars[:, i], kind="stable")
-        runs = _split_by_gaps(-scalars[by_val, i],
-                              1e-6 * max(1.0, float(val[i])))
-        for r, (a, b) in enumerate(runs):
-            ranks[by_val[a:b], i] = r
+    by_val = np.argsort(-scalars, axis=0, kind="stable")
+    descending = np.take_along_axis(-scalars, by_val, axis=0)
+    gaps = np.diff(descending, axis=0) > 1e-6 * np.maximum(1.0, val)
+    in_order = np.zeros((d + 1, d + 1), dtype=np.int64)
+    np.cumsum(gaps, axis=0, out=in_order[1:])
+    ranks = np.empty_like(in_order)
+    np.put_along_axis(ranks, by_val, in_order, axis=0)
+    rows = ranks.tolist()
     order = [j0] + sorted((j for j in range(d + 1) if j != j0),
-                          key=lambda j: tuple(ranks[j]))
+                          key=rows.__getitem__)
     eig = scalars[order, :]
     q = v * np.linalg.inv(eig)
     return SpectralData(p=eig, q=q,

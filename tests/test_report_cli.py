@@ -13,6 +13,7 @@ import weakref
 from collections import Counter
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
 import schemeconn
@@ -125,6 +126,34 @@ def test_spectral_section_encoding():
     assert spec["P"][0][0] == "1"
     assert isinstance(spec["second_eigenvalue"], str)
     assert spec["cut_size_lemma"]["applicable"] in (True, False)
+
+
+# Integers whose nearest float64 at or past 2**63 cannot be cast to int64,
+# ties that round half to even, values just inside and outside the 1e-9
+# integrality band, and the non-finite values.
+FMT_EDGES = [-0.0, 0.0, 3 - 1e-10, 3 + 1e-10, -7 + 1e-10, 3 + 2e-9,
+             -3 - 2e-9, 0.5, 2.5, -1.5, -0.5, 1e17, 2.0 ** 63, -(2.0 ** 63),
+             2.0 ** 64, 1e19, 1e300, 5e-324, float("nan"), float("inf"),
+             float("-inf")]
+
+
+@pytest.mark.parametrize("shape", [(1, len(FMT_EDGES)), (3, 7), (7, 3)])
+def test_matrix_strings_match_fmt_at_the_edges(shape):
+    m = np.array(FMT_EDGES).reshape(shape)
+    assert report._matrix_strings(m) == [[report._fmt(float(x)) for x in row]
+                                         for row in m]
+
+
+def test_matrix_strings_match_fmt_on_a_random_matrix():
+    rng = np.random.default_rng(7)
+    m = rng.normal(scale=50, size=(40, 40))
+    m[::3] = np.rint(m[::3])                      # integers
+    m[1::5] += rng.choice([-1e-10, 1e-10, 2e-9], size=(8, 40))
+    m[2::7] = np.rint(m[2::7]) + 0.5              # half-integers
+    m[4::9] *= 1e18                               # past 2**63
+    want = [[report._fmt(float(x)) for x in row] for row in m]
+    assert report._matrix_strings(m) == want
+    assert report._matrix_strings(m.T) == [list(col) for col in zip(*want)]
 
 
 def test_analyze_scheme_symmetrizes():
