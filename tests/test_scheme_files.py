@@ -151,6 +151,22 @@ DECLINED = {
     "nested": '{%s, "meta": {"classes": [[0, 1], [1, 0]]}}' % K2,
     "nan-elsewhere": '{"name": "k2", "v": NaN, "d": 1, '
                      '"classes": [[0, 1], [1, 0]]}',
+    # the reader takes the text from the first '"classes": [[' to the last
+    # "]]" of the file, and counts '"classes"' outside that text only
+    "later-key-holding-brackets": '{%s, "classes": [[0, 1], [1, 0]], '
+                                  '"note": "]]"}' % K2,
+    "later-nested-list": '{%s, "classes": [[0, 1], [1, 0]], '
+                         '"extra": [[1, 2]]}' % K2,
+    "classes-as-name": '{"name": "classes", "v": 2, "d": 1, '
+                       '"classes": [[0, 1], [1, 0]]}',
+    "duplicate-key-refused": '{%s, "classes": [[0, 1], [1, 0]], '
+                             '"classes": [[0, 1], [1, 1]]}' % K2,
+    "brackets-only-before-key": '{"name": "]]", "v": 2, "d": 1, '
+                                '"classes": [[0, 1], [1, 0] ]}',
+    "brackets-only-before-key-truncated": '{"name": "]]", "v": 2, "d": 1, '
+                                          '"classes": [[0, 1], [1, 0]',
+    "no-closing-brackets": '{%s, "classes": [[0, 1], [1, 0]' % K2,
+    "key-first-no-brackets": '"classes": [[0, 1], [1, 0]',
 }
 
 
@@ -172,56 +188,6 @@ def test_other_layouts_take_the_json_route(tmp_path, monkeypatch, text):
     got = outcome(path)
     monkeypatch.setattr(catalog, "_dumped_payload", lambda data: None)
     assert got == outcome(path)
-
-
-# Files at the edges of the reader's two scans: the matrix runs from the
-# first '"classes": [[' to the last "]]" of the file, and '"classes"' is
-# counted outside that span only.
-BOUNDARY = {
-    "later-key-holding-brackets": '{%s, "classes": [[0, 1], [1, 0]], '
-                                  '"note": "]]"}' % K2,
-    "later-nested-list": '{%s, "classes": [[0, 1], [1, 0]], '
-                         '"extra": [[1, 2]]}' % K2,
-    "classes-in-name": '{"name": "classes", "v": 2, "d": 1, '
-                       '"classes": [[0, 1], [1, 0]]}',
-    "duplicate-key-after": '{%s, "classes": [[0, 1], [1, 0]], '
-                           '"classes": [[0, 2], [2, 0]]}' % K2,
-    "duplicate-key-after-bad": '{%s, "classes": [[0, 1], [1, 0]], '
-                               '"classes": [[0, 1], [1, 1]]}' % K2,
-    "brackets-only-before-key": '{"name": "]]", "v": 2, "d": 1, '
-                                '"classes": [[0, 1], [1, 0] ]}',
-    "brackets-only-before-key-truncated": '{"name": "]]", "v": 2, "d": 1, '
-                                          '"classes": [[0, 1], [1, 0]',
-    "no-closing-brackets": '{%s, "classes": [[0, 1], [1, 0]' % K2,
-    "key-first-no-brackets": '"classes": [[0, 1], [1, 0]',
-}
-
-
-@pytest.mark.parametrize("text", BOUNDARY.values(), ids=BOUNDARY.keys())
-def test_reader_boundary_cases(tmp_path, monkeypatch, text):
-    """The reader declines each file or reads json.loads' payload, and
-    load_scheme gives what that payload gives, its class matrix included,
-    or json.loads' exact error as a ParseError."""
-    path = tmp_path / "k2.json"
-    path.write_text(text, encoding="utf-8")
-    data = path.read_bytes()
-    assert_reader_agrees(data)
-    try:
-        payload = json.loads(data.decode("utf-8"))
-    except ValueError as exc:
-        assert outcome(path) == ("ParseError", f"{path}: {exc}")
-        return
-    try:
-        got = load_scheme(path)
-    except SchemeError:
-        pass
-    else:
-        assert (got.name, got.v, got.d) == (payload["name"], payload["v"],
-                                            payload["d"])
-        assert got.classes.tolist() == payload["classes"]
-    want = outcome(path)
-    monkeypatch.setattr(catalog, "_dumped_payload", lambda data: None)
-    assert outcome(path) == want
 
 
 def test_escaped_name_holding_a_matrix(tmp_path):
