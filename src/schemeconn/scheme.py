@@ -133,14 +133,12 @@ class RelationTable:
             bad = np.argwhere((c == 0) & ~np.eye(v, dtype=bool))[0]
             raise NotAPartition(f"classes[{bad[0]}][{bad[1]}] = 0 off the diagonal")
         # transpose map: class of (y,x) must be a function of class of
-        # (x,y); a symmetric matrix maps every class to itself.  np.take
-        # gathers with the int32 matrix as it is, where c-indexing would
-        # first copy it to a v x v intp array
+        # (x,y); a symmetric matrix maps every class to itself
         tmap = np.arange(d + 1)
         if not np.array_equal(c, c.T):
             ct = np.ascontiguousarray(c.T)
             tmap = ct.ravel()[first]
-            moved = np.take(tmap, c) != ct
+            moved = tmap[c] != ct
             if moved.any():
                 x, y = (int(t) for t in np.argwhere(moved)[0])
                 raise NotClosedUnderTranspose(
@@ -247,10 +245,11 @@ def _packed_products(table: RelationTable, i: int, js: list[int],
     powers = base ** np.arange(len(js), dtype=np.int64)
     weights = np.zeros(table.d + 1, dtype=np.float32)
     weights[js] = powers
-    # np.take, not c-indexing: no v x v intp copy of the index
-    n = ai @ np.take(weights, c)
+    # indexing by the int32 matrix casts it in small buffers; np.take
+    # would first copy it whole to a v x v intp array
+    n = ai @ weights[c]
     pv = n.ravel()[first]
-    mism = np.flatnonzero(n != np.take(pv, c))
+    mism = np.flatnonzero(n != pv[c])
     if not len(mism):
         return
     got = n.ravel()[mism].astype(np.int64)
