@@ -54,11 +54,15 @@ class AnalysisConfig:
 DEFAULT_CONFIG = AnalysisConfig()
 
 
+# a printed value this close to an integer prints as that integer
+WHOLE_TOL = 1e-9
+
+
 def _fmt(x: float) -> str:
-    """A value within 1e-9 of an integer prints as that integer (so -0 is
-    0), any other with 10 significant digits: the printed strings do not
-    depend on the rounding of one BLAS or LAPACK build."""
-    if math.isfinite(x) and abs(x - round(x)) <= 1e-9:
+    """A value within WHOLE_TOL of an integer prints as that integer (so
+    -0 is 0), any other with 10 significant digits: the printed strings do
+    not depend on the rounding of one BLAS or LAPACK build."""
+    if math.isfinite(x) and abs(x - round(x)) <= WHOLE_TOL:
         return str(round(x))
     return f"{x:.10g}"
 
@@ -70,7 +74,7 @@ def _matrix_strings(m: np.ndarray) -> list[list[str]]:
     x = np.asarray(m, dtype=np.float64)
     rounded = np.rint(x)
     with np.errstate(invalid="ignore"):     # inf - inf
-        whole = np.isfinite(x) & (np.abs(x - rounded) <= 1e-9)
+        whole = np.isfinite(x) & (np.abs(x - rounded) <= WHOLE_TOL)
     out = np.empty(x.shape, dtype=object)
     out[whole] = [str(int(r)) for r in rounded[whole].tolist()]
     out[~whole] = [f"{y:.10g}" for y in x[~whole].tolist()]

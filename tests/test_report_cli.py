@@ -121,7 +121,7 @@ def test_spectral_section_encoding():
     rep = analyze_relation(build_family("johnson", (5, 2)), 1)
     spec = rep["spectral"]
     assert spec["multiplicities"] == [1, 4, 5]
-    # decimal-string encoding, 12 significant digits
+    # decimal-string encoding, 10 significant digits
     assert all(isinstance(x, str) for row in spec["P"] for x in row)
     assert spec["P"][0][0] == "1"
     assert isinstance(spec["second_eigenvalue"], str)
