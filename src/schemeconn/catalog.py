@@ -255,11 +255,31 @@ def save_scheme(desc: SchemeDescriptor, path) -> None:
         fh.write(json.dumps(payload) + "\n")
 
 
-def _dumped_matrix(text: bytes):
-    """text as an int64 matrix when it is what json.dumps writes for a
+def _dumped_matrix(data: bytes, begin: int, end: int):
+    """data[begin:end] as a matrix when it is what json.dumps writes for a
     matrix of non-negative integers with at most _MAX_DIGITS digits and no
-    leading zero; None otherwise.  Works on bytes and on bool and uint8
-    masks over them."""
+    leading zero; None otherwise.  The matrix is uint8 when every label
+    has one digit, int64 otherwise."""
+    # one-digit labels: each row is "[a, b, ..., z]" in 3n bytes, so the
+    # text is r blocks of 3n + 2 bytes, each a row with the byte before it
+    # ("[" opening the matrix, or the " " of ", ") and the byte after it
+    # ("," of ", ", or "]" closing the matrix).  The first row's "]" is at
+    # 3n, and every byte of every block is checked where it stands
+    n3 = data.find(b"]", begin, end) - begin
+    if n3 > 0 and n3 % 3 == 0 and (end - begin) % (n3 + 2) == 0:
+        rows = np.frombuffer(data, dtype=np.uint8, count=end - begin,
+                             offset=begin).reshape(-1, n3 + 2)
+        if (rows[0, 0] == ord("[") and (rows[1:, 0] == ord(" ")).all()
+                and (rows[:, 1] == ord("[")).all()
+                and (rows[:, n3] == ord("]")).all()
+                and (rows[:-1, n3 + 1] == ord(",")).all()
+                and rows[-1, n3 + 1] == ord("]")
+                and (rows[:, 3:n3:3] == ord(",")).all()
+                and (rows[:, 4:n3:3] == ord(" ")).all()):
+            digits = rows[:, 2:n3:3] - np.uint8(ord("0"))
+            if digits.max() < 10:
+                return digits
+    text = data[begin:end]
     # with its digits deleted, the text is the skeleton of an r x n matrix:
     # "[[", the n - 1 ", " of each row, "], [" between rows, "]]"
     skeleton = text.translate(None, _DIGITS)
@@ -356,7 +376,7 @@ def _dumped_payload(data: bytes):
     if (len(constants) != 1 or not isinstance(payload, dict)
             or payload.get("classes") is not marker):
         return None
-    matrix = _dumped_matrix(data[start + len(_CLASSES_KEY):end])
+    matrix = _dumped_matrix(data, start + len(_CLASSES_KEY), end)
     if matrix is None:
         return None
     payload["classes"] = matrix
@@ -365,7 +385,8 @@ def _dumped_payload(data: bytes):
 
 def load_scheme(path) -> SchemeDescriptor:
     """Parse and fully re-validate a stored scheme.  Files in json.dumps'
-    layout have their class matrix read in numpy (_dumped_payload); every
+    layout have their class matrix read in numpy (_dumped_payload), as a
+    strided view of the file's bytes when every label has one digit; every
     other file, and every error message, goes through json.loads."""
     try:
         with open(path, "rb") as fh:
@@ -406,8 +427,9 @@ def load_scheme(path) -> SchemeDescriptor:
             raise ParseError(f"{path}: classes rows differ in length") from exc
         except OverflowError as exc:    # an entry outside int64
             raise ParseError(f"{path}: class index out of range") from exc
-    # the parsed value (popped from payload) and the int64 matrix are both
-    # dropped before validation, so neither is alive during its products
+    # the parsed value (popped from payload) and the matrix, uint8 or int64,
+    # are both dropped before validation, so neither is alive during its
+    # products
     del classes
     table = RelationTable.from_classes(matrix)
     del matrix

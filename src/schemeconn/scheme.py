@@ -101,7 +101,11 @@ class RelationTable:
 
     @classmethod
     def from_classes(cls, classes) -> "RelationTable":
-        c = np.ascontiguousarray(np.asarray(classes, dtype=np.int64))
+        # a uint8 matrix (the file reader's, for one-digit labels) stays
+        # narrow through the checks; any other input is read as int64
+        narrow = isinstance(classes, np.ndarray) and classes.dtype == np.uint8
+        c = classes if narrow else np.ascontiguousarray(
+            np.asarray(classes, dtype=np.int64))
         if c.ndim != 2 or c.shape[0] != c.shape[1]:
             raise NotAPartition("classes must be a square matrix")
         v = c.shape[0]
@@ -122,8 +126,9 @@ class RelationTable:
         if len(uniq) != d + 1:
             missing = int(np.argmax(uniq != np.arange(len(uniq))))
             raise NotAPartition(f"class {missing} is empty")
-        # every label is now below v * v <= SIZE_CAP**2 < 2**31
-        c = c.astype(np.int32)
+        if not narrow:
+            # every label is now below v * v <= SIZE_CAP**2 < 2**31
+            c = c.astype(np.int32)
         diag = np.diagonal(c)
         if (diag != 0).any():
             x = int(np.nonzero(diag != 0)[0][0])
@@ -148,6 +153,8 @@ class RelationTable:
             if not np.array_equal(tmap[tmap], np.arange(d + 1)):
                 raise NotClosedUnderTranspose(
                     "transpose map is not an involution")
+        # a no-op on the int32 matrix of a wider input
+        c = c.astype(np.int32, copy=False)
         c.setflags(write=False)
         first.setflags(write=False)
         tm = tuple(int(t) for t in tmap)

@@ -159,8 +159,8 @@ def primitivity(scheme: SchemeDescriptor, spectral: SpectralData,
     relation contexts read too."""
     disc = [i for i, diag in scheme.diagrams.items() if diag.diameter is None]
     q = spectral.q
-    rep = [j for j in range(1, scheme.d + 1)
-           if (np.abs(q[0, j] - q[1:, j]) < column_tol).any()]
+    repeated = (np.abs(q[0, 1:] - q[1:, 1:]) < column_tol).any(axis=0)
+    rep = (np.flatnonzero(repeated) + 1).tolist()
     if bool(disc) != bool(rep):
         raise DetectorDisagreement(
             f"disconnected relations {disc} vs repeated-column idempotents {rep}")

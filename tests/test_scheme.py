@@ -1,6 +1,7 @@
 """Validation, symmetrization, and relation graphs, checked against
 brute-force triple counting."""
 
+import random
 from dataclasses import fields
 
 import numpy as np
@@ -115,6 +116,47 @@ def test_transpose_closure_rejected():
     c = [[0, 1, 2], [2, 0, 1], [1, 1, 0]]
     with pytest.raises(NotClosedUnderTranspose):
         RelationTable.from_classes(c)
+
+
+def table_fields(table: RelationTable) -> list:
+    return [(f.name, x.dtype.str, x.shape, x.tobytes())
+            if isinstance(x, np.ndarray) else (f.name, x)
+            for f in fields(table) for x in [getattr(table, f.name)]]
+
+
+def test_uint8_classes_give_the_int64_table():
+    """The file reader hands one-digit matrices over as uint8: each
+    ingest scheme and switched copy, and a non-symmetric scheme, gives the
+    same table field for field, dtypes included, as from int64."""
+    from test_ingest_digests import SCHEMES, two_switch
+    tables = [thin_scheme_classes(cyclic_group_table(5))]
+    for kind, params in SCHEMES:
+        c = np.asarray(build_family(kind, params).classes, dtype=np.int64)
+        tables += [c, two_switch(c, random.Random(1))]
+    for c in tables:
+        narrow = RelationTable.from_classes(np.asarray(c, dtype=np.uint8))
+        assert narrow.classes.dtype == np.int32
+        assert table_fields(narrow) == table_fields(
+            RelationTable.from_classes(np.asarray(c, dtype=np.int64)))
+
+
+@pytest.mark.parametrize("c", [
+    [[0, 1, 1], [1, 0, 1]],                     # not square
+    [[0, 2], [2, 0]],                           # class 1 empty
+    [[0, 1], [2, 3]],                           # diagonal not 0
+    [[0, 0, 1], [0, 0, 1], [1, 1, 0]],          # class 0 off the diagonal
+    [[0, 1, 2], [2, 0, 1], [1, 1, 0]],          # transpose not a function
+], ids=["non-square", "empty-class", "diagonal", "off-diagonal-0",
+        "transpose"])
+def test_uint8_classes_are_refused_as_int64(c):
+    """Each refusal of a uint8 matrix has the int64 one's type and
+    message."""
+    refusals = []
+    for dtype in (np.uint8, np.int64):
+        with pytest.raises((NotAPartition, NotClosedUnderTranspose)) as exc:
+            RelationTable.from_classes(np.array(c, dtype=dtype))
+        refusals.append((type(exc.value), str(exc.value)))
+    assert refusals[0] == refusals[1]
 
 
 def test_size_cap():

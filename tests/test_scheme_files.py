@@ -7,14 +7,16 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from schemeconn import catalog
-from schemeconn.catalog import load_scheme, save_scheme
+from schemeconn.catalog import build_family, load_scheme, save_scheme
 from schemeconn.errors import SchemeError
+from schemeconn.scheme import RelationTable, validate_scheme
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -46,7 +48,8 @@ def json_route(data: bytes):
 
 def assert_reader_agrees(data: bytes) -> bool:
     """The reader declines (False) or gives exactly the json route's
-    payload and matrix (True)."""
+    payload and matrix (True): uint8 when every label is below 10, read
+    as a strided view of the file, and int64 otherwise."""
     got = catalog._dumped_payload(data)
     if got is None:
         return False
@@ -56,15 +59,23 @@ def assert_reader_agrees(data: bytes) -> bool:
     got = dict(got)
     read = got.pop("classes")
     assert got == payload
-    assert read.dtype == np.int64 and read.shape == matrix.shape
+    assert read.dtype == (np.uint8 if matrix.max() < 10 else np.int64)
+    assert read.shape == matrix.shape
     assert np.array_equal(read, matrix)
     return True
 
 
 labels = st.one_of(st.integers(0, 9), st.integers(0, 5000),
                    st.integers(10 ** 16, 10 ** 19 - 1))
-matrices = st.integers(1, 5).flatmap(lambda n: st.lists(
-    st.lists(labels, min_size=n, max_size=n), min_size=1, max_size=5))
+
+
+def matrices_of(labels):
+    return st.integers(1, 5).flatmap(lambda n: st.lists(
+        st.lists(labels, min_size=n, max_size=n), min_size=1, max_size=5))
+
+
+# half of them of one-digit labels only, the strided reader's layout
+matrices = st.one_of(matrices_of(labels), matrices_of(st.integers(0, 9)))
 names = st.one_of(st.text(max_size=12),
                   st.sampled_from(['"classes": [[0, 1], [1, 0]]',
                                    "K5-\u0394", "]]", "\\"]))
@@ -188,6 +199,73 @@ def test_other_layouts_take_the_json_route(tmp_path, monkeypatch, text):
     got = outcome(path)
     monkeypatch.setattr(catalog, "_dumped_payload", lambda data: None)
     assert got == outcome(path)
+
+
+# one-digit texts at the edges of the strided reader's layout, and whether
+# the numpy reader takes each (the rest go to the json route)
+ONE_DIGIT = {
+    "one-label": ("[[0]]", True),
+    "one-row": ("[[0, 1, 2, 3]]", True),
+    "one-column": ("[[0], [1], [2]]", True),
+    "ten-in-a-later-row": ("[[0, 1, 2], [10, 0, 2], [2, 1, 0]]", True),
+    # five two-digit labels lengthen the text by one row of one-digit ones
+    "ten-to-fourteen": ("[[0], [10], [11], [12], [13], [14]]", True),
+    "comma-before-space": ("[[0 ,1], [1, 0]]", False),
+    "non-square": ("[[0, 1, 2], [1, 0, 2]]", True),
+}
+
+
+@pytest.mark.parametrize("text, read", ONE_DIGIT.values(),
+                         ids=ONE_DIGIT.keys())
+def test_one_digit_edges(tmp_path, monkeypatch, text, read):
+    """The reader reads or declines each of these as listed, reads the
+    json route's matrix, and load_scheme then gives what the json route
+    alone gives, message for message."""
+    path = tmp_path / "edge.json"
+    path.write_text('{"name": "edge", "v": 1, "d": 0, "classes": %s}' % text,
+                    encoding="utf-8")
+    assert assert_reader_agrees(path.read_bytes()) == read
+    got = outcome(path)
+    monkeypatch.setattr(catalog, "_dumped_payload", lambda data: None)
+    assert got == outcome(path)
+
+
+def test_one_digit_text_with_a_byte_replaced():
+    """Each one-byte replacement in a one-digit matrix text, read on its
+    own: the reader declines it or reads what json.loads reads."""
+    text = b"[[0, 1, 2], [1, 0, 2], [2, 2, 0]]"
+    for at in range(len(text)):
+        for byte in EDIT_BYTES:
+            edited = text[:at] + bytes([byte]) + text[at + 1:]
+            read = catalog._dumped_matrix(edited, 0, len(edited))
+            if read is not None:
+                assert read.tolist() == json.loads(edited), edited
+
+
+def traced_peak(call) -> int:
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_reader_peak_memory(tmp_path):
+    """The reader of a saved J(16,3) (one-digit labels) allocates less
+    than twice the file's size, and validating the table it gives
+    allocates no more than validating one built from an int64 matrix
+    (3.89 MiB)."""
+    s = build_family("johnson", (16, 3))
+    path = tmp_path / "j.json"
+    save_scheme(s, path)
+    data = path.read_bytes()
+    assert traced_peak(lambda: catalog._dumped_payload(data)) < 2 * len(data)
+    read = RelationTable.from_classes(catalog._dumped_payload(data)["classes"])
+    wide = RelationTable.from_classes(np.asarray(s.classes, dtype=np.int64))
+    assert (traced_peak(lambda: validate_scheme(read))
+            <= traced_peak(lambda: validate_scheme(wide)))
 
 
 def test_escaped_name_holding_a_matrix(tmp_path):
